@@ -495,6 +495,7 @@ class AxisResult:
     hs: list
     errors: list
     runtimes: list
+    cache_hits: list
     fit: RateFit | None
     local_slopes: list
     half_split: tuple | None
@@ -505,8 +506,10 @@ class AxisResult:
         return {
             "axis": self.axis,
             "points": [
-                {"value": v, "h": h, "error": e, "runtime_s": r}
-                for v, h, e, r in zip(self.values, self.hs, self.errors, self.runtimes)
+                {"value": v, "h": h, "error": e, "runtime_s": r, "cache_hit": c}
+                for v, h, e, r, c in zip(
+                    self.values, self.hs, self.errors, self.runtimes, self.cache_hits
+                )
             ],
             "fit": self.fit.to_dict() if self.fit else None,
             "local_slopes": self.local_slopes,
@@ -544,16 +547,24 @@ def _axis_h(axis: str, value: int, t_final: float) -> float:
     return t_final / value if axis == "n_k" else 1.0 / value
 
 
+def _measure(cfg, cache, reference, point: dict) -> tuple[float, float, bool]:
+    """Error and wall time of one sweep point, and whether its final state was cached."""
+    hit = (point["n"], point["m"], point["n_k"]) in cache._finals
+    t0 = time.perf_counter()
+    state, space = solve_single(cache, point["n"], point["m"], point["n_k"])
+    err = error_norm_H(cache.dist, state, space, reference, q=cfg.quad_order)
+    return err, time.perf_counter() - t0, hit
+
+
 def _run_axis(cfg, cache, reference, axis: str, values, finest: dict, sweep_floor: float) -> AxisResult:
-    errors, runtimes, hs = [], [], []
+    errors, runtimes, hits, hs = [], [], [], []
     for v in values:
         point = dict(finest)
         point[axis] = v
-        t0 = time.perf_counter()
-        state, space = solve_single(cache, point["n"], point["m"], point["n_k"])
-        err = error_norm_H(cache.dist, state, space, reference, q=cfg.quad_order)
-        runtimes.append(time.perf_counter() - t0)
+        err, runtime, hit = _measure(cfg, cache, reference, point)
         errors.append(err)
+        runtimes.append(runtime)
+        hits.append(hit)
         hs.append(_axis_h(axis, v, cfg.t_final))
     ref_floor = getattr(reference, "est_error", 0.0)
     keep, flagged = _admissible(hs, errors, ref_floor, sweep_floor)
@@ -565,7 +576,7 @@ def _run_axis(cfg, cache, reference, axis: str, values, finest: dict, sweep_floo
         for i, j in zip(keep, keep[1:])
     ]
     return AxisResult(
-        axis, list(values), hs, errors, runtimes, fit, local,
+        axis, list(values), hs, errors, runtimes, hits, fit, local,
         half_split_slopes(hs, errors), keep, flagged,
     )
 
@@ -576,9 +587,7 @@ def _run_joint(cfg, cache, reference) -> list:
     rows = []
     for i in range(levels):
         point = {k: v[min(i, len(v) - 1)] for k, v in axes.items()}
-        t0 = time.perf_counter()
-        state, space = solve_single(cache, point["n"], point["m"], point["n_k"])
-        err = error_norm_H(cache.dist, state, space, reference, q=cfg.quad_order)
+        err, runtime, hit = _measure(cfg, cache, reference, point)
         rows.append(
             {
                 "level": i,
@@ -586,7 +595,8 @@ def _run_joint(cfg, cache, reference) -> list:
                 "m": point["m"],
                 "n_k": point["n_k"],
                 "error": err,
-                "runtime_s": time.perf_counter() - t0,
+                "runtime_s": runtime,
+                "cache_hit": hit,
             }
         )
     return rows

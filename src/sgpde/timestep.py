@@ -7,13 +7,15 @@ tau solves
     (d0 M - d1 tau K) u_next = (n0 M - n1 tau K) u.
 
 Implicit Euler (r(z) = 1/(1-z)) and Crank--Nicolson
-(r(z) = (1+z/2)/(1-z/2)) are the provided instances; both pass the
-A-acceptability probe at construction. With M = I the formulas reduce to
-the resolvent form of the schemes on the continuous state space.
+(r(z) = (1+z/2)/(1-z/2)) are the provided instances; each is built and
+passed through the A-acceptability probe once per process. With M = I
+the formulas reduce to the resolvent form of the schemes on the
+continuous state space.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,6 @@ __all__ = [
     "implicit_euler",
     "crank_nicolson",
     "scheme_by_name",
-    "rational_symbol",
     "a_stability_probe",
     "make_uniform_grid",
     "step",
@@ -75,10 +76,12 @@ def _validated(scheme: RationalScheme) -> RationalScheme:
     return scheme
 
 
+@functools.cache
 def implicit_euler() -> RationalScheme:
     return _validated(RationalScheme("implicit_euler", (1.0, 0.0), (1.0, -1.0)))
 
 
+@functools.cache
 def crank_nicolson() -> RationalScheme:
     return _validated(RationalScheme("crank_nicolson", (1.0, 0.5), (1.0, -0.5)))
 
@@ -88,10 +91,6 @@ def scheme_by_name(name: str) -> RationalScheme:
         return {"implicit_euler": implicit_euler, "crank_nicolson": crank_nicolson}[name]()
     except KeyError:
         raise ValueError(f"unknown scheme {name!r}") from None
-
-
-def rational_symbol(scheme: RationalScheme, z):
-    return scheme.r(z)
 
 
 @dataclass(frozen=True)
@@ -125,29 +124,31 @@ def make_uniform_grid(t_final: float, n_steps: int) -> TimeGrid:
 
 
 class Propagator:
-    """One-step map of a scheme for fixed (M, K); factorizations cached per tau."""
+    """One-step map of a scheme for fixed (M, K).
+
+    The step matrix d0 M - d1 tau K and its LU are built once per step size
+    tau and cached; every step still checks its residual against that matrix.
+    """
 
     def __init__(self, scheme: RationalScheme, mass, stiff):
         self.scheme = scheme
         self.mass = sp.csr_matrix(mass)
         self.stiff = sp.csr_matrix(stiff)
-        self._lu: dict[float, object] = {}
-
-    def _system(self, tau: float):
-        n0, n1 = self.scheme.num
-        d0, d1 = self.scheme.den
-        lhs = d0 * self.mass - d1 * tau * self.stiff
-        rhs = (n0, n1, tau)
-        return lhs, rhs
+        self._lu: dict[float, tuple] = {}
 
     def step(self, u: np.ndarray, tau: float) -> np.ndarray:
         if tau <= 0.0:
             raise ValueError("tau must be positive")
-        lhs, (n0, n1, tau) = self._system(tau)
         if tau not in self._lu:
-            self._lu[tau] = spla.splu(lhs.tocsc())
-        b = n0 * (self.mass @ u) - n1 * tau * (self.stiff @ u)
-        out = self._lu[tau].solve(b)
+            d0, d1 = self.scheme.den
+            lhs = d0 * self.mass - d1 * tau * self.stiff
+            self._lu[tau] = (lhs, spla.splu(lhs.tocsc()))
+        lhs, lu = self._lu[tau]
+        n0, n1 = self.scheme.num
+        b = n0 * (self.mass @ u)
+        if n1 != 0.0:
+            b = b - n1 * tau * (self.stiff @ u)
+        out = lu.solve(b)
         res = float(np.linalg.norm(lhs @ out - b))
         if res > STEP_RESIDUAL_TOL * max(float(np.linalg.norm(b)), 1e-300):
             raise SolverError(f"time step residual {res:.3e} too large for tau = {tau}")

@@ -228,6 +228,15 @@ def test_sweep_deterministic_and_monotone_joint():
             assert b <= a * 1.05
 
 
+def test_sweep_flags_points_solved_earlier_as_cache_hits():
+    cfg = load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [8]}))
+    report = sweep(cfg).to_dict()
+    # the joint table, (1, 4, 8) then (2, 8, 8), runs first and solves both rows
+    assert [row["cache_hit"] for row in report["joint"]] == [False, False]
+    hits = {axis: [p["cache_hit"] for p in r["points"]] for axis, r in report["axes"].items()}
+    assert hits == {"n": [False, True], "m": [False, True], "n_k": [True]}
+
+
 def test_config_hash_changes_with_config():
     c1 = load_config(mini_config())
     c2 = load_config(mini_config(t_final=0.2))

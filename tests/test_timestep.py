@@ -3,9 +3,23 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import oracles
-from sgpde.spatial import assemble_mass, assemble_stiffness, fe_eval, l2_error, l2_project, make_fe_space, make_mesh
+from sgpde.coeffs import coefficient_by_name, initial_datum_by_name
+from sgpde.orthopoly import hermite
+from sgpde.pce import distribution, multi_index_set, triple_products
+from sgpde.sgsystem import assemble_block_operator, initial_coefficients, pce_coefficient_matrices
+from sgpde.spatial import (
+    SolverError,
+    assemble_mass,
+    assemble_stiffness,
+    fe_eval,
+    l2_error,
+    l2_project,
+    make_fe_space,
+    make_mesh,
+)
 from sgpde.timestep import (
     Propagator,
     TimeGrid,
@@ -143,6 +157,52 @@ def test_factorizations_cached_per_step_size():
     assert len(prop._lu) == 1
     prop.step(u0, 0.02)
     assert len(prop._lu) == 2
+
+
+def sg_block_setup():
+    """Block operator and initial chaos state of logistic_1d, n = 2, P1, m = 6."""
+    dist = distribution(hermite())
+    space = make_fe_space(make_mesh(1, 6), 1)
+    mis = multi_index_set(dist.N, 2)
+    mats = pce_coefficient_matrices(dist, 2, space, coefficient_by_name("logistic_1d"), 30)
+    op = assemble_block_operator(mats, triple_products(dist, 2), mis, space)
+    u0 = initial_datum_by_name("sine_modes", modes=[[1, 1.0]])
+    state0 = initial_coefficients(dist, mis, u0, space, 30)
+    return op.mass, op.matrix, state0.flat()
+
+
+@pytest.mark.parametrize("setup", ["heat_p1", "sg_block"])
+@pytest.mark.parametrize("name", ["implicit_euler", "crank_nicolson"])
+def test_cached_step_matches_rebuilt_step_bitwise(name, setup):
+    if setup == "heat_p1":
+        _, mass, stiff, u = heat_setup(m=16, order=1)
+    else:
+        mass, stiff, u = sg_block_setup()
+    scheme = scheme_by_name(name)
+    prop = Propagator(scheme, mass, stiff)
+    want = u
+    for tau in (0.1, 0.05, 0.1, 0.05, 0.2):
+        u = prop.step(u, tau)
+        want = oracles.rebuilt_step(scheme, mass, stiff, want, tau)
+        assert np.array_equal(u, want)
+    assert sorted(prop._lu) == [0.05, 0.1, 0.2]
+
+
+def test_residual_check_runs_on_cached_steps():
+    _, mass, stiff, u0 = heat_setup(m=16, order=1)
+    prop = Propagator(implicit_euler(), mass, stiff)
+    u = prop.step(u0, 0.01)
+    lhs, _ = prop._lu[0.01]
+    wrong = (mass + 0.02 * stiff).tocsc()
+    prop._lu[0.01] = (lhs, spla.splu(wrong))
+    with pytest.raises(SolverError, match="residual"):
+        prop.step(u, 0.01)
+
+
+def test_schemes_built_and_validated_once():
+    assert implicit_euler() is implicit_euler()
+    assert crank_nicolson() is crank_nicolson()
+    assert scheme_by_name("crank_nicolson") is crank_nicolson()
 
 
 def test_scheme_by_name_errors():
