@@ -79,7 +79,7 @@ def cmd_converge(args) -> int:
     return 0 if report.passed else 1
 
 
-def invariant_suite(fast: bool = True) -> list[tuple[str, bool, str]]:
+def invariant_suite() -> list[tuple[str, bool, str]]:
     """Library-wide invariant checks, printable as one line per item."""
     results = []
 
@@ -135,7 +135,7 @@ def invariant_suite(fast: bool = True) -> list[tuple[str, bool, str]]:
 
 
 def cmd_check(args) -> int:
-    results = invariant_suite(fast=not args.full)
+    results = invariant_suite()
     worst = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
@@ -168,7 +168,6 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("check", help="run the library invariant suite")
-    p.add_argument("--full", action="store_true")
     p.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)

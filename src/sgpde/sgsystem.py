@@ -148,18 +148,9 @@ def assemble_block_operator(
     eps: TripleProductTensor,
     mis: MultiIndexSet,
     space: FeSpace,
-    truncation: str = "2n",
 ) -> SgOperator:
-    """Symmetric block operator with blocks sum_alpha eps[a,b,c] A_alpha.
-
-    `truncation` selects the coefficient range: "2n" (the assembled system)
-    or "n" (an experimental variant truncating the coefficient expansion at
-    total degree n; no approximation claim is attached to it).
-    """
-    if truncation not in ("2n", "n"):
-        raise ValueError("truncation must be '2n' or 'n'")
-    alphas = [a for a in eps.mis2 if truncation == "2n" or sum(a) <= eps.n]
-    for alpha in alphas:
+    """Symmetric block operator with blocks sum_alpha eps[a,b,c] A_alpha over |alpha| <= 2n."""
+    for alpha in eps.mis2:
         if alpha not in coeff_mats:
             raise ValueError(f"missing coefficient matrix for alpha = {alpha}")
     d = len(mis)
@@ -167,7 +158,7 @@ def assemble_block_operator(
     for bi, beta in enumerate(mis):
         for gi, gamma in enumerate(mis):
             acc = None
-            for alpha in alphas:  # fixed graded-lex order: reproducible sums
+            for alpha in eps.mis2:  # fixed graded-lex order: reproducible sums
                 val = eps.get(alpha, beta, gamma)
                 if val:
                     term = val * coeff_mats[alpha]

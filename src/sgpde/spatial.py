@@ -5,12 +5,20 @@ the unit square with 2 m^2 triangles in 2D. Lagrange elements of order 1
 (P1) or 2 (P2) with homogeneous Dirichlet conditions enforced by dof
 elimination; all retained dofs are interior.
 
-Spatial coefficient callables receive a float in 1D and an ndarray of shape
-(2,) in 2D; matrix-valued coefficients return a Hermitian 2x2 array.
+Every kernel works on all cells at once: one table of affine cell maps
+(`_geometry`) gives the quadrature points and physical gradients, one einsum
+forms the element contributions and one scatter sums them. Point evaluation
+and prolongation share one sparse evaluation matrix.
+
+Spatial callables (coefficients, loads, exact and initial functions) are
+still sampled one point at a time: they receive a float in 1D and an ndarray
+of shape (2,) in 2D; matrix-valued coefficients return a Hermitian 2x2
+array, checked at every sample.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,16 +38,12 @@ __all__ = [
     "load_vector",
     "l2_project",
     "stationary_solve",
-    "solve_spd",
     "fe_eval",
     "nodal_coordinates",
     "prolong",
     "l2_error",
     "export_coo",
 ]
-
-DIRECT_SOLVER_DOF_LIMIT = 50_000
-
 
 class SolverError(RuntimeError):
     pass
@@ -186,9 +190,21 @@ def _shapes_tri(order: int, pts: np.ndarray):
     return vals, grads
 
 
+def _shapes(dim: int, order: int, pts: np.ndarray):
+    """Values (local, nq) and reference gradients (local, nq, dim) at points (nq, dim)."""
+    if dim == 2:
+        return _shapes_tri(order, pts)
+    vals, ders = _shapes_1d(order, pts[:, 0])
+    return vals, ders[:, :, None]
+
+
+@functools.cache
 def _gauss_01(q: int):
+    """q-point Gauss rule on (0, 1); the arrays are shared, hence read-only."""
     x, w = np.polynomial.legendre.leggauss(q)
-    return (x + 1.0) / 2.0, w / 2.0
+    t, w = (x + 1.0) / 2.0, w / 2.0
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 # 7-point rule on the reference triangle, exact to degree 5; weights sum to 1/2
@@ -208,42 +224,58 @@ _TRI_WTS = np.array(
 )
 
 
-def _symmetrized(entries, rows, cols, ndof) -> sp.csr_matrix:
-    a = sp.coo_matrix((entries, (rows, cols)), shape=(ndof, ndof)).tocsr()
+# --- element geometry and array assembly -----------------------------------
+
+def _geometry(mesh: Mesh):
+    """Affine map x = x0 + J xi of every cell onto its reference cell.
+
+    Returns the origins (nc, d), Jacobians (nc, d, d), |det J| (nc,) and
+    inverse transposes J^-T (nc, d, d).
+    """
+    p = mesh.vertices[mesh.cells]
+    x0 = p[:, 0]
+    jac = np.swapaxes(p[:, 1:] - x0[:, None], 1, 2)
+    return x0, jac, np.abs(np.linalg.det(jac)), np.swapaxes(np.linalg.inv(jac), 1, 2)
+
+
+def _element_rule(space: FeSpace, q1d: int):
+    """Quadrature on every cell: the q1d-point Gauss rule in 1D, the 7-point
+    rule in 2D. Returns weights times |det J| (nc, nq), physical points
+    (nc, nq, d), shape values (local, nq) and physical gradients
+    (nc, local, nq, d)."""
+    if space.dim == 1:
+        t, w = _gauss_01(q1d)
+        pts = t[:, None]
+    else:
+        pts, w = _TRI_PTS, _TRI_WTS
+    x0, jac, det, inv_t = _geometry(space.mesh)
+    vals, grads = _shapes(space.dim, space.order, pts)
+    xq = x0[:, None, :] + np.einsum("cab,qb->cqa", jac, pts)
+    return np.outer(det, w), xq, vals, np.einsum("cab,iqb->ciqa", inv_t, grads)
+
+
+def _sampled(f, xq: np.ndarray, dim: int) -> np.ndarray:
+    """f at every point of xq (nc, nq, d), called one point at a time with a
+    float in 1D and a (2,) array in 2D; the values in point order."""
+    pts = xq[..., 0].ravel().tolist() if dim == 1 else xq.reshape(-1, 2)
+    return np.array([f(x) for x in pts])
+
+
+def _scatter(space: FeSpace, element_matrices: np.ndarray) -> sp.csr_matrix:
+    """Symmetric global matrix from (nc, local, local) element matrices."""
+    dofs = space.dof_of_node[space.cell_nodes]
+    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+    keep = (rows >= 0) & (cols >= 0)
+    a = sp.coo_matrix(
+        (element_matrices[keep], (rows[keep], cols[keep])), shape=(space.ndof, space.ndof)
+    ).tocsr()
     return (a + a.T) * 0.5
-
-
-def _scatter(space: FeSpace, element_matrices) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for cell, ke in zip(space.cell_nodes, element_matrices):
-        dofs = space.dof_of_node[cell]
-        keep = dofs >= 0
-        d = dofs[keep]
-        ke = ke[np.ix_(keep, keep)]
-        rows.append(np.repeat(d, len(d)))
-        cols.append(np.tile(d, len(d)))
-        vals.append(ke.reshape(-1))
-    return _symmetrized(
-        np.concatenate(vals), np.concatenate(rows), np.concatenate(cols), space.ndof
-    )
 
 
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     """Mass matrix, exactly integrated, symmetric positive definite."""
-    if space.dim == 1:
-        t, w = _gauss_01(space.order + 1)
-        vals, _ = _shapes_1d(space.order, t)
-        h = 1.0 / space.mesh.m
-        ke = h * np.einsum("q,iq,jq->ij", w, vals, vals)
-        mats = [ke] * len(space.cell_nodes)
-    else:
-        vals, _ = _shapes_tri(space.order, _TRI_PTS)
-        mats = []
-        for cell in space.mesh.cells:
-            p = space.mesh.vertices[cell]
-            det = abs(np.linalg.det(np.column_stack([p[1] - p[0], p[2] - p[0]])))
-            mats.append(det * np.einsum("q,iq,jq->ij", _TRI_WTS, vals, vals))
-    return _scatter(space, mats)
+    dw, _, vals, _ = _element_rule(space, space.order + 1)
+    return _scatter(space, np.einsum("cq,iq,jq->cij", dw, vals, vals))
 
 
 def _coeff_at(coeff, x, dim: int) -> np.ndarray:
@@ -265,29 +297,10 @@ def _coeff_at(coeff, x, dim: int) -> np.ndarray:
 
 def assemble_stiffness(space: FeSpace, coeff) -> sp.csr_matrix:
     """Stiffness matrix of the diffusion form for a scalar (1D) or 2x2 (2D) field."""
-    if space.dim == 1:
-        t, w = _gauss_01(max(space.order + 1, 3))
-        _, ders = _shapes_1d(space.order, t)
-        h = 1.0 / space.mesh.m
-        mats = []
-        for cell in space.cell_nodes:
-            x0 = space.nodes[cell[0], 0]
-            xq = x0 + h * t
-            c = np.array([_coeff_at(coeff, x, 1) for x in xq])
-            mats.append(np.einsum("q,q,iq,jq->ij", w, c, ders, ders) / h)
-    else:
-        _, grads_ref = _shapes_tri(space.order, _TRI_PTS)
-        mats = []
-        for cell in space.mesh.cells:
-            p = space.mesh.vertices[cell]
-            jac = np.column_stack([p[1] - p[0], p[2] - p[0]])
-            det = abs(np.linalg.det(jac))
-            inv_jt = np.linalg.inv(jac).T
-            grads = np.einsum("ab,iqb->iqa", inv_jt, grads_ref)
-            xq = p[0][None, :] + _TRI_PTS @ jac.T
-            cmats = np.array([_coeff_at(coeff, x, 2) for x in xq])
-            mats.append(det * np.einsum("q,qab,iqa,jqb->ij", _TRI_WTS, cmats, grads, grads))
-    return _scatter(space, mats)
+    dw, xq, _, grads = _element_rule(space, max(space.order + 1, 3))
+    d = space.dim
+    c = _sampled(lambda x: _coeff_at(coeff, x, d), xq, d).reshape(*dw.shape, d, d)
+    return _scatter(space, np.einsum("cq,cqab,ciqa,cjqb->cij", dw, c, grads, grads))
 
 
 def h1_gram(space: FeSpace) -> sp.csr_matrix:
@@ -295,47 +308,18 @@ def h1_gram(space: FeSpace) -> sp.csr_matrix:
     return assemble_stiffness(space, 1.0)
 
 
-def load_vector(space: FeSpace, f, quad_order: int = 6) -> np.ndarray:
+def load_vector(space: FeSpace, f) -> np.ndarray:
     """Right-hand side (f, phi_i) for a sampleable spatial function f."""
+    dw, xq, vals, _ = _element_rule(space, 6)
+    be = np.einsum("cq,cq,iq->ci", dw, _sampled(f, xq, space.dim).reshape(dw.shape), vals)
+    dofs = space.dof_of_node[space.cell_nodes]
     b = np.zeros(space.ndof)
-    if space.dim == 1:
-        t, w = _gauss_01(quad_order)
-        vals, _ = _shapes_1d(space.order, t)
-        h = 1.0 / space.mesh.m
-        for cell in space.cell_nodes:
-            x0 = space.nodes[cell[0], 0]
-            fq = np.array([f(float(x0 + h * ti)) for ti in t])
-            be = h * np.einsum("q,q,iq->i", w, fq, vals)
-            dofs = space.dof_of_node[cell]
-            np.add.at(b, dofs[dofs >= 0], be[dofs >= 0])
-    else:
-        vals, _ = _shapes_tri(space.order, _TRI_PTS)
-        for cell, cn in zip(space.mesh.cells, space.cell_nodes):
-            p = space.mesh.vertices[cell]
-            jac = np.column_stack([p[1] - p[0], p[2] - p[0]])
-            det = abs(np.linalg.det(jac))
-            xq = p[0][None, :] + _TRI_PTS @ jac.T
-            fq = np.array([f(x) for x in xq])
-            be = det * np.einsum("q,q,iq->i", _TRI_WTS, fq, vals)
-            dofs = space.dof_of_node[cn]
-            np.add.at(b, dofs[dofs >= 0], be[dofs >= 0])
+    np.add.at(b, dofs[dofs >= 0], be[dofs >= 0])
     return b
 
 
-def solve_spd(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Direct sparse solve at desk scale, conjugate gradients above it."""
-    n = a.shape[0]
-    if n <= DIRECT_SOLVER_DOF_LIMIT:
-        return spla.spsolve(a.tocsc(), b)
-    x, info = spla.cg(a, b, rtol=1e-11, atol=0.0, maxiter=10 * n)
-    if info != 0:
-        res = float(np.linalg.norm(a @ x - b) / max(np.linalg.norm(b), 1e-300))
-        raise SolverError(f"CG did not converge (info={info}, rel residual {res:.3e})")
-    return x
-
-
 def _checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
-    x = solve_spd(a, b)
+    x = spla.spsolve(a.tocsc(), b)
     scale = float(np.linalg.norm(b))
     res = float(np.linalg.norm(a @ x - b))
     if res > rel_tol * max(scale, 1e-300):
@@ -343,9 +327,9 @@ def _checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
     return x
 
 
-def l2_project(space: FeSpace, f, quad_order: int = 6) -> np.ndarray:
+def l2_project(space: FeSpace, f) -> np.ndarray:
     """L2-orthogonal projection onto the space: solves M u = (f, phi)."""
-    return _checked_solve(assemble_mass(space), load_vector(space, f, quad_order), 1e-10)
+    return _checked_solve(assemble_mass(space), load_vector(space, f), 1e-10)
 
 
 def stationary_solve(space: FeSpace, coeff, rhs) -> np.ndarray:
@@ -357,41 +341,26 @@ def stationary_solve(space: FeSpace, coeff, rhs) -> np.ndarray:
 
 # --- point evaluation, prolongation, errors ------------------------------
 
-def _full_node_values(space: FeSpace, u: np.ndarray) -> np.ndarray:
-    full = np.zeros(len(space.nodes))
-    sel = space.dof_of_node >= 0
-    full[sel] = u[space.dof_of_node[sel]]
-    return full
+def _eval_matrix(space: FeSpace, points) -> sp.csr_matrix:
+    """Sparse (points x dofs) map from a dof vector to its values at the points."""
+    m, d = space.mesh.m, space.dim
+    pts = np.asarray(points, dtype=float).reshape(-1, d)
+    ij = np.clip((pts * m).astype(int), 0, m - 1)
+    cell = ij[:, 0]
+    if d == 2:  # cells come in pairs per square: lower (x-fraction >= y-fraction) first
+        frac = pts * m - ij
+        cell = 2 * (ij[:, 0] * m + ij[:, 1]) + (frac[:, 0] < frac[:, 1])
+    x0, _, _, inv_t = _geometry(space.mesh)
+    vals, _ = _shapes(d, space.order, np.einsum("pba,pb->pa", inv_t[cell], pts - x0[cell]))
+    dofs = space.dof_of_node[space.cell_nodes[cell]]
+    rows = np.broadcast_to(np.arange(len(pts))[:, None], dofs.shape)
+    keep = dofs >= 0
+    return sp.csr_matrix((vals.T[keep], (rows[keep], dofs[keep])), shape=(len(pts), space.ndof))
 
 
 def fe_eval(space: FeSpace, u: np.ndarray, points) -> np.ndarray:
     """Evaluate the FE function (zero on the boundary) at arbitrary points."""
-    full = _full_node_values(space, u)
-    m = space.mesh.m
-    if space.dim == 1:
-        x = np.atleast_1d(np.asarray(points, dtype=float))
-        cell = np.clip((x * m).astype(int), 0, m - 1)
-        t = x * m - cell
-        vals, _ = _shapes_1d(space.order, t)
-        out = np.zeros_like(x)
-        for loc in range(space.cell_nodes.shape[1]):
-            out += full[space.cell_nodes[cell, loc]] * vals[loc]
-        return out
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(len(pts))
-    for p_i, (x, y) in enumerate(pts):
-        i = min(int(x * m), m - 1)
-        j = min(int(y * m), m - 1)
-        xi, eta = x * m - i, y * m - j
-        # cells appear in pairs per square: lower (xi >= eta) first
-        cell_id = 2 * (i * m + j) + (0 if xi >= eta else 1)
-        cell = space.mesh.cells[cell_id]
-        p = space.mesh.vertices[cell]
-        jac = np.column_stack([p[1] - p[0], p[2] - p[0]])
-        ref = np.linalg.solve(jac, np.array([x, y]) - p[0])
-        vals, _ = _shapes_tri(space.order, ref[None, :])
-        out[p_i] = float(np.dot(full[space.cell_nodes[cell_id]], vals[:, 0]))
-    return out
+    return _eval_matrix(space, points) @ u
 
 
 def nodal_coordinates(space: FeSpace) -> np.ndarray:
@@ -403,41 +372,27 @@ def nodal_coordinates(space: FeSpace) -> np.ndarray:
 
 
 def prolong(coarse: FeSpace, u: np.ndarray, fine: FeSpace) -> np.ndarray:
-    """Exact transfer to a nested refinement of at least the same order."""
+    """Exact transfer to a nested refinement of at least the same order.
+
+    `u` is one coarse state or a matrix whose columns are coarse states.
+    """
     if coarse.dim != fine.dim:
         raise ValueError("spaces live on different geometries")
     if fine.mesh.m % coarse.mesh.m != 0:
         raise ValueError("fine mesh is not a refinement of the coarse mesh")
     if fine.order < coarse.order:
         raise ValueError("fine space must contain the coarse space")
-    pts = nodal_coordinates(fine)
-    return fe_eval(coarse, u, pts if fine.dim == 2 else pts[:, 0])
+    return _eval_matrix(coarse, nodal_coordinates(fine)) @ u
 
 
-def l2_error(space: FeSpace, u: np.ndarray, exact, quad_order: int = 6) -> float:
+def l2_error(space: FeSpace, u: np.ndarray, exact) -> float:
     """L2 distance between the FE function and a smooth exact function."""
-    total = 0.0
-    full = _full_node_values(space, u)
-    if space.dim == 1:
-        t, w = _gauss_01(quad_order)
-        vals, _ = _shapes_1d(space.order, t)
-        h = 1.0 / space.mesh.m
-        for cell in space.cell_nodes:
-            x0 = space.nodes[cell[0], 0]
-            uh = full[cell] @ vals
-            ue = np.array([exact(float(x0 + h * ti)) for ti in t])
-            total += h * float(np.dot(w, (uh - ue) ** 2))
-    else:
-        vals, _ = _shapes_tri(space.order, _TRI_PTS)
-        for cell, cn in zip(space.mesh.cells, space.cell_nodes):
-            p = space.mesh.vertices[cell]
-            jac = np.column_stack([p[1] - p[0], p[2] - p[0]])
-            det = abs(np.linalg.det(jac))
-            xq = p[0][None, :] + _TRI_PTS @ jac.T
-            uh = full[cn] @ vals
-            ue = np.array([exact(x) for x in xq])
-            total += det * float(np.dot(_TRI_WTS, (uh - ue) ** 2))
-    return math.sqrt(total)
+    dw, xq, vals, _ = _element_rule(space, 6)
+    full = np.zeros(len(space.nodes))
+    sel = space.dof_of_node >= 0
+    full[sel] = u[space.dof_of_node[sel]]
+    diff = full[space.cell_nodes] @ vals - _sampled(exact, xq, space.dim).reshape(dw.shape)
+    return math.sqrt(float(np.einsum("cq,cq->", dw, diff * diff)))
 
 
 def export_coo(a: sp.spmatrix) -> str:

@@ -15,6 +15,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import integrate
 
+from sgpde.spatial import _TRI_PTS, _TRI_WTS, _coeff_at, _gauss_01, _shapes_1d, _shapes_tri
+
 
 def hermite_moment(j: int) -> float:
     """E[Z^j] for Z standard normal: 0 for odd j, (j-1)!! for even j."""
@@ -90,3 +92,133 @@ def rebuilt_step(scheme, mass, stiff, u, tau: float) -> np.ndarray:
     lhs = d0 * mass - d1 * tau * stiff
     b = n0 * (mass @ u) - n1 * tau * (stiff @ u)
     return spla.splu(lhs.tocsc()).solve(b)
+
+
+# --- the per-cell spatial kernels that the array assembly replaced ---------
+# Each loops over the cells and builds that cell's affine map on its own; the
+# reference shapes, quadrature rules and coefficient sampling are shared with
+# the library.
+
+
+def _cellwise_scatter(space, element_matrices) -> sp.csr_matrix:
+    rows, cols, vals = [], [], []
+    for cell, ke in zip(space.cell_nodes, element_matrices):
+        dofs = space.dof_of_node[cell]
+        keep = dofs >= 0
+        d = dofs[keep]
+        rows.append(np.repeat(d, len(d)))
+        cols.append(np.tile(d, len(d)))
+        vals.append(ke[np.ix_(keep, keep)].reshape(-1))
+    a = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.ndof, space.ndof),
+    ).tocsr()
+    return (a + a.T) * 0.5
+
+
+def _triangle(space, cell):
+    p = space.mesh.vertices[cell]
+    jac = np.column_stack([p[1] - p[0], p[2] - p[0]])
+    return p[0], jac, abs(np.linalg.det(jac))
+
+
+def _full_node_values(space, u) -> np.ndarray:
+    full = np.zeros(len(space.nodes))
+    sel = space.dof_of_node >= 0
+    full[sel] = u[space.dof_of_node[sel]]
+    return full
+
+
+def cellwise_mass(space) -> sp.csr_matrix:
+    if space.dim == 1:
+        t, w = _gauss_01(space.order + 1)
+        vals, _ = _shapes_1d(space.order, t)
+        ke = (1.0 / space.mesh.m) * np.einsum("q,iq,jq->ij", w, vals, vals)
+        return _cellwise_scatter(space, [ke] * len(space.cell_nodes))
+    vals, _ = _shapes_tri(space.order, _TRI_PTS)
+    mats = []
+    for cell in space.mesh.cells:
+        _, _, det = _triangle(space, cell)
+        mats.append(det * np.einsum("q,iq,jq->ij", _TRI_WTS, vals, vals))
+    return _cellwise_scatter(space, mats)
+
+
+def cellwise_stiffness(space, coeff) -> sp.csr_matrix:
+    mats = []
+    if space.dim == 1:
+        t, w = _gauss_01(max(space.order + 1, 3))
+        _, ders = _shapes_1d(space.order, t)
+        h = 1.0 / space.mesh.m
+        for cell in space.cell_nodes:
+            xq = space.nodes[cell[0], 0] + h * t
+            c = np.array([_coeff_at(coeff, x, 1) for x in xq])
+            mats.append(np.einsum("q,q,iq,jq->ij", w, c, ders, ders) / h)
+        return _cellwise_scatter(space, mats)
+    _, grads_ref = _shapes_tri(space.order, _TRI_PTS)
+    for cell in space.mesh.cells:
+        x0, jac, det = _triangle(space, cell)
+        grads = np.einsum("ab,iqb->iqa", np.linalg.inv(jac).T, grads_ref)
+        cmats = np.array([_coeff_at(coeff, x, 2) for x in x0 + _TRI_PTS @ jac.T])
+        mats.append(det * np.einsum("q,qab,iqa,jqb->ij", _TRI_WTS, cmats, grads, grads))
+    return _cellwise_scatter(space, mats)
+
+
+def _cellwise_samples(space):
+    """(physical quadrature points, cell node ids, weights * |det|) per cell,
+    with the 6-point Gauss rule in 1D and the 7-point rule in 2D."""
+    if space.dim == 1:
+        t, w = _gauss_01(6)
+        h = 1.0 / space.mesh.m
+        for cell in space.cell_nodes:
+            yield [float(space.nodes[cell[0], 0] + h * ti) for ti in t], cell, h * w
+    else:
+        for cell, cn in zip(space.mesh.cells, space.cell_nodes):
+            x0, jac, det = _triangle(space, cell)
+            yield list(x0 + _TRI_PTS @ jac.T), cn, det * _TRI_WTS
+
+
+def _reference_values(space):
+    if space.dim == 1:
+        return _shapes_1d(space.order, _gauss_01(6)[0])[0]
+    return _shapes_tri(space.order, _TRI_PTS)[0]
+
+
+def cellwise_load(space, f) -> np.ndarray:
+    b = np.zeros(space.ndof)
+    vals = _reference_values(space)
+    for xq, cell, wq in _cellwise_samples(space):
+        be = np.einsum("q,q,iq->i", wq, np.array([f(x) for x in xq]), vals)
+        dofs = space.dof_of_node[cell]
+        np.add.at(b, dofs[dofs >= 0], be[dofs >= 0])
+    return b
+
+
+def cellwise_l2_error(space, u, exact) -> float:
+    full = _full_node_values(space, u)
+    vals = _reference_values(space)
+    total = 0.0
+    for xq, cell, wq in _cellwise_samples(space):
+        diff = full[cell] @ vals - np.array([exact(x) for x in xq])
+        total += float(np.dot(wq, diff**2))
+    return math.sqrt(total)
+
+
+def pointwise_fe_eval(space, u, points) -> np.ndarray:
+    """FE function at each point: locate its cell, invert that cell's map."""
+    full = _full_node_values(space, u)
+    m = space.mesh.m
+    if space.dim == 1:
+        x = np.atleast_1d(np.asarray(points, dtype=float))
+        cell = np.clip((x * m).astype(int), 0, m - 1)
+        vals, _ = _shapes_1d(space.order, x * m - cell)
+        return np.einsum("pi,ip->p", full[space.cell_nodes[cell]], vals)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros(len(pts))
+    for k, (x, y) in enumerate(pts):
+        i, j = min(int(x * m), m - 1), min(int(y * m), m - 1)
+        # cells appear in pairs per square: lower (x-fraction >= y-fraction) first
+        cell_id = 2 * (i * m + j) + (0 if x * m - i >= y * m - j else 1)
+        x0, jac, _ = _triangle(space, space.mesh.cells[cell_id])
+        vals, _ = _shapes_tri(space.order, np.linalg.solve(jac, np.array([x, y]) - x0)[None, :])
+        out[k] = float(np.dot(full[space.cell_nodes[cell_id]], vals[:, 0]))
+    return out

@@ -252,13 +252,3 @@ def test_block_operator_export_annotates_offsets():
     r, c, v = body[0].split()
     assert float(v) == op.matrix.toarray()[int(r), int(c)]
 
-
-def test_truncation_variants_differ_for_non_polynomial_coefficient():
-    space = space_1d(6)
-    field = coefficient_by_name("logistic_1d")
-    mats = pce_coefficient_matrices(H1, 2, space, field, q=40)
-    eps = triple_products(H1, 2)
-    mis = multi_index_set(1, 2)
-    full = assemble_block_operator(mats, eps, mis, space, truncation="2n")
-    short = assemble_block_operator(mats, eps, mis, space, truncation="n")
-    assert (abs(full.matrix - short.matrix)).max() > 1e-8

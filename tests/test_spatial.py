@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from sgpde.coeffs import coefficient_by_name
 from sgpde.spatial import (
     SolverError,
     assemble_mass,
@@ -18,6 +20,7 @@ from sgpde.spatial import (
     nodal_coordinates,
     prolong,
     stationary_solve,
+    _gauss_01,
 )
 
 
@@ -175,3 +178,79 @@ def test_export_coo_format():
     dense = mass.toarray()
     for (r, c), v in recon.items():
         assert dense[r, c] == v
+
+
+def _rel(a, b):
+    scale = max(float(np.max(np.abs(b))), 1e-300)
+    return float(np.max(np.abs(a - b))) / scale
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("coeff_kind", ["constant", "varying"])
+def test_array_kernels_match_cellwise_oracles(dim, order, coeff_kind):
+    space = space_1d(7, order) if dim == 1 else space_2d(3, order)
+    if coeff_kind == "constant":
+        coeff = 1.7
+    elif dim == 2:
+        coeff = coefficient_by_name("logistic_anisotropic").spatial_part
+    else:
+        coeff = lambda x: 1.0 + x * x
+    f = (lambda x: math.sin(3.0 * x)) if dim == 1 else (lambda x: math.sin(3.0 * x[0]) * x[1])
+    rng = np.random.default_rng(dim * 10 + order)
+    u = rng.standard_normal(space.ndof)
+    nodes = nodal_coordinates(space)
+    if dim == 1:
+        pts = np.concatenate([rng.uniform(0.0, 1.0, 40), nodes[:, 0]])
+    else:
+        pts = np.concatenate([rng.uniform(0.0, 1.0, size=(40, 2)), nodes])
+
+    assert _rel(assemble_mass(space).toarray(), oracles.cellwise_mass(space).toarray()) <= 1e-13
+    got = assemble_stiffness(space, coeff).toarray()
+    assert _rel(got, oracles.cellwise_stiffness(space, coeff).toarray()) <= 1e-13
+    assert _rel(load_vector(space, f), oracles.cellwise_load(space, f)) <= 1e-13
+    err = l2_error(space, u, f)
+    assert abs(err - oracles.cellwise_l2_error(space, u, f)) <= 1e-13 * err
+    assert _rel(fe_eval(space, u, pts), oracles.pointwise_fe_eval(space, u, pts)) <= 1e-13
+
+
+def test_callables_are_sampled_one_point_at_a_time():
+    seen = set()
+
+    def probe(x):
+        seen.add(type(x) if isinstance(x, float) else (type(x), np.shape(x)))
+        return 1.0
+
+    for space in (space_1d(4, 2), space_2d(2, 2)):
+        assemble_stiffness(space, probe)
+        load_vector(space, probe)
+        l2_error(space, np.zeros(space.ndof), probe)
+    assert seen == {float, (np.ndarray, (2,))}
+
+
+def test_non_hermitian_sample_in_one_cell_still_raises():
+    def coeff(x):
+        skew = 0.5 if x[0] > 0.8 and x[1] < 0.2 else 0.0
+        return np.array([[2.0, skew], [-skew, 2.0]])
+
+    with pytest.raises(ValueError, match="Hermitian"):
+        assemble_stiffness(space_2d(4, 2), coeff)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_prolong_of_stacked_states_equals_columnwise_prolong(dim):
+    coarse = space_1d(3, 1) if dim == 1 else space_2d(2, 1)
+    fine = space_1d(12, 2) if dim == 1 else space_2d(4, 2)
+    states = np.random.default_rng(5).standard_normal((coarse.ndof, 4))
+    stacked = prolong(coarse, states, fine)
+    assert stacked.shape == (fine.ndof, 4)
+    for k in range(4):
+        assert np.array_equal(stacked[:, k], prolong(coarse, states[:, k], fine))
+
+
+def test_gauss_rule_on_unit_interval_is_cached_and_read_only():
+    t, w = _gauss_01(6)
+    assert _gauss_01(6)[0] is t
+    assert w.sum() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        t[0] = 0.0

@@ -67,31 +67,30 @@ def test_grid_construction():
 
 def test_evolve_constant_when_stiffness_vanishes():
     zero = sp.csr_matrix((1, 1))
-    traj = evolve(implicit_euler(), make_uniform_grid(2.0, 5), M1, zero, np.array([3.0]))
-    assert all(v[0] == pytest.approx(3.0) for v in traj.values())
+    u0 = np.array([3.0])
+    final = evolve(implicit_euler(), make_uniform_grid(2.0, 5), M1, zero, u0)
+    assert final.shape == (1,) and final[0] == pytest.approx(3.0)
 
 
 def test_evolve_scalar_product_formula():
     n, tau, a = 7, 0.3, 2.0
     grid = make_uniform_grid(n * tau, n)
-    traj = evolve(implicit_euler(), grid, M1, K2, np.array([1.0]))
-    assert traj[grid.points[-1]][0] == pytest.approx((1.0 + tau * a) ** (-n), rel=1e-12)
+    final = evolve(implicit_euler(), grid, M1, K2, np.array([1.0]))
+    assert final[0] == pytest.approx((1.0 + tau * a) ** (-n), rel=1e-12)
 
 
 def test_evolve_nonuniform_grid_composes():
     grid = TimeGrid(0.7, (0.4, 0.2, 0.1))
-    traj = evolve(implicit_euler(), grid, M1, K2, np.array([1.0]))
+    final = evolve(implicit_euler(), grid, M1, K2, np.array([1.0]))
     want = 1.0
     for tau in grid.steps:
         want /= 1.0 + tau * 2.0
-    assert traj[grid.points[-1]][0] == pytest.approx(want, rel=1e-12)
+    assert final[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_heat_amplitude_matches_separation_of_variables():
     space, mass, stiff, u0 = heat_setup()
-    grid = make_uniform_grid(0.1, 512)
-    traj = evolve(crank_nicolson(), grid, mass, stiff, u0)
-    final = traj[grid.points[-1]]
+    final = evolve(crank_nicolson(), make_uniform_grid(0.1, 512), mass, stiff, u0)
     amp = oracles.heat_amplitude(2.0, 1, 0.1)
     assert amp == pytest.approx(0.13887, abs=5e-5)
     mid = fe_eval(space, final, [0.5])[0]
@@ -142,7 +141,7 @@ def test_global_convergence_order_on_heat_oracle(name, order, tol):
     errs, taus = [], []
     for n_steps in (8, 16, 32, 64):
         grid = make_uniform_grid(t_final, n_steps)
-        final = evolve(scheme, grid, mass, stiff, u0)[grid.points[-1]]
+        final = evolve(scheme, grid, mass, stiff, u0)
         errs.append(l2_error(space, final, lambda x: amp * math.sin(math.pi * x)))
         taus.append(grid.tau_max)
     slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
