@@ -10,7 +10,7 @@ import numpy as np
 
 from . import __version__
 from .coeffs import coefficient_by_name
-from .harness import build_reference, error_norm_H, load_config, sweep, write_outputs, _OperatorCache, solve_single
+from .harness import build_reference, error_norm_H, load_config, sweep, write_outputs, OperatorCache, solve_single
 from .orthopoly import eval_orthonormal, gauss_rule, hermite, jacobi, laguerre, orthonormal_coeffs, apply_Q, sl_eigenvalue
 from .pce import distribution, multi_index_set, triple_products
 from .sgsystem import min_generalized_eigenvalue, pce_coefficient_matrices, assemble_block_operator
@@ -50,7 +50,7 @@ def cmd_tables(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    cache = _OperatorCache(cfg)
+    cache = OperatorCache(cfg)
     n, m, n_k = (max(cfg.sweep[k]) for k in ("n", "m", "n_k"))
     state, space = solve_single(cache, n, m, n_k)
     reference = build_reference(cfg, cache, estimate_error=False)

@@ -30,7 +30,6 @@ from .sgsystem import (
     SgState,
     assemble_block_operator,
     initial_coefficients,
-    min_generalized_eigenvalue,
     pce_coefficient_matrices,
     reconstruct_at_nodes,
 )
@@ -51,6 +50,7 @@ __all__ = [
     "CollocationReference",
     "ExperimentConfig",
     "ConvergenceReport",
+    "OperatorCache",
     "RateFit",
     "analytic_reference",
     "collocation_reference",
@@ -413,8 +413,10 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 # --- the solve pipeline ---------------------------------------------------
 
-class _OperatorCache:
-    """Shares assembled block operators and initial states across sweep points."""
+class OperatorCache:
+    """The solve pipeline of one config: spaces, triple products, block
+    operators, initial states and final states, each built once and shared
+    across sweep points."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -449,20 +451,29 @@ class _OperatorCache:
             self._ops[key] = (op, state0)
         return self._ops[key]
 
+    def solved(self, n: int, m: int, n_k: int) -> bool:
+        """Whether the final state of (n, m, n_k) is already stored."""
+        return (n, m, n_k) in self._finals
 
-def solve_single(cache: _OperatorCache, n: int, m: int, n_k: int) -> tuple[SgState, FeSpace]:
-    """Run one configuration to the final time; returns the final chaos state."""
-    key = (n, m, n_k)
-    if key not in cache._finals:
+
+def solve_single(cache: OperatorCache, n: int, m: int, n_k: int) -> tuple[SgState, FeSpace]:
+    """Run one configuration to the final time; returns the final chaos state.
+
+    Time stepping runs in the operator's system basis (the decoupled modes of
+    a separable field) and the final state is rotated back to the chaos basis.
+    """
+    if not cache.solved(n, m, n_k):
         op, state0 = cache.operator(n, m)
         grid = make_uniform_grid(cache.cfg.t_final, n_k)
         scheme = scheme_by_name(cache.cfg.scheme)
-        final = evolve(scheme, grid, op.mass, op.matrix, state0.flat())
-        cache._finals[key] = SgState.from_flat(cache.cfg.t_final, final, state0.mis)
-    return cache._finals[key], cache.space(m)
+        w0 = op.to_system(state0.coeffs)
+        w = evolve(scheme, grid, op.mass, op.stiffness, w0.reshape(-1))
+        final = op.to_chaos(w.reshape(w0.shape))
+        cache._finals[n, m, n_k] = SgState(cache.cfg.t_final, final, state0.mis)
+    return cache._finals[n, m, n_k], cache.space(m)
 
 
-def build_reference(cfg: ExperimentConfig, cache: _OperatorCache, estimate_error: bool = True):
+def build_reference(cfg: ExperimentConfig, cache: OperatorCache, estimate_error: bool = True):
     if cfg.reference["kind"] == "analytic":
         return analytic_reference(cache.field, cache.u0, cfg.t_final)
     m_ref = cfg.reference["m_ref"]
@@ -544,7 +555,7 @@ def _axis_h(axis: str, value: int, t_final: float) -> float:
 
 def _measure(cfg, cache, reference, point: dict) -> tuple[float, float, bool]:
     """Error and wall time of one sweep point, and whether its final state was cached."""
-    hit = (point["n"], point["m"], point["n_k"]) in cache._finals
+    hit = cache.solved(point["n"], point["m"], point["n_k"])
     t0 = time.perf_counter()
     state, space = solve_single(cache, point["n"], point["m"], point["n_k"])
     err = error_norm_H(cache.dist, state, space, reference, q=cfg.quad_order)
@@ -601,7 +612,7 @@ def _invariant_summary(cfg, cache) -> dict:
     n, m = max(cfg.sweep["n"]), min(cfg.sweep["m"])
     op, _ = cache.operator(n, m)
     summary = {
-        "block_symmetry_max_defect": float(abs(op.matrix - op.matrix.T).max()),
+        "block_symmetry_max_defect": op.symmetry_defect(),
         "a_stability_boundary_max": a_stability_probe(scheme_by_name(cfg.scheme))[0],
         "triple_product_entries": len(cache.eps(n).entries),
         # informational: the sharper decay weight of the truncation bound
@@ -610,9 +621,7 @@ def _invariant_summary(cfg, cache) -> dict:
         "coefficient_field": cache.field.name,
     }
     if op.size <= 1200:
-        summary["resolvent_min_generalized_eigenvalue"] = min_generalized_eigenvalue(
-            op.matrix, op.mass
-        )
+        summary["resolvent_min_generalized_eigenvalue"] = op.min_resolvent_eigenvalue()
     return summary
 
 
@@ -653,7 +662,7 @@ def _evaluate_checks(cfg, axes: dict, joint: list) -> dict:
 def sweep(cfg: ExperimentConfig, estimate_reference_error: bool = True) -> ConvergenceReport:
     """Run the full per-axis and joint refinement study for one configuration."""
     cfg.validate()
-    cache = _OperatorCache(cfg)
+    cache = OperatorCache(cfg)
     reference = build_reference(cfg, cache, estimate_error=estimate_reference_error)
     finest = {k: max(cfg.sweep[k]) for k in ("n", "m", "n_k")}
     # the joint table runs first: its finest level is the sweep floor used

@@ -278,28 +278,34 @@ def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     return _scatter(space, np.einsum("cq,iq,jq->cij", dw, vals, vals))
 
 
-def _coeff_at(coeff, x, dim: int) -> np.ndarray:
+def _coefficient_samples(coeff, xq: np.ndarray) -> np.ndarray:
+    """The coefficient at every point of xq (nc, nq, d) as an (nc * nq, d, d) stack.
+
+    A callable is sampled one point at a time. A 2D sample must be a scalar
+    or a Hermitian 2x2 array; the whole stack is checked at once, and an
+    error names the first offending point.
+    """
+    d = xq.shape[-1]
     if callable(coeff):
-        val = coeff(x if dim == 2 else float(x))
+        vals = np.asarray(_sampled(coeff, xq, d), dtype=float)
     else:
-        val = coeff
-    if dim == 1:
-        return np.asarray(val, dtype=float)
-    val = np.asarray(val, dtype=float)
-    if val.shape == ():
-        return val * np.eye(2)
-    if val.shape != (2, 2):
-        raise ValueError(f"2D coefficient must be scalar or 2x2, got shape {val.shape}")
-    if np.max(np.abs(val - val.T)) > 1e-12 * max(1.0, np.max(np.abs(val))):
-        raise ValueError(f"non-Hermitian coefficient sample at x = {x}: {val}")
-    return val
+        vals = np.broadcast_to(np.asarray(coeff, dtype=float), (xq[..., 0].size,) + np.shape(coeff))
+    if d == 1 or vals.ndim == 1:
+        return vals.reshape(-1, 1, 1) * np.eye(d)
+    if vals.shape[1:] != (2, 2):
+        raise ValueError(f"2D coefficient must be scalar or 2x2, got shape {vals.shape[1:]}")
+    defect = np.abs(vals - vals.transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = defect > 1e-12 * np.maximum(1.0, np.abs(vals).max(axis=(1, 2)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"non-Hermitian coefficient sample at x = {xq.reshape(-1, 2)[i]}: {vals[i]}")
+    return vals
 
 
 def assemble_stiffness(space: FeSpace, coeff) -> sp.csr_matrix:
     """Stiffness matrix of the diffusion form for a scalar (1D) or 2x2 (2D) field."""
     dw, xq, _, grads = _element_rule(space, max(space.order + 1, 3))
-    d = space.dim
-    c = _sampled(lambda x: _coeff_at(coeff, x, d), xq, d).reshape(*dw.shape, d, d)
+    c = _coefficient_samples(coeff, xq).reshape(*dw.shape, space.dim, space.dim)
     return _scatter(space, np.einsum("cq,cqab,ciqa,cjqb->cij", dw, c, grads, grads))
 
 

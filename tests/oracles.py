@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import integrate
 
-from sgpde.spatial import _TRI_PTS, _TRI_WTS, _coeff_at, _gauss_01, _shapes_1d, _shapes_tri
+from sgpde.spatial import _TRI_PTS, _TRI_WTS, _gauss_01, _shapes_1d, _shapes_tri
 
 
 def hermite_moment(j: int) -> float:
@@ -94,10 +94,45 @@ def rebuilt_step(scheme, mass, stiff, u, tau: float) -> np.ndarray:
     return spla.splu(lhs.tocsc()).solve(b)
 
 
+def bmat_block_operator(coeff_mats, eps, mis) -> sp.csr_matrix:
+    """The chaos-basis block operator as sp.bmat of d_n^2 blocks, each summing
+    eps[alpha, beta, gamma] A_alpha over |alpha| <= 2n in graded-lex order."""
+    d = len(mis)
+    blocks = [[None] * d for _ in range(d)]
+    for bi, beta in enumerate(mis):
+        for gi, gamma in enumerate(mis):
+            acc = None
+            for alpha in eps.mis2:
+                val = eps.get(alpha, beta, gamma)
+                if val:
+                    term = val * coeff_mats[alpha]
+                    acc = term if acc is None else acc + term
+            blocks[bi][gi] = acc
+    return sp.bmat(blocks, format="csr")
+
+
 # --- the per-cell spatial kernels that the array assembly replaced ---------
-# Each loops over the cells and builds that cell's affine map on its own; the
-# reference shapes, quadrature rules and coefficient sampling are shared with
-# the library.
+# Each loops over the cells and builds that cell's affine map on its own, and
+# checks each coefficient sample on its own; the reference shapes and
+# quadrature rules are shared with the library.
+
+
+def _coeff_at(coeff, x, dim: int) -> np.ndarray:
+    """One coefficient sample, shape- and symmetry-checked on its own."""
+    if callable(coeff):
+        val = coeff(x if dim == 2 else float(x))
+    else:
+        val = coeff
+    if dim == 1:
+        return np.asarray(val, dtype=float)
+    val = np.asarray(val, dtype=float)
+    if val.shape == ():
+        return val * np.eye(2)
+    if val.shape != (2, 2):
+        raise ValueError(f"2D coefficient must be scalar or 2x2, got shape {val.shape}")
+    if np.max(np.abs(val - val.T)) > 1e-12 * max(1.0, np.max(np.abs(val))):
+        raise ValueError(f"non-Hermitian coefficient sample at x = {x}: {val}")
+    return val
 
 
 def _cellwise_scatter(space, element_matrices) -> sp.csr_matrix:

@@ -9,6 +9,7 @@ import oracles
 from sgpde.coeffs import coefficient_by_name, initial_datum_by_name
 from sgpde.harness import (
     _admissible,
+    _invariant_summary,
     analytic_reference,
     collocation_reference,
     config_hash,
@@ -19,12 +20,13 @@ from sgpde.harness import (
     solve_single,
     sweep,
     write_outputs,
-    _OperatorCache,
+    OperatorCache,
 )
 from sgpde.orthopoly import hermite
 from sgpde.pce import distribution, multi_index_set, tensor_basis_matrix, tensor_quad
 from sgpde.sgsystem import SgState
 from sgpde.spatial import assemble_mass, l2_error, l2_project, load_vector, make_fe_space, make_mesh
+from sgpde.timestep import evolve, make_uniform_grid, scheme_by_name
 
 H1 = distribution(hermite())
 
@@ -127,7 +129,7 @@ def test_error_norm_single_node_perturbation():
 
 def test_error_norm_matches_monte_carlo():
     cfg = load_config(mini_config(sweep={"n": [2], "m": [8], "n_k": [16]}))
-    cache = _OperatorCache(cfg)
+    cache = OperatorCache(cfg)
     state, space = solve_single(cache, 2, 8, 16)
     ana = analytic_reference(cache.field, cache.u0, cfg.t_final)
     quad_err = error_norm_H(cache.dist, state, space, ana, q=30)
@@ -273,6 +275,22 @@ def test_collocation_reference_error_estimate():
     )
     from sgpde.harness import build_reference
 
-    cache = _OperatorCache(cfg)
+    cache = OperatorCache(cfg)
     ref = build_reference(cfg, cache, estimate_error=True)
     assert ref.est_error > 0.0
+
+
+@pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+def test_solve_single_steps_decoupled_modes_without_the_coupled_matrix(scheme):
+    cfg = load_config(mini_config(scheme=scheme, sweep={"n": [3], "m": [8], "n_k": [16]}))
+    cache = OperatorCache(cfg)
+    assert not cache.solved(3, 8, 16)
+    state, _ = solve_single(cache, 3, 8, 16)
+    assert cache.solved(3, 8, 16)
+    _invariant_summary(cfg, cache)
+    op, state0 = cache.operator(3, 8)
+    assert op.factors is not None
+    assert "matrix" not in vars(op)  # the chaos-basis matrix was never built
+    grid = make_uniform_grid(cfg.t_final, 16)
+    coupled = evolve(scheme_by_name(scheme), grid, op.mass, op.matrix, state0.flat())
+    assert np.max(np.abs(state.flat() - coupled)) <= 1e-11 * np.max(np.abs(coupled))

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
-from sgpde.coeffs import InitialDatum, coefficient_by_name, initial_datum_by_name
-from sgpde.pce import distribution, multi_index_set, tensor_quad, triple_products
+import oracles
+from sgpde import sgsystem
+from sgpde.coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
+from sgpde.pce import TripleProductTensor, distribution, multi_index_set, tensor_quad, triple_products
 from sgpde.orthopoly import hermite
 from sgpde.sgsystem import (
+    SeparableStiffness,
     SgState,
     aliasing_probe,
     assemble_block_operator,
@@ -19,10 +23,12 @@ from sgpde.sgsystem import (
     reconstruct_at_nodes,
 )
 from sgpde.spatial import (
+    SolverError,
     assemble_mass,
     assemble_stiffness,
     h1_gram,
     l2_project,
+    load_vector,
     make_fe_space,
     make_mesh,
 )
@@ -115,10 +121,14 @@ def test_missing_coefficient_matrix_raises():
     space = space_1d(4)
     field = coefficient_by_name("constant", value=1.0, dim=1)
     mats = pce_coefficient_matrices(H1, 1, space, field, q=6)
-    del mats[(2,)]
     eps = triple_products(H1, 1)
-    with pytest.raises(ValueError, match="missing coefficient"):
-        assemble_block_operator(mats, eps, multi_index_set(1, 1), space)
+    coupled = {alpha: mat for alpha, mat in mats.items() if alpha != (2,)}
+    separable = SeparableStiffness(
+        {alpha: c for alpha, c in mats.coeffs.items() if alpha != (2,)}, mats.spatial
+    )
+    for partial in (coupled, separable):
+        with pytest.raises(ValueError, match="missing coefficient"):
+            assemble_block_operator(partial, eps, multi_index_set(1, 1), space)
 
 
 def test_initial_coefficients_deterministic():
@@ -252,3 +262,98 @@ def test_block_operator_export_annotates_offsets():
     r, c, v = body[0].split()
     assert float(v) == op.matrix.toarray()[int(r), int(c)]
 
+
+def _max_rel(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize(
+    "dist,n,space,field_name",
+    [
+        (H1, 2, make_fe_space(make_mesh(1, 6), 1), "logistic_1d"),
+        (distribution(hermite(), hermite()), 2, make_fe_space(make_mesh(2, 2), 2),
+         "logistic_anisotropic"),
+    ],
+    ids=["1d_p1_N1", "2d_p2_N2"],
+)
+def test_decoupled_operator_matches_bmat_oracle(dist, n, space, field_name):
+    mats = pce_coefficient_matrices(dist, n, space, coefficient_by_name(field_name), q=2 * n + 9)
+    assert isinstance(mats, SeparableStiffness)
+    eps = triple_products(dist, n)
+    mis = multi_index_set(dist.N, n)
+    op = assemble_block_operator(mats, eps, mis, space)
+    oracle = oracles.bmat_block_operator(mats, eps, mis).toarray()
+    rotate = np.kron(op.factors.eigvecs, np.eye(space.ndof))
+    assert _max_rel(rotate @ op.stiffness.toarray() @ rotate.T, oracle) <= 1e-13
+    assert _max_rel(op.matrix.toarray(), oracle) <= 1e-13
+    # the system basis is decoupled: no entry couples two chaos modes
+    coo = op.stiffness.tocoo()
+    assert np.array_equal(coo.row // space.ndof, coo.col // space.ndof)
+    # mode rotations are inverse to each other
+    u = np.random.default_rng(3).standard_normal((len(mis), space.ndof))
+    assert np.allclose(op.to_chaos(op.to_system(u)), u, rtol=0.0, atol=1e-14)
+
+
+def test_non_separable_field_takes_coupled_path():
+    field = CoefficientField(dim=1, evaluate=lambda z, x: 2.0 + np.tanh(z[0]) * x, kappa=1.0, bound=3.0)
+    space = space_1d(6, 2)
+    mats = pce_coefficient_matrices(H1, 2, space, field, q=12)
+    assert not isinstance(mats, SeparableStiffness)
+    eps = triple_products(H1, 2)
+    mis = multi_index_set(1, 2)
+    op = assemble_block_operator(mats, eps, mis, space)
+    assert op.factors is None and op.stiffness is op.matrix
+    state = np.ones((len(mis), space.ndof))
+    assert op.to_system(state) is state and op.to_chaos(state) is state
+    assert _max_rel(op.matrix.toarray(), oracles.bmat_block_operator(mats, eps, mis).toarray()) <= 1e-13
+    assert op.symmetry_defect() == 0.0
+
+
+def test_invariants_from_factors_match_the_chaos_basis_matrix():
+    space = space_1d(8, 2)
+    op = build_operator(H1, 2, space, coefficient_by_name("logistic_1d"), q=30)
+    assert op.symmetry_defect() == 0.0 == float(abs(op.matrix - op.matrix.T).max())
+    want = min_generalized_eigenvalue(op.matrix, op.mass)
+    assert op.min_resolvent_eigenvalue() == pytest.approx(want, rel=1e-12)
+
+
+def test_chaos_eigendecomposition_is_checked(monkeypatch):
+    space = space_1d(4)
+    field = coefficient_by_name("logistic_1d")
+    mats = pce_coefficient_matrices(H1, 2, space, field, q=20)
+    eps = triple_products(H1, 2)
+    mis = multi_index_set(1, 2)
+    off_diagonal = next(k for k in eps.entries if k[1] != k[2])
+    skewed = TripleProductTensor(
+        eps.n, eps.mis, eps.mis2, {**eps.entries, off_diagonal: eps.entries[off_diagonal] * 1.01}
+    )
+    with pytest.raises(SolverError, match="eigendecomposition"):
+        assemble_block_operator(mats, skewed, mis, space)
+
+    eigh = scipy.linalg.eigh
+    for corrupt in (
+        lambda lam, v: (lam, v * np.array([1.0, 1.0 + 1e-9, 1.0])),  # not orthonormal
+        lambda lam, v: (lam, v[:, ::-1]),  # eigenvectors out of order with lam
+    ):
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda g, corrupt=corrupt: corrupt(*eigh(g)))
+        with pytest.raises(SolverError, match="eigendecomposition"):
+            assemble_block_operator(mats, eps, mis, space)
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+    assert assemble_block_operator(mats, eps, mis, space).factors is not None
+
+
+def test_initial_coefficients_builds_one_load_per_distinct_function(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        sgsystem, "load_vector", lambda space, f: calls.append(f) or load_vector(space, f)
+    )
+    space = space_1d(16)
+    mis = multi_index_set(1, 2)
+    shared = initial_coefficients(H1, mis, initial_datum_by_name("sine_modes"), space, q=8)
+    assert len(calls) == 1
+    fresh = InitialDatum(dim=1, sample=lambda z: (lambda x: z[0] * math.sin(math.pi * x)))
+    per_node = initial_coefficients(H1, mis, fresh, space, q=8)
+    assert len(calls) == 1 + 8
+    proj = l2_project(space, lambda x: math.sin(math.pi * x))
+    assert np.max(np.abs(shared.coeffs[0] - proj)) < 1e-10
+    assert np.max(np.abs(per_node.coeffs[1] - proj)) < 1e-10

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,19 @@ def test_non_hermitian_sample_in_one_cell_still_raises():
 
     with pytest.raises(ValueError, match="Hermitian"):
         assemble_stiffness(space_2d(4, 2), coeff)
+
+
+def test_coefficient_check_names_an_offending_point():
+    def coeff(x):
+        skew = 0.5 if x[0] > 0.8 and x[1] < 0.2 else 0.0
+        return np.array([[2.0, skew], [-skew, 2.0]])
+
+    with pytest.raises(ValueError, match="Hermitian") as err:
+        assemble_stiffness(space_2d(4, 2), coeff)
+    point = re.search(r"x = \[([^\]]*)\]", str(err.value)).group(1).split()
+    assert float(point[0]) > 0.8 and float(point[1]) < 0.2
+    with pytest.raises(ValueError, match="scalar or 2x2"):
+        assemble_stiffness(space_2d(2, 1), lambda x: np.eye(3))
 
 
 @pytest.mark.parametrize("dim", [1, 2])

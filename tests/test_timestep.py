@@ -158,15 +158,20 @@ def test_factorizations_cached_per_step_size():
     assert len(prop._lu) == 2
 
 
-def sg_block_setup():
-    """Block operator and initial chaos state of logistic_1d, n = 2, P1, m = 6."""
+def sg_operator(n=2, m=6, order=1):
+    """Block operator and initial chaos state of logistic_1d."""
     dist = distribution(hermite())
-    space = make_fe_space(make_mesh(1, 6), 1)
-    mis = multi_index_set(dist.N, 2)
-    mats = pce_coefficient_matrices(dist, 2, space, coefficient_by_name("logistic_1d"), 30)
-    op = assemble_block_operator(mats, triple_products(dist, 2), mis, space)
+    space = make_fe_space(make_mesh(1, m), order)
+    mis = multi_index_set(dist.N, n)
+    mats = pce_coefficient_matrices(dist, n, space, coefficient_by_name("logistic_1d"), 30)
+    op = assemble_block_operator(mats, triple_products(dist, n), mis, space)
     u0 = initial_datum_by_name("sine_modes", modes=[[1, 1.0]])
-    state0 = initial_coefficients(dist, mis, u0, space, 30)
+    return op, initial_coefficients(dist, mis, u0, space, 30)
+
+
+def sg_block_setup():
+    """Chaos-basis block system of logistic_1d, n = 2, P1, m = 6."""
+    op, state0 = sg_operator()
     return op.mass, op.matrix, state0.flat()
 
 
@@ -207,3 +212,20 @@ def test_schemes_built_and_validated_once():
 def test_scheme_by_name_errors():
     with pytest.raises(ValueError):
         scheme_by_name("leapfrog")
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [make_uniform_grid(0.1, 16), TimeGrid(0.1, (0.002, 0.008, 0.03, 0.005, 0.04, 0.015))],
+    ids=["uniform", "nonuniform"],
+)
+@pytest.mark.parametrize("name", ["implicit_euler", "crank_nicolson"])
+def test_decoupled_evolve_matches_coupled_evolve(name, grid):
+    op, state0 = sg_operator(n=3, m=8, order=2)
+    assert op.factors is not None
+    scheme = scheme_by_name(name)
+    coupled = evolve(scheme, grid, op.mass, op.matrix, state0.flat())
+    w0 = op.to_system(state0.coeffs)
+    w = evolve(scheme, grid, op.mass, op.stiffness, w0.reshape(-1))
+    decoupled = op.to_chaos(w.reshape(w0.shape)).reshape(-1)
+    assert np.max(np.abs(decoupled - coupled)) <= 1e-11 * np.max(np.abs(coupled))
