@@ -52,6 +52,11 @@ class CoefficientField:
     def elliptic(self) -> bool:
         return self.kappa is not None and self.kappa > 0.0
 
+    @property
+    def separable(self) -> bool:
+        """Whether the field declares its factors f(z) and g(x)."""
+        return self.z_factor is not None and self.spatial_part is not None
+
 
 @dataclass(frozen=True)
 class InitialDatum:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -28,6 +29,7 @@ from .pce import DistributionSpec, eigenvalue_floor, multi_index_set, tensor_qua
 from .sgsystem import (
     SgOperator,
     SgState,
+    _node_stiffness,
     assemble_block_operator,
     initial_coefficients,
     pce_coefficient_matrices,
@@ -35,10 +37,11 @@ from .sgsystem import (
 )
 from .spatial import (
     FeSpace,
+    SolverError,
+    _checked_solve,
     assemble_mass,
-    assemble_stiffness,
     l2_error,
-    l2_project,
+    load_vector,
     make_fe_space,
     make_mesh,
     prolong,
@@ -61,6 +64,8 @@ __all__ = [
     "load_config",
     "config_hash",
 ]
+
+log = logging.getLogger(__name__)
 
 MACHINE_ERROR_FLOOR = 100.0 * np.finfo(float).eps
 REFERENCE_FLOOR_FACTOR = 10.0
@@ -94,7 +99,7 @@ class AnalyticReference:
 
 def analytic_reference(field: CoefficientField, u0: InitialDatum, t_final: float) -> AnalyticReference:
     """Analytic reference for a z-separable, constant-in-x 1D coefficient."""
-    if field.dim != 1 or field.z_factor is None or field.spatial_part is None:
+    if field.dim != 1 or not field.separable:
         raise ValueError("analytic reference needs a separable 1D coefficient")
     g = field.spatial_part
     probes = [g(x) for x in (0.0, 0.23, 0.57, 0.91, 1.0)]
@@ -133,19 +138,37 @@ def collocation_reference(
     u0: InitialDatum,
     t_final: float,
 ) -> CollocationReference:
-    """Independent Crank--Nicolson solves at each quadrature node."""
+    """Independent Crank--Nicolson solves at each quadrature node.
+
+    A separable field f(z) g(x) assembles K_g once and node z_i steps
+    f(z_i) K_g; any other field is assembled at each node. The initial
+    datum is projected once per distinct spatial function it samples to.
+    A node whose solve fails raises with its index and z: a `SolverError`
+    stays a `SolverError`, anything else becomes a `RuntimeError`.
+    """
+    t0 = time.perf_counter()
     nodes, weights = tensor_quad(dist, q_ref)
     grid = make_uniform_grid(t_final, n_steps)
     mass = assemble_mass(space)
     scheme = crank_nicolson()
+    stiffness_at = _node_stiffness(space, field)
+    starts: dict = {}  # spatial function -> its L2 projection
     values = np.empty((len(nodes), space.ndof))
     for i, z in enumerate(nodes):
         try:
-            stiff = assemble_stiffness(space, lambda x: field.evaluate(z, x))
-            u_start = l2_project(space, u0.sample(z))
-            values[i] = evolve(scheme, grid, mass, stiff, u_start)
+            f = u0.sample(z)
+            if f not in starts:
+                starts[f] = _checked_solve(mass, load_vector(space, f), 1e-10)
+            values[i] = evolve(scheme, grid, mass, stiffness_at(z), starts[f])
+        except SolverError as exc:
+            raise SolverError(f"collocation node {i} (z = {z}) failed: {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"collocation node {i} (z = {z}) failed: {exc}") from exc
+    log.debug(
+        "collocation reference: path=%s Q=%d ndof=%d steps=%d wall_s=%.4f",
+        "separable" if field.separable else "per-node",
+        len(nodes), space.ndof, n_steps, time.perf_counter() - t0,
+    )
     return CollocationReference(dist, nodes, weights, space, mass, values, t_final)
 
 
@@ -157,22 +180,13 @@ def _distance(ref: CollocationReference, lifted: np.ndarray) -> float:
 
 
 def _with_error_estimate(
-    ref: CollocationReference,
-    dist: DistributionSpec,
-    q_ref: int,
-    field: CoefficientField,
-    u0: InitialDatum,
-    coarse_m: int,
-    coarse_steps: int,
-    order: int,
+    ref: CollocationReference, cache: OperatorCache, q_ref: int, coarse_m: int, coarse_steps: int
 ) -> CollocationReference:
     """Two-grid estimate of the reference's own discretization error."""
-    half_space = make_fe_space(make_mesh(ref.space.dim, coarse_m), order)
-    half = collocation_reference(dist, q_ref, half_space, coarse_steps, field, u0, ref.t_final)
-    return CollocationReference(
-        ref.dist, ref.nodes, ref.weights, ref.space, ref.mass, ref.values, ref.t_final,
-        est_error=_distance(ref, prolong(half.space, half.values.T, ref.space)),
+    half = collocation_reference(
+        ref.dist, q_ref, cache.space(coarse_m), coarse_steps, cache.field, cache.u0, ref.t_final
     )
+    return replace(ref, est_error=_distance(ref, prolong(half.space, half.values.T, ref.space)))
 
 
 def error_norm_H(
@@ -479,15 +493,12 @@ def build_reference(cfg: ExperimentConfig, cache: OperatorCache, estimate_error:
     m_ref = cfg.reference["m_ref"]
     nk_ref = cfg.reference["n_k_ref"]
     q_ref = cfg.reference.get("quad_order", cfg.quad_order)
-    space_ref = make_fe_space(make_mesh(cfg.geometry["dim"], m_ref), cfg.geometry["fe_order"])
     ref = collocation_reference(
-        cache.dist, q_ref, space_ref, nk_ref, cache.field, cache.u0, cfg.t_final
+        cache.dist, q_ref, cache.space(m_ref), nk_ref, cache.field, cache.u0, cfg.t_final
     )
     if estimate_error:
         ref = _with_error_estimate(
-            ref, cache.dist, q_ref, cache.field, cache.u0,
-            coarse_m=max(m_ref // 2, 1), coarse_steps=max(nk_ref // 2, 1),
-            order=cfg.geometry["fe_order"],
+            ref, cache, q_ref, coarse_m=max(m_ref // 2, 1), coarse_steps=max(nk_ref // 2, 1)
         )
     return ref
 

@@ -16,7 +16,7 @@ w = (V^T (x) I) u evolve under the block-diagonal diag(lam) (x) K_g.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,8 +184,16 @@ def _max_abs(a) -> float:
     return float(abs(a).max()) if a.size else 0.0
 
 
-def _stiffness_for(space: FeSpace, field: CoefficientField, z: np.ndarray) -> sp.csr_matrix:
-    return assemble_stiffness(space, lambda x: field.evaluate(z, x))
+def _node_stiffness(space: FeSpace, field: CoefficientField) -> Callable:
+    """The stiffness matrix K(z) at a parameter node z, as a function of z.
+
+    A separable field f(z) g(x) assembles K_g once and gives f(z) K_g;
+    any other field is assembled at each node.
+    """
+    if field.separable:
+        k_g = assemble_stiffness(space, field.spatial_part)
+        return lambda z: field.z_factor(z) * k_g
+    return lambda z: assemble_stiffness(space, lambda x: field.evaluate(z, x))
 
 
 def pce_coefficient_matrices(
@@ -208,14 +216,15 @@ def pce_coefficient_matrices(
     mis2 = multi_index_set(dist.N, 2 * n)
     nodes, weights = tensor_quad(dist, q)
     phi2 = tensor_basis_matrix(dist, mis2, nodes)
-    if field.z_factor is not None and field.spatial_part is not None:
+    if field.separable:
         k_g = assemble_stiffness(space, field.spatial_part)
         factors = np.array([field.z_factor(z) for z in nodes])
         coeffs = phi2.T @ (weights * factors)
         return SeparableStiffness(dict(zip(mis2, coeffs)), k_g)
+    stiffness_at = _node_stiffness(space, field)
     mats: dict[tuple, sp.csr_matrix] = {}
     for i, z in enumerate(nodes):
-        k_z = _stiffness_for(space, field, z)
+        k_z = stiffness_at(z)
         for a, alpha in enumerate(mis2):
             scaled = (weights[i] * phi2[i, a]) * k_z
             mats[alpha] = scaled if alpha not in mats else mats[alpha] + scaled
@@ -349,9 +358,8 @@ def brute_force_rnarn(
     proj = basis @ basis.T @ np.diag(weights)  # (Q, Q) chaos projection on node values
     proj_big = np.kron(proj, eye)
     modes_to_nodes = np.kron(basis, eye)
-    k_blocks = [
-        weights[i] * _stiffness_for(space, field, z).toarray() for i, z in enumerate(nodes)
-    ]
+    stiffness_at = _node_stiffness(space, field)
+    k_blocks = [weights[i] * stiffness_at(z).toarray() for i, z in enumerate(nodes)]
     weak = scipy.linalg.block_diag(*k_blocks)
     sandwich = proj_big @ modes_to_nodes
     return sandwich.T @ weak @ sandwich

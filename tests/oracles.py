@@ -111,6 +111,30 @@ def bmat_block_operator(coeff_mats, eps, mis) -> sp.csr_matrix:
     return sp.bmat(blocks, format="csr")
 
 
+def per_node_collocation_reference(dist, q_ref, space, n_steps, field, u0, t_final):
+    """The collocation reference with every node solved as a new problem:
+    K(z_i) assembled from the coefficient callable and the initial datum
+    L2-projected at each node, then independent Crank--Nicolson solves."""
+    from sgpde.harness import CollocationReference
+    from sgpde.pce import tensor_quad
+    from sgpde.spatial import assemble_mass, assemble_stiffness, l2_project
+    from sgpde.timestep import crank_nicolson, evolve, make_uniform_grid
+
+    nodes, weights = tensor_quad(dist, q_ref)
+    grid = make_uniform_grid(t_final, n_steps)
+    mass = assemble_mass(space)
+    scheme = crank_nicolson()
+    values = np.empty((len(nodes), space.ndof))
+    for i, z in enumerate(nodes):
+        try:
+            stiff = assemble_stiffness(space, lambda x: field.evaluate(z, x))
+            u_start = l2_project(space, u0.sample(z))
+            values[i] = evolve(scheme, grid, mass, stiff, u_start)
+        except Exception as exc:
+            raise RuntimeError(f"collocation node {i} (z = {z}) failed: {exc}") from exc
+    return CollocationReference(dist, nodes, weights, space, mass, values, t_final)
+
+
 # --- the per-cell spatial kernels that the array assembly replaced ---------
 # Each loops over the cells and builds that cell's affine map on its own, and
 # checks each coefficient sample on its own; the reference shapes and

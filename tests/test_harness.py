@@ -1,16 +1,25 @@
 import copy
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
-from sgpde.coeffs import coefficient_by_name, initial_datum_by_name
+from sgpde import harness, sgsystem, timestep
+from sgpde.coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
 from sgpde.harness import (
     _admissible,
+    _distance,
     _invariant_summary,
     analytic_reference,
+    build_reference,
     collocation_reference,
     config_hash,
     error_norm_H,
@@ -25,7 +34,16 @@ from sgpde.harness import (
 from sgpde.orthopoly import hermite
 from sgpde.pce import distribution, multi_index_set, tensor_basis_matrix, tensor_quad
 from sgpde.sgsystem import SgState
-from sgpde.spatial import assemble_mass, l2_error, l2_project, load_vector, make_fe_space, make_mesh
+from sgpde.spatial import (
+    SolverError,
+    assemble_mass,
+    l2_error,
+    l2_project,
+    load_vector,
+    make_fe_space,
+    make_mesh,
+    prolong,
+)
 from sgpde.timestep import evolve, make_uniform_grid, scheme_by_name
 
 H1 = distribution(hermite())
@@ -273,8 +291,6 @@ def test_collocation_reference_error_estimate():
             reference={"kind": "collocation", "m_ref": 16, "n_k_ref": 16},
         )
     )
-    from sgpde.harness import build_reference
-
     cache = OperatorCache(cfg)
     ref = build_reference(cfg, cache, estimate_error=True)
     assert ref.est_error > 0.0
@@ -294,3 +310,200 @@ def test_solve_single_steps_decoupled_modes_without_the_coupled_matrix(scheme):
     grid = make_uniform_grid(cfg.t_final, 16)
     coupled = evolve(scheme_by_name(scheme), grid, op.mass, op.matrix, state0.flat())
     assert np.max(np.abs(state.flat() - coupled)) <= 1e-11 * np.max(np.abs(coupled))
+
+
+# --- the collocation reference against its per-node oracle --------------------
+
+H2 = distribution(hermite(), hermite())
+
+
+def _rel(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _non_separable_field() -> CoefficientField:
+    # declares no z_factor: the reference assembles K(z) at every node
+    return CoefficientField(
+        dim=1, evaluate=lambda z, x: 2.0 + np.tanh(z[0]) * x, kappa=1.0, bound=3.0
+    )
+
+
+@pytest.mark.parametrize(
+    "dist,q,dim,order,m,steps,field_name,datum",
+    [
+        (H1, 4, 1, 1, 8, 16, "logistic_1d", ("sine_modes", {"modes": [[1, 1.0], [3, 0.5]]})),
+        (H1, 3, 1, 2, 8, 16, "constant", ("sine_modes", {})),
+        (H1, 3, 2, 2, 4, 8, "logistic_anisotropic", ("product_sine", {})),
+        (H2, 2, 2, 2, 4, 8, "logistic_anisotropic", ("product_sine", {})),
+    ],
+    ids=["1d_p1_logistic", "1d_p2_constant", "2d_p2_N1", "2d_p2_N2"],
+)
+def test_separable_reference_matches_per_node_oracle(
+    dist, q, dim, order, m, steps, field_name, datum
+):
+    params = {"dim": dim, "value": 2.0} if field_name == "constant" else {}
+    field = coefficient_by_name(field_name, **params)
+    u0 = initial_datum_by_name(datum[0], **datum[1])
+    fine = make_fe_space(make_mesh(dim, m), order)
+    coarse = make_fe_space(make_mesh(dim, m // 2), order)
+    ref = collocation_reference(dist, q, fine, steps, field, u0, 0.1)
+    want = oracles.per_node_collocation_reference(dist, q, fine, steps, field, u0, 0.1)
+    assert np.array_equal(ref.nodes, want.nodes) and np.array_equal(ref.weights, want.weights)
+    assert _rel(ref.values, want.values) <= 1e-12
+    half = collocation_reference(dist, q, coarse, steps // 2, field, u0, 0.1)
+    half_want = oracles.per_node_collocation_reference(dist, q, coarse, steps // 2, field, u0, 0.1)
+    lifted = prolong(coarse, half.values.T, fine)
+    lifted_want = prolong(coarse, half_want.values.T, fine)
+    for got, expect in (
+        (_distance(ref, lifted), _distance(want, lifted_want)),  # the two-grid estimate
+        (_distance(ref, np.zeros_like(lifted)), _distance(want, np.zeros_like(lifted))),
+    ):
+        assert expect > 0.0
+        assert abs(got - expect) <= 1e-12 * expect
+
+
+@pytest.mark.parametrize("per_node_datum", [False, True])
+def test_non_separable_reference_matches_per_node_oracle_bitwise(per_node_datum):
+    field = _non_separable_field()
+    u0 = initial_datum_by_name("sine_modes", modes=[[1, 1.0], [2, -0.3]])
+    if per_node_datum:  # a new spatial function at every node
+        u0 = InitialDatum(
+            dim=1, sample=lambda z: (lambda x: math.sin(math.pi * x) * math.cos(z[0]))
+        )
+    space = make_fe_space(make_mesh(1, 8), 2)
+    ref = collocation_reference(H1, 4, space, 8, field, u0, 0.1)
+    want = oracles.per_node_collocation_reference(H1, 4, space, 8, field, u0, 0.1)
+    assert np.array_equal(ref.values, want.values)
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    counts = {"stiffness": 0, "load": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        sgsystem, "assemble_stiffness", counted("stiffness", sgsystem.assemble_stiffness)
+    )
+    monkeypatch.setattr(harness, "load_vector", counted("load", harness.load_vector))
+    return counts
+
+
+def test_reference_work_counts(work_counts):
+    cfg = load_config(
+        mini_config(
+            geometry={"dim": 2, "fe_order": 2},
+            coefficient={"name": "logistic_anisotropic"},
+            initial_datum={"name": "product_sine"},
+            sweep={"n": [1], "m": [2], "n_k": [4]},
+            reference={"kind": "collocation", "m_ref": 4, "n_k_ref": 8, "quad_order": 3},
+            strict_reference=False,
+        )
+    )
+    # separable: one K_g and one load per space (fine and coarse estimate spaces)
+    build_reference(cfg, OperatorCache(cfg), estimate_error=True)
+    assert work_counts == {"stiffness": 2, "load": 2}
+    space = make_fe_space(make_mesh(1, 8), 1)
+    q = 5
+    # a datum that samples to a new closure at every node: Q loads, still one K_g
+    work_counts.update(stiffness=0, load=0)
+    fresh = InitialDatum(
+        dim=1, sample=lambda z: (lambda x: (1.0 + z[0] ** 2) * math.sin(math.pi * x))
+    )
+    collocation_reference(H1, q, space, 4, coefficient_by_name("logistic_1d"), fresh, 0.1)
+    assert work_counts == {"stiffness": 1, "load": q}
+    # a non-separable field: Q assemblies, one load
+    work_counts.update(stiffness=0, load=0)
+    sine = initial_datum_by_name("sine_modes")
+    collocation_reference(H1, q, space, 4, _non_separable_field(), sine, 0.1)
+    assert work_counts == {"stiffness": q, "load": 1}
+
+
+def test_reference_spaces_are_shared_with_the_sweep(monkeypatch):
+    cfg = load_config(
+        mini_config(
+            sweep={"n": [1], "m": [4, 8], "n_k": [4]},
+            reference={"kind": "collocation", "m_ref": 16, "n_k_ref": 16},
+            strict_reference=False,
+        )
+    )
+    built = []
+    monkeypatch.setattr(harness, "make_mesh", lambda dim, m: built.append(m) or make_mesh(dim, m))
+    cache = OperatorCache(cfg)
+    ref = build_reference(cfg, cache, estimate_error=True)
+    assert built == [16, 8]
+    assert ref.space is cache.space(16)
+    cache.space(8)  # the estimate's coarse space is the sweep's finest space
+    assert built == [16, 8]
+
+
+def test_failing_reference_node_keeps_its_error_type(monkeypatch):
+    field = coefficient_by_name("logistic_1d")
+    u0 = initial_datum_by_name("sine_modes")
+    space = make_fe_space(make_mesh(1, 8), 1)
+    real_splu = timestep.spla.splu
+    factors = []
+
+    def wrong_lu_at_second_node(a, *args, **kwargs):
+        # every node factors its one step matrix; the second node gets the
+        # factor of a perturbed matrix, so its first step fails the residual check
+        factors.append(a)
+        if len(factors) == 2:
+            a = a + 0.5 * sp.identity(a.shape[0], format="csc")
+        return real_splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(timestep.spla, "splu", wrong_lu_at_second_node)
+    failed_node_1 = r"collocation node 1 \(z = .*\) failed: time step residual"
+    with pytest.raises(SolverError, match=failed_node_1):
+        collocation_reference(H1, 3, space, 4, field, u0, 0.1)
+    monkeypatch.undo()
+
+    def bad_sample(z):
+        if z[0] > 0.0:
+            raise ValueError("no datum here")
+        return math.sin
+
+    u0 = InitialDatum(dim=1, sample=bad_sample)
+    failed_node_2 = r"collocation node 2 \(z = .*\) failed: no datum here"
+    with pytest.raises(RuntimeError, match=failed_node_2) as info:
+        collocation_reference(H1, 3, space, 4, field, u0, 0.1)
+    assert not isinstance(info.value, SolverError)
+
+
+def test_reference_logging_is_silent_by_default():
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("sgpde").handlers)
+    script = (
+        "from sgpde.coeffs import coefficient_by_name, initial_datum_by_name\n"
+        "from sgpde.harness import collocation_reference\n"
+        "from sgpde.orthopoly import hermite\n"
+        "from sgpde.pce import distribution\n"
+        "from sgpde.spatial import make_fe_space, make_mesh\n"
+        "space = make_fe_space(make_mesh(1, 4), 1)\n"
+        "field, u0 = coefficient_by_name('logistic_1d'), initial_datum_by_name('sine_modes')\n"
+        "collocation_reference(distribution(hermite()), 2, space, 2, field, u0, 0.1)\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "" and done.stderr == ""
+
+
+def test_reference_build_logs_one_debug_record(caplog):
+    caplog.set_level(logging.DEBUG, logger="sgpde.harness")
+    space = make_fe_space(make_mesh(1, 8), 1)
+    u0 = initial_datum_by_name("sine_modes")
+    collocation_reference(H1, 3, space, 4, coefficient_by_name("logistic_1d"), u0, 0.1)
+    collocation_reference(H1, 2, space, 6, _non_separable_field(), u0, 0.1)
+    records = [r for r in caplog.records if r.name == "sgpde.harness"]
+    assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
+    first, second = (r.getMessage() for r in records)
+    assert f"path=separable Q=3 ndof={space.ndof} steps=4 wall_s=" in first
+    assert f"path=per-node Q=2 ndof={space.ndof} steps=6 wall_s=" in second
