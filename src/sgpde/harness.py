@@ -32,7 +32,6 @@ from .sgsystem import (
     _node_stiffness,
     assemble_block_operator,
     initial_coefficients,
-    pce_coefficient_matrices,
     reconstruct_at_nodes,
 )
 from .spatial import (
@@ -40,6 +39,7 @@ from .spatial import (
     SolverError,
     _checked_solve,
     assemble_mass,
+    assemble_stiffness,
     l2_error,
     load_vector,
     make_fe_space,
@@ -428,9 +428,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # --- the solve pipeline ---------------------------------------------------
 
 class OperatorCache:
-    """The solve pipeline of one config: spaces, triple products, block
-    operators, initial states and final states, each built once and shared
-    across sweep points."""
+    """The solve pipeline of one config: spaces, their mass and K_g matrices,
+    block operators, initial states and final states, each built once and
+    shared across sweep points."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -439,9 +439,9 @@ class OperatorCache:
         self.u0 = cfg.build_initial_datum()
         self.dim = cfg.geometry["dim"]
         self.order = cfg.geometry["fe_order"]
-        self._eps = {}
         self._ops = {}
         self._spaces = {}
+        self._matrices = {}
         self._finals = {}
 
     def space(self, m: int) -> FeSpace:
@@ -449,19 +449,22 @@ class OperatorCache:
             self._spaces[m] = make_fe_space(make_mesh(self.dim, m), self.order)
         return self._spaces[m]
 
-    def eps(self, n: int):
-        if n not in self._eps:
-            self._eps[n] = triple_products(self.dist, n)
-        return self._eps[n]
+    def matrices(self, m: int) -> tuple:
+        """The mass matrix of space m and, for a separable field, its K_g (else None)."""
+        if m not in self._matrices:
+            space = self.space(m)
+            k_g = assemble_stiffness(space, self.field.spatial_part) if self.field.separable else None
+            self._matrices[m] = (assemble_mass(space), k_g)
+        return self._matrices[m]
 
     def operator(self, n: int, m: int) -> tuple[SgOperator, SgState]:
         key = (n, m)
         if key not in self._ops:
-            space = self.space(m)
+            space, q = self.space(m), self.cfg.quad_order
+            mass, k_g = self.matrices(m)
             mis = multi_index_set(self.dist.N, n)
-            mats = pce_coefficient_matrices(self.dist, n, space, self.field, self.cfg.quad_order)
-            op = assemble_block_operator(mats, self.eps(n), mis, space)
-            state0 = initial_coefficients(self.dist, mis, self.u0, space, self.cfg.quad_order)
+            op = assemble_block_operator(self.dist, mis, space, self.field, q, mass, k_g)
+            state0 = initial_coefficients(self.dist, mis, self.u0, space, q, mass)
             self._ops[key] = (op, state0)
         return self._ops[key]
 
@@ -625,7 +628,7 @@ def _invariant_summary(cfg, cache) -> dict:
     summary = {
         "block_symmetry_max_defect": op.symmetry_defect(),
         "a_stability_boundary_max": a_stability_probe(scheme_by_name(cfg.scheme))[0],
-        "triple_product_entries": len(cache.eps(n).entries),
+        "triple_product_entries": len(triple_products(cache.dist, n).entries),
         # informational: the sharper decay weight of the truncation bound
         "eigenvalue_floor_d_n_plus_1": eigenvalue_floor(cache.dist, n + 1),
         "initial_datum_smoothness": cache.u0.smoothness,

@@ -206,27 +206,30 @@ def triple_products(dist: DistributionSpec, n: int) -> TripleProductTensor:
     """Triple-product tensor over the tensorized basis, |alpha| <= 2n.
 
     Per-dimension Gauss quadrature with 2n + 1 nodes is exact for the
-    integrands (degree at most 4n per dimension).
+    integrands (degree at most 4n per dimension). Each entry is the product
+    of the per-dimension table values, taken in dimension order over one
+    (d_{2n}, d_n, d_n) array; entries are stored alpha-major in graded-lex
+    order.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     mis = multi_index_set(dist.N, n)
     mis2 = multi_index_set(dist.N, 2 * n)
-    tables = [_univariate_triple_table(fam, n) for fam in dist.components]
-    entries: dict = {}
-    for alpha in mis2:
-        da = sum(alpha)
-        for beta in mis:
-            for gamma in mis.indices:
-                if da > sum(beta) + sum(gamma):
-                    continue
-                val = 1.0
-                for j in range(dist.N):
-                    val *= tables[j][alpha[j], beta[j], gamma[j]]
-                    if val == 0.0:
-                        break
-                if abs(val) > SPARSE_DROP_TOL:
-                    entries[(alpha, beta, gamma)] = float(val)
+    a, b = np.array(mis2.indices), np.array(mis.indices)
+    vals = None
+    for j, fam in enumerate(dist.components):
+        table = _univariate_triple_table(fam, n)
+        factor = table[a[:, j, None, None], b[None, :, j, None], b[None, None, :, j]]
+        vals = factor if vals is None else vals * factor
+    da, db = a.sum(axis=1), b.sum(axis=1)
+    keep = (da[:, None, None] <= db[None, :, None] + db[None, None, :]) & (
+        np.abs(vals) > SPARSE_DROP_TOL
+    )
+    ia, ib, ic = np.nonzero(keep)
+    entries = {
+        (mis2.indices[i], mis.indices[k], mis.indices[l]): v
+        for i, k, l, v in zip(ia.tolist(), ib.tolist(), ic.tolist(), vals[keep].tolist())
+    }
     return TripleProductTensor(n, mis, mis2, entries)
 
 

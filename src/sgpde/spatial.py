@@ -42,7 +42,6 @@ __all__ = [
     "nodal_coordinates",
     "prolong",
     "l2_error",
-    "export_coo",
 ]
 
 class SolverError(RuntimeError):
@@ -328,7 +327,7 @@ def _checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
     x = spla.spsolve(a.tocsc(), b)
     scale = float(np.linalg.norm(b))
     res = float(np.linalg.norm(a @ x - b))
-    if res > rel_tol * max(scale, 1e-300):
+    if not res <= rel_tol * max(scale, 1e-300):  # a NaN residual fails too
         raise SolverError(f"solve residual {res:.3e} exceeds {rel_tol:.1e} * {scale:.3e}")
     return x
 
@@ -399,15 +398,3 @@ def l2_error(space: FeSpace, u: np.ndarray, exact) -> float:
     full[sel] = u[space.dof_of_node[sel]]
     diff = full[space.cell_nodes] @ vals - _sampled(exact, xq, space.dim).reshape(dw.shape)
     return math.sqrt(float(np.einsum("cq,cq->", dw, diff * diff)))
-
-
-def export_coo(a: sp.spmatrix) -> str:
-    """Text export: `row col value` per line, 0-based, sorted."""
-    coo = a.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}"
-        for k in order
-        if coo.data[k] != 0.0
-    ]
-    return "\n".join(lines) + "\n"

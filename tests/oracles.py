@@ -2,20 +2,43 @@
 
 The closed forms are derived by hand or from elementary probability facts,
 deliberately avoiding the recurrence/quadrature code paths under test. The
-slow paths that a faster library path replaced stay here as its reference.
+slow paths that a faster library path replaced stay here as its reference,
+and so do the tools only the tests use: the brute-force collocation operator,
+the block Gram lift, the coordinate export and the local-order probe.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import integrate
 
-from sgpde.spatial import _TRI_PTS, _TRI_WTS, _gauss_01, _shapes_1d, _shapes_tri
+from sgpde.pce import (
+    SPARSE_DROP_TOL,
+    TripleProductTensor,
+    _univariate_triple_table,
+    multi_index_set,
+    tensor_basis_matrix,
+    tensor_quad,
+)
+from sgpde.sgsystem import SeparableFactors, SgOperator, _checked_eigh, _node_stiffness
+from sgpde.spatial import (
+    _TRI_PTS,
+    _TRI_WTS,
+    _gauss_01,
+    _shapes_1d,
+    _shapes_tri,
+    assemble_mass,
+    assemble_stiffness,
+)
+from sgpde.timestep import Propagator, crank_nicolson, evolve, make_uniform_grid
 
 
 def hermite_moment(j: int) -> float:
@@ -94,6 +117,241 @@ def rebuilt_step(scheme, mass, stiff, u, tau: float) -> np.ndarray:
     return spla.splu(lhs.tocsc()).solve(b)
 
 
+def _exact_flow(mass, stiff, u0: np.ndarray, taus) -> list[np.ndarray]:
+    """Reference semigroup states via the generalized eigendecomposition."""
+    md = np.asarray(sp.csr_matrix(mass).todense())
+    kd = np.asarray(sp.csr_matrix(stiff).todense())
+    lam, vecs = scipy.linalg.eigh(kd, md)
+    coeff = vecs.T @ (md @ u0)
+    return [vecs @ (np.exp(-lam * t) * coeff) for t in taus]
+
+
+@dataclass(frozen=True)
+class ConsistencyResult:
+    taus: tuple
+    errors: tuple
+    slope: float | None
+    exact: bool
+
+
+def consistency_probe(scheme, mass, stiff, u0, tau_list, substeps: int = 1000) -> ConsistencyResult:
+    """Observed local order: log-log slope of one-step error against tau.
+
+    The reference flow is the generalized eigendecomposition for small
+    systems and a finely substepped Crank--Nicolson march otherwise. An
+    error at the floor of machine precision reports exact=True instead of
+    a slope.
+    """
+    mass = sp.csr_matrix(mass)
+    stiff = sp.csr_matrix(stiff)
+    u0 = np.asarray(u0, dtype=float)
+    taus = sorted(float(t) for t in tau_list)
+    if mass.shape[0] <= 400:
+        refs = _exact_flow(mass, stiff, u0, taus)
+    else:
+        refs = []
+        for tau in taus:
+            grid = make_uniform_grid(tau, substeps)
+            refs.append(evolve(crank_nicolson(), grid, mass, stiff, u0))
+    prop = Propagator(scheme, mass, stiff)
+    errors = []
+    for tau, ref in zip(taus, refs):
+        diff = prop.step(u0, tau) - ref
+        errors.append(float(np.sqrt(diff @ (mass @ diff))))
+    scale = float(np.sqrt(u0 @ (mass @ u0)))
+    if max(errors) <= 1e-13 * max(scale, 1e-300):
+        return ConsistencyResult(tuple(taus), tuple(errors), None, True)
+    slope = float(np.polyfit(np.log(taus), np.log(errors), 1)[0])
+    return ConsistencyResult(tuple(taus), tuple(errors), slope, False)
+
+
+# --- the triple-product chaos operator that the quadrature build replaced --
+
+
+def loop_triple_products(dist, n: int) -> TripleProductTensor:
+    """Triple-product tensor with one Python product per (alpha, beta, gamma),
+    |alpha| <= 2n, |beta|, |gamma| <= n, taken over the dimensions in order."""
+    mis = multi_index_set(dist.N, n)
+    mis2 = multi_index_set(dist.N, 2 * n)
+    tables = [_univariate_triple_table(fam, n) for fam in dist.components]
+    entries: dict = {}
+    for alpha in mis2:
+        da = sum(alpha)
+        for beta in mis:
+            for gamma in mis.indices:
+                if da > sum(beta) + sum(gamma):
+                    continue
+                val = 1.0
+                for j in range(dist.N):
+                    val *= tables[j][alpha[j], beta[j], gamma[j]]
+                    if val == 0.0:
+                        break
+                if abs(val) > SPARSE_DROP_TOL:
+                    entries[(alpha, beta, gamma)] = float(val)
+    return TripleProductTensor(n, mis, mis2, entries)
+
+
+@dataclass(frozen=True)
+class SeparableStiffness(Mapping):
+    """Chaos coefficient matrices A_alpha = c_alpha K_g of a separable field f(z) g(x).
+
+    Holds the chaos coefficients c_alpha of f and the stiffness matrix K_g
+    of g; indexing by alpha forms A_alpha.
+    """
+
+    coeffs: dict  # alpha -> c_alpha
+    spatial: sp.csr_matrix  # K_g
+
+    def __getitem__(self, alpha) -> sp.csr_matrix:
+        return self.coeffs[alpha] * self.spatial
+
+    def __contains__(self, alpha) -> bool:
+        return alpha in self.coeffs
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+
+def pce_coefficient_matrices(dist, n: int, space, field, q: int):
+    """Chaos coefficient stiffness matrices A_alpha for |alpha| <= 2n.
+
+    A_alpha = sum_i w_i Phi_alpha(z_i) K(z_i) over a q-node tensor Gauss
+    grid. A separable field f(z) g(x) assembles K_g once and returns a
+    `SeparableStiffness` holding the chaos coefficients c_alpha of f and K_g.
+    """
+    if q < 2 * n + 1:
+        raise ValueError(f"q = {q} must be at least 2n + 1 = {2 * n + 1}")
+    if field.dim != space.dim:
+        raise ValueError("field and space dimensions differ")
+    mis2 = multi_index_set(dist.N, 2 * n)
+    nodes, weights = tensor_quad(dist, q)
+    phi2 = tensor_basis_matrix(dist, mis2, nodes)
+    if field.separable:
+        k_g = assemble_stiffness(space, field.spatial_part)
+        factors = np.array([field.z_factor(z) for z in nodes])
+        coeffs = phi2.T @ (weights * factors)
+        return SeparableStiffness(dict(zip(mis2, coeffs)), k_g)
+    stiffness_at = _node_stiffness(space, field)
+    mats: dict = {}
+    for i, z in enumerate(nodes):
+        k_z = stiffness_at(z)
+        for a, alpha in enumerate(mis2):
+            scaled = (weights[i] * phi2[i, a]) * k_z
+            mats[alpha] = scaled if alpha not in mats else mats[alpha] + scaled
+    return mats
+
+
+def aliasing_probe(dist, n: int, space, field, q: int) -> float:
+    """Max |A_alpha| entry over the probe band 2n < |alpha| <= 2n + 2.
+
+    Nonzero values quantify the chaos content of the coefficient beyond the
+    assembled truncation; exactly representable coefficients probe to ~0.
+    """
+    band_mats = pce_coefficient_matrices(dist, n + 1, space, field, q)
+    worst = 0.0
+    for alpha, mat in band_mats.items():
+        if 2 * n < sum(alpha) <= 2 * n + 2:
+            nnz_max = float(abs(mat).max()) if mat.nnz else 0.0
+            worst = max(worst, nnz_max)
+    return worst
+
+
+def _chaos_matrices(eps, mis) -> np.ndarray:
+    """E[a, b, g] = eps[alpha_a, beta_b, gamma_g], one d_n x d_n matrix per |alpha| <= 2n."""
+    e = np.zeros((len(eps.mis2), len(mis), len(mis)))
+    for (alpha, beta, gamma), val in eps.entries.items():
+        e[eps.mis2.position(alpha), mis.position(beta), mis.position(gamma)] = val
+    return e
+
+
+def triple_product_block_operator(coeff_mats, eps, mis, space) -> SgOperator:
+    """Symmetric block operator sum_alpha E_alpha (x) A_alpha over |alpha| <= 2n.
+
+    `coeff_mats` maps alpha to A_alpha. A `SeparableStiffness` gives the
+    decoupled operator: G = sum_alpha c_alpha E_alpha is diagonalized and
+    time stepping runs on diag(lam) (x) K_g; any other mapping gives the
+    coupled operator.
+    """
+    for alpha in eps.mis2:
+        if alpha not in coeff_mats:
+            raise ValueError(f"missing coefficient matrix for alpha = {alpha}")
+    chaos = _chaos_matrices(eps, mis)
+    mass = sp.kron(sp.eye(len(mis)), assemble_mass(space), format="csr")
+    if isinstance(coeff_mats, SeparableStiffness):
+        g = np.zeros(chaos.shape[1:])
+        for alpha, e_alpha in zip(eps.mis2, chaos):  # elementwise: G stays exactly symmetric
+            g += coeff_mats.coeffs[alpha] * e_alpha
+        lam, vecs, _, _ = _checked_eigh(g)
+        k_g = coeff_mats.spatial
+        stiffness = sp.kron(sp.diags(lam), k_g, format="csr")
+        factors = SeparableFactors(g, lam, vecs, k_g)
+        return SgOperator(eps.n, mis, space, mass, stiffness, factors)
+    matrix = sp.csr_matrix(mass.shape)
+    for alpha, e_alpha in zip(eps.mis2, chaos):
+        matrix = matrix + sp.kron(sp.csr_matrix(e_alpha), coeff_mats[alpha], format="csr")
+    return SgOperator(eps.n, mis, space, mass, matrix, None)
+
+
+BRUTE_FORCE_SIZE_LIMIT = 2000
+
+
+def brute_force_rnarn(dist, n: int, space, field, q: int) -> np.ndarray:
+    """Chaos-basis restriction of the projected collocation operator.
+
+    Builds the chaos projection explicitly on the (node x dof) collocation
+    representation, sandwiches the node-diagonal weak operator between two
+    projections, and restricts to the chaos modes. Dense; small sizes only.
+    """
+    mis = multi_index_set(dist.N, n)
+    ndof = space.ndof
+    if len(mis) * ndof > BRUTE_FORCE_SIZE_LIMIT:
+        raise ValueError(
+            f"system size {len(mis) * ndof} exceeds oracle limit {BRUTE_FORCE_SIZE_LIMIT}"
+        )
+    nodes, weights = tensor_quad(dist, q)
+    basis = tensor_basis_matrix(dist, mis, nodes)  # (Q, d_n)
+    eye = np.eye(ndof)
+    proj = basis @ basis.T @ np.diag(weights)  # (Q, Q) chaos projection on node values
+    proj_big = np.kron(proj, eye)
+    modes_to_nodes = np.kron(basis, eye)
+    stiffness_at = _node_stiffness(space, field)
+    k_blocks = [weights[i] * stiffness_at(z).toarray() for i, z in enumerate(nodes)]
+    weak = scipy.linalg.block_diag(*k_blocks)
+    sandwich = proj_big @ modes_to_nodes
+    return sandwich.T @ weak @ sandwich
+
+
+def block_gram(op, gram: sp.spmatrix) -> sp.csr_matrix:
+    """Lift a spatial Gram matrix to the block space: I_{d_n} (x) G."""
+    return sp.kron(sp.eye(op.block_dim), gram, format="csr")
+
+
+def export_coo(a: sp.spmatrix) -> str:
+    """Text export: `row col value` per line, 0-based, sorted."""
+    coo = a.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    lines = [
+        f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}"
+        for k in order
+        if coo.data[k] != 0.0
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def export_block_operator(op) -> str:
+    """Coordinate export of the chaos-basis block matrix, block offsets annotated."""
+    ndof = op.space.ndof
+    header = [f"# block_dim {op.block_dim} ndof {ndof}"]
+    header += [
+        f"# block {','.join(str(i) for i in beta)} offset {b * ndof}"
+        for b, beta in enumerate(op.mis)
+    ]
+    return "\n".join(header) + "\n" + export_coo(op.matrix)
+
+
 def bmat_block_operator(coeff_mats, eps, mis) -> sp.csr_matrix:
     """The chaos-basis block operator as sp.bmat of d_n^2 blocks, each summing
     eps[alpha, beta, gamma] A_alpha over |alpha| <= 2n in graded-lex order."""
@@ -116,9 +374,7 @@ def per_node_collocation_reference(dist, q_ref, space, n_steps, field, u0, t_fin
     K(z_i) assembled from the coefficient callable and the initial datum
     L2-projected at each node, then independent Crank--Nicolson solves."""
     from sgpde.harness import CollocationReference
-    from sgpde.pce import tensor_quad
-    from sgpde.spatial import assemble_mass, assemble_stiffness, l2_project
-    from sgpde.timestep import crank_nicolson, evolve, make_uniform_grid
+    from sgpde.spatial import l2_project
 
     nodes, weights = tensor_quad(dist, q_ref)
     grid = make_uniform_grid(t_final, n_steps)

@@ -33,13 +33,7 @@ from sgpde.pce import (
     triple_products,
     weighted_sobolev_norm,
 )
-from sgpde.sgsystem import (
-    assemble_block_operator,
-    block_gram,
-    brute_force_rnarn,
-    min_generalized_eigenvalue,
-    pce_coefficient_matrices,
-)
+from sgpde.sgsystem import assemble_block_operator, min_generalized_eigenvalue
 from sgpde.spatial import (
     assemble_mass,
     assemble_stiffness,
@@ -158,11 +152,8 @@ def test_acceptance_04_block_system_equivalence():
         for field in fields:
             for n in (0, 1, 2):
                 q = 2 * n + 3
-                mats = pce_coefficient_matrices(dist, n, space, field, q)
-                op = assemble_block_operator(
-                    mats, triple_products(dist, n), multi_index_set(1, n), space
-                )
-                oracle = brute_force_rnarn(dist, n, space, field, q)
+                op = assemble_block_operator(dist, multi_index_set(1, n), space, field, q)
+                oracle = oracles.brute_force_rnarn(dist, n, space, field, q)
                 dev = np.max(np.abs(op.matrix.toarray() - oracle))
                 assert dev <= 1e-8, (field.name, m, n, dev)
     dt = elapsed_under(t0, 10.0)
@@ -174,10 +165,9 @@ def test_acceptance_05_structural_invariants():
     dist = distribution(hermite())
     field = coefficient_by_name("logistic_anisotropic")
     space = make_fe_space(make_mesh(2, 3), 2)
-    mats = pce_coefficient_matrices(dist, 2, space, field, q=20)
-    op = assemble_block_operator(mats, triple_products(dist, 2), multi_index_set(1, 2), space)
+    op = assemble_block_operator(dist, multi_index_set(1, 2), space, field, q=20)
     assert (abs(op.matrix - op.matrix.T)).max() == 0.0
-    lam_coercive = min_generalized_eigenvalue(op.matrix, block_gram(op, h1_gram(space)))
+    lam_coercive = min_generalized_eigenvalue(op.matrix, oracles.block_gram(op, h1_gram(space)))
     assert lam_coercive >= field.kappa - 1e-6
     lam_resolvent = min_generalized_eigenvalue(op.matrix, op.mass)
     assert lam_resolvent >= -1e-10

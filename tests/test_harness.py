@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 import oracles
-from sgpde import harness, sgsystem, timestep
+from sgpde import harness, pce, sgsystem, spatial, timestep
 from sgpde.coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
 from sgpde.harness import (
     _admissible,
@@ -422,6 +422,39 @@ def test_reference_work_counts(work_counts):
     sine = initial_datum_by_name("sine_modes")
     collocation_reference(H1, q, space, 4, _non_separable_field(), sine, 0.1)
     assert work_counts == {"stiffness": q, "load": 1}
+
+
+def test_sweep_assembles_each_spatial_matrix_once_per_space(monkeypatch):
+    counts = {"mass": 0, "stiffness": 0, "triple_products": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (harness, sgsystem, spatial):
+        for key, name in (("mass", "assemble_mass"), ("stiffness", "assemble_stiffness")):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(key, getattr(spatial, name)))
+    for module in (harness, pce):
+        monkeypatch.setattr(module, "triple_products", counted("triple_products", pce.triple_products))
+    # separable field, analytic reference: only the operators and initial states assemble
+    cfg = load_config(mini_config(sweep={"n": [1, 2, 3], "m": [4, 8, 16], "n_k": [4, 8]}))
+    report = sweep(cfg)
+    assert report.invariants["triple_product_entries"] > 0
+    # 3 spaces, 7 distinct (n, m) operators: one mass and one K_g per space,
+    # and the one triple-product tensor is the invariant summary's
+    assert counts == {"mass": 3, "stiffness": 3, "triple_products": 1}
+
+    counts.update(mass=0, stiffness=0, triple_products=0)
+    cache = OperatorCache(cfg)
+    cache.field = _non_separable_field()
+    cache.operator(1, 4)
+    cache.operator(2, 4)
+    q = cfg.quad_order
+    assert counts == {"mass": 1, "stiffness": 2 * q, "triple_products": 0}
 
 
 def test_reference_spaces_are_shared_with_the_sweep(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sgpde.orthopoly import PolyCoeffs, apply_Q, hermite, jacobi, laguerre
 from sgpde.pce import (
     DistributionSpec,
@@ -93,6 +94,28 @@ def test_triple_products_permutation_symmetry_exact():
         if sum(a) <= 2:  # all three inside the stored (beta, gamma) range
             for perm in [(b, a, c), (b, c, a), (c, a, b), (c, b, a)]:
                 assert eps.entries.get(perm) == val
+
+
+@pytest.mark.parametrize(
+    "dist,n",
+    [
+        (H1, 6),
+        (distribution(jacobi(1.0, 2.0)), 5),
+        (distribution(laguerre(0.5)), 6),
+        (HH, 6),
+        (distribution(laguerre(0.0), hermite()), 4),
+        (distribution(jacobi(0.0, 0.0), jacobi(-0.5, 0.5)), 4),
+        (distribution(hermite(), hermite(), hermite()), 3),
+        (distribution(laguerre(2.0), jacobi(1.0, 2.0), hermite(), hermite()), 2),
+        (H1, 0),
+    ],
+)
+def test_triple_products_match_the_loop_oracle_bitwise(dist, n):
+    got = triple_products(dist, n)
+    want = oracles.loop_triple_products(dist, n)
+    assert list(got.entries) == list(want.entries)
+    assert [v.hex() for v in got.entries.values()] == [v.hex() for v in want.entries.values()]
+    assert all(type(v) is float for v in got.entries.values())
 
 
 def test_triple_products_against_dense_quadrature_oracle():

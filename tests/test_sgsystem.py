@@ -1,25 +1,24 @@
+import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 import oracles
 from sgpde import sgsystem
 from sgpde.coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
-from sgpde.pce import TripleProductTensor, distribution, multi_index_set, tensor_quad, triple_products
-from sgpde.orthopoly import hermite
+from sgpde.pce import distribution, multi_index_set, tensor_quad, triple_products
+from sgpde.orthopoly import hermite, jacobi, laguerre
 from sgpde.sgsystem import (
-    SeparableStiffness,
     SgState,
-    aliasing_probe,
     assemble_block_operator,
-    block_gram,
-    brute_force_rnarn,
     initial_coefficients,
     min_generalized_eigenvalue,
-    pce_coefficient_matrices,
     reconstruct_at_nodes,
 )
 from sgpde.spatial import (
@@ -41,15 +40,20 @@ def space_1d(m, order=1):
 
 
 def build_operator(dist, n, space, field, q):
-    mats = pce_coefficient_matrices(dist, n, space, field, q)
+    return assemble_block_operator(dist, multi_index_set(dist.N, n), space, field, q)
+
+
+def oracle_operator(dist, n, space, field, q):
+    """The same operator through the triple-product oracle."""
+    mats = oracles.pce_coefficient_matrices(dist, n, space, field, q)
     eps = triple_products(dist, n)
-    return assemble_block_operator(mats, eps, multi_index_set(dist.N, n), space)
+    return oracles.triple_product_block_operator(mats, eps, multi_index_set(dist.N, n), space)
 
 
 def test_coefficient_matrices_constant_field():
     space = space_1d(8)
     field = coefficient_by_name("constant", value=2.0, dim=1)
-    mats = pce_coefficient_matrices(H1, 2, space, field, q=8)
+    mats = oracles.pce_coefficient_matrices(H1, 2, space, field, q=8)
     k = assemble_stiffness(space, 2.0)
     assert (abs(mats[(0,)] - k)).max() < 1e-12
     for alpha in ((1,), (2,), (3,), (4,)):
@@ -59,7 +63,7 @@ def test_coefficient_matrices_constant_field():
 def test_coefficient_matrices_affine_field():
     space = space_1d(8)
     field = coefficient_by_name("affine", slope=0.5)
-    mats = pce_coefficient_matrices(H1, 1, space, field, q=8)
+    mats = oracles.pce_coefficient_matrices(H1, 1, space, field, q=8)
     k = assemble_stiffness(space, 1.0)
     assert (abs(mats[(0,)] - k)).max() < 1e-12
     assert (abs(mats[(1,)] - 0.5 * k)).max() < 1e-12
@@ -69,8 +73,8 @@ def test_coefficient_matrices_affine_field():
 def test_coefficient_matrices_logistic_vs_fine_quadrature_oracle():
     space = space_1d(6)
     field = coefficient_by_name("logistic_1d")
-    mats = pce_coefficient_matrices(H1, 2, space, field, q=60)
-    oracle = pce_coefficient_matrices(H1, 2, space, field, q=200)
+    mats = oracles.pce_coefficient_matrices(H1, 2, space, field, q=60)
+    oracle = oracles.pce_coefficient_matrices(H1, 2, space, field, q=200)
     for alpha, mat in oracle.items():
         assert (abs(mats[alpha] - mat)).max() < 1e-9
 
@@ -120,15 +124,15 @@ def test_block_operator_exactly_symmetric():
 def test_missing_coefficient_matrix_raises():
     space = space_1d(4)
     field = coefficient_by_name("constant", value=1.0, dim=1)
-    mats = pce_coefficient_matrices(H1, 1, space, field, q=6)
+    mats = oracles.pce_coefficient_matrices(H1, 1, space, field, q=6)
     eps = triple_products(H1, 1)
     coupled = {alpha: mat for alpha, mat in mats.items() if alpha != (2,)}
-    separable = SeparableStiffness(
+    separable = oracles.SeparableStiffness(
         {alpha: c for alpha, c in mats.coeffs.items() if alpha != (2,)}, mats.spatial
     )
     for partial in (coupled, separable):
         with pytest.raises(ValueError, match="missing coefficient"):
-            assemble_block_operator(partial, eps, multi_index_set(1, 1), space)
+            oracles.triple_product_block_operator(partial, eps, multi_index_set(1, 1), space)
 
 
 def test_initial_coefficients_deterministic():
@@ -181,7 +185,7 @@ def test_block_operator_matches_brute_force(field_name, kwargs, n):
     field = coefficient_by_name(field_name, **kwargs)
     q = 2 * n + 3
     op = build_operator(H1, n, space, field, q=q)
-    oracle = brute_force_rnarn(H1, n, space, field, q=q)
+    oracle = oracles.brute_force_rnarn(H1, n, space, field, q=q)
     assert np.max(np.abs(op.matrix.toarray() - oracle)) < 1e-8
 
 
@@ -189,7 +193,7 @@ def test_block_operator_matches_brute_force_2d_logistic():
     space = make_fe_space(make_mesh(2, 2), 2)
     field = coefficient_by_name("logistic_anisotropic")
     op = build_operator(H1, 1, space, field, q=20)
-    oracle = brute_force_rnarn(H1, 1, space, field, q=20)
+    oracle = oracles.brute_force_rnarn(H1, 1, space, field, q=20)
     assert np.max(np.abs(op.matrix.toarray() - oracle)) < 1e-8
 
 
@@ -197,14 +201,14 @@ def test_brute_force_size_guard():
     space = space_1d(600, 2)
     field = coefficient_by_name("constant", value=1.0, dim=1)
     with pytest.raises(ValueError, match="oracle limit"):
-        brute_force_rnarn(H1, 2, space, field, q=6)
+        oracles.brute_force_rnarn(H1, 2, space, field, q=6)
 
 
 def test_block_coercivity_logistic():
     space = space_1d(10, 2)
     field = coefficient_by_name("logistic_1d")
     op = build_operator(H1, 2, space, field, q=30)
-    gram = block_gram(op, h1_gram(space))
+    gram = oracles.block_gram(op, h1_gram(space))
     rng = np.random.default_rng(4)
     for _ in range(100):
         x = rng.standard_normal(op.size)
@@ -243,9 +247,10 @@ def test_resolvent_contractive():
 
 def test_aliasing_probe():
     space = space_1d(6)
-    assert aliasing_probe(H1, 1, space, coefficient_by_name("constant", value=1.0, dim=1), q=12) < 1e-12
-    assert aliasing_probe(H1, 1, space, coefficient_by_name("affine", slope=0.5), q=12) < 1e-12
-    probe = aliasing_probe(H1, 1, space, coefficient_by_name("logistic_1d"), q=40)
+    probe = oracles.aliasing_probe
+    assert probe(H1, 1, space, coefficient_by_name("constant", value=1.0, dim=1), q=12) < 1e-12
+    assert probe(H1, 1, space, coefficient_by_name("affine", slope=0.5), q=12) < 1e-12
+    probe = probe(H1, 1, space, coefficient_by_name("logistic_1d"), q=40)
     assert 1e-12 < probe < 1.0
 
 
@@ -253,7 +258,7 @@ def test_block_operator_export_annotates_offsets():
     space = space_1d(4)
     field = coefficient_by_name("affine", slope=0.5)
     op = build_operator(H1, 1, space, field, q=6)
-    text = op.export_text()
+    text = oracles.export_block_operator(op)
     lines = text.splitlines()
     assert lines[0] == f"# block_dim 2 ndof {space.ndof}"
     assert lines[1] == "# block 0 offset 0"
@@ -267,6 +272,15 @@ def _max_rel(a, b) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def _non_separable(dim):
+    """A field that is not a product f(z) g(x) and reads the last input too."""
+    if dim == 1:
+        evaluate = lambda z, x: 2.0 + 0.5 * np.tanh(z[0]) * x + 0.3 * np.tanh(z[-1])
+    else:
+        evaluate = lambda z, x: 2.0 + 0.5 * np.tanh(z[0]) * x[0] + 0.3 * np.tanh(z[-1]) * x[1]
+    return CoefficientField(dim=dim, evaluate=evaluate, kappa=1.2, bound=2.8)
+
+
 @pytest.mark.parametrize(
     "dist,n,space,field_name",
     [
@@ -277,12 +291,11 @@ def _max_rel(a, b) -> float:
     ids=["1d_p1_N1", "2d_p2_N2"],
 )
 def test_decoupled_operator_matches_bmat_oracle(dist, n, space, field_name):
-    mats = pce_coefficient_matrices(dist, n, space, coefficient_by_name(field_name), q=2 * n + 9)
-    assert isinstance(mats, SeparableStiffness)
-    eps = triple_products(dist, n)
+    field, q = coefficient_by_name(field_name), 2 * n + 9
+    mats = oracles.pce_coefficient_matrices(dist, n, space, field, q)
     mis = multi_index_set(dist.N, n)
-    op = assemble_block_operator(mats, eps, mis, space)
-    oracle = oracles.bmat_block_operator(mats, eps, mis).toarray()
+    oracle = oracles.bmat_block_operator(mats, triple_products(dist, n), mis).toarray()
+    op = assemble_block_operator(dist, mis, space, field, q)
     rotate = np.kron(op.factors.eigvecs, np.eye(space.ndof))
     assert _max_rel(rotate @ op.stiffness.toarray() @ rotate.T, oracle) <= 1e-13
     assert _max_rel(op.matrix.toarray(), oracle) <= 1e-13
@@ -297,16 +310,74 @@ def test_decoupled_operator_matches_bmat_oracle(dist, n, space, field_name):
 def test_non_separable_field_takes_coupled_path():
     field = CoefficientField(dim=1, evaluate=lambda z, x: 2.0 + np.tanh(z[0]) * x, kappa=1.0, bound=3.0)
     space = space_1d(6, 2)
-    mats = pce_coefficient_matrices(H1, 2, space, field, q=12)
-    assert not isinstance(mats, SeparableStiffness)
+    mats = oracles.pce_coefficient_matrices(H1, 2, space, field, q=12)
+    assert not isinstance(mats, oracles.SeparableStiffness)
     eps = triple_products(H1, 2)
     mis = multi_index_set(1, 2)
-    op = assemble_block_operator(mats, eps, mis, space)
+    op = assemble_block_operator(H1, mis, space, field, q=12)
     assert op.factors is None and op.stiffness is op.matrix
     state = np.ones((len(mis), space.ndof))
     assert op.to_system(state) is state and op.to_chaos(state) is state
     assert _max_rel(op.matrix.toarray(), oracles.bmat_block_operator(mats, eps, mis).toarray()) <= 1e-13
     assert op.symmetry_defect() == 0.0
+
+
+SPACE_1D_P1 = make_fe_space(make_mesh(1, 4), 1)
+SPACE_2D_P2 = make_fe_space(make_mesh(2, 2), 2)
+
+
+@pytest.mark.parametrize(
+    "dist,n,q,space,separable",
+    [
+        (H1, 3, 7, SPACE_1D_P1, True),
+        (H1, 6, 30, SPACE_1D_P1, True),
+        (distribution(jacobi(1.0, 2.0)), 4, 17, SPACE_1D_P1, True),
+        (distribution(laguerre(0.5)), 3, 7, SPACE_1D_P1, True),
+        (distribution(hermite(), hermite()), 6, 13, SPACE_2D_P2, True),
+        (distribution(jacobi(1.0, 2.0), hermite()), 3, 15, SPACE_2D_P2, True),
+        (H1, 3, 7, SPACE_1D_P1, False),
+        (distribution(laguerre(0.5)), 2, 13, SPACE_2D_P2, False),
+        (distribution(jacobi(1.0, 2.0), hermite()), 2, 5, SPACE_1D_P1, False),
+        (distribution(hermite(), laguerre(0.0)), 2, 5, SPACE_2D_P2, False),
+    ],
+    ids=[
+        "1d_p1_hermite_sep", "1d_p1_hermite_n6_sep", "1d_p1_jacobi_sep", "1d_p1_laguerre_sep",
+        "2d_p2_hermite2_n6_sep", "2d_p2_jacobi_hermite_sep", "1d_p1_hermite_coupled",
+        "2d_p2_laguerre_coupled", "1d_p1_jacobi_hermite_coupled", "2d_p2_hermite_laguerre_coupled",
+    ],
+)
+def test_quadrature_operator_matches_triple_product_oracle(dist, n, q, space, separable):
+    field = (coefficient_by_name("logistic_1d" if space.dim == 1 else "logistic_anisotropic")
+             if separable else _non_separable(space.dim))
+    op = build_operator(dist, n, space, field, q)
+    want = oracle_operator(dist, n, space, field, q).matrix.toarray()
+    assert _max_rel(op.matrix.toarray(), want) <= 1e-13
+    if separable:
+        rotate = np.kron(op.factors.eigvecs, np.eye(space.ndof))
+        assert _max_rel(rotate @ op.stiffness.toarray() @ rotate.T, want) <= 1e-13
+    else:
+        assert op.factors is None and op.stiffness is op.matrix
+    assert op.symmetry_defect() == 0.0
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [distribution(laguerre(0.5)), distribution(laguerre(0.0), hermite())],
+    ids=["laguerre", "laguerre_hermite"],
+)
+def test_quadrature_operator_matches_oracle_laguerre_n6(dist):
+    # The bound is looser than 1e-13 because of the oracle, not the quadrature
+    # path: the oracle sums up to 91 Laguerre chaos terms of degree <= 12 whose
+    # coefficients cancel, and measured 1.5e-12 from the quadrature path. For
+    # Laguerre(0.5), n = 6, q = 13, a 50-digit reference of the same Gauss sum
+    # lies within 3.4e-16 of the quadrature G and 1.2e-13 of the oracle's.
+    space = SPACE_1D_P1
+    field = coefficient_by_name("logistic_1d")
+    op = build_operator(dist, 6, space, field, 13)
+    want = oracle_operator(dist, 6, space, field, 13).matrix.toarray()
+    assert _max_rel(op.matrix.toarray(), want) <= 1e-11
+    rotate = np.kron(op.factors.eigvecs, np.eye(space.ndof))
+    assert _max_rel(rotate @ op.stiffness.toarray() @ rotate.T, want) <= 1e-11
 
 
 def test_invariants_from_factors_match_the_chaos_basis_matrix():
@@ -320,15 +391,14 @@ def test_invariants_from_factors_match_the_chaos_basis_matrix():
 def test_chaos_eigendecomposition_is_checked(monkeypatch):
     space = space_1d(4)
     field = coefficient_by_name("logistic_1d")
-    mats = pce_coefficient_matrices(H1, 2, space, field, q=20)
-    eps = triple_products(H1, 2)
-    mis = multi_index_set(1, 2)
-    off_diagonal = next(k for k in eps.entries if k[1] != k[2])
-    skewed = TripleProductTensor(
-        eps.n, eps.mis, eps.mis2, {**eps.entries, off_diagonal: eps.entries[off_diagonal] * 1.01}
-    )
+    op = build_operator(H1, 2, space, field, q=20)
+    # the builder symmetrizes G, so a skewed G is handed to the check directly
+    skewed = op.factors.chaos.copy()
+    skewed[0, 1] *= 1.01
     with pytest.raises(SolverError, match="eigendecomposition"):
-        assemble_block_operator(mats, skewed, mis, space)
+        sgsystem._checked_eigh(skewed)
+    with pytest.raises(SolverError, match="non-finite"):
+        sgsystem._checked_eigh(np.where(np.eye(3) > 0, np.nan, op.factors.chaos))
 
     eigh = scipy.linalg.eigh
     for corrupt in (
@@ -337,9 +407,67 @@ def test_chaos_eigendecomposition_is_checked(monkeypatch):
     ):
         monkeypatch.setattr(scipy.linalg, "eigh", lambda g, corrupt=corrupt: corrupt(*eigh(g)))
         with pytest.raises(SolverError, match="eigendecomposition"):
-            assemble_block_operator(mats, eps, mis, space)
+            build_operator(H1, 2, space, field, q=20)
     monkeypatch.setattr(scipy.linalg, "eigh", eigh)
-    assert assemble_block_operator(mats, eps, mis, space).factors is not None
+    assert build_operator(H1, 2, space, field, q=20).factors is not None
+
+
+def test_nan_coefficient_at_one_node_raises():
+    logistic = coefficient_by_name("logistic_1d")
+    nodes, _ = tensor_quad(H1, 7)
+    bad_z = nodes[2, 0]
+    field = CoefficientField(
+        dim=1,
+        evaluate=logistic.evaluate,
+        kappa=logistic.kappa,
+        bound=logistic.bound,
+        z_factor=lambda z: math.nan if z[0] == bad_z else logistic.z_factor(z),
+        spatial_part=logistic.spatial_part,
+    )
+    with pytest.raises(SolverError, match="non-finite"):
+        build_operator(H1, 3, space_1d(4), field, q=7)
+
+
+def test_operator_builds_are_logged_at_debug(caplog):
+    caplog.set_level(logging.DEBUG, logger="sgpde.sgsystem")
+    space = space_1d(4)
+    build_operator(H1, 2, space, coefficient_by_name("logistic_1d"), q=7)
+    build_operator(H1, 1, space, _non_separable(1), q=5)
+    records = [r for r in caplog.records if r.name == "sgpde.sgsystem"]
+    assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
+    separable, coupled = (r.getMessage() for r in records)
+    assert f"path=separable d_n=3 ndof={space.ndof} Q=7 wall_s=" in separable
+    assert "eigh_orth=" in separable and "eigh_rel_res=" in separable
+    assert f"path=coupled d_n=2 ndof={space.ndof} Q=5 wall_s=" in coupled
+    assert "eigh" not in coupled
+
+
+def test_operator_builds_are_silent_by_default():
+    script = (
+        "from sgpde.coeffs import coefficient_by_name\n"
+        "from sgpde.orthopoly import hermite\n"
+        "from sgpde.pce import distribution, multi_index_set\n"
+        "from sgpde.sgsystem import assemble_block_operator\n"
+        "from sgpde.spatial import make_fe_space, make_mesh\n"
+        "space = make_fe_space(make_mesh(1, 4), 1)\n"
+        "field = coefficient_by_name('logistic_1d')\n"
+        "assemble_block_operator(distribution(hermite()), multi_index_set(1, 2), space, field, 7)\n"
+    )
+    src = str(Path(sgsystem.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "" and done.stderr == ""
+
+
+def test_block_operator_rejects_bad_inputs():
+    space, mis = space_1d(6), multi_index_set(1, 2)
+    with pytest.raises(ValueError, match="at least 2n"):
+        assemble_block_operator(H1, mis, space, coefficient_by_name("logistic_1d"), 4)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        assemble_block_operator(H1, mis, space, coefficient_by_name("logistic_anisotropic"), 5)
 
 
 def test_initial_coefficients_builds_one_load_per_distinct_function(monkeypatch):

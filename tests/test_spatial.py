@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from sgpde.coeffs import coefficient_by_name
@@ -10,7 +11,6 @@ from sgpde.spatial import (
     SolverError,
     assemble_mass,
     assemble_stiffness,
-    export_coo,
     fe_eval,
     h1_gram,
     l2_error,
@@ -21,6 +21,7 @@ from sgpde.spatial import (
     nodal_coordinates,
     prolong,
     stationary_solve,
+    _checked_solve,
     _gauss_01,
 )
 
@@ -168,9 +169,15 @@ def test_h1_gram_matches_unit_stiffness():
     assert (abs(g - k)).max() < 1e-14
 
 
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_checked_solve_rejects_a_nan_result():
+    with pytest.raises(SolverError, match="residual"):
+        _checked_solve(np.nan * sp.identity(3, format="csr"), np.ones(3), 1e-10)
+
+
 def test_export_coo_format():
     mass = assemble_mass(space_1d(3, 1))
-    text = export_coo(mass)
+    text = oracles.export_coo(mass)
     lines = text.strip().split("\n")
     parsed = [line.split() for line in lines]
     keys = [(int(r), int(c)) for r, c, _ in parsed]

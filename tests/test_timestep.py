@@ -8,8 +8,8 @@ import scipy.sparse.linalg as spla
 import oracles
 from sgpde.coeffs import coefficient_by_name, initial_datum_by_name
 from sgpde.orthopoly import hermite
-from sgpde.pce import distribution, multi_index_set, triple_products
-from sgpde.sgsystem import assemble_block_operator, initial_coefficients, pce_coefficient_matrices
+from sgpde.pce import distribution, multi_index_set
+from sgpde.sgsystem import assemble_block_operator, initial_coefficients
 from sgpde.spatial import (
     SolverError,
     assemble_mass,
@@ -24,7 +24,6 @@ from sgpde.timestep import (
     Propagator,
     TimeGrid,
     a_stability_probe,
-    consistency_probe,
     crank_nicolson,
     evolve,
     implicit_euler,
@@ -123,12 +122,12 @@ def test_consistency_probe_local_orders():
     _, mass, stiff, u0 = heat_setup(m=32, order=1)
     # asymptotic range: lambda_1 * tau stays well below one
     taus = [0.002, 0.001, 0.0005, 0.00025]
-    res_ie = consistency_probe(implicit_euler(), mass, stiff, u0, taus)
+    res_ie = oracles.consistency_probe(implicit_euler(), mass, stiff, u0, taus)
     assert not res_ie.exact
     assert res_ie.slope == pytest.approx(2.0, abs=0.15)
-    res_cn = consistency_probe(crank_nicolson(), mass, stiff, u0, taus)
+    res_cn = oracles.consistency_probe(crank_nicolson(), mass, stiff, u0, taus)
     assert res_cn.slope == pytest.approx(3.0, abs=0.2)
-    res0 = consistency_probe(implicit_euler(), M1, sp.csr_matrix((1, 1)), np.ones(1), taus)
+    res0 = oracles.consistency_probe(implicit_euler(), M1, sp.csr_matrix((1, 1)), np.ones(1), taus)
     assert res0.exact and res0.slope is None
 
 
@@ -163,8 +162,7 @@ def sg_operator(n=2, m=6, order=1):
     dist = distribution(hermite())
     space = make_fe_space(make_mesh(1, m), order)
     mis = multi_index_set(dist.N, n)
-    mats = pce_coefficient_matrices(dist, n, space, coefficient_by_name("logistic_1d"), 30)
-    op = assemble_block_operator(mats, triple_products(dist, n), mis, space)
+    op = assemble_block_operator(dist, mis, space, coefficient_by_name("logistic_1d"), 30)
     u0 = initial_datum_by_name("sine_modes", modes=[[1, 1.0]])
     return op, initial_coefficients(dist, mis, u0, space, 30)
 
@@ -201,6 +199,21 @@ def test_residual_check_runs_on_cached_steps():
     prop._lu[0.01] = (lhs, spla.splu(wrong))
     with pytest.raises(SolverError, match="residual"):
         prop.step(u, 0.01)
+
+
+@pytest.mark.parametrize("name", ["implicit_euler", "crank_nicolson"])
+def test_nan_fails_the_first_step(name):
+    _, mass, stiff, u0 = heat_setup(m=16, order=1)
+    scheme = scheme_by_name(name)
+    nan_stiff = stiff.copy()
+    nan_stiff.data[3] = np.nan
+    with pytest.raises(RuntimeError):  # SuperLU finds the step matrix singular
+        Propagator(scheme, mass, nan_stiff).step(u0, 0.01)
+    # a NaN state passes the factorization; its NaN residual must fail the check
+    u_nan = u0.copy()
+    u_nan[2] = np.nan
+    with pytest.raises(SolverError, match="residual"):
+        Propagator(scheme, mass, stiff).step(u_nan, 0.01)
 
 
 def test_schemes_built_and_validated_once():
