@@ -13,8 +13,8 @@ from .coeffs import coefficient_by_name
 from .harness import build_reference, error_norm_H, load_config, sweep, write_outputs, OperatorCache, solve_single
 from .orthopoly import eval_orthonormal, gauss_rule, hermite, jacobi, laguerre, orthonormal_coeffs, apply_Q, sl_eigenvalue
 from .pce import distribution, multi_index_set, triple_products
-from .sgsystem import min_generalized_eigenvalue, assemble_block_operator
-from .spatial import assemble_mass, assemble_stiffness, make_fe_space, make_mesh
+from .sgsystem import min_generalized_eigenvalue, assemble_block_operator, spatial_operators
+from .spatial import assemble_stiffness, make_fe_space, make_mesh
 from .timestep import Propagator, a_stability_probe, implicit_euler, crank_nicolson
 
 
@@ -115,13 +115,13 @@ def invariant_suite() -> list[tuple[str, bool, str]]:
     record("triple_product_sparsity", sparse_ok)
 
     space = make_fe_space(make_mesh(1, 8), 2)
-    field = coefficient_by_name("logistic_1d")
-    op = assemble_block_operator(dist, multi_index_set(1, 2), space, field, q=20)
+    ops = spatial_operators(space, coefficient_by_name("logistic_1d"))
+    op = assemble_block_operator(dist, multi_index_set(1, 2), ops, q=20)
     record("block_symmetry", float(abs(op.matrix - op.matrix.T).max()) == 0.0)
     lam = min_generalized_eigenvalue(op.matrix, op.mass)
     record("resolvent_contractivity", lam >= -1e-10, f"min eig {lam:.3e}")
 
-    mass = assemble_mass(space)
+    mass = ops.mass
     stiff = assemble_stiffness(space, 1.0)
     prop = Propagator(implicit_euler(), mass, stiff)
     u = np.linspace(0.0, 1.0, space.ndof)

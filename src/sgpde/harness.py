@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -29,23 +29,13 @@ from .pce import DistributionSpec, eigenvalue_floor, multi_index_set, tensor_qua
 from .sgsystem import (
     SgOperator,
     SgState,
-    _node_stiffness,
+    SpatialOperators,
     assemble_block_operator,
     initial_coefficients,
     reconstruct_at_nodes,
+    spatial_operators,
 )
-from .spatial import (
-    FeSpace,
-    SolverError,
-    _checked_solve,
-    assemble_mass,
-    assemble_stiffness,
-    l2_error,
-    load_vector,
-    make_fe_space,
-    make_mesh,
-    prolong,
-)
+from .spatial import FeSpace, SolverError, l2_error, make_fe_space, make_mesh, prolong
 from .timestep import a_stability_probe, crank_nicolson, evolve, make_uniform_grid, scheme_by_name
 
 __all__ = [
@@ -132,44 +122,39 @@ class CollocationReference:
 def collocation_reference(
     dist: DistributionSpec,
     q_ref: int,
-    space: FeSpace,
+    ops: SpatialOperators,
     n_steps: int,
-    field: CoefficientField,
     u0: InitialDatum,
     t_final: float,
 ) -> CollocationReference:
-    """Independent Crank--Nicolson solves at each quadrature node.
+    """Independent Crank--Nicolson solves at each quadrature node on the
+    space of `ops`.
 
-    A separable field f(z) g(x) assembles K_g once and node z_i steps
-    f(z_i) K_g; any other field is assembled at each node. The initial
-    datum is projected once per distinct spatial function it samples to.
-    A node whose solve fails raises with its index and z: a `SolverError`
-    stays a `SolverError`, anything else becomes a `RuntimeError`.
+    Node z_i steps the stiffness `ops.stiffness_at(z_i)` (f(z_i) K_g for a
+    separable field) from `ops.project(u0(z_i))`, so each distinct spatial
+    function of the datum is projected once per space. A node whose solve
+    fails raises with its index and z: a `SolverError` stays a
+    `SolverError`, anything else becomes a `RuntimeError`.
     """
     t0 = time.perf_counter()
     nodes, weights = tensor_quad(dist, q_ref)
     grid = make_uniform_grid(t_final, n_steps)
-    mass = assemble_mass(space)
     scheme = crank_nicolson()
-    stiffness_at = _node_stiffness(space, field)
-    starts: dict = {}  # spatial function -> its L2 projection
-    values = np.empty((len(nodes), space.ndof))
+    values = np.empty((len(nodes), ops.space.ndof))
     for i, z in enumerate(nodes):
         try:
-            f = u0.sample(z)
-            if f not in starts:
-                starts[f] = _checked_solve(mass, load_vector(space, f), 1e-10)
-            values[i] = evolve(scheme, grid, mass, stiffness_at(z), starts[f])
+            start = ops.project(u0.sample(z))
+            values[i] = evolve(scheme, grid, ops.mass, ops.stiffness_at(z), start)
         except SolverError as exc:
             raise SolverError(f"collocation node {i} (z = {z}) failed: {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"collocation node {i} (z = {z}) failed: {exc}") from exc
     log.debug(
         "collocation reference: path=%s Q=%d ndof=%d steps=%d wall_s=%.4f",
-        "separable" if field.separable else "per-node",
-        len(nodes), space.ndof, n_steps, time.perf_counter() - t0,
+        "separable" if ops.field.separable else "per-node",
+        len(nodes), ops.space.ndof, n_steps, time.perf_counter() - t0,
     )
-    return CollocationReference(dist, nodes, weights, space, mass, values, t_final)
+    return CollocationReference(dist, nodes, weights, ops.space, ops.mass, values, t_final)
 
 
 def _distance(ref: CollocationReference, lifted: np.ndarray) -> float:
@@ -184,7 +169,7 @@ def _with_error_estimate(
 ) -> CollocationReference:
     """Two-grid estimate of the reference's own discretization error."""
     half = collocation_reference(
-        ref.dist, q_ref, cache.space(coarse_m), coarse_steps, cache.field, cache.u0, ref.t_final
+        ref.dist, q_ref, cache.spatial(coarse_m), coarse_steps, cache.u0, ref.t_final
     )
     return replace(ref, est_error=_distance(ref, prolong(half.space, half.values.T, ref.space)))
 
@@ -367,21 +352,13 @@ class ExperimentConfig:
         )
 
     def to_canonical_json(self) -> str:
-        payload = {
-            "distribution": list(self.distribution),
-            "coefficient": self.coefficient,
-            "initial_datum": self.initial_datum,
-            "geometry": self.geometry,
-            "sweep": self.sweep,
-            "scheme": self.scheme,
-            "t_final": self.t_final,
-            "quad_order": self.quad_order,
-            "reference": self.reference,
-            "output": self.output,
-            "tolerances": self.tolerances,
-            "strict_reference": self.strict_reference,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# JSON has no tuple, and writes a whole float as an integer: such values are
+# converted to the field's annotated type
+_CONVERT = {"tuple": tuple, "float": float, "int": int, "bool": bool}
 
 
 def load_config(source) -> ExperimentConfig:
@@ -394,27 +371,18 @@ def load_config(source) -> ExperimentConfig:
         raw = source
     else:
         raise TypeError("config source must be a path, JSON text, or dict")
-    known = {
-        "distribution", "coefficient", "initial_datum", "geometry", "sweep",
-        "scheme", "t_final", "quad_order", "reference", "output",
-        "tolerances", "strict_reference",
-    }
-    unknown = set(raw) - known
+    keys = fields(ExperimentConfig)
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    missing = [
+        f.name for f in keys
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"missing config keys: {missing}")
     cfg = ExperimentConfig(
-        distribution=tuple(raw["distribution"]),
-        coefficient=raw["coefficient"],
-        initial_datum=raw["initial_datum"],
-        geometry=raw["geometry"],
-        sweep=raw["sweep"],
-        scheme=raw["scheme"],
-        t_final=float(raw["t_final"]),
-        quad_order=int(raw["quad_order"]),
-        reference=raw["reference"],
-        output=raw.get("output", {}),
-        tolerances=raw.get("tolerances", {}),
-        strict_reference=bool(raw.get("strict_reference", True)),
+        **{f.name: _CONVERT.get(f.type, lambda v: v)(raw[f.name]) for f in keys if f.name in raw}
     )
     cfg.validate()
     scheme_by_name(cfg.scheme)  # fail early on unknown schemes
@@ -428,9 +396,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # --- the solve pipeline ---------------------------------------------------
 
 class OperatorCache:
-    """The solve pipeline of one config: spaces, their mass and K_g matrices,
-    block operators, initial states and final states, each built once and
-    shared across sweep points."""
+    """The solve pipeline of one config: spatial operators per mesh, block
+    operators, initial states and final states, each built once and shared
+    across sweep points and the collocation reference."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -440,31 +408,26 @@ class OperatorCache:
         self.dim = cfg.geometry["dim"]
         self.order = cfg.geometry["fe_order"]
         self._ops = {}
-        self._spaces = {}
-        self._matrices = {}
+        self._spatial = {}
         self._finals = {}
 
-    def space(self, m: int) -> FeSpace:
-        if m not in self._spaces:
-            self._spaces[m] = make_fe_space(make_mesh(self.dim, m), self.order)
-        return self._spaces[m]
+    def spatial(self, m: int) -> SpatialOperators:
+        """The spatial operators of the mesh with parameter m."""
+        if m not in self._spatial:
+            space = make_fe_space(make_mesh(self.dim, m), self.order)
+            self._spatial[m] = spatial_operators(space, self.field)
+        return self._spatial[m]
 
-    def matrices(self, m: int) -> tuple:
-        """The mass matrix of space m and, for a separable field, its K_g (else None)."""
-        if m not in self._matrices:
-            space = self.space(m)
-            k_g = assemble_stiffness(space, self.field.spatial_part) if self.field.separable else None
-            self._matrices[m] = (assemble_mass(space), k_g)
-        return self._matrices[m]
+    def space(self, m: int) -> FeSpace:
+        return self.spatial(m).space
 
     def operator(self, n: int, m: int) -> tuple[SgOperator, SgState]:
         key = (n, m)
         if key not in self._ops:
-            space, q = self.space(m), self.cfg.quad_order
-            mass, k_g = self.matrices(m)
+            ops, q = self.spatial(m), self.cfg.quad_order
             mis = multi_index_set(self.dist.N, n)
-            op = assemble_block_operator(self.dist, mis, space, self.field, q, mass, k_g)
-            state0 = initial_coefficients(self.dist, mis, self.u0, space, q, mass)
+            op = assemble_block_operator(self.dist, mis, ops, q)
+            state0 = initial_coefficients(self.dist, mis, self.u0, ops, q)
             self._ops[key] = (op, state0)
         return self._ops[key]
 
@@ -497,7 +460,7 @@ def build_reference(cfg: ExperimentConfig, cache: OperatorCache, estimate_error:
     nk_ref = cfg.reference["n_k_ref"]
     q_ref = cfg.reference.get("quad_order", cfg.quad_order)
     ref = collocation_reference(
-        cache.dist, q_ref, cache.space(m_ref), nk_ref, cache.field, cache.u0, cfg.t_final
+        cache.dist, q_ref, cache.spatial(m_ref), nk_ref, cache.u0, cfg.t_final
     )
     if estimate_error:
         ref = _with_error_estimate(

@@ -16,14 +16,22 @@ A separable coefficient f(z) g(x) gives A = G (x) K_g with the d_n x d_n chaos
 matrix G = Phi^T diag(w_i f(z_i)) Phi. Diagonalizing G = V diag(lam) V^T
 decouples the system: the rotated modes w = (V^T (x) I) u evolve under the
 block-diagonal diag(lam) (x) K_g.
+
+Everything these builders need of one spatial space lives in one
+`SpatialOperators`, built by `spatial_operators(space, field)`: the mass
+matrix M, the stiffness K_g of a separable field, the rule for K(z) at a
+parameter node, and the checked L2 projection of spatial functions, each
+projected once. The block operator, the initial chaos modes and the
+collocation reference of the harness all take it, so a space shared by
+several of them is assembled and projected once.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import logging
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +40,21 @@ import scipy.sparse as sp
 
 from .coeffs import CoefficientField, InitialDatum
 from .pce import DistributionSpec, MultiIndexSet, tensor_basis_matrix, tensor_quad
-from .spatial import FeSpace, SolverError, assemble_mass, assemble_stiffness, load_vector
+from .spatial import (
+    FeSpace,
+    SolverError,
+    _checked_solve,
+    assemble_mass,
+    assemble_stiffness,
+    load_vector,
+)
 
 __all__ = [
     "SgOperator",
     "SgState",
     "SeparableFactors",
+    "SpatialOperators",
+    "spatial_operators",
     "assemble_block_operator",
     "initial_coefficients",
     "reconstruct_at_nodes",
@@ -138,16 +155,41 @@ def _max_abs(a) -> float:
     return float(abs(a).max()) if a.size else 0.0
 
 
-def _node_stiffness(space: FeSpace, field: CoefficientField) -> Callable:
-    """The stiffness matrix K(z) at a parameter node z, as a function of z.
+@dataclass(frozen=True, eq=False)
+class SpatialOperators:
+    """One spatial Galerkin space of a coefficient field and what every
+    builder on it shares: the mass matrix M, the stiffness K_g of a
+    separable field's spatial part (None for any other field), and the
+    checked L2 projections of spatial functions, each computed once."""
 
-    A separable field f(z) g(x) assembles K_g once and gives f(z) K_g;
-    any other field is assembled at each node.
-    """
-    if field.separable:
-        k_g = assemble_stiffness(space, field.spatial_part)
-        return lambda z: field.z_factor(z) * k_g
-    return lambda z: assemble_stiffness(space, lambda x: field.evaluate(z, x))
+    space: FeSpace
+    field: CoefficientField
+    mass: sp.csr_matrix
+    k_g: sp.csr_matrix | None
+    _projections: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+
+    def stiffness_at(self, z) -> sp.csr_matrix:
+        """The stiffness matrix K(z) at a parameter node z: f(z) K_g for a
+        separable field f(z) g(x), assembled at z for any other field."""
+        if self.k_g is not None:
+            return self.field.z_factor(z) * self.k_g
+        return assemble_stiffness(self.space, lambda x: self.field.evaluate(z, x))
+
+    def project(self, f) -> np.ndarray:
+        """L2 projection of the spatial function f: solves M u = (f, phi) with
+        a 1e-10 relative residual check (SolverError, also on NaN). Memoized
+        per callable, so each distinct function is projected once."""
+        if f not in self._projections:
+            self._projections[f] = _checked_solve(self.mass, load_vector(self.space, f), 1e-10)
+        return self._projections[f]
+
+
+def spatial_operators(space: FeSpace, field: CoefficientField) -> SpatialOperators:
+    """Assemble M and, for a separable field, K_g on the space."""
+    if field.dim != space.dim:
+        raise ValueError("field and space dimensions differ")
+    k_g = assemble_stiffness(space, field.spatial_part) if field.separable else None
+    return SpatialOperators(space, field, assemble_mass(space), k_g)
 
 
 def _checked_eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -170,84 +212,58 @@ def _checked_eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
 
 
 def assemble_block_operator(
-    dist: DistributionSpec,
-    mis: MultiIndexSet,
-    space: FeSpace,
-    field: CoefficientField,
-    q: int,
-    mass: sp.csr_matrix | None = None,
-    k_g: sp.csr_matrix | None = None,
+    dist: DistributionSpec, mis: MultiIndexSet, ops: SpatialOperators, q: int
 ) -> SgOperator:
-    """Symmetric Galerkin operator of the random form on the chaos modes `mis`.
+    """Symmetric Galerkin operator of the random form on the chaos modes `mis`
+    and the spatial space of `ops`.
 
-    Built on the q-node tensor Gauss grid, q >= 2n + 1. `mass` is the
-    spatial mass matrix and `k_g` the stiffness matrix of a separable
-    field's spatial part; each is assembled when not given. A separable
-    field gives the decoupled operator: G = Phi^T diag(w_i f(z_i)) Phi is
+    Built on the q-node tensor Gauss grid, q >= 2n + 1. A separable field
+    gives the decoupled operator: G = Phi^T diag(w_i f(z_i)) Phi is
     symmetrized, diagonalized and time stepping runs on diag(lam) (x) K_g.
-    Any other field assembles K(z_i) at every node and gives the coupled
-    operator sum_i w_i (phi_i phi_i^T) (x) K(z_i), exactly symmetric.
+    Any other field gives the coupled operator
+    sum_i w_i (phi_i phi_i^T) (x) K(z_i), exactly symmetric.
     """
     if q < 2 * mis.n + 1:
         raise ValueError(f"q = {q} must be at least 2n + 1 = {2 * mis.n + 1}")
-    if field.dim != space.dim:
-        raise ValueError("field and space dimensions differ")
     t0 = time.perf_counter()
+    field = ops.field
     nodes, weights = tensor_quad(dist, q)
     phi = tensor_basis_matrix(dist, mis, nodes)
-    if mass is None:
-        mass = assemble_mass(space)
-    block_mass = sp.kron(sp.eye(len(mis)), mass, format="csr")
+    block_mass = sp.kron(sp.eye(len(mis)), ops.mass, format="csr")
     if field.separable:
-        if k_g is None:
-            k_g = assemble_stiffness(space, field.spatial_part)
         scaled = weights * np.array([field.z_factor(z) for z in nodes])
         g = phi.T @ (scaled[:, None] * phi)
         g = 0.5 * (g + g.T)
         lam, vecs, orth, res = _checked_eigh(g)
-        stiffness = sp.kron(sp.diags(lam), k_g, format="csr")
-        op = SgOperator(mis.n, mis, space, block_mass, stiffness, SeparableFactors(g, lam, vecs, k_g))
+        stiffness = sp.kron(sp.diags(lam), ops.k_g, format="csr")
+        factors = SeparableFactors(g, lam, vecs, ops.k_g)
+        op = SgOperator(mis.n, mis, ops.space, block_mass, stiffness, factors)
         detail = f" eigh_orth={orth:.3e} eigh_rel_res={res:.3e}"
     else:
-        stiffness_at = _node_stiffness(space, field)
         matrix = sp.csr_matrix(block_mass.shape)
         for w, phi_i, z in zip(weights, phi, nodes):
-            matrix = matrix + sp.kron(w * np.outer(phi_i, phi_i), stiffness_at(z), format="csr")
-        op = SgOperator(mis.n, mis, space, block_mass, matrix, None)
+            matrix = matrix + sp.kron(w * np.outer(phi_i, phi_i), ops.stiffness_at(z), format="csr")
+        op = SgOperator(mis.n, mis, ops.space, block_mass, matrix, None)
         detail = ""
     log.debug(
         "block operator: path=%s d_n=%d ndof=%d Q=%d wall_s=%.4f%s",
         "separable" if field.separable else "coupled",
-        len(mis), space.ndof, len(nodes), time.perf_counter() - t0, detail,
+        len(mis), ops.space.ndof, len(nodes), time.perf_counter() - t0, detail,
     )
     return op
 
 
 def initial_coefficients(
-    dist: DistributionSpec,
-    mis: MultiIndexSet,
-    u0: InitialDatum,
-    space: FeSpace,
-    q: int,
-    mass: sp.csr_matrix | None = None,
+    dist: DistributionSpec, mis: MultiIndexSet, u0: InitialDatum, ops: SpatialOperators, q: int
 ) -> SgState:
-    """Chaos modes of the initial datum, each L2-projected onto the space
-    with its mass matrix `mass` (assembled when not given)."""
+    """Chaos modes of the initial datum on the space of `ops`: the q-node
+    Gauss sum Phi^T W [P u0(z_i)]_i of its checked L2 projections P."""
     if q < mis.n + 1:
         raise ValueError(f"q = {q} must be at least n + 1 = {mis.n + 1}")
     nodes, weights = tensor_quad(dist, q)
     phi = tensor_basis_matrix(dist, mis, nodes)
-    samples = [u0.sample(z) for z in nodes]
-    loads: dict = {}  # one load vector per distinct spatial function
-    for f in samples:
-        if f not in loads:
-            loads[f] = load_vector(space, f)
-    mode_loads = (phi * weights[:, None]).T @ np.stack([loads[f] for f in samples])
-    if mass is None:
-        mass = assemble_mass(space)
-    lu = sp.linalg.splu(mass.tocsc())
-    coeffs = np.stack([lu.solve(mode_loads[a]) for a in range(len(mis))])
-    return SgState(0.0, coeffs, mis)
+    starts = np.stack([ops.project(u0.sample(z)) for z in nodes])
+    return SgState(0.0, (phi * weights[:, None]).T @ starts, mis)
 
 
 def reconstruct_at_nodes(

@@ -141,7 +141,11 @@ class Propagator:
         if tau not in self._lu:
             d0, d1 = self.scheme.den
             lhs = d0 * self.mass - d1 * tau * self.stiff
-            self._lu[tau] = (lhs, spla.splu(lhs.tocsc()))
+            try:
+                lu = spla.splu(lhs.tocsc())
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise SolverError(f"step matrix for tau = {tau} cannot be factored: {exc}") from exc
+            self._lu[tau] = (lhs, lu)
         lhs, lu = self._lu[tau]
         n0, n1 = self.scheme.num
         b = n0 * (self.mass @ u)

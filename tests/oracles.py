@@ -28,7 +28,7 @@ from sgpde.pce import (
     tensor_basis_matrix,
     tensor_quad,
 )
-from sgpde.sgsystem import SeparableFactors, SgOperator, _checked_eigh, _node_stiffness
+from sgpde.sgsystem import SeparableFactors, SgOperator, _checked_eigh, spatial_operators
 from sgpde.spatial import (
     _TRI_PTS,
     _TRI_WTS,
@@ -234,7 +234,7 @@ def pce_coefficient_matrices(dist, n: int, space, field, q: int):
         factors = np.array([field.z_factor(z) for z in nodes])
         coeffs = phi2.T @ (weights * factors)
         return SeparableStiffness(dict(zip(mis2, coeffs)), k_g)
-    stiffness_at = _node_stiffness(space, field)
+    stiffness_at = spatial_operators(space, field).stiffness_at
     mats: dict = {}
     for i, z in enumerate(nodes):
         k_z = stiffness_at(z)
@@ -317,7 +317,7 @@ def brute_force_rnarn(dist, n: int, space, field, q: int) -> np.ndarray:
     proj = basis @ basis.T @ np.diag(weights)  # (Q, Q) chaos projection on node values
     proj_big = np.kron(proj, eye)
     modes_to_nodes = np.kron(basis, eye)
-    stiffness_at = _node_stiffness(space, field)
+    stiffness_at = spatial_operators(space, field).stiffness_at
     k_blocks = [weights[i] * stiffness_at(z).toarray() for i, z in enumerate(nodes)]
     weak = scipy.linalg.block_diag(*k_blocks)
     sandwich = proj_big @ modes_to_nodes

@@ -33,7 +33,7 @@ from sgpde.harness import (
 )
 from sgpde.orthopoly import hermite
 from sgpde.pce import distribution, multi_index_set, tensor_basis_matrix, tensor_quad
-from sgpde.sgsystem import SgState
+from sgpde.sgsystem import SgState, spatial_operators
 from sgpde.spatial import (
     SolverError,
     assemble_mass,
@@ -47,6 +47,8 @@ from sgpde.spatial import (
 from sgpde.timestep import evolve, make_uniform_grid, scheme_by_name
 
 H1 = distribution(hermite())
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
 
 
 def mini_config(**overrides):
@@ -93,7 +95,7 @@ def test_collocation_matches_analytic_for_constant_field():
     field = coefficient_by_name("constant", value=2.0, dim=1)
     u0 = initial_datum_by_name("sine_modes", modes=[(1, 1.0)])
     space = make_fe_space(make_mesh(1, 256), 2)
-    ref = collocation_reference(H1, 8, space, 512, field, u0, 0.1)
+    ref = collocation_reference(H1, 8, spatial_operators(space, field), 512, u0, 0.1)
     ana = analytic_reference(field, u0, 0.1)
     # all node solutions identical for a z-independent field
     assert np.max(np.abs(ref.values - ref.values[0])) < 1e-12
@@ -106,7 +108,7 @@ def test_collocation_zero_initial_datum():
     field = coefficient_by_name("constant", value=1.0, dim=1)
     u0 = initial_datum_by_name("sine_modes", modes=[(1, 0.0)])
     space = make_fe_space(make_mesh(1, 8), 1)
-    ref = collocation_reference(H1, 4, space, 4, field, u0, 0.1)
+    ref = collocation_reference(H1, 4, spatial_operators(space, field), 4, u0, 0.1)
     assert np.max(np.abs(ref.values)) < 1e-13
 
 
@@ -114,7 +116,7 @@ def test_error_norm_zero_for_identical_states():
     field = coefficient_by_name("constant", value=1.0, dim=1)
     u0 = initial_datum_by_name("sine_modes", modes=[(1, 1.0)])
     space = make_fe_space(make_mesh(1, 8), 1)
-    ref = collocation_reference(H1, 5, space, 8, field, u0, 0.05)
+    ref = collocation_reference(H1, 5, spatial_operators(space, field), 8, u0, 0.05)
     mis = multi_index_set(1, 2)
     basis = tensor_basis_matrix(H1, mis, ref.nodes)
     # least-squares chaos representation of the reference samples
@@ -128,7 +130,7 @@ def test_error_norm_single_node_perturbation():
     field = coefficient_by_name("constant", value=1.0, dim=1)
     u0 = initial_datum_by_name("sine_modes", modes=[(1, 1.0)])
     space = make_fe_space(make_mesh(1, 8), 1)
-    ref = collocation_reference(H1, 4, space, 8, field, u0, 0.05)
+    ref = collocation_reference(H1, 4, spatial_operators(space, field), 8, u0, 0.05)
     mis = multi_index_set(1, 3)
     basis = tensor_basis_matrix(H1, mis, ref.nodes)
     coeffs = np.linalg.lstsq(basis, ref.values, rcond=None)[0]
@@ -208,6 +210,10 @@ def test_half_split_slopes():
 def test_config_validation_errors():
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config(mini_config(bogus=1))
+    raw = mini_config()
+    del raw["coefficient"]
+    with pytest.raises(ValueError, match=r"missing config keys: \['coefficient'\]"):
+        load_config(raw)
     with pytest.raises(ValueError, match="quad_order"):
         load_config(mini_config(quad_order=3))
     with pytest.raises(ValueError, match="increasing"):
@@ -261,6 +267,34 @@ def test_config_hash_changes_with_config():
     c1 = load_config(mini_config())
     c2 = load_config(mini_config(t_final=0.2))
     assert config_hash(c1) != config_hash(c2)
+    # each value is read as its field's type: 1 as 1.0, 20.0 as 20, a list as a tuple
+    spelled = load_config(mini_config(t_final=1, quad_order=20.0))
+    assert spelled.t_final == 1.0 and type(spelled.t_final) is float
+    assert type(spelled.quad_order) is int and type(spelled.distribution) is tuple
+    assert config_hash(spelled) == config_hash(load_config(mini_config(t_final=1.0)))
+
+
+# the hashes of the benchmark's workload configs when every config key was
+# written out by hand: the canonical JSON must stay byte for byte the same
+WORKLOAD_CONFIG_HASHES = {
+    "colloc_2d": "55bf7d31b83f6313b2df52a2f65639e6b1b10ee17b51e1af2446c3a0882ba61d",
+    "joint_1d": "941151e82dcff7df75ccfb9fbb894885c753c190eb41b246403c38842195ecc1",
+    "stretch_2d_n2": "e4513504b8b6c5da9ff859526c62d12dd57eecb00cd939f36608b7a79bc2da80",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_CONFIG_HASHES))
+def test_config_hash_of_workload_configs_is_pinned(workload):
+    cfg = load_config(WORKLOADS[workload]["config"])
+    assert config_hash(cfg) == WORKLOAD_CONFIG_HASHES[workload]
+
+
+def test_readme_example_config_loads():
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(example)
+    assert cfg.distribution == ({"kind": "hermite"},) and cfg.quad_order == 30
+    assert cfg.t_final == 0.6 and cfg.strict_reference is True
 
 
 def test_write_outputs_csv_and_report(tmp_path):
@@ -346,11 +380,11 @@ def test_separable_reference_matches_per_node_oracle(
     u0 = initial_datum_by_name(datum[0], **datum[1])
     fine = make_fe_space(make_mesh(dim, m), order)
     coarse = make_fe_space(make_mesh(dim, m // 2), order)
-    ref = collocation_reference(dist, q, fine, steps, field, u0, 0.1)
+    ref = collocation_reference(dist, q, spatial_operators(fine, field), steps, u0, 0.1)
     want = oracles.per_node_collocation_reference(dist, q, fine, steps, field, u0, 0.1)
     assert np.array_equal(ref.nodes, want.nodes) and np.array_equal(ref.weights, want.weights)
     assert _rel(ref.values, want.values) <= 1e-12
-    half = collocation_reference(dist, q, coarse, steps // 2, field, u0, 0.1)
+    half = collocation_reference(dist, q, spatial_operators(coarse, field), steps // 2, u0, 0.1)
     half_want = oracles.per_node_collocation_reference(dist, q, coarse, steps // 2, field, u0, 0.1)
     lifted = prolong(coarse, half.values.T, fine)
     lifted_want = prolong(coarse, half_want.values.T, fine)
@@ -371,7 +405,7 @@ def test_non_separable_reference_matches_per_node_oracle_bitwise(per_node_datum)
             dim=1, sample=lambda z: (lambda x: math.sin(math.pi * x) * math.cos(z[0]))
         )
     space = make_fe_space(make_mesh(1, 8), 2)
-    ref = collocation_reference(H1, 4, space, 8, field, u0, 0.1)
+    ref = collocation_reference(H1, 4, spatial_operators(space, field), 8, u0, 0.1)
     want = oracles.per_node_collocation_reference(H1, 4, space, 8, field, u0, 0.1)
     assert np.array_equal(ref.values, want.values)
 
@@ -390,7 +424,7 @@ def work_counts(monkeypatch):
     monkeypatch.setattr(
         sgsystem, "assemble_stiffness", counted("stiffness", sgsystem.assemble_stiffness)
     )
-    monkeypatch.setattr(harness, "load_vector", counted("load", harness.load_vector))
+    monkeypatch.setattr(sgsystem, "load_vector", counted("load", sgsystem.load_vector))
     return counts
 
 
@@ -415,12 +449,13 @@ def test_reference_work_counts(work_counts):
     fresh = InitialDatum(
         dim=1, sample=lambda z: (lambda x: (1.0 + z[0] ** 2) * math.sin(math.pi * x))
     )
-    collocation_reference(H1, q, space, 4, coefficient_by_name("logistic_1d"), fresh, 0.1)
+    ops = spatial_operators(space, coefficient_by_name("logistic_1d"))
+    collocation_reference(H1, q, ops, 4, fresh, 0.1)
     assert work_counts == {"stiffness": 1, "load": q}
     # a non-separable field: Q assemblies, one load
     work_counts.update(stiffness=0, load=0)
     sine = initial_datum_by_name("sine_modes")
-    collocation_reference(H1, q, space, 4, _non_separable_field(), sine, 0.1)
+    collocation_reference(H1, q, spatial_operators(space, _non_separable_field()), 4, sine, 0.1)
     assert work_counts == {"stiffness": q, "load": 1}
 
 
@@ -455,6 +490,28 @@ def test_sweep_assembles_each_spatial_matrix_once_per_space(monkeypatch):
     cache.operator(2, 4)
     q = cfg.quad_order
     assert counts == {"mass": 1, "stiffness": 2 * q, "triple_products": 0}
+
+
+def test_colloc_2d_sweep_builds_each_spatial_operator_once_per_space(monkeypatch):
+    counts = {"assemble_mass": 0, "assemble_stiffness": 0, "load_vector": 0}
+
+    def counted(name):
+        fn = getattr(spatial, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        for module in (harness, sgsystem, spatial):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name))
+    sweep(load_config(WORKLOADS["colloc_2d"]["config"]))
+    # spaces m = 4, 8 and the reference's 16; the two-grid estimate runs on
+    # m = 8, the sweep's finest space, and the datum is one spatial function
+    assert counts == {"assemble_mass": 3, "assemble_stiffness": 3, "load_vector": 3}
 
 
 def test_reference_spaces_are_shared_with_the_sweep(monkeypatch):
@@ -493,7 +550,7 @@ def test_failing_reference_node_keeps_its_error_type(monkeypatch):
     monkeypatch.setattr(timestep.spla, "splu", wrong_lu_at_second_node)
     failed_node_1 = r"collocation node 1 \(z = .*\) failed: time step residual"
     with pytest.raises(SolverError, match=failed_node_1):
-        collocation_reference(H1, 3, space, 4, field, u0, 0.1)
+        collocation_reference(H1, 3, spatial_operators(space, field), 4, u0, 0.1)
     monkeypatch.undo()
 
     def bad_sample(z):
@@ -504,8 +561,26 @@ def test_failing_reference_node_keeps_its_error_type(monkeypatch):
     u0 = InitialDatum(dim=1, sample=bad_sample)
     failed_node_2 = r"collocation node 2 \(z = .*\) failed: no datum here"
     with pytest.raises(RuntimeError, match=failed_node_2) as info:
-        collocation_reference(H1, 3, space, 4, field, u0, 0.1)
+        collocation_reference(H1, 3, spatial_operators(space, field), 4, u0, 0.1)
     assert not isinstance(info.value, SolverError)
+
+
+def test_nan_stiffness_at_a_reference_node_raises_a_solver_error():
+    logistic = coefficient_by_name("logistic_1d")
+    nodes, _ = tensor_quad(H1, 3)
+    field = CoefficientField(
+        dim=1,
+        evaluate=logistic.evaluate,
+        kappa=logistic.kappa,
+        bound=logistic.bound,
+        z_factor=lambda z: math.nan if z[0] == nodes[1, 0] else logistic.z_factor(z),
+        spatial_part=logistic.spatial_part,
+    )
+    ops = spatial_operators(make_fe_space(make_mesh(1, 8), 1), field)
+    # SuperLU finds the NaN step matrix of node 1 exactly singular
+    failed_node_1 = r"collocation node 1 \(z = .*\) failed: step matrix .* cannot be factored"
+    with pytest.raises(SolverError, match=failed_node_1):
+        collocation_reference(H1, 3, ops, 4, initial_datum_by_name("sine_modes"), 0.1)
 
 
 def test_reference_logging_is_silent_by_default():
@@ -513,12 +588,14 @@ def test_reference_logging_is_silent_by_default():
     script = (
         "from sgpde.coeffs import coefficient_by_name, initial_datum_by_name\n"
         "from sgpde.harness import collocation_reference\n"
+        "from sgpde.sgsystem import spatial_operators\n"
         "from sgpde.orthopoly import hermite\n"
         "from sgpde.pce import distribution\n"
         "from sgpde.spatial import make_fe_space, make_mesh\n"
         "space = make_fe_space(make_mesh(1, 4), 1)\n"
         "field, u0 = coefficient_by_name('logistic_1d'), initial_datum_by_name('sine_modes')\n"
-        "collocation_reference(distribution(hermite()), 2, space, 2, field, u0, 0.1)\n"
+        "ops = spatial_operators(space, field)\n"
+        "collocation_reference(distribution(hermite()), 2, ops, 2, u0, 0.1)\n"
     )
     src = str(Path(harness.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -533,8 +610,9 @@ def test_reference_build_logs_one_debug_record(caplog):
     caplog.set_level(logging.DEBUG, logger="sgpde.harness")
     space = make_fe_space(make_mesh(1, 8), 1)
     u0 = initial_datum_by_name("sine_modes")
-    collocation_reference(H1, 3, space, 4, coefficient_by_name("logistic_1d"), u0, 0.1)
-    collocation_reference(H1, 2, space, 6, _non_separable_field(), u0, 0.1)
+    ops = spatial_operators(space, coefficient_by_name("logistic_1d"))
+    collocation_reference(H1, 3, ops, 4, u0, 0.1)
+    collocation_reference(H1, 2, spatial_operators(space, _non_separable_field()), 6, u0, 0.1)
     records = [r for r in caplog.records if r.name == "sgpde.harness"]
     assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
     first, second = (r.getMessage() for r in records)

@@ -20,6 +20,7 @@ from sgpde.sgsystem import (
     initial_coefficients,
     min_generalized_eigenvalue,
     reconstruct_at_nodes,
+    spatial_operators,
 )
 from sgpde.spatial import (
     SolverError,
@@ -40,7 +41,13 @@ def space_1d(m, order=1):
 
 
 def build_operator(dist, n, space, field, q):
-    return assemble_block_operator(dist, multi_index_set(dist.N, n), space, field, q)
+    ops = spatial_operators(space, field)
+    return assemble_block_operator(dist, multi_index_set(dist.N, n), ops, q)
+
+
+def spatial_1d(m):
+    """Spatial operators of a 1D P1 space; the field does not enter a projection."""
+    return spatial_operators(space_1d(m), coefficient_by_name("constant"))
 
 
 def oracle_operator(dist, n, space, field, q):
@@ -136,33 +143,33 @@ def test_missing_coefficient_matrix_raises():
 
 
 def test_initial_coefficients_deterministic():
-    space = space_1d(16)
+    ops = spatial_1d(16)
     u0 = initial_datum_by_name("sine_modes", modes=[(1, 1.0)])
-    state = initial_coefficients(H1, multi_index_set(1, 2), u0, space, q=8)
-    proj = l2_project(space, lambda x: math.sin(math.pi * x))
+    state = initial_coefficients(H1, multi_index_set(1, 2), u0, ops, q=8)
+    proj = l2_project(ops.space, lambda x: math.sin(math.pi * x))
     assert np.max(np.abs(state.coeffs[0] - proj)) < 1e-10
     assert np.max(np.abs(state.coeffs[1:])) < 1e-12
 
 
 def test_initial_coefficients_first_mode():
-    space = space_1d(16)
+    ops = spatial_1d(16)
     u0 = InitialDatum(
         dim=1, sample=lambda z: (lambda x: z[0] * math.sin(math.pi * x)), name="h1_sine"
     )
-    state = initial_coefficients(H1, multi_index_set(1, 2), u0, space, q=8)
-    proj = l2_project(space, lambda x: math.sin(math.pi * x))
+    state = initial_coefficients(H1, multi_index_set(1, 2), u0, ops, q=8)
+    proj = l2_project(ops.space, lambda x: math.sin(math.pi * x))
     assert np.max(np.abs(state.coeffs[1] - proj)) < 1e-10
     assert np.max(np.abs(state.coeffs[0])) < 1e-12
     assert np.max(np.abs(state.coeffs[2])) < 1e-12
 
 
 def test_initial_coefficients_square_mode():
-    space = space_1d(16)
+    ops = spatial_1d(16)
     u0 = InitialDatum(
         dim=1, sample=lambda z: (lambda x: z[0] ** 2 * math.sin(math.pi * x)), name="h2_sine"
     )
-    state = initial_coefficients(H1, multi_index_set(1, 3), u0, space, q=10)
-    proj = l2_project(space, lambda x: math.sin(math.pi * x))
+    state = initial_coefficients(H1, multi_index_set(1, 3), u0, ops, q=10)
+    proj = l2_project(ops.space, lambda x: math.sin(math.pi * x))
     assert np.max(np.abs(state.coeffs[0] - proj)) < 1e-10
     assert np.max(np.abs(state.coeffs[2] - math.sqrt(2.0) * proj)) < 1e-10
     assert np.max(np.abs(state.coeffs[1])) < 1e-11
@@ -295,7 +302,7 @@ def test_decoupled_operator_matches_bmat_oracle(dist, n, space, field_name):
     mats = oracles.pce_coefficient_matrices(dist, n, space, field, q)
     mis = multi_index_set(dist.N, n)
     oracle = oracles.bmat_block_operator(mats, triple_products(dist, n), mis).toarray()
-    op = assemble_block_operator(dist, mis, space, field, q)
+    op = assemble_block_operator(dist, mis, spatial_operators(space, field), q)
     rotate = np.kron(op.factors.eigvecs, np.eye(space.ndof))
     assert _max_rel(rotate @ op.stiffness.toarray() @ rotate.T, oracle) <= 1e-13
     assert _max_rel(op.matrix.toarray(), oracle) <= 1e-13
@@ -314,7 +321,7 @@ def test_non_separable_field_takes_coupled_path():
     assert not isinstance(mats, oracles.SeparableStiffness)
     eps = triple_products(H1, 2)
     mis = multi_index_set(1, 2)
-    op = assemble_block_operator(H1, mis, space, field, q=12)
+    op = assemble_block_operator(H1, mis, spatial_operators(space, field), q=12)
     assert op.factors is None and op.stiffness is op.matrix
     state = np.ones((len(mis), space.ndof))
     assert op.to_system(state) is state and op.to_chaos(state) is state
@@ -447,11 +454,11 @@ def test_operator_builds_are_silent_by_default():
         "from sgpde.coeffs import coefficient_by_name\n"
         "from sgpde.orthopoly import hermite\n"
         "from sgpde.pce import distribution, multi_index_set\n"
-        "from sgpde.sgsystem import assemble_block_operator\n"
+        "from sgpde.sgsystem import assemble_block_operator, spatial_operators\n"
         "from sgpde.spatial import make_fe_space, make_mesh\n"
         "space = make_fe_space(make_mesh(1, 4), 1)\n"
-        "field = coefficient_by_name('logistic_1d')\n"
-        "assemble_block_operator(distribution(hermite()), multi_index_set(1, 2), space, field, 7)\n"
+        "ops = spatial_operators(space, coefficient_by_name('logistic_1d'))\n"
+        "assemble_block_operator(distribution(hermite()), multi_index_set(1, 2), ops, 7)\n"
     )
     src = str(Path(sgsystem.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -464,10 +471,17 @@ def test_operator_builds_are_silent_by_default():
 
 def test_block_operator_rejects_bad_inputs():
     space, mis = space_1d(6), multi_index_set(1, 2)
+    ops = spatial_operators(space, coefficient_by_name("logistic_1d"))
     with pytest.raises(ValueError, match="at least 2n"):
-        assemble_block_operator(H1, mis, space, coefficient_by_name("logistic_1d"), 4)
+        assemble_block_operator(H1, mis, ops, 4)
     with pytest.raises(ValueError, match="dimensions differ"):
-        assemble_block_operator(H1, mis, space, coefficient_by_name("logistic_anisotropic"), 5)
+        spatial_operators(space, coefficient_by_name("logistic_anisotropic"))
+
+
+def test_initial_coefficients_reject_a_nan_datum():
+    nan_datum = InitialDatum(dim=1, sample=lambda z: (lambda x: math.nan))
+    with pytest.raises(SolverError, match="residual"):
+        initial_coefficients(H1, multi_index_set(1, 2), nan_datum, spatial_1d(8), q=4)
 
 
 def test_initial_coefficients_builds_one_load_per_distinct_function(monkeypatch):
@@ -475,13 +489,13 @@ def test_initial_coefficients_builds_one_load_per_distinct_function(monkeypatch)
     monkeypatch.setattr(
         sgsystem, "load_vector", lambda space, f: calls.append(f) or load_vector(space, f)
     )
-    space = space_1d(16)
+    ops = spatial_1d(16)
     mis = multi_index_set(1, 2)
-    shared = initial_coefficients(H1, mis, initial_datum_by_name("sine_modes"), space, q=8)
+    shared = initial_coefficients(H1, mis, initial_datum_by_name("sine_modes"), ops, q=8)
     assert len(calls) == 1
     fresh = InitialDatum(dim=1, sample=lambda z: (lambda x: z[0] * math.sin(math.pi * x)))
-    per_node = initial_coefficients(H1, mis, fresh, space, q=8)
+    per_node = initial_coefficients(H1, mis, fresh, ops, q=8)
     assert len(calls) == 1 + 8
-    proj = l2_project(space, lambda x: math.sin(math.pi * x))
+    proj = l2_project(ops.space, lambda x: math.sin(math.pi * x))
     assert np.max(np.abs(shared.coeffs[0] - proj)) < 1e-10
     assert np.max(np.abs(per_node.coeffs[1] - proj)) < 1e-10
