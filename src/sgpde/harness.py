@@ -35,7 +35,7 @@ from .sgsystem import (
     reconstruct_at_nodes,
     spatial_operators,
 )
-from .spatial import FeSpace, SolverError, l2_error, make_fe_space, make_mesh, prolong
+from .spatial import FeSpace, SolverError, error_points, l2_error, make_fe_space, make_mesh, prolong
 from .timestep import a_stability_probe, crank_nicolson, evolve, make_uniform_grid, scheme_by_name
 
 __all__ = [
@@ -85,6 +85,15 @@ class AnalyticReference:
             return sum(c * math.sin(j * math.pi * x) for j, c in modes)
 
         return u
+
+    def values(self, nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The exact solution at the final time at every node (Q, N) and
+        every point x of the interval: the (Q, len(x)) array whose row i is
+        `solution(nodes[i])` at x."""
+        a = np.array([float(self.diffusivity(z)) for z in nodes])
+        j, c = (np.array(v, dtype=float) for v in zip(*self.sine_modes))
+        amplitudes = c * np.exp(-np.outer(a, (j * math.pi) ** 2 * self.t_final))
+        return amplitudes @ np.sin(np.outer(j * math.pi, np.ravel(x)))
 
 
 def analytic_reference(field: CoefficientField, u0: InitialDatum, t_final: float) -> AnalyticReference:
@@ -184,20 +193,19 @@ def error_norm_H(
     """Natural-norm error: z-quadrature of spatial L2 errors.
 
     Against a collocation reference the chaos state is reconstructed at the
-    reference's own nodes and prolonged to the fine mesh; against an
-    analytic reference a q-node z-grid is used and the spatial error is
-    integrated elementwise on the state's mesh.
+    reference's own nodes and prolonged to the fine mesh. Against an
+    analytic reference the state is reconstructed at the nodes of a q-node
+    z-grid, the exact solution is evaluated at all nodes and error points
+    at once, and one stacked `l2_error` integrates every spatial error
+    elementwise on the state's mesh.
     """
     if isinstance(reference, CollocationReference):
         recon = reconstruct_at_nodes(dist, state, reference.nodes)
         return _distance(reference, prolong(space, recon.T, reference.space))
     nodes, weights = tensor_quad(dist, q)
     recon = reconstruct_at_nodes(dist, state, nodes)
-    total = 0.0
-    for i, z in enumerate(nodes):
-        err = l2_error(space, recon[i], reference.solution(z))
-        total += float(weights[i]) * err * err
-    return math.sqrt(total)
+    errors = l2_error(space, recon, reference.values(nodes, error_points(space)))
+    return math.sqrt(float(weights @ (errors * errors)))
 
 
 # --- rate fitting ---------------------------------------------------------
@@ -326,6 +334,11 @@ class ExperimentConfig:
                 raise ValueError(
                     f"reference m_ref = {m_ref} must be a multiple of every sweep m and "
                     f">= {factor} * max m = {factor * max_m}"
+                )
+            if m_ref % 2:
+                raise ValueError(
+                    f"reference m_ref = {m_ref} must be even: the two-grid error estimate "
+                    f"solves on the mesh m = m_ref // 2 = {m_ref // 2}, which must divide m_ref"
                 )
             if nk_ref < factor * max_nk:
                 raise ValueError(f"reference n_k_ref = {nk_ref} must be >= {factor} * max n_k")
@@ -531,12 +544,20 @@ def _axis_h(axis: str, value: int, t_final: float) -> float:
 
 
 def _measure(cfg, cache, reference, point: dict) -> tuple[float, float, bool]:
-    """Error and wall time of one sweep point, and whether its final state was cached."""
-    hit = cache.solved(point["n"], point["m"], point["n_k"])
+    """Error and wall time of one sweep point, and whether its final state
+    was cached; logs the solve and error times at DEBUG."""
+    n, m, n_k = point["n"], point["m"], point["n_k"]
+    hit = cache.solved(n, m, n_k)
     t0 = time.perf_counter()
-    state, space = solve_single(cache, point["n"], point["m"], point["n_k"])
+    state, space = solve_single(cache, n, m, n_k)
+    t1 = time.perf_counter()
     err = error_norm_H(cache.dist, state, space, reference, q=cfg.quad_order)
-    return err, time.perf_counter() - t0, hit
+    t2 = time.perf_counter()
+    log.debug(
+        "sweep point: n=%d m=%d n_k=%d cache_hit=%s solve_s=%.6f error_s=%.6f",
+        n, m, n_k, hit, t1 - t0, t2 - t1,
+    )
+    return err, t2 - t0, hit
 
 
 def _run_axis(cfg, cache, reference, axis: str, values, finest: dict, sweep_floor: float) -> AxisResult:

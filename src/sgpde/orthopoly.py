@@ -21,6 +21,7 @@ coefficients, together with its eigenvalues and norm-bound constants.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -201,9 +202,18 @@ def gauss_rule(family: PolyFamily, q: int) -> QuadratureRule:
     noise. The Newton step removes the eigenvalue error next to a singular
     Jacobi endpoint, which would otherwise shift the largest weight enough
     to spoil sum(w) = 1 at the 1e-13 level.
+
+    Each (family, q) rule is computed once per process; its arrays are
+    shared between calls, hence read-only.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    return QuadratureRule(*_gauss_nodes_weights(family, q))
+
+
+@functools.cache
+def _gauss_nodes_weights(family: PolyFamily, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of `gauss_rule`, read-only."""
     alphas, betas = _monic_recurrence(family, q)
     bs = np.sqrt(betas)
     try:
@@ -220,7 +230,8 @@ def gauss_rule(family: PolyFamily, q: int) -> QuadratureRule:
         nodes = nodes - np.where(np.isfinite(step), step, 0.0)
         _, _, sumsq = _recurrence_at(alphas, bs, nodes)
     weights = np.where(np.isnan(sumsq), 0.0, 1.0 / sumsq)
-    return QuadratureRule(nodes, weights)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)

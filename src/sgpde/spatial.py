@@ -13,7 +13,8 @@ and prolongation share one sparse evaluation matrix.
 Spatial callables (coefficients, loads, exact and initial functions) are
 still sampled one point at a time: they receive a float in 1D and an ndarray
 of shape (2,) in 2D; matrix-valued coefficients return a Hermitian 2x2
-array, checked at every sample.
+array, checked at every sample. `l2_error` also takes a stack of states
+with their exact values given as an array at its own `error_points`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "fe_eval",
     "nodal_coordinates",
     "prolong",
+    "error_points",
     "l2_error",
 ]
 
@@ -323,8 +325,10 @@ def load_vector(space: FeSpace, f) -> np.ndarray:
     return b
 
 
-def _checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
-    x = spla.spsolve(a.tocsc(), b)
+def _checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float, solve=None) -> np.ndarray:
+    """Solves a x = b and checks the residual; `solve` (b -> x), a
+    factorization of a kept by the caller, replaces the sparse direct solve."""
+    x = spla.spsolve(a.tocsc(), b) if solve is None else solve(b)
     scale = float(np.linalg.norm(b))
     res = float(np.linalg.norm(a @ x - b))
     if not res <= rel_tol * max(scale, 1e-300):  # a NaN residual fails too
@@ -390,11 +394,30 @@ def prolong(coarse: FeSpace, u: np.ndarray, fine: FeSpace) -> np.ndarray:
     return _eval_matrix(coarse, nodal_coordinates(fine)) @ u
 
 
-def l2_error(space: FeSpace, u: np.ndarray, exact) -> float:
-    """L2 distance between the FE function and a smooth exact function."""
-    dw, xq, vals, _ = _element_rule(space, 6)
-    full = np.zeros(len(space.nodes))
+# 1D Gauss points per cell of the error rule
+_ERROR_Q1D = 6
+
+
+def error_points(space: FeSpace) -> np.ndarray:
+    """The quadrature points of `l2_error` on the space, (n_points, dim), in
+    the order in which it reads exact values given as an array."""
+    return _element_rule(space, _ERROR_Q1D)[1].reshape(-1, space.dim)
+
+
+def l2_error(space: FeSpace, u: np.ndarray, exact):
+    """L2 distance between FE functions and smooth exact functions.
+
+    Either one state u (ndof,) and a callable `exact`, sampled one point at a
+    time, giving a float; or a stack u (k, ndof) and the exact values
+    (k, n_points) at `error_points(space)`, giving the (k,) distances.
+    """
+    dw, xq, vals, _ = _element_rule(space, _ERROR_Q1D)
+    single = callable(exact)
+    if single:
+        u, exact = np.asarray(u)[None], _sampled(exact, xq, space.dim)
+    full = np.zeros((len(u), len(space.nodes)))
     sel = space.dof_of_node >= 0
-    full[sel] = u[space.dof_of_node[sel]]
-    diff = full[space.cell_nodes] @ vals - _sampled(exact, xq, space.dim).reshape(dw.shape)
-    return math.sqrt(float(np.einsum("cq,cq->", dw, diff * diff)))
+    full[:, sel] = u[:, space.dof_of_node[sel]]
+    diff = full[:, space.cell_nodes] @ vals - np.reshape(exact, (len(u),) + dw.shape)
+    err = np.sqrt(np.einsum("cq,kcq->k", dw, diff * diff))
+    return float(err[0]) if single else err

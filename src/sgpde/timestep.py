@@ -16,6 +16,7 @@ continuous state space.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,25 +137,29 @@ class Propagator:
         self._lu: dict[float, tuple] = {}
 
     def step(self, u: np.ndarray, tau: float) -> np.ndarray:
-        if tau <= 0.0:
-            raise ValueError("tau must be positive")
-        if tau not in self._lu:
+        cached = self._lu.get(tau)
+        if cached is None:  # a non-positive tau is never cached
+            if tau <= 0.0:
+                raise ValueError("tau must be positive")
             d0, d1 = self.scheme.den
             lhs = d0 * self.mass - d1 * tau * self.stiff
             try:
                 lu = spla.splu(lhs.tocsc())
             except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
                 raise SolverError(f"step matrix for tau = {tau} cannot be factored: {exc}") from exc
-            self._lu[tau] = (lhs, lu)
-        lhs, lu = self._lu[tau]
+            cached = self._lu[tau] = (lhs, lu)
+        lhs, lu = cached
         n0, n1 = self.scheme.num
-        b = n0 * (self.mass @ u)
+        b = self.mass @ u
+        if n0 != 1.0:
+            b = n0 * b
         if n1 != 0.0:
             b = b - n1 * tau * (self.stiff @ u)
         out = lu.solve(b)
-        res = float(np.linalg.norm(lhs @ out - b))
+        r = lhs @ out - b
+        res = math.sqrt(r @ r)
         # written as "not <=" so that a NaN residual fails too
-        if not res <= STEP_RESIDUAL_TOL * max(float(np.linalg.norm(b)), 1e-300):
+        if not res <= STEP_RESIDUAL_TOL * max(math.sqrt(b @ b), 1e-300):
             raise SolverError(f"time step residual {res:.3e} too large for tau = {tau}")
         return out
 

@@ -28,7 +28,13 @@ from sgpde.pce import (
     tensor_basis_matrix,
     tensor_quad,
 )
-from sgpde.sgsystem import SeparableFactors, SgOperator, _checked_eigh, spatial_operators
+from sgpde.sgsystem import (
+    SeparableFactors,
+    SgOperator,
+    _checked_eigh,
+    reconstruct_at_nodes,
+    spatial_operators,
+)
 from sgpde.spatial import (
     _TRI_PTS,
     _TRI_WTS,
@@ -37,6 +43,7 @@ from sgpde.spatial import (
     _shapes_tri,
     assemble_mass,
     assemble_stiffness,
+    l2_error,
 )
 from sgpde.timestep import Propagator, crank_nicolson, evolve, make_uniform_grid
 
@@ -537,3 +544,16 @@ def pointwise_fe_eval(space, u, points) -> np.ndarray:
         vals, _ = _shapes_tri(space.order, np.linalg.solve(jac, np.array([x, y]) - x0)[None, :])
         out[k] = float(np.dot(full[space.cell_nodes[cell_id]], vals[:, 0]))
     return out
+
+
+def per_node_analytic_error(dist, state, space, reference, q: int) -> float:
+    """Natural-norm error against an analytic reference, one z-node at a time:
+    sqrt(sum_i w_i |u(z_i) - exact(z_i)|_L2^2), each spatial error from a
+    single-state `l2_error` call that samples `reference.solution(z_i)`."""
+    nodes, weights = tensor_quad(dist, q)
+    recon = reconstruct_at_nodes(dist, state, nodes)
+    total = 0.0
+    for i, z in enumerate(nodes):
+        err = l2_error(space, recon[i], reference.solution(z))
+        total += float(weights[i]) * err * err
+    return math.sqrt(total)

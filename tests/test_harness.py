@@ -42,6 +42,7 @@ from sgpde.spatial import (
     load_vector,
     make_fe_space,
     make_mesh,
+    nodal_coordinates,
     prolong,
 )
 from sgpde.timestep import evolve, make_uniform_grid, scheme_by_name
@@ -171,6 +172,54 @@ def test_error_norm_matches_monte_carlo():
     assert abs(quad_err**2 - mc_mean) <= 3.0 * mc_stderr
 
 
+def _analytic_fixture(order: int, n_inputs: int):
+    """A 1D space, an analytic reference whose constant-in-x diffusivity reads
+    every input, and a chaos state close to the exact solution (the nodal
+    interpolants of the exact solution projected on degree-3 chaos modes)."""
+    dist = distribution(*[hermite()] * n_inputs)
+    ref = harness.AnalyticReference(
+        diffusivity=lambda z: 1.5 + 0.5 * math.tanh(float(np.sum(z))),
+        sine_modes=((1, 1.0), (2, -0.4), (5, 0.15)),
+        t_final=0.05,
+    )
+    space = make_fe_space(make_mesh(1, 7), order)
+    mis = multi_index_set(n_inputs, 3)
+    nodes, weights = tensor_quad(dist, 6)
+    x = nodal_coordinates(space)[:, 0]
+    exact = np.array([[ref.solution(z)(xi) for xi in x] for z in nodes])
+    phi = tensor_basis_matrix(dist, mis, nodes)
+    return dist, ref, space, SgState(0.05, (phi * weights[:, None]).T @ exact, mis)
+
+
+@pytest.mark.parametrize("n_inputs", [1, 2])
+@pytest.mark.parametrize("order", [1, 2])
+def test_analytic_error_matches_per_node_oracle(monkeypatch, order, n_inputs):
+    dist, ref, space, state = _analytic_fixture(order, n_inputs)
+    calls = []
+    monkeypatch.setattr(
+        harness, "l2_error", lambda *args: calls.append(args) or l2_error(*args)
+    )
+    got = error_norm_H(dist, state, space, ref, q=8)
+    want = oracles.per_node_analytic_error(dist, state, space, ref, q=8)
+    assert len(calls) == 1  # one stacked call for all 8**N nodes
+    assert abs(got - want) <= 1e-13 * want
+    # a rough state: the error is of the size of the solution itself
+    noise = np.random.default_rng(order).standard_normal(state.coeffs.shape)
+    rough = SgState(0.05, noise, state.mis)
+    got = error_norm_H(dist, rough, space, ref, q=8)
+    assert abs(got - oracles.per_node_analytic_error(dist, rough, space, ref, q=8)) <= 1e-13 * got
+
+
+def test_analytic_values_are_the_pointwise_solution():
+    _, ref, space, _ = _analytic_fixture(2, 2)
+    nodes = np.array([[0.3, -1.2], [2.0, 0.1], [-0.7, -0.7]])
+    x = np.linspace(0.0, 1.0, 11)
+    got = ref.values(nodes, x)
+    want = np.array([[ref.solution(z)(xi) for xi in x] for z in nodes])
+    assert got.shape == (3, 11)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_fit_rate_examples():
     fit = fit_rate([(1.0, 0.1), (0.5, 0.025), (0.25, 0.00625)])
     assert fit.slope == pytest.approx(2.0, abs=1e-12)
@@ -228,6 +277,15 @@ def test_config_validation_errors():
         )
     )
     assert cfg.reference["m_ref"] == 32
+    # the two-grid estimate solves on m_ref // 2, which must divide m_ref
+    odd = mini_config(
+        sweep={"n": [1], "m": [1, 3, 5], "n_k": [8, 16]},
+        reference={"kind": "collocation", "m_ref": 45, "n_k_ref": 64},
+    )
+    with pytest.raises(ValueError, match=r"m_ref = 45 must be even: .* m = m_ref // 2 = 22"):
+        load_config(odd)
+    odd["reference"]["m_ref"] = 90
+    assert load_config(odd).reference["m_ref"] == 90
     with pytest.raises(ValueError, match="scheme"):
         load_config(mini_config(scheme="leapfrog"))
 
@@ -261,6 +319,56 @@ def test_sweep_flags_points_solved_earlier_as_cache_hits():
     assert [row["cache_hit"] for row in report["joint"]] == [False, False]
     hits = {axis: [p["cache_hit"] for p in r["points"]] for axis, r in report["axes"].items()}
     assert hits == {"n": [False, True], "m": [False, True], "n_k": [True]}
+
+
+def _sweep_points(cfg, report):
+    """(n, m, n_k, cache_hit, runtime_s) of every measured point, in the order
+    the sweep runs them: the joint table, then the n, m and n_k axes."""
+    points = [
+        (row["n"], row["m"], row["n_k"], row["cache_hit"], row["runtime_s"])
+        for row in report.joint
+    ]
+    finest = {k: max(v) for k, v in cfg.sweep.items()}
+    for axis, result in report.axes.items():
+        for v, hit, runtime in zip(result.values, result.cache_hits, result.runtimes):
+            point = {**finest, axis: v}
+            points.append((point["n"], point["m"], point["n_k"], hit, runtime))
+    return points
+
+
+def test_sweep_logs_one_debug_record_per_point(caplog):
+    caplog.set_level(logging.DEBUG, logger="sgpde.harness")
+    cfg = load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [4, 8]}))
+    report = sweep(cfg)
+    records = [r for r in caplog.records if r.getMessage().startswith("sweep point:")]
+    points = _sweep_points(cfg, report)
+    assert len(records) == len(points) == 8
+    for record, (n, m, n_k, hit, runtime) in zip(records, points):
+        assert record.name == "sgpde.harness" and record.levelno == logging.DEBUG
+        assert record.args[:4] == (n, m, n_k, hit)
+        solve_s, error_s = record.args[4:]
+        assert solve_s >= 0.0 and error_s > 0.0
+        assert solve_s + error_s == pytest.approx(runtime, rel=1e-12, abs=1e-15)
+    message = records[0].getMessage()
+    assert message.startswith("sweep point: n=1 m=4 n_k=4 cache_hit=False solve_s=")
+    assert " error_s=" in message
+
+
+def test_sweep_logging_is_silent_by_default():
+    script = (
+        "import json, sys\n"
+        "from sgpde.harness import load_config, sweep\n"
+        "sweep(load_config(json.loads(sys.argv[1])))\n"
+    )
+    cfg = mini_config(sweep={"n": [1, 2], "m": [4], "n_k": [4]})
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "" and done.stderr == ""
 
 
 def test_config_hash_changes_with_config():

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sgpde import orthopoly
 from sgpde.orthopoly import (
     PolyCoeffs,
     apply_Q,
@@ -39,6 +41,22 @@ def sobolev_norm_1d(family, p: PolyCoeffs, ell: int, q: int = 40) -> float:
         vals = p.derivative(k)(rule.nodes) if k else p(rule.nodes)
         total += rule.integrate(rho**k * vals**2)
     return math.sqrt(total)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gauss_rule_is_built_once_read_only_and_equal_to_the_uncached_rule(family):
+    first, again = gauss_rule(family, 30), gauss_rule(family, 30)
+    assert first.nodes is again.nodes and first.weights is again.weights
+    nodes, weights = orthopoly._gauss_nodes_weights.__wrapped__(family, 30)
+    assert first.nodes.tobytes() == nodes.tobytes()
+    assert first.weights.tobytes() == weights.tobytes()
+    for arr in (first.nodes, first.weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the memo is private: the public name stays a plain function, which the
+    # benchmark's span tracer can wrap
+    assert isinstance(gauss_rule, types.FunctionType)
 
 
 def test_invalid_parameters_rejected():

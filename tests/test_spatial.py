@@ -11,6 +11,7 @@ from sgpde.spatial import (
     SolverError,
     assemble_mass,
     assemble_stiffness,
+    error_points,
     fe_eval,
     h1_gram,
     l2_error,
@@ -234,6 +235,26 @@ def test_callables_are_sampled_one_point_at_a_time():
         load_vector(space, probe)
         l2_error(space, np.zeros(space.ndof), probe)
     assert seen == {float, (np.ndarray, (2,))}
+
+
+@pytest.mark.parametrize("dim,order", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_stacked_l2_error_matches_single_state_calls(dim, order):
+    space = space_1d(7, order) if dim == 1 else space_2d(3, order)
+    rng = np.random.default_rng(10 * dim + order)
+    states = 0.1 * rng.standard_normal((4, space.ndof))
+    if dim == 1:
+        exact = [lambda x, k=k: math.sin((k + 1) * math.pi * x) for k in range(4)]
+    else:
+        exact = [lambda x, k=k: math.sin((k + 1) * math.pi * x[0]) * x[1] for k in range(4)]
+    pts = error_points(space)
+    assert pts.shape == (space.mesh.cells.shape[0] * (6 if dim == 1 else 7), dim)
+    values = np.array([[f(x[0] if dim == 1 else x) for x in pts] for f in exact])
+    stacked = l2_error(space, states, values)
+    assert stacked.shape == (4,)
+    for k, f in enumerate(exact):
+        single = l2_error(space, states[k], f)
+        assert isinstance(single, float)
+        assert abs(stacked[k] - single) <= 1e-14 * single
 
 
 def test_non_hermitian_sample_in_one_cell_still_raises():
