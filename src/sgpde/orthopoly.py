@@ -213,7 +213,8 @@ def gauss_rule(family: PolyFamily, q: int) -> QuadratureRule:
 
 @functools.cache
 def _gauss_nodes_weights(family: PolyFamily, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of `gauss_rule`, read-only."""
+    """Nodes and weights of `gauss_rule`; the `QuadratureRule` wrapping
+    them makes them read-only."""
     alphas, betas = _monic_recurrence(family, q)
     bs = np.sqrt(betas)
     try:
@@ -230,7 +231,6 @@ def _gauss_nodes_weights(family: PolyFamily, q: int) -> tuple[np.ndarray, np.nda
         nodes = nodes - np.where(np.isfinite(step), step, 0.0)
         _, _, sumsq = _recurrence_at(alphas, bs, nodes)
     weights = np.where(np.isnan(sumsq), 0.0, 1.0 / sumsq)
-    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .coeffs import CoefficientField, InitialDatum
 from .pce import DistributionSpec, MultiIndexSet, tensor_basis_matrix, tensor_quad
@@ -161,8 +160,7 @@ class SpatialOperators:
     """One spatial Galerkin space of a coefficient field and what every
     builder on it shares: the mass matrix M, the stiffness K_g of a
     separable field's spatial part (None for any other field), and the
-    checked L2 projections of spatial functions, each computed once
-    through one LU of M."""
+    checked L2 projections of spatial functions, each computed once."""
 
     space: FeSpace
     field: CoefficientField
@@ -177,18 +175,12 @@ class SpatialOperators:
             return self.field.z_factor(z) * self.k_g
         return assemble_stiffness(self.space, lambda x: self.field.evaluate(z, x))
 
-    @functools.cached_property
-    def _mass_lu(self):
-        return splu(self.mass.tocsc())
-
     def project(self, f) -> np.ndarray:
         """L2 projection of the spatial function f: solves M u = (f, phi) with
-        one LU of M per space and a 1e-10 relative residual check
-        (SolverError, also on NaN). Memoized per callable, so each distinct
-        function is projected once."""
+        a 1e-10 relative residual check (SolverError, also on NaN). Memoized
+        per callable, so each distinct function is projected once."""
         if f not in self._projections:
-            load = load_vector(self.space, f)
-            self._projections[f] = _checked_solve(self.mass, load, 1e-10, self._mass_lu.solve)
+            self._projections[f] = _checked_solve(self.mass, load_vector(self.space, f), 1e-10)
         return self._projections[f]
 
 

@@ -325,10 +325,8 @@ def load_vector(space: FeSpace, f) -> np.ndarray:
     return b
 
 
-def _checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float, solve=None) -> np.ndarray:
-    """Solves a x = b and checks the residual; `solve` (b -> x), a
-    factorization of a kept by the caller, replaces the sparse direct solve."""
-    x = spla.spsolve(a.tocsc(), b) if solve is None else solve(b)
+def _checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
+    x = spla.spsolve(a.tocsc(), b)
     scale = float(np.linalg.norm(b))
     res = float(np.linalg.norm(a @ x - b))
     if not res <= rel_tol * max(scale, 1e-300):  # a NaN residual fails too

@@ -150,9 +150,7 @@ class Propagator:
             cached = self._lu[tau] = (lhs, lu)
         lhs, lu = cached
         n0, n1 = self.scheme.num
-        b = self.mass @ u
-        if n0 != 1.0:
-            b = n0 * b
+        b = n0 * (self.mass @ u)
         if n1 != 0.0:
             b = b - n1 * tau * (self.stiff @ u)
         out = lu.solve(b)

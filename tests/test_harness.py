@@ -13,6 +13,7 @@ import scipy.sparse as sp
 
 import oracles
 from sgpde import harness, pce, sgsystem, spatial, timestep
+from sgpde.cli import main
 from sgpde.coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
 from sgpde.harness import (
     _admissible,
@@ -277,17 +278,42 @@ def test_config_validation_errors():
         )
     )
     assert cfg.reference["m_ref"] == 32
-    # the two-grid estimate solves on m_ref // 2, which must divide m_ref
-    odd = mini_config(
+    with pytest.raises(ValueError, match="scheme"):
+        load_config(mini_config(scheme="leapfrog"))
+
+
+def test_odd_reference_mesh_is_rejected_only_for_the_error_estimate(monkeypatch, tmp_path, capsys):
+    # the two-grid estimate solves on m_ref // 2, which must divide m_ref; a
+    # run without the estimate never builds that mesh
+    raw = mini_config(
         sweep={"n": [1], "m": [1, 3, 5], "n_k": [8, 16]},
         reference={"kind": "collocation", "m_ref": 45, "n_k_ref": 64},
     )
-    with pytest.raises(ValueError, match=r"m_ref = 45 must be even: .* m = m_ref // 2 = 22"):
-        load_config(odd)
-    odd["reference"]["m_ref"] = 90
-    assert load_config(odd).reference["m_ref"] == 90
-    with pytest.raises(ValueError, match="scheme"):
-        load_config(mini_config(scheme="leapfrog"))
+    cfg = load_config(raw)
+    built = []
+    real = harness.collocation_reference
+    monkeypatch.setattr(
+        harness, "collocation_reference", lambda *args: built.append(args[2].space) or real(*args)
+    )
+    with pytest.raises(ValueError, match=r"m_ref = 45 cannot take .* m = m_ref // 2 = 22"):
+        sweep(cfg)
+    assert built == []  # rejected before any solve
+    report = sweep(cfg, estimate_reference_error=False)
+    assert len(built) == 1 and report.reference_error_estimate == 0.0
+    assert all(math.isfinite(row["error"]) for row in report.joint)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", str(path)]) == 0
+    assert "error =" in capsys.readouterr().out
+    # an odd m_ref <= 3 nests its estimate mesh m = 1
+    cfg = load_config(
+        mini_config(
+            sweep={"n": [1], "m": [1, 3], "n_k": [8]},
+            reference={"kind": "collocation", "m_ref": 3, "n_k_ref": 8},
+            strict_reference=False,
+        )
+    )
+    assert build_reference(cfg, OperatorCache(cfg)).est_error > 0.0
 
 
 def strip_runtimes(payload):

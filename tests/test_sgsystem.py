@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 import oracles
 from sgpde import sgsystem
@@ -25,7 +24,6 @@ from sgpde.sgsystem import (
 )
 from sgpde.spatial import (
     SolverError,
-    _checked_solve,
     assemble_mass,
     assemble_stiffness,
     h1_gram,
@@ -501,30 +499,3 @@ def test_initial_coefficients_builds_one_load_per_distinct_function(monkeypatch)
     proj = l2_project(ops.space, lambda x: math.sin(math.pi * x))
     assert np.max(np.abs(shared.coeffs[0] - proj)) < 1e-10
     assert np.max(np.abs(per_node.coeffs[1] - proj)) < 1e-10
-
-
-def test_projections_share_one_lu_of_the_mass_matrix(monkeypatch):
-    factored = []
-    monkeypatch.setattr(
-        sgsystem, "splu", lambda a, *args: factored.append(a) or scipy.sparse.linalg.splu(a, *args)
-    )
-    field = coefficient_by_name("logistic_anisotropic")
-    dist = distribution(hermite(), hermite())
-    samples = []
-
-    def sample(z):  # a new spatial function at every node
-        samples.append(lambda x: math.sin(math.pi * x[0]) * math.sin(math.pi * x[1]) * (1.0 + z[0]))
-        return samples[-1]
-
-    datum = InitialDatum(dim=2, sample=sample)
-    spaces = [make_fe_space(make_mesh(2, m), 2) for m in (3, 4)]
-    for space in spaces:
-        ops = spatial_operators(space, field)
-        start = len(samples)
-        for n in (1, 2):
-            initial_coefficients(dist, multi_index_set(2, n), datum, ops, q=3)
-        assert len(samples) - start == 2 * 9
-        for f in samples[start:]:
-            want = _checked_solve(ops.mass, load_vector(space, f), 1e-10)
-            assert np.array_equal(ops.project(f), want)
-    assert len(factored) == len(spaces)

@@ -22,7 +22,6 @@ from sgpde.spatial import (
 )
 from sgpde.timestep import (
     Propagator,
-    RationalScheme,
     TimeGrid,
     a_stability_probe,
     crank_nicolson,
@@ -199,17 +198,6 @@ def test_non_positive_step_is_rejected_and_never_cached():
         with pytest.raises(ValueError, match="tau must be positive"):
             prop.step(u, tau)
     assert prop._lu == {}
-
-
-def test_step_scales_the_right_hand_side_by_n0():
-    # (2 + z) / (2 - z) is the Crank--Nicolson symbol with numerator and
-    # denominator doubled: the same step, taken with n0 = d0 = 2
-    _, mass, stiff, u = heat_setup(m=8, order=1)
-    doubled = RationalScheme("doubled_cn", (2.0, 1.0), (2.0, -1.0))
-    got = Propagator(doubled, mass, stiff).step(u, 0.05)
-    want = Propagator(crank_nicolson(), mass, stiff).step(u, 0.05)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert np.array_equal(got, oracles.rebuilt_step(doubled, mass, stiff, u, 0.05))
 
 
 def test_residual_check_runs_on_cached_steps():
