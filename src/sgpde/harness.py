@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__
 from .coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
@@ -36,7 +37,14 @@ from .sgsystem import (
     spatial_operators,
 )
 from .spatial import FeSpace, SolverError, error_points, l2_error, make_fe_space, make_mesh, prolong
-from .timestep import a_stability_probe, crank_nicolson, evolve, make_uniform_grid, scheme_by_name
+from .timestep import (
+    StepResidualError,
+    a_stability_probe,
+    crank_nicolson,
+    evolve,
+    make_uniform_grid,
+    scheme_by_name,
+)
 
 __all__ = [
     "AnalyticReference",
@@ -49,6 +57,7 @@ __all__ = [
     "collocation_reference",
     "error_norm_H",
     "fit_rate",
+    "solve_points",
     "solve_single",
     "sweep",
     "load_config",
@@ -57,6 +66,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+AXES = ("n", "m", "n_k")
 MACHINE_ERROR_FLOOR = 100.0 * np.finfo(float).eps
 REFERENCE_FLOOR_FACTOR = 10.0
 SWEEP_FLOOR_FACTOR = 3.0
@@ -315,10 +325,13 @@ class ExperimentConfig:
             raise ValueError("geometry.dim must be 1 or 2")
         if self.geometry.get("fe_order") not in (1, 2):
             raise ValueError("geometry.fe_order must be 1 or 2")
-        for axis in ("n", "m", "n_k"):
+        for axis, lowest in zip(AXES, (0, 1, 1)):
             values = self.sweep.get(axis, [])
             if not values:
                 raise ValueError(f"sweep.{axis} must be a non-empty list")
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, int) or v < lowest:
+                    raise ValueError(f"sweep.{axis} value {v!r} must be an integer >= {lowest}")
             if sorted(values) != list(values):
                 raise ValueError(f"sweep.{axis} must be increasing")
         max_n = max(self.sweep["n"])
@@ -446,20 +459,73 @@ class OperatorCache:
         return (n, m, n_k) in self._finals
 
 
-def solve_single(cache: OperatorCache, n: int, m: int, n_k: int) -> tuple[SgState, FeSpace]:
-    """Run one configuration to the final time; returns the final chaos state.
+def _block_diagonal(blocks) -> sp.csr_matrix:
+    """The block-diagonal CSR matrix of square CSR blocks, joined from their
+    arrays: each block keeps its stored entries in their order."""
+    rows = np.cumsum([0] + [b.shape[0] for b in blocks])
+    stored = np.cumsum([0] + [b.nnz for b in blocks])
+    data = np.concatenate([b.data for b in blocks])
+    indices = np.concatenate([b.indices + r for b, r in zip(blocks, rows)])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + z for b, z in zip(blocks, stored)])
+    return sp.csr_matrix((data, indices, indptr), shape=(rows[-1], rows[-1]))
 
-    Time stepping runs in the operator's system basis (the decoupled modes of
-    a separable field) and the final state is rotated back to the chaos basis.
+
+def solve_points(cache: OperatorCache, points) -> dict[tuple, float]:
+    """Run every listed (n, m, n_k) not yet solved to the final time.
+
+    Points that share n_k share a time grid, so they are stepped together:
+    one block-diagonal system of each point's system-basis mass and
+    stiffness (the decoupled modes of a separable field), started from the
+    concatenated rotated initial modes. After the one `evolve` each block is
+    split off and rotated back to the chaos basis. Every step checks each
+    point's residual on its own; a failure names its (n, m, n_k).
+
+    Returns the wall time of each point solved here: its batch's time
+    (operators, stepping and rotations) split over the batch's points in
+    proportion to their unknowns d_n * ndof.
     """
-    if not cache.solved(n, m, n_k):
-        op, state0 = cache.operator(n, m)
+    batches: dict[int, list] = {}
+    for point in dict.fromkeys(tuple(p) for p in points):
+        if not cache.solved(*point):
+            batches.setdefault(point[2], []).append(point)
+    scheme = scheme_by_name(cache.cfg.scheme)
+    charged = {}
+    for n_k, batch in batches.items():
+        t0 = time.perf_counter()
+        built = [cache.operator(n, m) for n, m, _ in batch]
+        starts = [op.to_system(state0.coeffs) for op, state0 in built]
+        sizes = [op.size for op, _ in built]
         grid = make_uniform_grid(cache.cfg.t_final, n_k)
-        scheme = scheme_by_name(cache.cfg.scheme)
-        w0 = op.to_system(state0.coeffs)
-        w = evolve(scheme, grid, op.mass, op.stiffness, w0.reshape(-1))
-        final = op.to_chaos(w.reshape(w0.shape))
-        cache._finals[n, m, n_k] = SgState(cache.cfg.t_final, final, state0.mis)
+        try:
+            w = evolve(
+                scheme,
+                grid,
+                _block_diagonal([op.mass for op, _ in built]),
+                _block_diagonal([op.stiffness for op, _ in built]),
+                np.concatenate([w0.reshape(-1) for w0 in starts]),
+                blocks=sizes,
+            )
+        except StepResidualError as exc:
+            raise SolverError(f"sweep point (n, m, n_k) = {batch[exc.block]} failed: {exc}") from exc
+        except SolverError as exc:
+            raise SolverError(f"sweep points (n, m, n_k) in {batch} failed: {exc}") from exc
+        blocks = np.split(w, np.cumsum(sizes)[:-1])
+        for point, (op, state0), w0, block in zip(batch, built, starts, blocks):
+            final = op.to_chaos(block.reshape(w0.shape))
+            cache._finals[point] = SgState(cache.cfg.t_final, final, state0.mis)
+        wall = time.perf_counter() - t0
+        log.debug(
+            "solve batch: n_k=%d points=%s unknowns=%d steps=%d wall_s=%.6f",
+            n_k, batch, sum(sizes), len(grid.steps), wall,
+        )
+        charged.update((p, wall * size / sum(sizes)) for p, size in zip(batch, sizes))
+    return charged
+
+
+def solve_single(cache: OperatorCache, n: int, m: int, n_k: int) -> tuple[SgState, FeSpace]:
+    """Run one configuration to the final time (see `solve_points`); returns
+    the final chaos state and its space."""
+    solve_points(cache, [(n, m, n_k)])
     return cache._finals[n, m, n_k], cache.space(m)
 
 
@@ -546,33 +612,51 @@ def _axis_h(axis: str, value: int, t_final: float) -> float:
     return t_final / value if axis == "n_k" else 1.0 / value
 
 
-def _measure(cfg, cache, reference, point: dict) -> tuple[float, float, bool]:
-    """Error and wall time of one sweep point, and whether its final state
-    was cached; logs the solve and error times at DEBUG."""
-    n, m, n_k = point["n"], point["m"], point["n_k"]
-    hit = cache.solved(n, m, n_k)
+def _measure(cfg, cache, reference, point: tuple, charged: dict) -> tuple[float, float, bool]:
+    """Error and wall time of one sweep point, and whether an earlier measured
+    point had the same (n, m, n_k); logs the solve and error times at DEBUG.
+
+    `charged` holds the solve time `solve_points` charged to each point; the
+    first measurement of a point takes it out, so later ones are cache hits.
+    """
+    n, m, n_k = point
+    share = charged.pop(point, None)
     t0 = time.perf_counter()
     state, space = solve_single(cache, n, m, n_k)
     t1 = time.perf_counter()
     err = error_norm_H(cache.dist, state, space, reference, q=cfg.quad_order)
     t2 = time.perf_counter()
+    solve_s = (share or 0.0) + (t1 - t0)
     log.debug(
         "sweep point: n=%d m=%d n_k=%d cache_hit=%s solve_s=%.6f error_s=%.6f",
-        n, m, n_k, hit, t1 - t0, t2 - t1,
+        n, m, n_k, share is None, solve_s, t2 - t1,
     )
-    return err, t2 - t0, hit
+    return err, solve_s + (t2 - t1), share is None
 
 
-def _run_axis(cfg, cache, reference, axis: str, values, finest: dict, sweep_floor: float) -> AxisResult:
-    errors, runtimes, hits, hs = [], [], [], []
-    for v in values:
-        point = dict(finest)
-        point[axis] = v
-        err, runtime, hit = _measure(cfg, cache, reference, point)
+def _joint_points(cfg) -> list[tuple]:
+    """The joint table's (n, m, n_k): level i takes each axis's i-th value,
+    or its last when the axis is shorter."""
+    axes = [cfg.sweep[k] for k in AXES]
+    levels = max(len(v) for v in axes)
+    return [tuple(v[min(i, len(v) - 1)] for v in axes) for i in range(levels)]
+
+
+def _axis_points(cfg, axis: str) -> list[tuple]:
+    """The (n, m, n_k) of one axis: its values, the other axes at their finest."""
+    finest = {k: max(cfg.sweep[k]) for k in AXES}
+    return [tuple(v if k == axis else finest[k] for k in AXES) for v in cfg.sweep[axis]]
+
+
+def _run_axis(cfg, cache, reference, axis: str, charged: dict, sweep_floor: float) -> AxisResult:
+    values = list(cfg.sweep[axis])
+    errors, runtimes, hits = [], [], []
+    for point in _axis_points(cfg, axis):
+        err, runtime, hit = _measure(cfg, cache, reference, point, charged)
         errors.append(err)
         runtimes.append(runtime)
         hits.append(hit)
-        hs.append(_axis_h(axis, v, cfg.t_final))
+    hs = [_axis_h(axis, v, cfg.t_final) for v in values]
     ref_floor = getattr(reference, "est_error", 0.0)
     keep, flagged = _admissible(hs, errors, ref_floor, sweep_floor)
     fit = None
@@ -583,24 +667,22 @@ def _run_axis(cfg, cache, reference, axis: str, values, finest: dict, sweep_floo
         for i, j in zip(keep, keep[1:])
     ]
     return AxisResult(
-        axis, list(values), hs, errors, runtimes, hits, fit, local,
+        axis, values, hs, errors, runtimes, hits, fit, local,
         half_split_slopes(hs, errors), keep, flagged,
     )
 
 
-def _run_joint(cfg, cache, reference) -> list:
-    axes = {k: list(cfg.sweep[k]) for k in ("n", "m", "n_k")}
-    levels = max(len(v) for v in axes.values())
+def _run_joint(cfg, cache, reference, charged: dict) -> list:
     rows = []
-    for i in range(levels):
-        point = {k: v[min(i, len(v) - 1)] for k, v in axes.items()}
-        err, runtime, hit = _measure(cfg, cache, reference, point)
+    for i, point in enumerate(_joint_points(cfg)):
+        err, runtime, hit = _measure(cfg, cache, reference, point, charged)
+        n, m, n_k = point
         rows.append(
             {
                 "level": i,
-                "n": point["n"],
-                "m": point["m"],
-                "n_k": point["n_k"],
+                "n": n,
+                "m": m,
+                "n_k": n_k,
                 "error": err,
                 "runtime_s": runtime,
                 "cache_hit": hit,
@@ -665,15 +747,14 @@ def sweep(cfg: ExperimentConfig, estimate_reference_error: bool = True) -> Conve
     cfg.validate()
     cache = OperatorCache(cfg)
     reference = build_reference(cfg, cache, estimate_error=estimate_reference_error)
-    finest = {k: max(cfg.sweep[k]) for k in ("n", "m", "n_k")}
-    # the joint table runs first: its finest level is the sweep floor used
-    # to keep per-axis fits clear of the other axes' residual errors
-    joint = _run_joint(cfg, cache, reference)
+    # every distinct point is solved up front, those sharing n_k as one batch;
+    # measurement then runs the joint table first: its finest level is the
+    # sweep floor used to keep per-axis fits clear of the other axes' errors
+    points = _joint_points(cfg) + [p for axis in AXES for p in _axis_points(cfg, axis)]
+    charged = solve_points(cache, points)
+    joint = _run_joint(cfg, cache, reference, charged)
     sweep_floor = joint[-1]["error"]
-    axes = {
-        axis: _run_axis(cfg, cache, reference, axis, cfg.sweep[axis], finest, sweep_floor)
-        for axis in ("n", "m", "n_k")
-    }
+    axes = {axis: _run_axis(cfg, cache, reference, axis, charged, sweep_floor) for axis in AXES}
     invariants = _invariant_summary(cfg, cache)
     checks = _evaluate_checks(cfg, axes, joint)
     passed = all(checks.values()) if checks else True

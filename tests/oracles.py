@@ -31,6 +31,7 @@ from sgpde.pce import (
 from sgpde.sgsystem import (
     SeparableFactors,
     SgOperator,
+    SgState,
     _checked_eigh,
     reconstruct_at_nodes,
     spatial_operators,
@@ -45,7 +46,7 @@ from sgpde.spatial import (
     assemble_stiffness,
     l2_error,
 )
-from sgpde.timestep import Propagator, crank_nicolson, evolve, make_uniform_grid
+from sgpde.timestep import Propagator, crank_nicolson, evolve, make_uniform_grid, scheme_by_name
 
 
 def hermite_moment(j: int) -> float:
@@ -557,3 +558,15 @@ def per_node_analytic_error(dist, state, space, reference, q: int) -> float:
         err = l2_error(space, recon[i], reference.solution(z))
         total += float(weights[i]) * err * err
     return math.sqrt(total)
+
+
+def per_point_solve(cache, n: int, m: int, n_k: int):
+    """One sweep point stepped on its own, the solve that batched
+    `harness.solve_points` replaced: the point's system-basis operator and
+    rotated initial modes through one `evolve`, rotated back to the chaos
+    basis. The cache provides the operator; no final state is stored."""
+    op, state0 = cache.operator(n, m)
+    grid = make_uniform_grid(cache.cfg.t_final, n_k)
+    w0 = op.to_system(state0.coeffs)
+    w = evolve(scheme_by_name(cache.cfg.scheme), grid, op.mass, op.stiffness, w0.reshape(-1))
+    return SgState(cache.cfg.t_final, op.to_chaos(w.reshape(w0.shape)), state0.mis)

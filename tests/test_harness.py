@@ -282,6 +282,28 @@ def test_config_validation_errors():
         load_config(mini_config(scheme="leapfrog"))
 
 
+@pytest.mark.parametrize(
+    "axis,values,reference,shown",
+    [
+        ("m", [0, 8], {"kind": "collocation", "m_ref": 64, "n_k_ref": 64}, "0"),
+        ("n_k", [0, 16], {"kind": "analytic"}, "0"),
+        ("n", [-1, 2], {"kind": "analytic"}, "-1"),
+        ("n_k", [8.5, 16], {"kind": "analytic"}, r"8\.5"),
+        ("n", [True, 2], {"kind": "analytic"}, "True"),
+    ],
+    ids=["m_zero_collocation", "n_k_zero", "n_negative", "n_k_float", "n_bool"],
+)
+def test_bad_sweep_values_are_rejected_at_load(monkeypatch, axis, values, reference, shown):
+    solved = []
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: solved.append(args))
+    raw = mini_config(reference=reference)
+    raw["sweep"] = {**raw["sweep"], axis: values}
+    lowest = 0 if axis == "n" else 1
+    with pytest.raises(ValueError, match=rf"sweep\.{axis} value {shown} must be an integer >= {lowest}"):
+        load_config(raw)
+    assert solved == []
+
+
 def test_odd_reference_mesh_is_rejected_only_for_the_error_estimate(monkeypatch, tmp_path, capsys):
     # the two-grid estimate solves on m_ref // 2, which must divide m_ref; a
     # run without the estimate never builds that mesh
@@ -378,6 +400,35 @@ def test_sweep_logs_one_debug_record_per_point(caplog):
     message = records[0].getMessage()
     assert message.startswith("sweep point: n=1 m=4 n_k=4 cache_hit=False solve_s=")
     assert " error_s=" in message
+
+
+def test_sweep_logs_one_debug_record_per_batch(caplog):
+    caplog.set_level(logging.DEBUG, logger="sgpde.harness")
+    cfg = load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [4, 8]}))
+    report = sweep(cfg)
+    points = _sweep_points(cfg, report)
+    records = [r for r in caplog.records if r.getMessage().startswith("solve batch:")]
+    # the distinct points in measurement order, grouped by n_k
+    assert [r.args[:2] for r in records] == [
+        (4, [(1, 4, 4), (2, 8, 4)]),
+        (8, [(2, 8, 8), (1, 8, 8), (2, 4, 8)]),
+    ]
+    assert sum(not hit for *_, hit, _ in points) == 5
+    cache = OperatorCache(cfg)
+    for record in records:
+        n_k, batch, unknowns, steps, wall = record.args
+        assert record.name == "sgpde.harness" and record.levelno == logging.DEBUG
+        assert unknowns == sum(cache.operator(n, m)[0].size for n, m, _ in batch)
+        assert steps == n_k and wall > 0.0
+    # solve_points splits each batch's wall time in proportion to unknowns
+    caplog.clear()
+    charged = harness.solve_points(cache, [p[:3] for p in points])
+    first, second = (r.args for r in caplog.records if r.getMessage().startswith("solve batch:"))
+    for n_k, batch, unknowns, _, wall in (first, second):
+        assert sum(charged[p] for p in batch) == pytest.approx(wall, rel=1e-12)
+        for n, m, _ in batch:
+            size = cache.operator(n, m)[0].size
+            assert charged[n, m, n_k] == pytest.approx(wall * size / unknowns, rel=1e-12)
 
 
 def test_sweep_logging_is_silent_by_default():
@@ -544,6 +595,72 @@ def test_non_separable_reference_matches_per_node_oracle_bitwise(per_node_datum)
     assert np.array_equal(ref.values, want.values)
 
 
+# --- batched sweep-point solves against the per-point oracle -----------------
+
+BATCH_POINTS = [(1, 4, 8), (2, 4, 8), (2, 2, 8), (1, 2, 4), (2, 4, 4), (1, 4, 8)]
+BATCH_SETUPS = {
+    "1d_p1_separable": mini_config(geometry={"dim": 1, "fe_order": 1}),
+    "2d_p2_N2": mini_config(
+        distribution=[{"kind": "hermite"}, {"kind": "hermite"}],
+        coefficient={"name": "logistic_anisotropic"},
+        initial_datum={"name": "product_sine"},
+        geometry={"dim": 2, "fe_order": 2},
+        sweep={"n": [1, 2], "m": [2, 4], "n_k": [4, 8]},
+        quad_order=5,
+    ),
+    "non_separable": mini_config(),
+}
+
+
+@pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+@pytest.mark.parametrize("setup", list(BATCH_SETUPS))
+def test_solve_points_matches_per_point_oracle(monkeypatch, setup, scheme):
+    cache = OperatorCache(load_config({**BATCH_SETUPS[setup], "scheme": scheme}))
+    if setup == "non_separable":
+        cache.field = _non_separable_field()
+    batches = []
+    real_evolve = harness.evolve
+
+    def counted_evolve(*args, blocks):
+        batches.append(blocks)
+        return real_evolve(*args, blocks=blocks)
+
+    monkeypatch.setattr(harness, "evolve", counted_evolve)
+    charged = harness.solve_points(cache, BATCH_POINTS)
+    distinct = list(dict.fromkeys(BATCH_POINTS))
+    assert sorted(charged) == sorted(distinct)
+    # one block-diagonal evolve per n_k, one block per distinct point
+    assert batches == [
+        [cache.operator(n, m)[0].size for n, m, n_k in distinct if n_k == steps]
+        for steps in (8, 4)
+    ]
+    for point in distinct:
+        state, _ = solve_single(cache, *point)
+        want = oracles.per_point_solve(cache, *point)
+        assert state.time == want.time and state.mis is want.mis
+        assert _rel(state.coeffs, want.coeffs) <= 1e-13
+    assert harness.solve_points(cache, BATCH_POINTS) == {} and len(batches) == 2
+
+
+def test_a_failing_block_names_its_sweep_point(monkeypatch):
+    cache = OperatorCache(load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [8]})))
+    points = [(1, 4, 8), (2, 8, 8), (1, 8, 8)]
+    sizes = [cache.operator(n, m)[0].size for n, m, _ in points]
+    real_splu = timestep.spla.splu
+
+    def wrong_lu_for_second_point(a, *args, **kwargs):
+        # the batch's step matrix is factored with the second point's block perturbed
+        shift = np.zeros(a.shape[0])
+        shift[sizes[0] : sizes[0] + sizes[1]] = 0.5
+        return real_splu(a + sp.diags(shift, format="csc"), *args, **kwargs)
+
+    monkeypatch.setattr(timestep.spla, "splu", wrong_lu_for_second_point)
+    failed = r"sweep point \(n, m, n_k\) = \(2, 8, 8\) failed: time step residual .* in block 1 of 3"
+    with pytest.raises(SolverError, match=failed):
+        harness.solve_points(cache, points)
+    assert not any(cache.solved(*p) for p in points)
+
+
 @pytest.fixture
 def work_counts(monkeypatch):
     counts = {"stiffness": 0, "load": 0}
@@ -670,21 +787,24 @@ def test_failing_reference_node_keeps_its_error_type(monkeypatch):
     field = coefficient_by_name("logistic_1d")
     u0 = initial_datum_by_name("sine_modes")
     space = make_fe_space(make_mesh(1, 8), 1)
+    ops = spatial_operators(space, field)
+    nodes, _ = tensor_quad(H1, 3)
+    d0, d1 = timestep.crank_nicolson().den
+    # the step matrix of node 1, f(z_1) K_g, for 4 Crank--Nicolson steps of 0.025
+    node_1 = d0 * ops.mass - d1 * 0.025 * ops.stiffness_at(nodes[1])
     real_splu = timestep.spla.splu
-    factors = []
 
-    def wrong_lu_at_second_node(a, *args, **kwargs):
-        # every node factors its one step matrix; the second node gets the
-        # factor of a perturbed matrix, so its first step fails the residual check
-        factors.append(a)
-        if len(factors) == 2:
+    def wrong_lu_at_node_1(a, *args, **kwargs):
+        # node 1 gets the factor of a perturbed matrix, so its first step
+        # fails the residual check; every other factorization is left alone
+        if a.shape == node_1.shape and abs(a - node_1).max() <= 1e-14 * abs(node_1).max():
             a = a + 0.5 * sp.identity(a.shape[0], format="csc")
         return real_splu(a, *args, **kwargs)
 
-    monkeypatch.setattr(timestep.spla, "splu", wrong_lu_at_second_node)
+    monkeypatch.setattr(timestep.spla, "splu", wrong_lu_at_node_1)
     failed_node_1 = r"collocation node 1 \(z = .*\) failed: time step residual"
     with pytest.raises(SolverError, match=failed_node_1):
-        collocation_reference(H1, 3, spatial_operators(space, field), 4, u0, 0.1)
+        collocation_reference(H1, 3, ops, 4, u0, 0.1)
     monkeypatch.undo()
 
     def bad_sample(z):

@@ -22,6 +22,7 @@ from sgpde.spatial import (
 )
 from sgpde.timestep import (
     Propagator,
+    StepResidualError,
     TimeGrid,
     a_stability_probe,
     crank_nicolson,
@@ -209,6 +210,31 @@ def test_residual_check_runs_on_cached_steps():
     prop._lu[0.01] = (lhs, spla.splu(wrong))
     with pytest.raises(SolverError, match="residual"):
         prop.step(u, 0.01)
+
+
+def test_residual_check_runs_per_block():
+    # block 1's right-hand side is 1e-13 of block 0's, so a wrong factor of
+    # block 1 alone leaves a residual far below 1e-11 of the whole vector
+    _, mass, stiff, u = heat_setup(m=16, order=1)
+    n = mass.shape[0]
+    mass2 = sp.block_diag([mass, mass], format="csr")
+    stiff2 = sp.block_diag([stiff, stiff], format="csr")
+    u2 = np.concatenate([u, 1e-13 * u])
+    shift = sp.block_diag([sp.csr_matrix((n, n)), 0.5 * sp.identity(n)])
+    wrong = spla.splu((mass2 + 0.01 * stiff2 + shift).tocsc())
+    whole, blocked = Propagator(implicit_euler(), mass2, stiff2), Propagator(
+        implicit_euler(), mass2, stiff2, blocks=(n, n)
+    )
+    for prop in (whole, blocked):
+        good = prop.step(u2, 0.01)  # the right factor passes either way
+        prop._lu[0.01] = (prop._lu[0.01][0], wrong)
+    whole.step(good, 0.01)  # masked by block 0
+    with pytest.raises(StepResidualError, match="in block 1 of 2") as info:
+        blocked.step(good, 0.01)
+    assert info.value.block == 1 and isinstance(info.value, SolverError)
+    for blocks in ((n,), (n, n - 1), (0, 2 * n)):
+        with pytest.raises(ValueError, match="do not partition"):
+            Propagator(implicit_euler(), mass2, stiff2, blocks=blocks)
 
 
 @pytest.mark.parametrize("name", ["implicit_euler", "crank_nicolson"])
