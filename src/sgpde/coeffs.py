@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "CoefficientField",
@@ -75,14 +74,21 @@ class InitialDatum:
     name: str = ""
 
 
+def _logistic(z):
+    """1 / (1 + exp(-z)) without overflow: with e = exp(-|z|) it is 1 / (1 + e)
+    for z >= 0 and e / (1 + e) below. A scalar z gives a NumPy scalar."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+
+
 def logistic_factor(z):
     """1 / (1 + exp(-z)) + 1, values in (1, 2), all derivatives bounded."""
-    return expit(z) + 1.0
+    return _logistic(z) + 1.0
 
 
 def logistic_factor_derivatives() -> tuple:
     """Exact derivative callables of the logistic factor, orders 0..4."""
-    s = expit
+    s = _logistic
     return (
         logistic_factor,
         lambda z: s(z) * (1.0 - s(z)),
@@ -206,7 +212,7 @@ def _logistic_anisotropic() -> CoefficientField:
     # diag(1 + |x|^2, 3 - |x|^2) on the unit square has eigenvalues in [1, 3]
     def g(x):
         r2 = float(x[0] ** 2 + x[1] ** 2)
-        return np.diag([1.0 + r2, 3.0 - r2])
+        return np.array([[1.0 + r2, 0.0], [0.0, 3.0 - r2]])
 
     return builtin_separable(
         logistic_factor,

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
 from .coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
@@ -32,6 +31,7 @@ from .sgsystem import (
     SgState,
     SpatialOperators,
     assemble_block_operator,
+    block_diagonal,
     initial_coefficients,
     reconstruct_at_nodes,
     spatial_operators,
@@ -330,8 +330,7 @@ class ExperimentConfig:
             if not values:
                 raise ValueError(f"sweep.{axis} must be a non-empty list")
             for v in values:
-                if isinstance(v, bool) or not isinstance(v, int) or v < lowest:
-                    raise ValueError(f"sweep.{axis} value {v!r} must be an integer >= {lowest}")
+                _check_int(f"sweep.{axis}", v, lowest)
             if sorted(values) != list(values):
                 raise ValueError(f"sweep.{axis} must be increasing")
         max_n = max(self.sweep["n"])
@@ -341,6 +340,10 @@ class ExperimentConfig:
             )
         kind = self.reference.get("kind")
         if kind == "collocation":
+            for key in ("m_ref", "n_k_ref"):
+                _check_int(f"reference.{key}", self.reference.get(key), 1)
+            if "quad_order" in self.reference:
+                _check_int("reference.quad_order", self.reference["quad_order"], 1)
             m_ref = self.reference["m_ref"]
             nk_ref = self.reference["n_k_ref"]
             max_m, max_nk = max(self.sweep["m"]), max(self.sweep["n_k"])
@@ -379,9 +382,31 @@ class ExperimentConfig:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-# JSON has no tuple, and writes a whole float as an integer: such values are
-# converted to the field's annotated type
-_CONVERT = {"tuple": tuple, "float": float, "int": int, "bool": bool}
+def _check_int(key: str, value, lowest: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
+        raise ValueError(f"{key} value {value!r} must be an integer >= {lowest}")
+
+
+def _converted(key: str, kind: str, value):
+    """A top-level config value read as its field's annotated type `kind`.
+
+    JSON has no tuple, and a number may come as an int or a float: a list
+    becomes a tuple, a number a float, and an integral number an int. A
+    value that does not fit its type (20.5 for an int, "false" for a bool)
+    raises a ValueError naming the key.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "tuple":
+        return tuple(value)
+    if kind == "float" and number:
+        return float(value)
+    if kind == "int" and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind == "bool" and isinstance(value, bool):
+        return value
+    if kind in ("float", "int", "bool"):
+        raise ValueError(f"{key} value {value!r} must be of type {kind}")
+    return value
 
 
 def load_config(source) -> ExperimentConfig:
@@ -405,7 +430,7 @@ def load_config(source) -> ExperimentConfig:
     if missing:
         raise ValueError(f"missing config keys: {missing}")
     cfg = ExperimentConfig(
-        **{f.name: _CONVERT.get(f.type, lambda v: v)(raw[f.name]) for f in keys if f.name in raw}
+        **{f.name: _converted(f.name, f.type, raw[f.name]) for f in keys if f.name in raw}
     )
     cfg.validate()
     scheme_by_name(cfg.scheme)  # fail early on unknown schemes
@@ -459,17 +484,6 @@ class OperatorCache:
         return (n, m, n_k) in self._finals
 
 
-def _block_diagonal(blocks) -> sp.csr_matrix:
-    """The block-diagonal CSR matrix of square CSR blocks, joined from their
-    arrays: each block keeps its stored entries in their order."""
-    rows = np.cumsum([0] + [b.shape[0] for b in blocks])
-    stored = np.cumsum([0] + [b.nnz for b in blocks])
-    data = np.concatenate([b.data for b in blocks])
-    indices = np.concatenate([b.indices + r for b, r in zip(blocks, rows)])
-    indptr = np.concatenate([[0]] + [b.indptr[1:] + z for b, z in zip(blocks, stored)])
-    return sp.csr_matrix((data, indices, indptr), shape=(rows[-1], rows[-1]))
-
-
 def solve_points(cache: OperatorCache, points) -> dict[tuple, float]:
     """Run every listed (n, m, n_k) not yet solved to the final time.
 
@@ -500,8 +514,8 @@ def solve_points(cache: OperatorCache, points) -> dict[tuple, float]:
             w = evolve(
                 scheme,
                 grid,
-                _block_diagonal([op.mass for op, _ in built]),
-                _block_diagonal([op.stiffness for op, _ in built]),
+                block_diagonal([op.mass for op, _ in built]),
+                block_diagonal([op.stiffness for op, _ in built]),
                 np.concatenate([w0.reshape(-1) for w0 in starts]),
                 blocks=sizes,
             )

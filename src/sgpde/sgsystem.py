@@ -56,6 +56,7 @@ __all__ = [
     "SpatialOperators",
     "spatial_operators",
     "assemble_block_operator",
+    "block_diagonal",
     "initial_coefficients",
     "reconstruct_at_nodes",
     "min_generalized_eigenvalue",
@@ -211,6 +212,17 @@ def _checked_eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     return lam, vecs, orth, res / scale if scale else 0.0
 
 
+def block_diagonal(blocks) -> sp.csr_matrix:
+    """The block-diagonal CSR matrix of square CSR blocks, joined from their
+    arrays: each block keeps its stored entries in their order."""
+    rows = np.cumsum([0] + [b.shape[0] for b in blocks])
+    stored = np.cumsum([0] + [b.nnz for b in blocks])
+    data = np.concatenate([b.data for b in blocks])
+    indices = np.concatenate([b.indices + r for b, r in zip(blocks, rows)])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + z for b, z in zip(blocks, stored)])
+    return sp.csr_matrix((data, indices, indptr), shape=(rows[-1], rows[-1]))
+
+
 def assemble_block_operator(
     dist: DistributionSpec, mis: MultiIndexSet, ops: SpatialOperators, q: int
 ) -> SgOperator:
@@ -229,13 +241,15 @@ def assemble_block_operator(
     field = ops.field
     nodes, weights = tensor_quad(dist, q)
     phi = tensor_basis_matrix(dist, mis, nodes)
-    block_mass = sp.kron(sp.eye(len(mis)), ops.mass, format="csr")
+    block_mass = block_diagonal([ops.mass] * len(mis))  # I (x) M
     if field.separable:
         scaled = weights * np.array([field.z_factor(z) for z in nodes])
         g = phi.T @ (scaled[:, None] * phi)
         g = 0.5 * (g + g.T)
         lam, vecs, orth, res = _checked_eigh(g)
-        stiffness = sp.kron(sp.diags(lam), ops.k_g, format="csr")
+        # diag(lam) (x) K_g: block i stores lam_i times the entries of K_g
+        stiffness = block_diagonal([ops.k_g] * len(lam))
+        stiffness.data *= np.repeat(lam, ops.k_g.nnz)
         factors = SeparableFactors(g, lam, vecs, ops.k_g)
         op = SgOperator(mis.n, mis, ops.space, block_mass, stiffness, factors)
         detail = f" eigh_orth={orth:.3e} eigh_rel_res={res:.3e}"

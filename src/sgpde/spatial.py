@@ -5,10 +5,13 @@ the unit square with 2 m^2 triangles in 2D. Lagrange elements of order 1
 (P1) or 2 (P2) with homogeneous Dirichlet conditions enforced by dof
 elimination; all retained dofs are interior.
 
-Every kernel works on all cells at once: one table of affine cell maps
-(`_geometry`) gives the quadrature points and physical gradients, one einsum
-forms the element contributions and one scatter sums them. Point evaluation
-and prolongation share one sparse evaluation matrix.
+Every kernel works on all cells at once, in a fixed number of whole-array
+operations: one table of affine cell maps (`_geometry`) gives the quadrature
+points and physical gradients, matmuls on fixed shapes form the element
+contributions and one scatter sums them. Meshes and spaces are numbered the
+same way; a P2 edge midpoint is numbered in the order in which its edge first
+appears in the cells. Point evaluation and prolongation share one sparse
+evaluation matrix.
 
 Spatial callables (coefficients, loads, exact and initial functions) are
 still sampled one point at a time: they receive a float in 1D and an ndarray
@@ -70,18 +73,14 @@ def make_mesh(dim: int, m: int) -> Mesh:
         verts = (np.arange(m + 1, dtype=float) / m)[:, None]
         cells = np.column_stack([np.arange(m), np.arange(1, m + 1)])
         return Mesh(1, m, verts, cells, 1.0 / m)
-    idx = lambda i, j: i * (m + 1) + j
-    verts = np.array(
-        [[i / m, j / m] for i in range(m + 1) for j in range(m + 1)], dtype=float
-    )
-    cells = []
-    for i in range(m):
-        for j in range(m):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    return Mesh(2, m, verts, np.array(cells), math.sqrt(2.0) / m)
+    # vertex (i, j) at (i / m, j / m) has id i (m + 1) + j; each square
+    # (i, j), in that order, gives its lower then its upper triangle
+    i, j = np.divmod(np.arange((m + 1) ** 2), m + 1)
+    verts = np.column_stack([i / m, j / m])
+    v00 = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).ravel()
+    v10, v01, v11 = v00 + m + 1, v00 + 1, v00 + m + 2
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return Mesh(2, m, verts, cells, math.sqrt(2.0) / m)
 
 
 @dataclass(frozen=True)
@@ -118,41 +117,32 @@ def make_fe_space(mesh: Mesh, order: int) -> FeSpace:
             boundary = np.zeros(len(nodes), dtype=bool)
             boundary[[0, 2 * m]] = True
     else:
-        nv = (m + 1) ** 2
-        grid_ij = np.array([(i, j) for i in range(m + 1) for j in range(m + 1)])
-        vert_boundary = (
-            (grid_ij[:, 0] == 0) | (grid_ij[:, 0] == m)
-            | (grid_ij[:, 1] == 0) | (grid_ij[:, 1] == m)
-        )
+        i, j = np.divmod(np.arange((m + 1) ** 2), m + 1)
+        vert_boundary = (i == 0) | (i == m) | (j == 0) | (j == m)
         if order == 1:
             nodes = mesh.vertices.copy()
             cell_nodes = mesh.cells.copy()
             boundary = vert_boundary
         else:
-            edges: dict[tuple[int, int], int] = {}
-            cell_nodes_list = []
-            mid_coords = []
-            mid_boundary = []
-
-            def edge_node(a: int, b: int) -> int:
-                key = (a, b) if a < b else (b, a)
-                if key not in edges:
-                    edges[key] = len(mid_coords)
-                    mid_coords.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
-                    ia, ja = grid_ij[a]
-                    ib, jb = grid_ij[b]
-                    on_bnd = (ia == ib and ia in (0, m)) or (ja == jb and ja in (0, m))
-                    mid_boundary.append(on_bnd)
-                return nv + edges[key]
-
-            for tri in mesh.cells:
-                a, b, c = (int(v) for v in tri)
-                cell_nodes_list.append(
-                    (a, b, c, edge_node(a, b), edge_node(b, c), edge_node(c, a))
-                )
-            nodes = np.vstack([mesh.vertices, np.array(mid_coords)])
-            cell_nodes = np.array(cell_nodes_list)
-            boundary = np.concatenate([vert_boundary, np.array(mid_boundary)])
+            # the edges ab, bc, ca of each cell in turn; an edge's midpoint
+            # node is numbered in order of the edge's first appearance
+            a = mesh.cells.ravel()
+            b = mesh.cells[:, [1, 2, 0]].ravel()
+            nv = len(mesh.vertices)
+            _, first, edge = np.unique(
+                np.minimum(a, b) * nv + np.maximum(a, b), return_index=True, return_inverse=True
+            )
+            rank = np.empty(len(first), dtype=int)
+            rank[np.argsort(first)] = np.arange(len(first))
+            ends = np.sort(first)
+            a, b = a[ends], b[ends]
+            nodes = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[a] + mesh.vertices[b])])
+            cell_nodes = np.hstack([mesh.cells, nv + rank[edge].reshape(-1, 3)])
+            # a midpoint is on the boundary when its edge runs along a side
+            mid_boundary = ((i[a] == i[b]) & ((i[a] == 0) | (i[a] == m))) | (
+                (j[a] == j[b]) & ((j[a] == 0) | (j[a] == m))
+            )
+            boundary = np.concatenate([vert_boundary, mid_boundary])
     dof_of_node = np.full(len(nodes), -1, dtype=int)
     interior = ~boundary
     dof_of_node[interior] = np.arange(int(interior.sum()))
@@ -243,7 +233,7 @@ def _element_rule(space: FeSpace, q1d: int):
     """Quadrature on every cell: the q1d-point Gauss rule in 1D, the 7-point
     rule in 2D. Returns weights times |det J| (nc, nq), physical points
     (nc, nq, d), shape values (local, nq) and physical gradients
-    (nc, local, nq, d)."""
+    (nc, nq, local, d)."""
     if space.dim == 1:
         t, w = _gauss_01(q1d)
         pts = t[:, None]
@@ -251,8 +241,11 @@ def _element_rule(space: FeSpace, q1d: int):
         pts, w = _TRI_PTS, _TRI_WTS
     x0, jac, det, inv_t = _geometry(space.mesh)
     vals, grads = _shapes(space.dim, space.order, pts)
-    xq = x0[:, None, :] + np.einsum("cab,qb->cqa", jac, pts)
-    return np.outer(det, w), xq, vals, np.einsum("cab,iqb->ciqa", inv_t, grads)
+    nq, d = pts.shape
+    xq = x0[:, None, :] + pts @ np.swapaxes(jac, 1, 2)
+    # J^-T times every reference gradient, the (nq * local, d) rows at once
+    grads = np.swapaxes(grads, 0, 1).reshape(-1, d) @ np.swapaxes(inv_t, 1, 2)
+    return np.outer(det, w), xq, vals, grads.reshape(len(det), nq, -1, d)
 
 
 def _sampled(f, xq: np.ndarray, dim: int) -> np.ndarray:
@@ -276,7 +269,9 @@ def _scatter(space: FeSpace, element_matrices: np.ndarray) -> sp.csr_matrix:
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     """Mass matrix, exactly integrated, symmetric positive definite."""
     dw, _, vals, _ = _element_rule(space, space.order + 1)
-    return _scatter(space, np.einsum("cq,iq,jq->cij", dw, vals, vals))
+    local, nq = vals.shape
+    products = (vals[:, None] * vals).reshape(-1, nq)  # row i * local + j: phi_i phi_j
+    return _scatter(space, (dw @ products.T).reshape(-1, local, local))
 
 
 def _coefficient_samples(coeff, xq: np.ndarray) -> np.ndarray:
@@ -307,7 +302,9 @@ def assemble_stiffness(space: FeSpace, coeff) -> sp.csr_matrix:
     """Stiffness matrix of the diffusion form for a scalar (1D) or 2x2 (2D) field."""
     dw, xq, _, grads = _element_rule(space, max(space.order + 1, 3))
     c = _coefficient_samples(coeff, xq).reshape(*dw.shape, space.dim, space.dim)
-    return _scatter(space, np.einsum("cq,cqab,ciqa,cjqb->cij", dw, c, grads, grads))
+    # sum over the points q of G_q (w_q C_q) G_q^T, G_q the (local, d) gradients at q
+    flux = grads @ (dw[:, :, None, None] * c)
+    return _scatter(space, (flux @ np.swapaxes(grads, 2, 3)).sum(axis=1))
 
 
 def h1_gram(space: FeSpace) -> sp.csr_matrix:
@@ -318,7 +315,7 @@ def h1_gram(space: FeSpace) -> sp.csr_matrix:
 def load_vector(space: FeSpace, f) -> np.ndarray:
     """Right-hand side (f, phi_i) for a sampleable spatial function f."""
     dw, xq, vals, _ = _element_rule(space, 6)
-    be = np.einsum("cq,cq,iq->ci", dw, _sampled(f, xq, space.dim).reshape(dw.shape), vals)
+    be = (dw * _sampled(f, xq, space.dim).reshape(dw.shape)) @ vals.T
     dofs = space.dof_of_node[space.cell_nodes]
     b = np.zeros(space.ndof)
     np.add.at(b, dofs[dofs >= 0], be[dofs >= 0])
@@ -417,5 +414,5 @@ def l2_error(space: FeSpace, u: np.ndarray, exact):
     sel = space.dof_of_node >= 0
     full[:, sel] = u[:, space.dof_of_node[sel]]
     diff = full[:, space.cell_nodes] @ vals - np.reshape(exact, (len(u),) + dw.shape)
-    err = np.sqrt(np.einsum("cq,kcq->k", dw, diff * diff))
+    err = np.sqrt((diff * diff).reshape(len(u), -1) @ dw.ravel())
     return float(err[0]) if single else err

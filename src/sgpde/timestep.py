@@ -143,6 +143,10 @@ class Propagator:
 
     The step matrix d0 M - d1 tau K and its LU are built once per step size
     tau and cached; every step still checks its residual against that matrix.
+    When the scheme's numerator reads K (n1 != 0, as in Crank--Nicolson) the
+    stacked CSR [M; K] is built once, so that one product gives both M u
+    and K u; each row keeps its stored order, so the right-hand side is
+    bitwise that of the two products.
     `blocks` gives the sizes of the diagonal blocks of a block-diagonal
     (M, K), in order (default: one block). Each block's residual is checked
     against that block's own right-hand side; the first block that fails
@@ -159,6 +163,18 @@ class Propagator:
             raise ValueError(f"block sizes {blocks} do not partition {size} unknowns")
         self._starts = np.cumsum((0,) + blocks[:-1])
         self._lu: dict[float, tuple] = {}
+        self._stacked = None
+        if scheme.num[1] != 0.0:
+            self._stacked = sp.vstack([self.mass, self.stiff], format="csr")
+
+    def rhs(self, u: np.ndarray, tau: float) -> np.ndarray:
+        """The step's right-hand side (n0 M - n1 tau K) u, as n0 (M u) - n1 tau (K u)."""
+        n0, n1 = self.scheme.num
+        if self._stacked is None:
+            return n0 * (self.mass @ u)
+        mk = self._stacked @ u
+        size = self.mass.shape[0]
+        return n0 * mk[:size] - n1 * tau * mk[size:]
 
     def step(self, u: np.ndarray, tau: float) -> np.ndarray:
         cached = self._lu.get(tau)
@@ -173,10 +189,7 @@ class Propagator:
                 raise SolverError(f"step matrix for tau = {tau} cannot be factored: {exc}") from exc
             cached = self._lu[tau] = (lhs, lu)
         lhs, lu = cached
-        n0, n1 = self.scheme.num
-        b = n0 * (self.mass @ u)
-        if n1 != 0.0:
-            b = b - n1 * tau * (self.stiff @ u)
+        b = self.rhs(u, tau)
         out = lu.solve(b)
         r = lhs @ out - b
         res = np.sqrt(np.add.reduceat(r * r, self._starts))

@@ -37,6 +37,8 @@ from sgpde.sgsystem import (
     spatial_operators,
 )
 from sgpde.spatial import (
+    FeSpace,
+    Mesh,
     _TRI_PTS,
     _TRI_WTS,
     _gauss_01,
@@ -397,6 +399,88 @@ def per_node_collocation_reference(dist, q_ref, space, n_steps, field, u0, t_fin
         except Exception as exc:
             raise RuntimeError(f"collocation node {i} (z = {z}) failed: {exc}") from exc
     return CollocationReference(dist, nodes, weights, space, mass, values, t_final)
+
+
+# --- the loops that the array numbering of meshes and spaces replaced ------
+
+
+def loop_mesh(dim: int, m: int) -> Mesh:
+    """The uniform mesh, its 2D vertices and cells numbered in Python loops."""
+    if dim == 1:
+        verts = (np.arange(m + 1, dtype=float) / m)[:, None]
+        cells = np.column_stack([np.arange(m), np.arange(1, m + 1)])
+        return Mesh(1, m, verts, cells, 1.0 / m)
+    idx = lambda i, j: i * (m + 1) + j
+    verts = np.array(
+        [[i / m, j / m] for i in range(m + 1) for j in range(m + 1)], dtype=float
+    )
+    cells = []
+    for i in range(m):
+        for j in range(m):
+            v00, v10 = idx(i, j), idx(i + 1, j)
+            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
+            cells.append((v00, v10, v11))
+            cells.append((v00, v11, v01))
+    return Mesh(2, m, verts, np.array(cells), math.sqrt(2.0) / m)
+
+
+def loop_fe_space(mesh: Mesh, order: int) -> FeSpace:
+    """The P1 or P2 space on the mesh; 2D P2 numbers each edge midpoint in a
+    dict loop over the cells, in order of the edge's first appearance."""
+    m = mesh.m
+    if mesh.dim == 1:
+        if order == 1:
+            nodes = mesh.vertices.copy()
+            cell_nodes = mesh.cells.copy()
+            boundary = np.zeros(len(nodes), dtype=bool)
+            boundary[[0, m]] = True
+        else:
+            nodes = (np.arange(2 * m + 1, dtype=float) / (2 * m))[:, None]
+            cell_nodes = np.column_stack(
+                [2 * np.arange(m), 2 * np.arange(m) + 1, 2 * np.arange(m) + 2]
+            )
+            boundary = np.zeros(len(nodes), dtype=bool)
+            boundary[[0, 2 * m]] = True
+    else:
+        nv = (m + 1) ** 2
+        grid_ij = np.array([(i, j) for i in range(m + 1) for j in range(m + 1)])
+        vert_boundary = (
+            (grid_ij[:, 0] == 0) | (grid_ij[:, 0] == m)
+            | (grid_ij[:, 1] == 0) | (grid_ij[:, 1] == m)
+        )
+        if order == 1:
+            nodes = mesh.vertices.copy()
+            cell_nodes = mesh.cells.copy()
+            boundary = vert_boundary
+        else:
+            edges: dict[tuple[int, int], int] = {}
+            cell_nodes_list = []
+            mid_coords = []
+            mid_boundary = []
+
+            def edge_node(a: int, b: int) -> int:
+                key = (a, b) if a < b else (b, a)
+                if key not in edges:
+                    edges[key] = len(mid_coords)
+                    mid_coords.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
+                    ia, ja = grid_ij[a]
+                    ib, jb = grid_ij[b]
+                    on_bnd = (ia == ib and ia in (0, m)) or (ja == jb and ja in (0, m))
+                    mid_boundary.append(on_bnd)
+                return nv + edges[key]
+
+            for tri in mesh.cells:
+                a, b, c = (int(v) for v in tri)
+                cell_nodes_list.append(
+                    (a, b, c, edge_node(a, b), edge_node(b, c), edge_node(c, a))
+                )
+            nodes = np.vstack([mesh.vertices, np.array(mid_coords)])
+            cell_nodes = np.array(cell_nodes_list)
+            boundary = np.concatenate([vert_boundary, np.array(mid_boundary)])
+    dof_of_node = np.full(len(nodes), -1, dtype=int)
+    interior = ~boundary
+    dof_of_node[interior] = np.arange(int(interior.sum()))
+    return FeSpace(mesh, order, nodes, cell_nodes, dof_of_node, int(interior.sum()))
 
 
 # --- the per-cell spatial kernels that the array assembly replaced ---------

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sgpde
 from sgpde.cli import invariant_suite, main
 
 
@@ -87,3 +92,13 @@ def test_solve_command(tmp_path, capsys):
 
     data = np.load(state_path)
     assert data["coeffs"].shape[0] == 4  # d_3 modes in 1D
+
+
+def test_importing_the_cli_does_not_load_scipy_special():
+    src = str(Path(sgpde.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, sgpde.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -99,3 +99,22 @@ def test_initial_data_builtins():
     assert gv(np.array([0.5, 0.5])) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         initial_datum_by_name("nope")
+
+
+def test_logistic_factor_and_derivatives_match_scipy_expit():
+    from scipy.special import expit as s
+
+    want = (
+        lambda z: s(z) + 1.0,
+        lambda z: s(z) * (1.0 - s(z)),
+        lambda z: s(z) * (1.0 - s(z)) * (1.0 - 2.0 * s(z)),
+        lambda z: s(z) * (1.0 - s(z)) * (1.0 - 6.0 * s(z) + 6.0 * s(z) ** 2),
+        lambda z: s(z) * (1.0 - s(z)) * (1.0 - 2.0 * s(z)) * (1.0 - 12.0 * s(z) + 12.0 * s(z) ** 2),
+    )
+    zs = np.concatenate([np.linspace(-40.0, 40.0, 8001), [-800.0, -1e-300, 0.0, 1e-300, 800.0]])
+    for got, exact in zip(logistic_factor_derivatives(), want):
+        assert np.max(np.abs(got(zs) - exact(zs))) <= 1e-15
+    assert logistic_factor is logistic_factor_derivatives()[0]
+    # a scalar gives a scalar, as expit does
+    assert type(logistic_factor(0.3)) is type(want[0](0.3)) is np.float64
+    assert logistic_factor(0.3) == pytest.approx(want[0](0.3), abs=1e-15)

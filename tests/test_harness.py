@@ -304,6 +304,39 @@ def test_bad_sweep_values_are_rejected_at_load(monkeypatch, axis, values, refere
     assert solved == []
 
 
+COLLOCATION = {"kind": "collocation", "m_ref": 64, "n_k_ref": 64}
+
+
+@pytest.mark.parametrize(
+    "override,key,shown",
+    [
+        ({"quad_order": 20.5}, "quad_order", r"20\.5"),
+        ({"quad_order": "20"}, "quad_order", "'20'"),
+        ({"t_final": "0.1"}, "t_final", r"'0\.1'"),
+        ({"strict_reference": "false"}, "strict_reference", "'false'"),
+        ({"strict_reference": 0}, "strict_reference", "0"),
+        ({"reference": {**COLLOCATION, "m_ref": 64.0}}, r"reference\.m_ref", r"64\.0"),
+        ({"reference": {**COLLOCATION, "n_k_ref": 64.5}}, r"reference\.n_k_ref", r"64\.5"),
+        ({"reference": {**COLLOCATION, "n_k_ref": True}}, r"reference\.n_k_ref", "True"),
+        ({"reference": {"kind": "collocation", "m_ref": 64}}, r"reference\.n_k_ref", "None"),
+        ({"reference": {**COLLOCATION, "quad_order": 2.5}}, r"reference\.quad_order", r"2\.5"),
+        ({"reference": {**COLLOCATION, "quad_order": 0}}, r"reference\.quad_order", "0"),
+    ],
+    ids=[
+        "quad_order_fraction", "quad_order_string", "t_final_string", "strict_string",
+        "strict_int", "m_ref_float", "n_k_ref_fraction", "n_k_ref_bool", "n_k_ref_missing",
+        "ref_quad_order_fraction", "ref_quad_order_zero",
+    ],
+)
+def test_bad_config_values_are_rejected_at_load(monkeypatch, override, key, shown):
+    # rejected when the config loads, naming the key, before anything is solved
+    solved = []
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: solved.append(args))
+    with pytest.raises(ValueError, match=rf"^{key} value {shown} must be "):
+        load_config(mini_config(**override))
+    assert solved == []
+
+
 def test_odd_reference_mesh_is_rejected_only_for_the_error_estimate(monkeypatch, tmp_path, capsys):
     # the two-grid estimate solves on m_ref // 2, which must divide m_ref; a
     # run without the estimate never builds that mesh

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import oracles
 from sgpde import sgsystem
@@ -499,3 +500,22 @@ def test_initial_coefficients_builds_one_load_per_distinct_function(monkeypatch)
     proj = l2_project(ops.space, lambda x: math.sin(math.pi * x))
     assert np.max(np.abs(shared.coeffs[0] - proj)) < 1e-10
     assert np.max(np.abs(per_node.coeffs[1] - proj)) < 1e-10
+
+
+@pytest.mark.parametrize("dim,order,n_inputs", [(1, 1, 1), (2, 2, 2)])
+def test_separable_block_arrays_equal_the_kron_form(dim, order, n_inputs):
+    # I (x) M and diag(lam) (x) K_g joined from their blocks store the very
+    # arrays that sp.kron builds
+    space = make_fe_space(make_mesh(dim, 5 if dim == 1 else 3), order)
+    field = coefficient_by_name("logistic_1d" if dim == 1 else "logistic_anisotropic")
+    ops = spatial_operators(space, field)
+    mis = multi_index_set(n_inputs, 3 if dim == 1 else 2)
+    op = assemble_block_operator(distribution(*[hermite()] * n_inputs), mis, ops, 7)
+    eye = sp.eye(len(mis))
+    for got, want in (
+        (op.mass, sp.kron(eye, ops.mass, format="csr")),
+        (op.stiffness, sp.kron(sp.diags(op.factors.eigvals), ops.k_g, format="csr")),
+    ):
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr

@@ -296,3 +296,20 @@ def test_gauss_rule_on_unit_interval_is_cached_and_read_only():
     assert w.sum() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         t[0] = 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_space_numbering_matches_loop_oracle(dim, order, m):
+    space = make_fe_space(make_mesh(dim, m), order)
+    oracle = oracles.loop_fe_space(oracles.loop_mesh(dim, m), order)
+    for got, want in (
+        (space.mesh.vertices, oracle.mesh.vertices),
+        (space.mesh.cells, oracle.mesh.cells),
+        (space.nodes, oracle.nodes),
+        (space.cell_nodes, oracle.cell_nodes),
+        (space.dof_of_node, oracle.dof_of_node),
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert space.ndof == oracle.ndof and space.mesh.h == oracle.mesh.h

@@ -278,3 +278,23 @@ def test_decoupled_evolve_matches_coupled_evolve(name, grid):
     w = evolve(scheme, grid, op.mass, op.stiffness, w0.reshape(-1))
     decoupled = op.to_chaos(w.reshape(w0.shape)).reshape(-1)
     assert np.max(np.abs(decoupled - coupled)) <= 1e-11 * np.max(np.abs(coupled))
+
+
+@pytest.mark.parametrize("dim,order", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("name", ["implicit_euler", "crank_nicolson"])
+def test_right_hand_side_is_bitwise_the_two_product_form(name, dim, order):
+    # Crank--Nicolson takes M u and K u from one product with the stacked
+    # [M; K]; each row keeps its stored order, so b is bitwise unchanged
+    space = make_fe_space(make_mesh(dim, 6 if dim == 1 else 3), order)
+    coeff = 2.0 if dim == 1 else coefficient_by_name("logistic_anisotropic").spatial_part
+    mass, stiff = assemble_mass(space), assemble_stiffness(space, coeff)
+    scheme = scheme_by_name(name)
+    prop = Propagator(scheme, mass, stiff)
+    assert (prop._stacked is None) == (name == "implicit_euler")
+    n0, n1 = scheme.num
+    u = np.random.default_rng(dim).standard_normal(space.ndof)
+    for tau in (0.1, 0.013):
+        want = n0 * (mass @ u)
+        if n1 != 0.0:
+            want = want - n1 * tau * (stiff @ u)
+        assert np.array_equal(prop.rhs(u, tau), want)
