@@ -1,8 +1,9 @@
 """Random diffusion coefficient fields and initial data.
 
 A coefficient field maps a random parameter z in R^N and a spatial point x
-to a scalar (1D) or a Hermitian 2x2 matrix (2D). Built-ins are separable,
-value = f(z) * g(x), which downstream assembly exploits. Ellipticity bounds
+to a scalar (1D) or a Hermitian 2x2 matrix (2D). Every field is separable,
+value = f(z) * g(x): `CoefficientField` requires both factors, and the
+library assembles the spatial matrix of g once per space. Ellipticity bounds
 are declared, not proven; `eval_bounds_check` verifies them by sampling.
 """
 
@@ -29,32 +30,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Diffusion coefficient M(z, x); see module docstring for conventions.
+    """Diffusion coefficient M(z, x) = f(z) g(x); see the module docstring.
 
-    `z_factor`/`spatial_part` are set for separable fields and allow
-    assembling the spatial matrix once. `z_derivatives` are optional exact
-    derivatives of the scalar z-factor, used only for smoothness reporting.
-    Fields without declared bounds are non-elliptic probes for assembly
-    tests and are rejected by solvers that require coercivity.
+    `evaluate(z, x)` is the product, `z_factor` the scalar f and
+    `spatial_part` the spatial g. `z_derivatives` are optional exact
+    derivatives of f, used only for smoothness reporting. Fields without
+    declared bounds are non-elliptic probes for assembly tests and are
+    rejected by solvers that require coercivity.
     """
 
     dim: int
     evaluate: Callable
+    z_factor: Callable
+    spatial_part: Callable
     kappa: float | None = None
     bound: float | None = None
-    z_factor: Callable | None = None
-    spatial_part: Callable | None = None
     z_derivatives: tuple = ()
     name: str = ""
 
     @property
     def elliptic(self) -> bool:
         return self.kappa is not None and self.kappa > 0.0
-
-    @property
-    def separable(self) -> bool:
-        """Whether the field declares its factors f(z) and g(x)."""
-        return self.z_factor is not None and self.spatial_part is not None
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ A sweep refines the chaos order n, the mesh parameter m, and the number of
 time steps one axis at a time (the other axes held at their finest values)
 plus jointly, measures errors against a reference in the natural norm
 (z-quadrature of spatial L2 norms), and fits log-log convergence slopes.
-References are either analytic (separable 1D problems with sine data) or
+References are either analytic (constant-in-x 1D problems with sine data) or
 deterministic collocation solves at the quadrature nodes on a strictly
 finer space-time grid.
 """
@@ -76,12 +76,12 @@ SWEEP_FLOOR_FACTOR = 3.0
 
 @dataclass(frozen=True)
 class AnalyticReference:
-    """Exact solution of the separable constant-in-x 1D problem.
+    """Exact solution of the constant-in-x 1D problem.
 
     u(t, x, z) = sum_j c_j exp(-a(z) (j pi)^2 t) sin(j pi x), where a(z)
     is the scalar diffusivity factor. `values` is the array form that the
     error norm evaluates; `solution`, one pointwise callable per node, is
-    kept as its per-node oracle.
+    kept as its oracle.
     """
 
     diffusivity: Callable
@@ -109,9 +109,9 @@ class AnalyticReference:
 
 
 def analytic_reference(field: CoefficientField, u0: InitialDatum, t_final: float) -> AnalyticReference:
-    """Analytic reference for a z-separable, constant-in-x 1D coefficient."""
-    if field.dim != 1 or not field.separable:
-        raise ValueError("analytic reference needs a separable 1D coefficient")
+    """Analytic reference for a constant-in-x 1D coefficient f(z) g."""
+    if field.dim != 1:
+        raise ValueError("analytic reference needs a 1D coefficient")
     g = field.spatial_part
     probes = [g(x) for x in (0.0, 0.23, 0.57, 0.91, 1.0)]
     if max(probes) - min(probes) > 1e-14 * max(1.0, abs(probes[0])):
@@ -151,11 +151,11 @@ def collocation_reference(
     """Independent Crank--Nicolson solves at each quadrature node on the
     space of `ops`.
 
-    Node z_i steps the stiffness `ops.stiffness_at(z_i)` (f(z_i) K_g for a
-    separable field) from `ops.project(u0(z_i))`, so each distinct spatial
-    function of the datum is projected once per space. A node whose solve
-    fails raises with its index and z: a `SolverError` stays a
-    `SolverError`, anything else becomes a `RuntimeError`.
+    Node z_i steps the stiffness `ops.stiffness_at(z_i)`, f(z_i) K_g, from
+    `ops.project(u0(z_i))`, so each distinct spatial function of the datum
+    is projected once per space. A node whose solve fails raises with its
+    index and z: a `SolverError` stays a `SolverError`, anything else
+    becomes a `RuntimeError`.
     """
     t0 = time.perf_counter()
     nodes, weights = tensor_quad(dist, q_ref)
@@ -171,8 +171,7 @@ def collocation_reference(
         except Exception as exc:
             raise RuntimeError(f"collocation node {i} (z = {z}) failed: {exc}") from exc
     log.debug(
-        "collocation reference: path=%s Q=%d ndof=%d steps=%d wall_s=%.4f",
-        "separable" if ops.field.separable else "per-node",
+        "collocation reference: Q=%d ndof=%d steps=%d wall_s=%.4f",
         len(nodes), ops.space.ndof, n_steps, time.perf_counter() - t0,
     )
     return CollocationReference(dist, nodes, weights, ops.space, ops.mass, values, t_final)
@@ -319,8 +318,8 @@ class ExperimentConfig:
     strict_reference: bool = True
 
     def validate(self) -> None:
-        if self.t_final <= 0.0:
-            raise ValueError("t_final must be positive")
+        if not (math.isfinite(self.t_final) and self.t_final > 0.0):
+            raise ValueError(f"t_final value {self.t_final!r} must be finite and positive")
         if self.geometry.get("dim") not in (1, 2):
             raise ValueError("geometry.dim must be 1 or 2")
         if self.geometry.get("fe_order") not in (1, 2):
@@ -489,8 +488,8 @@ def solve_points(cache: OperatorCache, points) -> dict[tuple, float]:
 
     Points that share n_k share a time grid, so they are stepped together:
     one block-diagonal system of each point's system-basis mass and
-    stiffness (the decoupled modes of a separable field), started from the
-    concatenated rotated initial modes. After the one `evolve` each block is
+    stiffness (the decoupled chaos modes), started from the concatenated
+    rotated initial modes. After the one `evolve` each block is
     split off and rotated back to the chaos basis. Every step checks each
     point's residual on its own; a failure names its (n, m, n_k).
 

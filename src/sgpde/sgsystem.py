@@ -12,15 +12,16 @@ the factorization of Constantine, Gleich & Iaccarino (SIAM J. Sci. Comput.
 over the degree-2n chaos coefficients A_alpha of K(z), because every product
 Phi_beta Phi_gamma lies in that degree-2n span.
 
-A separable coefficient f(z) g(x) gives A = G (x) K_g with the d_n x d_n chaos
-matrix G = Phi^T diag(w_i f(z_i)) Phi. Diagonalizing G = V diag(lam) V^T
-decouples the system: the rotated modes w = (V^T (x) I) u evolve under the
-block-diagonal diag(lam) (x) K_g.
+Every coefficient is separable, f(z) g(x) (see `coeffs`), so K(z) = f(z) K_g
+and A = G (x) K_g with the d_n x d_n chaos matrix G = Phi^T diag(w_i f(z_i))
+Phi (Ernst & Ullmann, SIAM J. Matrix Anal. Appl. 31(4), 2010). Diagonalizing
+G = V diag(lam) V^T decouples the system: the rotated modes
+w = (V^T (x) I) u evolve under the block-diagonal diag(lam) (x) K_g.
 
 Everything these builders need of one spatial space lives in one
 `SpatialOperators`, built by `spatial_operators(space, field)`: the mass
-matrix M, the stiffness K_g of a separable field, the rule for K(z) at a
-parameter node, and the checked L2 projection of spatial functions, each
+matrix M, the stiffness K_g of the field's spatial part, K(z) = f(z) K_g at
+a parameter node, and the checked L2 projection of spatial functions, each
 projected once. The block operator, the initial chaos modes and the
 collocation reference of the harness all take it, so a space shared by
 several of them is assembled and projected once.
@@ -59,7 +60,6 @@ __all__ = [
     "block_diagonal",
     "initial_coefficients",
     "reconstruct_at_nodes",
-    "min_generalized_eigenvalue",
 ]
 
 log = logging.getLogger(__name__)
@@ -82,12 +82,10 @@ class SeparableFactors:
 class SgOperator:
     """Block operator of the chaos-Galerkin system with its block mass I_{d_n} (x) M.
 
-    Time stepping runs on (mass, stiffness) in the system basis. For a
-    separable field (`factors` set) that basis is the rotated modes
-    w = (V^T (x) I) u and `stiffness` is the block-diagonal diag(lam) (x) K_g;
-    otherwise it is the chaos basis and `stiffness` is the coupled operator.
-    `matrix` is always the operator in the chaos basis; for a separable field
-    it is built only when first read.
+    Time stepping runs on (mass, stiffness) in the system basis: the rotated
+    modes w = (V^T (x) I) u, in which `stiffness` is the block-diagonal
+    diag(lam) (x) K_g. `matrix`, the operator G (x) K_g in the chaos basis,
+    is built only when first read.
     """
 
     n: int
@@ -95,7 +93,7 @@ class SgOperator:
     space: FeSpace
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    factors: SeparableFactors | None
+    factors: SeparableFactors
 
     @property
     def block_dim(self) -> int:
@@ -108,32 +106,26 @@ class SgOperator:
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
         """The operator in the chaos basis, (d_n * ndof)^2, symmetric."""
-        if self.factors is None:
-            return self.stiffness
         return sp.kron(self.factors.chaos, self.factors.spatial, format="csr")
 
     def to_system(self, coeffs: np.ndarray) -> np.ndarray:
         """Chaos-basis mode coefficients (d_n, ndof) in the system basis: V^T U."""
-        return coeffs if self.factors is None else self.factors.eigvecs.T @ coeffs
+        return self.factors.eigvecs.T @ coeffs
 
     def to_chaos(self, coeffs: np.ndarray) -> np.ndarray:
         """System-basis coefficients (d_n, ndof) back in the chaos basis: V W."""
-        return coeffs if self.factors is None else self.factors.eigvecs @ coeffs
+        return self.factors.eigvecs @ coeffs
 
     def symmetry_defect(self) -> float:
-        """Largest |A - A^T| entry of the chaos-basis operator A. For G (x) K_g it
-        is the bound max|G - G^T| max|K_g| + max|G| max|K_g - K_g^T|, which is
-        zero exactly when both factors are symmetric."""
-        if self.factors is None:
-            return _max_abs(self.stiffness - self.stiffness.T)
+        """Bound on the largest |A - A^T| entry of A = G (x) K_g:
+        max|G - G^T| max|K_g| + max|G| max|K_g - K_g^T|, which is zero
+        exactly when both factors are symmetric."""
         g, k = self.factors.chaos, self.factors.spatial
         return _max_abs(g - g.T) * _max_abs(k) + _max_abs(g) * _max_abs(k - k.T)
 
     def min_resolvent_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the pencil (A, I (x) M); for G (x) K_g the
+        """Smallest eigenvalue of the pencil (G (x) K_g, I (x) M): the
         smallest product lam_i mu_j with the eigenvalues mu of (K_g, M)."""
-        if self.factors is None:
-            return min_generalized_eigenvalue(self.stiffness, self.mass)
         spatial_mass = self.mass[: self.space.ndof, : self.space.ndof]
         mu = _generalized_eigenvalues(self.factors.spatial, spatial_mass)
         return float(np.outer(self.factors.eigvals, mu).min())
@@ -158,23 +150,19 @@ def _max_abs(a) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpatialOperators:
-    """One spatial Galerkin space of a coefficient field and what every
-    builder on it shares: the mass matrix M, the stiffness K_g of a
-    separable field's spatial part (None for any other field), and the
-    checked L2 projections of spatial functions, each computed once."""
+    """One spatial Galerkin space of a coefficient field f(z) g(x) and what
+    every builder on it shares: the mass matrix M, the stiffness K_g of g,
+    and the checked L2 projections of spatial functions, each computed once."""
 
     space: FeSpace
     field: CoefficientField
     mass: sp.csr_matrix
-    k_g: sp.csr_matrix | None
+    k_g: sp.csr_matrix
     _projections: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def stiffness_at(self, z) -> sp.csr_matrix:
-        """The stiffness matrix K(z) at a parameter node z: f(z) K_g for a
-        separable field f(z) g(x), assembled at z for any other field."""
-        if self.k_g is not None:
-            return self.field.z_factor(z) * self.k_g
-        return assemble_stiffness(self.space, lambda x: self.field.evaluate(z, x))
+        """The stiffness matrix K(z) = f(z) K_g at a parameter node z."""
+        return self.field.z_factor(z) * self.k_g
 
     def project(self, f) -> np.ndarray:
         """L2 projection of the spatial function f: solves M u = (f, phi) with
@@ -186,11 +174,12 @@ class SpatialOperators:
 
 
 def spatial_operators(space: FeSpace, field: CoefficientField) -> SpatialOperators:
-    """Assemble M and, for a separable field, K_g on the space."""
+    """Assemble M and K_g on the space."""
     if field.dim != space.dim:
         raise ValueError("field and space dimensions differ")
-    k_g = assemble_stiffness(space, field.spatial_part) if field.separable else None
-    return SpatialOperators(space, field, assemble_mass(space), k_g)
+    return SpatialOperators(
+        space, field, assemble_mass(space), assemble_stiffness(space, field.spatial_part)
+    )
 
 
 def _checked_eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -229,42 +218,29 @@ def assemble_block_operator(
     """Symmetric Galerkin operator of the random form on the chaos modes `mis`
     and the spatial space of `ops`.
 
-    Built on the q-node tensor Gauss grid, q >= 2n + 1. A separable field
-    gives the decoupled operator: G = Phi^T diag(w_i f(z_i)) Phi is
-    symmetrized, diagonalized and time stepping runs on diag(lam) (x) K_g.
-    Any other field gives the coupled operator
-    sum_i w_i (phi_i phi_i^T) (x) K(z_i), exactly symmetric.
+    Built on the q-node tensor Gauss grid, q >= 2n + 1: G = Phi^T
+    diag(w_i f(z_i)) Phi is symmetrized and diagonalized, and time stepping
+    runs on diag(lam) (x) K_g.
     """
     if q < 2 * mis.n + 1:
         raise ValueError(f"q = {q} must be at least 2n + 1 = {2 * mis.n + 1}")
     t0 = time.perf_counter()
-    field = ops.field
     nodes, weights = tensor_quad(dist, q)
     phi = tensor_basis_matrix(dist, mis, nodes)
+    scaled = weights * np.array([ops.field.z_factor(z) for z in nodes])
+    g = phi.T @ (scaled[:, None] * phi)
+    g = 0.5 * (g + g.T)
+    lam, vecs, orth, res = _checked_eigh(g)
     block_mass = block_diagonal([ops.mass] * len(mis))  # I (x) M
-    if field.separable:
-        scaled = weights * np.array([field.z_factor(z) for z in nodes])
-        g = phi.T @ (scaled[:, None] * phi)
-        g = 0.5 * (g + g.T)
-        lam, vecs, orth, res = _checked_eigh(g)
-        # diag(lam) (x) K_g: block i stores lam_i times the entries of K_g
-        stiffness = block_diagonal([ops.k_g] * len(lam))
-        stiffness.data *= np.repeat(lam, ops.k_g.nnz)
-        factors = SeparableFactors(g, lam, vecs, ops.k_g)
-        op = SgOperator(mis.n, mis, ops.space, block_mass, stiffness, factors)
-        detail = f" eigh_orth={orth:.3e} eigh_rel_res={res:.3e}"
-    else:
-        matrix = sp.csr_matrix(block_mass.shape)
-        for w, phi_i, z in zip(weights, phi, nodes):
-            matrix = matrix + sp.kron(w * np.outer(phi_i, phi_i), ops.stiffness_at(z), format="csr")
-        op = SgOperator(mis.n, mis, ops.space, block_mass, matrix, None)
-        detail = ""
+    # diag(lam) (x) K_g: block i stores lam_i times the entries of K_g
+    stiffness = block_diagonal([ops.k_g] * len(lam))
+    stiffness.data *= np.repeat(lam, ops.k_g.nnz)
+    factors = SeparableFactors(g, lam, vecs, ops.k_g)
     log.debug(
-        "block operator: path=%s d_n=%d ndof=%d Q=%d wall_s=%.4f%s",
-        "separable" if field.separable else "coupled",
-        len(mis), ops.space.ndof, len(nodes), time.perf_counter() - t0, detail,
+        "block operator: d_n=%d ndof=%d Q=%d wall_s=%.4f eigh_orth=%.3e eigh_rel_res=%.3e",
+        len(mis), ops.space.ndof, len(nodes), time.perf_counter() - t0, orth, res,
     )
-    return op
+    return SgOperator(mis.n, mis, ops.space, block_mass, stiffness, factors)
 
 
 def initial_coefficients(
@@ -286,11 +262,6 @@ def reconstruct_at_nodes(
     """Evaluate sum_beta Phi_beta(z_i) u_beta; rows follow the given nodes."""
     basis = tensor_basis_matrix(dist, state.mis, nodes)
     return basis @ state.coeffs
-
-
-def min_generalized_eigenvalue(a: sp.spmatrix, b: sp.spmatrix) -> float:
-    """Smallest eigenvalue of the pencil (A, B), dense at desk scale."""
-    return float(_generalized_eigenvalues(a, b)[0])
 
 
 def _generalized_eigenvalues(a: sp.spmatrix, b: sp.spmatrix) -> np.ndarray:

@@ -4,7 +4,9 @@ The closed forms are derived by hand or from elementary probability facts,
 deliberately avoiding the recurrence/quadrature code paths under test. The
 slow paths that a faster library path replaced stay here as its reference,
 and so do the tools only the tests use: the brute-force collocation operator,
-the block Gram lift, the coordinate export and the local-order probe.
+the block Gram lift, the coordinate export, the local-order probe, dense
+pencil eigenvalues, and the coupled chaos operator of a field that is not a
+product f(z) g(x), which the library does not take.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -28,14 +31,8 @@ from sgpde.pce import (
     tensor_basis_matrix,
     tensor_quad,
 )
-from sgpde.sgsystem import (
-    SeparableFactors,
-    SgOperator,
-    SgState,
-    _checked_eigh,
-    reconstruct_at_nodes,
-    spatial_operators,
-)
+from sgpde.coeffs import CoefficientField
+from sgpde.sgsystem import DENSE_EIG_SIZE_LIMIT, SgState, reconstruct_at_nodes
 from sgpde.spatial import (
     FeSpace,
     Mesh,
@@ -176,6 +173,31 @@ def consistency_probe(scheme, mass, stiff, u0, tau_list, substeps: int = 1000) -
 
 
 # --- the triple-product chaos operator that the quadrature build replaced --
+# and the coupled operator of a field that is not a product f(z) g(x)
+
+
+@dataclass(frozen=True)
+class CoupledField:
+    """A diffusion coefficient M(z, x) that is not a product f(z) g(x). The
+    library takes separable fields only; the oracles below assemble K(z)
+    from `evaluate` and so also take this type."""
+
+    dim: int
+    evaluate: Callable
+    kappa: float | None = None
+    bound: float | None = None
+
+
+def stiffness_at(space, field, z) -> sp.csr_matrix:
+    """K(z) assembled from the coefficient callable at the parameter node z."""
+    return assemble_stiffness(space, lambda x: field.evaluate(z, x))
+
+
+def min_generalized_eigenvalue(a: sp.spmatrix, b: sp.spmatrix) -> float:
+    """Smallest eigenvalue of the pencil (A, B), dense; small sizes only."""
+    if a.shape[0] > DENSE_EIG_SIZE_LIMIT:
+        raise ValueError(f"pencil size {a.shape[0]} too large for dense solve")
+    return float(scipy.linalg.eigh(a.toarray(), b.toarray(), eigvals_only=True)[0])
 
 
 def loop_triple_products(dist, n: int) -> TripleProductTensor:
@@ -229,8 +251,9 @@ def pce_coefficient_matrices(dist, n: int, space, field, q: int):
     """Chaos coefficient stiffness matrices A_alpha for |alpha| <= 2n.
 
     A_alpha = sum_i w_i Phi_alpha(z_i) K(z_i) over a q-node tensor Gauss
-    grid. A separable field f(z) g(x) assembles K_g once and returns a
-    `SeparableStiffness` holding the chaos coefficients c_alpha of f and K_g.
+    grid. A `CoefficientField` f(z) g(x) assembles K_g once and returns a
+    `SeparableStiffness` holding the chaos coefficients c_alpha of f and K_g;
+    any other field assembles K(z_i) from `evaluate` at every node.
     """
     if q < 2 * n + 1:
         raise ValueError(f"q = {q} must be at least 2n + 1 = {2 * n + 1}")
@@ -239,15 +262,14 @@ def pce_coefficient_matrices(dist, n: int, space, field, q: int):
     mis2 = multi_index_set(dist.N, 2 * n)
     nodes, weights = tensor_quad(dist, q)
     phi2 = tensor_basis_matrix(dist, mis2, nodes)
-    if field.separable:
+    if isinstance(field, CoefficientField):
         k_g = assemble_stiffness(space, field.spatial_part)
         factors = np.array([field.z_factor(z) for z in nodes])
         coeffs = phi2.T @ (weights * factors)
         return SeparableStiffness(dict(zip(mis2, coeffs)), k_g)
-    stiffness_at = spatial_operators(space, field).stiffness_at
     mats: dict = {}
     for i, z in enumerate(nodes):
-        k_z = stiffness_at(z)
+        k_z = stiffness_at(space, field, z)
         for a, alpha in enumerate(mis2):
             scaled = (weights[i] * phi2[i, a]) * k_z
             mats[alpha] = scaled if alpha not in mats else mats[alpha] + scaled
@@ -277,32 +299,45 @@ def _chaos_matrices(eps, mis) -> np.ndarray:
     return e
 
 
-def triple_product_block_operator(coeff_mats, eps, mis, space) -> SgOperator:
-    """Symmetric block operator sum_alpha E_alpha (x) A_alpha over |alpha| <= 2n.
+def triple_product_block_operator(coeff_mats, eps, mis, space) -> sp.csr_matrix:
+    """Symmetric chaos-basis block operator sum_alpha E_alpha (x) A_alpha over
+    |alpha| <= 2n.
 
-    `coeff_mats` maps alpha to A_alpha. A `SeparableStiffness` gives the
-    decoupled operator: G = sum_alpha c_alpha E_alpha is diagonalized and
-    time stepping runs on diag(lam) (x) K_g; any other mapping gives the
-    coupled operator.
+    `coeff_mats` maps alpha to A_alpha. A `SeparableStiffness` gives
+    G (x) K_g with G = sum_alpha c_alpha E_alpha; any other mapping sums the
+    Kronecker products term by term.
     """
     for alpha in eps.mis2:
         if alpha not in coeff_mats:
             raise ValueError(f"missing coefficient matrix for alpha = {alpha}")
     chaos = _chaos_matrices(eps, mis)
-    mass = sp.kron(sp.eye(len(mis)), assemble_mass(space), format="csr")
     if isinstance(coeff_mats, SeparableStiffness):
         g = np.zeros(chaos.shape[1:])
         for alpha, e_alpha in zip(eps.mis2, chaos):  # elementwise: G stays exactly symmetric
             g += coeff_mats.coeffs[alpha] * e_alpha
-        lam, vecs, _, _ = _checked_eigh(g)
-        k_g = coeff_mats.spatial
-        stiffness = sp.kron(sp.diags(lam), k_g, format="csr")
-        factors = SeparableFactors(g, lam, vecs, k_g)
-        return SgOperator(eps.n, mis, space, mass, stiffness, factors)
-    matrix = sp.csr_matrix(mass.shape)
+        return sp.kron(g, coeff_mats.spatial, format="csr")
+    size = len(mis) * space.ndof
+    matrix = sp.csr_matrix((size, size))
     for alpha, e_alpha in zip(eps.mis2, chaos):
         matrix = matrix + sp.kron(sp.csr_matrix(e_alpha), coeff_mats[alpha], format="csr")
-    return SgOperator(eps.n, mis, space, mass, matrix, None)
+    return matrix
+
+
+def coupled_block_operator(dist, mis, space, field, q: int) -> sp.csr_matrix:
+    """The chaos-basis Galerkin operator as the node sum
+    sum_i w_i (phi_i phi_i^T) (x) K(z_i) over the q-node tensor Gauss grid,
+    q >= 2n + 1, with K(z_i) assembled from `field.evaluate`; exactly
+    symmetric. It takes a field of any form."""
+    if q < 2 * mis.n + 1:
+        raise ValueError(f"q = {q} must be at least 2n + 1 = {2 * mis.n + 1}")
+    nodes, weights = tensor_quad(dist, q)
+    phi = tensor_basis_matrix(dist, mis, nodes)
+    size = len(mis) * space.ndof
+    matrix = sp.csr_matrix((size, size))
+    for w, phi_i, z in zip(weights, phi, nodes):
+        k_z = stiffness_at(space, field, z)
+        matrix = matrix + sp.kron(w * np.outer(phi_i, phi_i), k_z, format="csr")
+    return matrix
 
 
 BRUTE_FORCE_SIZE_LIMIT = 2000
@@ -327,8 +362,7 @@ def brute_force_rnarn(dist, n: int, space, field, q: int) -> np.ndarray:
     proj = basis @ basis.T @ np.diag(weights)  # (Q, Q) chaos projection on node values
     proj_big = np.kron(proj, eye)
     modes_to_nodes = np.kron(basis, eye)
-    stiffness_at = spatial_operators(space, field).stiffness_at
-    k_blocks = [weights[i] * stiffness_at(z).toarray() for i, z in enumerate(nodes)]
+    k_blocks = [weights[i] * stiffness_at(space, field, z).toarray() for i, z in enumerate(nodes)]
     weak = scipy.linalg.block_diag(*k_blocks)
     sandwich = proj_big @ modes_to_nodes
     return sandwich.T @ weak @ sandwich
@@ -393,7 +427,7 @@ def per_node_collocation_reference(dist, q_ref, space, n_steps, field, u0, t_fin
     values = np.empty((len(nodes), space.ndof))
     for i, z in enumerate(nodes):
         try:
-            stiff = assemble_stiffness(space, lambda x: field.evaluate(z, x))
+            stiff = stiffness_at(space, field, z)
             u_start = l2_project(space, u0.sample(z))
             values[i] = evolve(scheme, grid, mass, stiff, u_start)
         except Exception as exc:

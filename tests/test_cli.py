@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sgpde
+from sgpde import cli
 from sgpde.cli import invariant_suite, main
 
 
@@ -42,6 +43,18 @@ def test_invariant_suite_entries():
     names = [name for name, ok, _ in results]
     assert "block_symmetry" in names
     assert all(ok for _, ok, _ in results)
+
+
+def test_invariant_suite_reads_the_operator_invariants_without_its_matrix(monkeypatch):
+    built = []
+    real = cli.assemble_block_operator
+    monkeypatch.setattr(
+        cli, "assemble_block_operator", lambda *a, **kw: built.append(real(*a, **kw)) or built[-1]
+    )
+    results = {name: ok for name, ok, _ in invariant_suite()}
+    assert results["block_symmetry"] and results["resolvent_contractivity"]
+    assert len(built) == 1
+    assert "matrix" not in vars(built[0])  # the chaos-basis G (x) K_g was never built
 
 
 def config_file(tmp_path, **overrides):

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 
 from sgpde.coeffs import (
+    COEFFICIENT_BUILTINS,
+    CoefficientField,
     builtin_separable,
     coefficient_by_name,
     eval_bounds_check,
@@ -60,6 +62,48 @@ def test_affine_field_is_flagged_non_elliptic():
     assert not f.elliptic
     assert f.evaluate(2.0, 0.3) == pytest.approx(2.0)
     assert f.z_factor(2.0) == pytest.approx(2.0)
+
+
+def test_field_without_both_factors_is_rejected():
+    # a field that is not f(z) g(x) has no place in the library
+    evaluate = lambda z, x: 2.0 + np.tanh(z[0]) * x
+    with pytest.raises(TypeError, match="z_factor.*spatial_part"):
+        CoefficientField(dim=1, evaluate=evaluate, kappa=1.0, bound=3.0)
+    with pytest.raises(TypeError, match="spatial_part"):
+        CoefficientField(dim=1, evaluate=evaluate, z_factor=lambda z: 1.0)
+    with pytest.raises(TypeError, match="z_factor"):
+        CoefficientField(dim=1, evaluate=evaluate, spatial_part=lambda x: 1.0)
+
+
+BUILTIN_FIELDS = [
+    ("constant", {"value": 1.7}),
+    ("constant", {"value": 0.4, "dim": 2}),
+    ("affine", {"slope": 0.5}),
+    ("affine", {"slope": -0.3, "dim": 2}),
+    ("logistic_1d", {}),
+    ("logistic_anisotropic", {}),
+]
+
+
+def test_builtin_field_list_covers_every_builtin():
+    assert {name for name, _ in BUILTIN_FIELDS} == set(COEFFICIENT_BUILTINS)
+
+
+@pytest.mark.parametrize(
+    "name,params", BUILTIN_FIELDS, ids=[f"{n}_{p.get('dim', 1)}d" for n, p in BUILTIN_FIELDS]
+)
+def test_builtin_evaluates_bitwise_as_the_product_of_its_factors(name, params):
+    field = coefficient_by_name(name, **params)
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(0.0, 1.0, size=(6, field.dim))
+    xs = list(xs[:, 0]) if field.dim == 1 else list(xs)
+    zs = list(rng.uniform(-8.0, 8.0, size=(5, 1))) + list(rng.uniform(-8.0, 8.0, size=(5, 2)))
+    for z in zs:
+        for x in xs:
+            got = np.asarray(field.evaluate(z, x))
+            want = np.asarray(field.z_factor(z) * field.spatial_part(x))
+            assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), (z, x)
 
 
 def test_logistic_derivatives_match_finite_differences():

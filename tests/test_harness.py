@@ -337,6 +337,17 @@ def test_bad_config_values_are_rejected_at_load(monkeypatch, override, key, show
     assert solved == []
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+def test_non_finite_or_non_positive_t_final_is_rejected_at_load(monkeypatch, value):
+    # JSON text spells the first two NaN and Infinity, literals that json reads
+    solved = []
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: solved.append(args))
+    text = json.dumps(mini_config(t_final=value))
+    with pytest.raises(ValueError, match=rf"^t_final value {value!r} must be finite and positive"):
+        load_config(text)
+    assert solved == []
+
+
 def test_odd_reference_mesh_is_rejected_only_for_the_error_estimate(monkeypatch, tmp_path, capsys):
     # the two-grid estimate solves on m_ref // 2, which must divide m_ref; a
     # run without the estimate never builds that mesh
@@ -573,29 +584,29 @@ def _rel(a, b) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-def _non_separable_field() -> CoefficientField:
-    # declares no z_factor: the reference assembles K(z) at every node
-    return CoefficientField(
-        dim=1, evaluate=lambda z, x: 2.0 + np.tanh(z[0]) * x, kappa=1.0, bound=3.0
-    )
+# a datum that samples to a new spatial function at every node
+PER_NODE_DATUM = InitialDatum(
+    dim=1, sample=lambda z: (lambda x: math.sin(math.pi * x) * math.cos(z[0]))
+)
 
 
 @pytest.mark.parametrize(
-    "dist,q,dim,order,m,steps,field_name,datum",
+    "dist,q,dim,order,m,steps,field_name,u0",
     [
-        (H1, 4, 1, 1, 8, 16, "logistic_1d", ("sine_modes", {"modes": [[1, 1.0], [3, 0.5]]})),
-        (H1, 3, 1, 2, 8, 16, "constant", ("sine_modes", {})),
-        (H1, 3, 2, 2, 4, 8, "logistic_anisotropic", ("product_sine", {})),
-        (H2, 2, 2, 2, 4, 8, "logistic_anisotropic", ("product_sine", {})),
+        (H1, 4, 1, 1, 8, 16, "logistic_1d",
+         initial_datum_by_name("sine_modes", modes=[[1, 1.0], [3, 0.5]])),
+        (H1, 3, 1, 2, 8, 16, "constant", initial_datum_by_name("sine_modes")),
+        (H1, 3, 2, 2, 4, 8, "logistic_anisotropic", initial_datum_by_name("product_sine")),
+        (H2, 2, 2, 2, 4, 8, "logistic_anisotropic", initial_datum_by_name("product_sine")),
+        (H1, 4, 1, 2, 8, 8, "logistic_1d", PER_NODE_DATUM),
     ],
-    ids=["1d_p1_logistic", "1d_p2_constant", "2d_p2_N1", "2d_p2_N2"],
+    ids=["1d_p1_logistic", "1d_p2_constant", "2d_p2_N1", "2d_p2_N2", "1d_p2_per_node_datum"],
 )
 def test_separable_reference_matches_per_node_oracle(
-    dist, q, dim, order, m, steps, field_name, datum
+    dist, q, dim, order, m, steps, field_name, u0
 ):
     params = {"dim": dim, "value": 2.0} if field_name == "constant" else {}
     field = coefficient_by_name(field_name, **params)
-    u0 = initial_datum_by_name(datum[0], **datum[1])
     fine = make_fe_space(make_mesh(dim, m), order)
     coarse = make_fe_space(make_mesh(dim, m // 2), order)
     ref = collocation_reference(dist, q, spatial_operators(fine, field), steps, u0, 0.1)
@@ -614,20 +625,6 @@ def test_separable_reference_matches_per_node_oracle(
         assert abs(got - expect) <= 1e-12 * expect
 
 
-@pytest.mark.parametrize("per_node_datum", [False, True])
-def test_non_separable_reference_matches_per_node_oracle_bitwise(per_node_datum):
-    field = _non_separable_field()
-    u0 = initial_datum_by_name("sine_modes", modes=[[1, 1.0], [2, -0.3]])
-    if per_node_datum:  # a new spatial function at every node
-        u0 = InitialDatum(
-            dim=1, sample=lambda z: (lambda x: math.sin(math.pi * x) * math.cos(z[0]))
-        )
-    space = make_fe_space(make_mesh(1, 8), 2)
-    ref = collocation_reference(H1, 4, spatial_operators(space, field), 8, u0, 0.1)
-    want = oracles.per_node_collocation_reference(H1, 4, space, 8, field, u0, 0.1)
-    assert np.array_equal(ref.values, want.values)
-
-
 # --- batched sweep-point solves against the per-point oracle -----------------
 
 BATCH_POINTS = [(1, 4, 8), (2, 4, 8), (2, 2, 8), (1, 2, 4), (2, 4, 4), (1, 4, 8)]
@@ -641,7 +638,6 @@ BATCH_SETUPS = {
         sweep={"n": [1, 2], "m": [2, 4], "n_k": [4, 8]},
         quad_order=5,
     ),
-    "non_separable": mini_config(),
 }
 
 
@@ -649,8 +645,6 @@ BATCH_SETUPS = {
 @pytest.mark.parametrize("setup", list(BATCH_SETUPS))
 def test_solve_points_matches_per_point_oracle(monkeypatch, setup, scheme):
     cache = OperatorCache(load_config({**BATCH_SETUPS[setup], "scheme": scheme}))
-    if setup == "non_separable":
-        cache.field = _non_separable_field()
     batches = []
     real_evolve = harness.evolve
 
@@ -736,11 +730,6 @@ def test_reference_work_counts(work_counts):
     ops = spatial_operators(space, coefficient_by_name("logistic_1d"))
     collocation_reference(H1, q, ops, 4, fresh, 0.1)
     assert work_counts == {"stiffness": 1, "load": q}
-    # a non-separable field: Q assemblies, one load
-    work_counts.update(stiffness=0, load=0)
-    sine = initial_datum_by_name("sine_modes")
-    collocation_reference(H1, q, spatial_operators(space, _non_separable_field()), 4, sine, 0.1)
-    assert work_counts == {"stiffness": q, "load": 1}
 
 
 def test_sweep_assembles_each_spatial_matrix_once_per_space(monkeypatch):
@@ -766,14 +755,6 @@ def test_sweep_assembles_each_spatial_matrix_once_per_space(monkeypatch):
     # 3 spaces, 7 distinct (n, m) operators: one mass and one K_g per space,
     # and the one triple-product tensor is the invariant summary's
     assert counts == {"mass": 3, "stiffness": 3, "triple_products": 1}
-
-    counts.update(mass=0, stiffness=0, triple_products=0)
-    cache = OperatorCache(cfg)
-    cache.field = _non_separable_field()
-    cache.operator(1, 4)
-    cache.operator(2, 4)
-    q = cfg.quad_order
-    assert counts == {"mass": 1, "stiffness": 2 * q, "triple_products": 0}
 
 
 def test_colloc_2d_sweep_builds_each_spatial_operator_once_per_space(monkeypatch):
@@ -899,9 +880,9 @@ def test_reference_build_logs_one_debug_record(caplog):
     u0 = initial_datum_by_name("sine_modes")
     ops = spatial_operators(space, coefficient_by_name("logistic_1d"))
     collocation_reference(H1, 3, ops, 4, u0, 0.1)
-    collocation_reference(H1, 2, spatial_operators(space, _non_separable_field()), 6, u0, 0.1)
+    collocation_reference(H1, 2, ops, 6, u0, 0.1)
     records = [r for r in caplog.records if r.name == "sgpde.harness"]
     assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
     first, second = (r.getMessage() for r in records)
-    assert f"path=separable Q=3 ndof={space.ndof} steps=4 wall_s=" in first
-    assert f"path=per-node Q=2 ndof={space.ndof} steps=6 wall_s=" in second
+    assert first.startswith(f"collocation reference: Q=3 ndof={space.ndof} steps=4 wall_s=")
+    assert second.startswith(f"collocation reference: Q=2 ndof={space.ndof} steps=6 wall_s=")

@@ -19,7 +19,6 @@ from sgpde.sgsystem import (
     SgState,
     assemble_block_operator,
     initial_coefficients,
-    min_generalized_eigenvalue,
     reconstruct_at_nodes,
     spatial_operators,
 )
@@ -52,7 +51,7 @@ def spatial_1d(m):
 
 
 def oracle_operator(dist, n, space, field, q):
-    """The same operator through the triple-product oracle."""
+    """The chaos-basis operator through the triple-product oracle."""
     mats = oracles.pce_coefficient_matrices(dist, n, space, field, q)
     eps = triple_products(dist, n)
     return oracles.triple_product_block_operator(mats, eps, multi_index_set(dist.N, n), space)
@@ -240,7 +239,7 @@ def test_resolvent_contractive():
     space = space_1d(8, 1)
     field = coefficient_by_name("logistic_1d")
     op = build_operator(H1, 2, space, field, q=30)
-    lam_min = min_generalized_eigenvalue(op.matrix, op.mass)
+    lam_min = oracles.min_generalized_eigenvalue(op.matrix, op.mass)
     assert lam_min >= -1e-10
     rng = np.random.default_rng(9)
     dense_a = op.matrix.toarray()
@@ -286,7 +285,7 @@ def _non_separable(dim):
         evaluate = lambda z, x: 2.0 + 0.5 * np.tanh(z[0]) * x + 0.3 * np.tanh(z[-1])
     else:
         evaluate = lambda z, x: 2.0 + 0.5 * np.tanh(z[0]) * x[0] + 0.3 * np.tanh(z[-1]) * x[1]
-    return CoefficientField(dim=dim, evaluate=evaluate, kappa=1.2, bound=2.8)
+    return oracles.CoupledField(dim=dim, evaluate=evaluate, kappa=1.2, bound=2.8)
 
 
 @pytest.mark.parametrize(
@@ -315,21 +314,6 @@ def test_decoupled_operator_matches_bmat_oracle(dist, n, space, field_name):
     assert np.allclose(op.to_chaos(op.to_system(u)), u, rtol=0.0, atol=1e-14)
 
 
-def test_non_separable_field_takes_coupled_path():
-    field = CoefficientField(dim=1, evaluate=lambda z, x: 2.0 + np.tanh(z[0]) * x, kappa=1.0, bound=3.0)
-    space = space_1d(6, 2)
-    mats = oracles.pce_coefficient_matrices(H1, 2, space, field, q=12)
-    assert not isinstance(mats, oracles.SeparableStiffness)
-    eps = triple_products(H1, 2)
-    mis = multi_index_set(1, 2)
-    op = assemble_block_operator(H1, mis, spatial_operators(space, field), q=12)
-    assert op.factors is None and op.stiffness is op.matrix
-    state = np.ones((len(mis), space.ndof))
-    assert op.to_system(state) is state and op.to_chaos(state) is state
-    assert _max_rel(op.matrix.toarray(), oracles.bmat_block_operator(mats, eps, mis).toarray()) <= 1e-13
-    assert op.symmetry_defect() == 0.0
-
-
 SPACE_1D_P1 = make_fe_space(make_mesh(1, 4), 1)
 SPACE_2D_P2 = make_fe_space(make_mesh(2, 2), 2)
 
@@ -355,17 +339,22 @@ SPACE_2D_P2 = make_fe_space(make_mesh(2, 2), 2)
     ],
 )
 def test_quadrature_operator_matches_triple_product_oracle(dist, n, q, space, separable):
-    field = (coefficient_by_name("logistic_1d" if space.dim == 1 else "logistic_anisotropic")
-             if separable else _non_separable(space.dim))
-    op = build_operator(dist, n, space, field, q)
-    want = oracle_operator(dist, n, space, field, q).matrix.toarray()
-    assert _max_rel(op.matrix.toarray(), want) <= 1e-13
+    # the Gauss node sum equals the triple-product form: the library's G (x) K_g
+    # for a separable field, the oracle's coupled node sum for any other
+    if separable:
+        field = coefficient_by_name("logistic_1d" if space.dim == 1 else "logistic_anisotropic")
+        op = build_operator(dist, n, space, field, q)
+        got, defect = op.matrix, op.symmetry_defect()
+    else:
+        field = _non_separable(space.dim)
+        got = oracles.coupled_block_operator(dist, multi_index_set(dist.N, n), space, field, q)
+        defect = float(abs(got - got.T).max())
+    want = oracle_operator(dist, n, space, field, q).toarray()
+    assert _max_rel(got.toarray(), want) <= 1e-13
+    assert defect == 0.0
     if separable:
         rotate = np.kron(op.factors.eigvecs, np.eye(space.ndof))
         assert _max_rel(rotate @ op.stiffness.toarray() @ rotate.T, want) <= 1e-13
-    else:
-        assert op.factors is None and op.stiffness is op.matrix
-    assert op.symmetry_defect() == 0.0
 
 
 @pytest.mark.parametrize(
@@ -382,7 +371,7 @@ def test_quadrature_operator_matches_oracle_laguerre_n6(dist):
     space = SPACE_1D_P1
     field = coefficient_by_name("logistic_1d")
     op = build_operator(dist, 6, space, field, 13)
-    want = oracle_operator(dist, 6, space, field, 13).matrix.toarray()
+    want = oracle_operator(dist, 6, space, field, 13).toarray()
     assert _max_rel(op.matrix.toarray(), want) <= 1e-11
     rotate = np.kron(op.factors.eigvecs, np.eye(space.ndof))
     assert _max_rel(rotate @ op.stiffness.toarray() @ rotate.T, want) <= 1e-11
@@ -392,7 +381,7 @@ def test_invariants_from_factors_match_the_chaos_basis_matrix():
     space = space_1d(8, 2)
     op = build_operator(H1, 2, space, coefficient_by_name("logistic_1d"), q=30)
     assert op.symmetry_defect() == 0.0 == float(abs(op.matrix - op.matrix.T).max())
-    want = min_generalized_eigenvalue(op.matrix, op.mass)
+    want = oracles.min_generalized_eigenvalue(op.matrix, op.mass)
     assert op.min_resolvent_eigenvalue() == pytest.approx(want, rel=1e-12)
 
 
@@ -440,14 +429,14 @@ def test_operator_builds_are_logged_at_debug(caplog):
     caplog.set_level(logging.DEBUG, logger="sgpde.sgsystem")
     space = space_1d(4)
     build_operator(H1, 2, space, coefficient_by_name("logistic_1d"), q=7)
-    build_operator(H1, 1, space, _non_separable(1), q=5)
+    build_operator(H1, 1, space, coefficient_by_name("constant"), q=5)
     records = [r for r in caplog.records if r.name == "sgpde.sgsystem"]
     assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
-    separable, coupled = (r.getMessage() for r in records)
-    assert f"path=separable d_n=3 ndof={space.ndof} Q=7 wall_s=" in separable
-    assert "eigh_orth=" in separable and "eigh_rel_res=" in separable
-    assert f"path=coupled d_n=2 ndof={space.ndof} Q=5 wall_s=" in coupled
-    assert "eigh" not in coupled
+    first, second = (r.getMessage() for r in records)
+    assert first.startswith(f"block operator: d_n=3 ndof={space.ndof} Q=7 wall_s=")
+    assert second.startswith(f"block operator: d_n=2 ndof={space.ndof} Q=5 wall_s=")
+    for message in (first, second):
+        assert "eigh_orth=" in message and "eigh_rel_res=" in message
 
 
 def test_operator_builds_are_silent_by_default():
