@@ -2,9 +2,10 @@
 
 A coefficient field maps a random parameter z in R^N and a spatial point x
 to a scalar (1D) or a Hermitian 2x2 matrix (2D). Every field is separable,
-value = f(z) * g(x): `CoefficientField` requires both factors, and the
-library assembles the spatial matrix of g once per space. Ellipticity bounds
-are declared, not proven; `eval_bounds_check` verifies them by sampling.
+value = f(z) * g(x): `CoefficientField` holds the two factors, its value is
+their product, and the library assembles the spatial matrix of g once per
+space. Ellipticity bounds are declared, not proven; `eval_bounds_check`
+verifies them by sampling.
 """
 
 from __future__ import annotations
@@ -32,15 +33,14 @@ __all__ = [
 class CoefficientField:
     """Diffusion coefficient M(z, x) = f(z) g(x); see the module docstring.
 
-    `evaluate(z, x)` is the product, `z_factor` the scalar f and
-    `spatial_part` the spatial g. `z_derivatives` are optional exact
-    derivatives of f, used only for smoothness reporting. Fields without
-    declared bounds are non-elliptic probes for assembly tests and are
-    rejected by solvers that require coercivity.
+    `z_factor` is the scalar f and `spatial_part` the spatial g.
+    `z_derivatives` are optional exact derivatives of f, used only for
+    smoothness reporting. Fields without declared bounds are non-elliptic
+    probes for assembly tests and are rejected by solvers that require
+    coercivity.
     """
 
     dim: int
-    evaluate: Callable
     z_factor: Callable
     spatial_part: Callable
     kappa: float | None = None
@@ -51,6 +51,10 @@ class CoefficientField:
     @property
     def elliptic(self) -> bool:
         return self.kappa is not None and self.kappa > 0.0
+
+    def evaluate(self, z, x):
+        """The value f(z) g(x) at the parameter z and the point x."""
+        return self.z_factor(z) * np.asarray(self.spatial_part(x))
 
 
 @dataclass(frozen=True)
@@ -111,17 +115,12 @@ def builtin_separable(
     """
     if f_bounds is not None and f_bounds[0] <= 0.0:
         raise ValueError(f"inf f = {f_bounds[0]} must be positive for an elliptic field")
-
-    def evaluate(z, x):
-        return f(np.asarray(z, dtype=float)[0] if np.ndim(z) else z) * np.asarray(g(x))
-
     kappa = bound = None
     if f_bounds is not None and g_bounds is not None:
         kappa = f_bounds[0] * g_bounds[0]
         bound = f_bounds[1] * g_bounds[1]
     return CoefficientField(
         dim=dim,
-        evaluate=evaluate,
         kappa=kappa,
         bound=bound,
         z_factor=lambda z: f(np.asarray(z, dtype=float)[0] if np.ndim(z) else z),

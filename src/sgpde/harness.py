@@ -21,17 +21,18 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__
 from .coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
 from .orthopoly import hermite, jacobi, laguerre
 from .pce import DistributionSpec, eigenvalue_floor, multi_index_set, tensor_quad, triple_products
 from .sgsystem import (
+    DENSE_EIG_SIZE_LIMIT,
     SgOperator,
     SgState,
     SpatialOperators,
     assemble_block_operator,
-    block_diagonal,
     initial_coefficients,
     reconstruct_at_nodes,
     spatial_operators,
@@ -79,29 +80,17 @@ class AnalyticReference:
     """Exact solution of the constant-in-x 1D problem.
 
     u(t, x, z) = sum_j c_j exp(-a(z) (j pi)^2 t) sin(j pi x), where a(z)
-    is the scalar diffusivity factor. `values` is the array form that the
-    error norm evaluates; `solution`, one pointwise callable per node, is
-    kept as its oracle.
+    is the scalar diffusivity factor.
     """
 
     diffusivity: Callable
     sine_modes: tuple
     t_final: float
 
-    def solution(self, z, t: float | None = None) -> Callable:
-        t = self.t_final if t is None else t
-        a = float(self.diffusivity(z))
-        modes = [(j, c * math.exp(-a * (j * math.pi) ** 2 * t)) for j, c in self.sine_modes]
-
-        def u(x):
-            return sum(c * math.sin(j * math.pi * x) for j, c in modes)
-
-        return u
-
     def values(self, nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The exact solution at the final time at every node (Q, N) and
         every point x of the interval: the (Q, len(x)) array whose row i is
-        `solution(nodes[i])` at x."""
+        u(t_final, x, nodes[i])."""
         a = np.array([float(self.diffusivity(z)) for z in nodes])
         j, c = (np.array(v, dtype=float) for v in zip(*self.sine_modes))
         amplitudes = c * np.exp(-np.outer(a, (j * math.pi) ** 2 * self.t_final))
@@ -483,15 +472,37 @@ class OperatorCache:
         return (n, m, n_k) in self._finals
 
 
+def _block_diagonal(blocks) -> sp.csr_matrix:
+    """The block-diagonal CSR matrix of square CSR blocks, joined from their
+    arrays: each block keeps its stored entries in their order."""
+    rows = np.cumsum([0] + [b.shape[0] for b in blocks])
+    stored = np.cumsum([0] + [b.nnz for b in blocks])
+    data = np.concatenate([b.data for b in blocks])
+    indices = np.concatenate([b.indices + r for b, r in zip(blocks, rows)])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + z for b, z in zip(blocks, stored)])
+    return sp.csr_matrix((data, indices, indptr), shape=(rows[-1], rows[-1]))
+
+
+def _system_matrices(ops: list[SgOperator]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The system-basis mass and stiffness of a batch of operators: the
+    block-diagonal join of each operator's I (x) M and diag(lam) (x) K_g, in
+    turn. Block i of an operator stores the entries of M, and lam_i times
+    the entries of K_g."""
+    spatial = [op.spatial for op in ops for _ in range(op.block_dim)]
+    stiffness = _block_diagonal([s.k_g for s in spatial])
+    stiffness.data *= np.concatenate([np.repeat(op.eigvals, op.spatial.k_g.nnz) for op in ops])
+    return _block_diagonal([s.mass for s in spatial]), stiffness
+
+
 def solve_points(cache: OperatorCache, points) -> dict[tuple, float]:
     """Run every listed (n, m, n_k) not yet solved to the final time.
 
     Points that share n_k share a time grid, so they are stepped together:
     one block-diagonal system of each point's system-basis mass and
-    stiffness (the decoupled chaos modes), started from the concatenated
-    rotated initial modes. After the one `evolve` each block is
-    split off and rotated back to the chaos basis. Every step checks each
-    point's residual on its own; a failure names its (n, m, n_k).
+    stiffness (the decoupled chaos modes, see `_system_matrices`), started
+    from the concatenated rotated initial modes. After the one `evolve`
+    each block is split off and rotated back to the chaos basis. Every step
+    checks each point's residual on its own; a failure names its (n, m, n_k).
 
     Returns the wall time of each point solved here: its batch's time
     (operators, stepping and rotations) split over the batch's points in
@@ -509,15 +520,10 @@ def solve_points(cache: OperatorCache, points) -> dict[tuple, float]:
         starts = [op.to_system(state0.coeffs) for op, state0 in built]
         sizes = [op.size for op, _ in built]
         grid = make_uniform_grid(cache.cfg.t_final, n_k)
+        mass, stiffness = _system_matrices([op for op, _ in built])
+        start = np.concatenate([w0.reshape(-1) for w0 in starts])
         try:
-            w = evolve(
-                scheme,
-                grid,
-                block_diagonal([op.mass for op, _ in built]),
-                block_diagonal([op.stiffness for op, _ in built]),
-                np.concatenate([w0.reshape(-1) for w0 in starts]),
-                blocks=sizes,
-            )
+            w = evolve(scheme, grid, mass, stiffness, start, blocks=sizes)
         except StepResidualError as exc:
             raise SolverError(f"sweep point (n, m, n_k) = {batch[exc.block]} failed: {exc}") from exc
         except SolverError as exc:
@@ -716,7 +722,7 @@ def _invariant_summary(cfg, cache) -> dict:
         "initial_datum_smoothness": cache.u0.smoothness,
         "coefficient_field": cache.field.name,
     }
-    if op.size <= 1200:
+    if op.spatial.space.ndof <= DENSE_EIG_SIZE_LIMIT:
         summary["resolvent_min_generalized_eigenvalue"] = op.min_resolvent_eigenvalue()
     return summary
 

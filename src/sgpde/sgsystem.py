@@ -25,6 +25,11 @@ a parameter node, and the checked L2 projection of spatial functions, each
 projected once. The block operator, the initial chaos modes and the
 collocation reference of the harness all take it, so a space shared by
 several of them is assembled and projected once.
+
+An `SgOperator` holds the factors of A and nothing else: G, lam and V, and
+the `SpatialOperators` of M and K_g. It stores no block matrix. `matrix`
+builds G (x) K_g when first read, and the system-basis I (x) M and
+diag(lam) (x) K_g are joined only where the harness steps a batch.
 """
 
 from __future__ import annotations
@@ -44,20 +49,18 @@ from .pce import DistributionSpec, MultiIndexSet, tensor_basis_matrix, tensor_qu
 from .spatial import (
     FeSpace,
     SolverError,
-    _checked_solve,
     assemble_mass,
     assemble_stiffness,
+    checked_solve,
     load_vector,
 )
 
 __all__ = [
     "SgOperator",
     "SgState",
-    "SeparableFactors",
     "SpatialOperators",
     "spatial_operators",
     "assemble_block_operator",
-    "block_diagonal",
     "initial_coefficients",
     "reconstruct_at_nodes",
 ]
@@ -69,31 +72,22 @@ EIGH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SeparableFactors:
-    """The factors of G (x) K_g, with G = V diag(lam) V^T checked."""
+class SgOperator:
+    """The chaos-Galerkin operator G (x) K_g on the chaos modes `mis`, with
+    its block mass I (x) M, given by its factors: the spatial operators of
+    M and K_g, and the chaos matrix G = V diag(lam) V^T with its checked
+    eigendecomposition.
 
+    Time stepping runs in the system basis, the rotated modes
+    w = (V^T (x) I) u, where the operator is diag(lam) (x) K_g. `matrix`,
+    the operator in the chaos basis, is built only when first read.
+    """
+
+    mis: MultiIndexSet
+    spatial: SpatialOperators
     chaos: np.ndarray  # G, (d_n, d_n), symmetric
     eigvals: np.ndarray  # lam, ascending
     eigvecs: np.ndarray  # V, orthonormal columns
-    spatial: sp.csr_matrix  # K_g
-
-
-@dataclass(frozen=True)
-class SgOperator:
-    """Block operator of the chaos-Galerkin system with its block mass I_{d_n} (x) M.
-
-    Time stepping runs on (mass, stiffness) in the system basis: the rotated
-    modes w = (V^T (x) I) u, in which `stiffness` is the block-diagonal
-    diag(lam) (x) K_g. `matrix`, the operator G (x) K_g in the chaos basis,
-    is built only when first read.
-    """
-
-    n: int
-    mis: MultiIndexSet
-    space: FeSpace
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
-    factors: SeparableFactors
 
     @property
     def block_dim(self) -> int:
@@ -101,34 +95,35 @@ class SgOperator:
 
     @property
     def size(self) -> int:
-        return self.mass.shape[0]
+        return self.block_dim * self.spatial.space.ndof
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
         """The operator in the chaos basis, (d_n * ndof)^2, symmetric."""
-        return sp.kron(self.factors.chaos, self.factors.spatial, format="csr")
+        return sp.kron(self.chaos, self.spatial.k_g, format="csr")
 
     def to_system(self, coeffs: np.ndarray) -> np.ndarray:
         """Chaos-basis mode coefficients (d_n, ndof) in the system basis: V^T U."""
-        return self.factors.eigvecs.T @ coeffs
+        return self.eigvecs.T @ coeffs
 
     def to_chaos(self, coeffs: np.ndarray) -> np.ndarray:
         """System-basis coefficients (d_n, ndof) back in the chaos basis: V W."""
-        return self.factors.eigvecs @ coeffs
+        return self.eigvecs @ coeffs
 
     def symmetry_defect(self) -> float:
         """Bound on the largest |A - A^T| entry of A = G (x) K_g:
         max|G - G^T| max|K_g| + max|G| max|K_g - K_g^T|, which is zero
         exactly when both factors are symmetric."""
-        g, k = self.factors.chaos, self.factors.spatial
+        g, k = self.chaos, self.spatial.k_g
         return _max_abs(g - g.T) * _max_abs(k) + _max_abs(g) * _max_abs(k - k.T)
 
     def min_resolvent_eigenvalue(self) -> float:
         """Smallest eigenvalue of the pencil (G (x) K_g, I (x) M): the
-        smallest product lam_i mu_j with the eigenvalues mu of (K_g, M)."""
-        spatial_mass = self.mass[: self.space.ndof, : self.space.ndof]
-        mu = _generalized_eigenvalues(self.factors.spatial, spatial_mass)
-        return float(np.outer(self.factors.eigvals, mu).min())
+        smallest product lam_i mu_j with the eigenvalues mu of (K_g, M).
+        Decomposes the ndof x ndof pencil densely, so ndof is at most
+        DENSE_EIG_SIZE_LIMIT."""
+        mu = _generalized_eigenvalues(self.spatial.k_g, self.spatial.mass)
+        return float(np.outer(self.eigvals, mu).min())
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,7 @@ class SpatialOperators:
         a 1e-10 relative residual check (SolverError, also on NaN). Memoized
         per callable, so each distinct function is projected once."""
         if f not in self._projections:
-            self._projections[f] = _checked_solve(self.mass, load_vector(self.space, f), 1e-10)
+            self._projections[f] = checked_solve(self.mass, load_vector(self.space, f), 1e-10)
         return self._projections[f]
 
 
@@ -201,17 +196,6 @@ def _checked_eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     return lam, vecs, orth, res / scale if scale else 0.0
 
 
-def block_diagonal(blocks) -> sp.csr_matrix:
-    """The block-diagonal CSR matrix of square CSR blocks, joined from their
-    arrays: each block keeps its stored entries in their order."""
-    rows = np.cumsum([0] + [b.shape[0] for b in blocks])
-    stored = np.cumsum([0] + [b.nnz for b in blocks])
-    data = np.concatenate([b.data for b in blocks])
-    indices = np.concatenate([b.indices + r for b, r in zip(blocks, rows)])
-    indptr = np.concatenate([[0]] + [b.indptr[1:] + z for b, z in zip(blocks, stored)])
-    return sp.csr_matrix((data, indices, indptr), shape=(rows[-1], rows[-1]))
-
-
 def assemble_block_operator(
     dist: DistributionSpec, mis: MultiIndexSet, ops: SpatialOperators, q: int
 ) -> SgOperator:
@@ -219,8 +203,7 @@ def assemble_block_operator(
     and the spatial space of `ops`.
 
     Built on the q-node tensor Gauss grid, q >= 2n + 1: G = Phi^T
-    diag(w_i f(z_i)) Phi is symmetrized and diagonalized, and time stepping
-    runs on diag(lam) (x) K_g.
+    diag(w_i f(z_i)) Phi is symmetrized and diagonalized.
     """
     if q < 2 * mis.n + 1:
         raise ValueError(f"q = {q} must be at least 2n + 1 = {2 * mis.n + 1}")
@@ -231,16 +214,11 @@ def assemble_block_operator(
     g = phi.T @ (scaled[:, None] * phi)
     g = 0.5 * (g + g.T)
     lam, vecs, orth, res = _checked_eigh(g)
-    block_mass = block_diagonal([ops.mass] * len(mis))  # I (x) M
-    # diag(lam) (x) K_g: block i stores lam_i times the entries of K_g
-    stiffness = block_diagonal([ops.k_g] * len(lam))
-    stiffness.data *= np.repeat(lam, ops.k_g.nnz)
-    factors = SeparableFactors(g, lam, vecs, ops.k_g)
     log.debug(
         "block operator: d_n=%d ndof=%d Q=%d wall_s=%.4f eigh_orth=%.3e eigh_rel_res=%.3e",
         len(mis), ops.space.ndof, len(nodes), time.perf_counter() - t0, orth, res,
     )
-    return SgOperator(mis.n, mis, ops.space, block_mass, stiffness, factors)
+    return SgOperator(mis, ops, g, lam, vecs)
 
 
 def initial_coefficients(

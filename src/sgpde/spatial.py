@@ -40,6 +40,7 @@ __all__ = [
     "assemble_stiffness",
     "h1_gram",
     "load_vector",
+    "checked_solve",
     "l2_project",
     "stationary_solve",
     "fe_eval",
@@ -256,14 +257,18 @@ def _sampled(f, xq: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _scatter(space: FeSpace, element_matrices: np.ndarray) -> sp.csr_matrix:
-    """Symmetric global matrix from (nc, local, local) element matrices."""
+    """Global matrix from (nc, local, local) element matrices, each made
+    symmetric first. Every pair of dofs that share a cell is stored, also
+    where its sum is 0, so the pattern depends on the mesh alone. Two
+    distinct dofs share at most two cells, and a sum of two terms does not
+    depend on their order, so the matrix is exactly symmetric."""
     dofs = space.dof_of_node[space.cell_nodes]
     rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
     keep = (rows >= 0) & (cols >= 0)
-    a = sp.coo_matrix(
-        (element_matrices[keep], (rows[keep], cols[keep])), shape=(space.ndof, space.ndof)
+    sym = 0.5 * (element_matrices + np.swapaxes(element_matrices, 1, 2))
+    return sp.coo_matrix(
+        (sym[keep], (rows[keep], cols[keep])), shape=(space.ndof, space.ndof)
     ).tocsr()
-    return (a + a.T) * 0.5
 
 
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
@@ -322,7 +327,9 @@ def load_vector(space: FeSpace, f) -> np.ndarray:
     return b
 
 
-def _checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
+def checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
+    """x with a x = b, by a sparse direct solve; raises SolverError when the
+    residual |a x - b| exceeds rel_tol |b|, also when it is NaN."""
     x = spla.spsolve(a.tocsc(), b)
     scale = float(np.linalg.norm(b))
     res = float(np.linalg.norm(a @ x - b))
@@ -333,14 +340,14 @@ def _checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
 
 def l2_project(space: FeSpace, f) -> np.ndarray:
     """L2-orthogonal projection onto the space: solves M u = (f, phi)."""
-    return _checked_solve(assemble_mass(space), load_vector(space, f), 1e-10)
+    return checked_solve(assemble_mass(space), load_vector(space, f), 1e-10)
 
 
 def stationary_solve(space: FeSpace, coeff, rhs) -> np.ndarray:
     """Galerkin solution of the stationary diffusion problem K u = (rhs, phi)."""
     k = assemble_stiffness(space, coeff)
     b = load_vector(space, rhs)
-    return _checked_solve(k, b, 1e-10)
+    return checked_solve(k, b, 1e-10)
 
 
 # --- point evaluation, prolongation, errors ------------------------------

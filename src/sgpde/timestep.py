@@ -39,7 +39,6 @@ __all__ = [
     "scheme_by_name",
     "a_stability_probe",
     "make_uniform_grid",
-    "step",
     "Propagator",
     "StepResidualError",
     "evolve",
@@ -203,11 +202,6 @@ class Propagator:
                 f"time step residual {res[k]:.3e} too large for tau = {tau}{where}", k
             )
         return out
-
-
-def step(scheme: RationalScheme, tau: float, mass, stiff, u: np.ndarray) -> np.ndarray:
-    """Single step; for repeated stepping use a Propagator (cached solver)."""
-    return Propagator(scheme, mass, stiff).step(u, tau)
 
 
 def evolve(

@@ -4,7 +4,8 @@ The closed forms are derived by hand or from elementary probability facts,
 deliberately avoiding the recurrence/quadrature code paths under test. The
 slow paths that a faster library path replaced stay here as its reference,
 and so do the tools only the tests use: the brute-force collocation operator,
-the block Gram lift, the coordinate export, the local-order probe, dense
+the block Gram lift, the kron forms of the system-basis block matrices, the
+pointwise analytic solution, the coordinate export, the local-order probe, dense
 pencil eigenvalues, and the coupled chaos operator of a field that is not a
 product f(z) g(x), which the library does not take.
 """
@@ -111,6 +112,20 @@ def integrate_against_density(family, f, limit: int = 200) -> float:
 def heat_amplitude(diffusivity: float, mode: int, t: float) -> float:
     """Damping factor of sin(mode*pi*x) under u_t = a u_xx on (0,1)."""
     return math.exp(-diffusivity * (mode * math.pi) ** 2 * t)
+
+
+def analytic_solution(reference, z, t: float | None = None) -> Callable:
+    """The exact solution of an `AnalyticReference` at the node z and time t
+    (default its final time) as a pointwise callable of x: the oracle of
+    its array form `values`."""
+    t = reference.t_final if t is None else t
+    a = float(reference.diffusivity(z))
+    modes = [(j, c * math.exp(-a * (j * math.pi) ** 2 * t)) for j, c in reference.sine_modes]
+
+    def u(x):
+        return sum(c * math.sin(j * math.pi * x) for j, c in modes)
+
+    return u
 
 
 def rebuilt_step(scheme, mass, stiff, u, tau: float) -> np.ndarray:
@@ -373,6 +388,13 @@ def block_gram(op, gram: sp.spmatrix) -> sp.csr_matrix:
     return sp.kron(sp.eye(op.block_dim), gram, format="csr")
 
 
+def system_matrices(op) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The operator's block mass I (x) M and its system-basis stiffness
+    diag(lam) (x) K_g, each one sp.kron."""
+    spatial = op.spatial
+    return block_gram(op, spatial.mass), sp.kron(sp.diags(op.eigvals), spatial.k_g, format="csr")
+
+
 def export_coo(a: sp.spmatrix) -> str:
     """Text export: `row col value` per line, 0-based, sorted."""
     coo = a.tocoo()
@@ -387,7 +409,7 @@ def export_coo(a: sp.spmatrix) -> str:
 
 def export_block_operator(op) -> str:
     """Coordinate export of the chaos-basis block matrix, block offsets annotated."""
-    ndof = op.space.ndof
+    ndof = op.spatial.space.ndof
     header = [f"# block_dim {op.block_dim} ndof {ndof}"]
     header += [
         f"# block {','.join(str(i) for i in beta)} offset {b * ndof}"
@@ -668,12 +690,12 @@ def pointwise_fe_eval(space, u, points) -> np.ndarray:
 def per_node_analytic_error(dist, state, space, reference, q: int) -> float:
     """Natural-norm error against an analytic reference, one z-node at a time:
     sqrt(sum_i w_i |u(z_i) - exact(z_i)|_L2^2), each spatial error from a
-    single-state `l2_error` call that samples `reference.solution(z_i)`."""
+    single-state `l2_error` call that samples `analytic_solution` at z_i."""
     nodes, weights = tensor_quad(dist, q)
     recon = reconstruct_at_nodes(dist, state, nodes)
     total = 0.0
     for i, z in enumerate(nodes):
-        err = l2_error(space, recon[i], reference.solution(z))
+        err = l2_error(space, recon[i], analytic_solution(reference, z))
         total += float(weights[i]) * err * err
     return math.sqrt(total)
 
@@ -686,5 +708,5 @@ def per_point_solve(cache, n: int, m: int, n_k: int):
     op, state0 = cache.operator(n, m)
     grid = make_uniform_grid(cache.cfg.t_final, n_k)
     w0 = op.to_system(state0.coeffs)
-    w = evolve(scheme_by_name(cache.cfg.scheme), grid, op.mass, op.stiffness, w0.reshape(-1))
+    w = evolve(scheme_by_name(cache.cfg.scheme), grid, *system_matrices(op), w0.reshape(-1))
     return SgState(cache.cfg.t_final, op.to_chaos(w.reshape(w0.shape)), state0.mis)

@@ -171,7 +171,8 @@ def test_acceptance_05_structural_invariants():
     gram = oracles.block_gram(op, h1_gram(space))
     lam_coercive = oracles.min_generalized_eigenvalue(op.matrix, gram)
     assert lam_coercive >= field.kappa - 1e-6
-    lam_resolvent = oracles.min_generalized_eigenvalue(op.matrix, op.mass)
+    block_mass = oracles.block_gram(op, op.spatial.mass)
+    lam_resolvent = oracles.min_generalized_eigenvalue(op.matrix, block_mass)
     assert lam_resolvent >= -1e-10
     dt = elapsed_under(t0, 10.0)
     print(

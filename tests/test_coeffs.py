@@ -66,13 +66,15 @@ def test_affine_field_is_flagged_non_elliptic():
 
 def test_field_without_both_factors_is_rejected():
     # a field that is not f(z) g(x) has no place in the library
-    evaluate = lambda z, x: 2.0 + np.tanh(z[0]) * x
     with pytest.raises(TypeError, match="z_factor.*spatial_part"):
-        CoefficientField(dim=1, evaluate=evaluate, kappa=1.0, bound=3.0)
-    with pytest.raises(TypeError, match="spatial_part"):
-        CoefficientField(dim=1, evaluate=evaluate, z_factor=lambda z: 1.0)
-    with pytest.raises(TypeError, match="z_factor"):
-        CoefficientField(dim=1, evaluate=evaluate, spatial_part=lambda x: 1.0)
+        CoefficientField(dim=1, kappa=1.0, bound=3.0)
+    with pytest.raises(TypeError, match="missing .*spatial_part"):
+        CoefficientField(dim=1, z_factor=lambda z: 1.0)
+    with pytest.raises(TypeError, match="missing .*z_factor"):
+        CoefficientField(dim=1, spatial_part=lambda x: 1.0)
+    with pytest.raises(TypeError, match="evaluate"):  # the value is derived, never given
+        CoefficientField(dim=1, z_factor=lambda z: 1.0, spatial_part=lambda x: 1.0,
+                         evaluate=lambda z, x: 2.0 + np.tanh(z[0]) * x)
 
 
 BUILTIN_FIELDS = [

@@ -74,14 +74,14 @@ def test_analytic_reference_examples():
     u0 = initial_datum_by_name("sine_modes", modes=[(1, 1.0)])
     ref = analytic_reference(field, u0, 0.1)
     z = np.array([0.3])
-    at0 = ref.solution(z, t=0.0)
+    at0 = oracles.analytic_solution(ref, z, t=0.0)
     assert at0(0.5) == pytest.approx(1.0, rel=1e-14)
     amp = oracles.heat_amplitude(2.0, 1, 0.1)
-    assert ref.solution(z)(0.5) == pytest.approx(amp, rel=1e-12)
+    assert oracles.analytic_solution(ref, z)(0.5) == pytest.approx(amp, rel=1e-12)
     # logistic factor at z = 0 gives diffusivity 1.5
     logi = coefficient_by_name("logistic_1d")
     ref2 = analytic_reference(logi, u0, 0.1)
-    assert ref2.solution(np.array([0.0]))(0.5) == pytest.approx(
+    assert oracles.analytic_solution(ref2, np.array([0.0]))(0.5) == pytest.approx(
         oracles.heat_amplitude(1.5, 1, 0.1), rel=1e-12
     )
 
@@ -102,7 +102,7 @@ def test_collocation_matches_analytic_for_constant_field():
     # all node solutions identical for a z-independent field
     assert np.max(np.abs(ref.values - ref.values[0])) < 1e-12
     for i in (0, 4):
-        err = l2_error(ref.space, ref.values[i], ana.solution(ref.nodes[i]))
+        err = l2_error(ref.space, ref.values[i], oracles.analytic_solution(ana, ref.nodes[i]))
         assert err <= 1e-5
 
 
@@ -187,7 +187,7 @@ def _analytic_fixture(order: int, n_inputs: int):
     mis = multi_index_set(n_inputs, 3)
     nodes, weights = tensor_quad(dist, 6)
     x = nodal_coordinates(space)[:, 0]
-    exact = np.array([[ref.solution(z)(xi) for xi in x] for z in nodes])
+    exact = np.array([[oracles.analytic_solution(ref, z)(xi) for xi in x] for z in nodes])
     phi = tensor_basis_matrix(dist, mis, nodes)
     return dist, ref, space, SgState(0.05, (phi * weights[:, None]).T @ exact, mis)
 
@@ -216,7 +216,7 @@ def test_analytic_values_are_the_pointwise_solution():
     nodes = np.array([[0.3, -1.2], [2.0, 0.1], [-0.7, -0.7]])
     x = np.linspace(0.0, 1.0, 11)
     got = ref.values(nodes, x)
-    want = np.array([[ref.solution(z)(xi) for xi in x] for z in nodes])
+    want = np.array([[oracles.analytic_solution(ref, z)(xi) for xi in x] for z in nodes])
     assert got.shape == (3, 11)
     assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -568,11 +568,36 @@ def test_solve_single_steps_decoupled_modes_without_the_coupled_matrix(scheme):
     assert cache.solved(3, 8, 16)
     _invariant_summary(cfg, cache)
     op, state0 = cache.operator(3, 8)
-    assert op.factors is not None
     assert "matrix" not in vars(op)  # the chaos-basis matrix was never built
     grid = make_uniform_grid(cfg.t_final, 16)
-    coupled = evolve(scheme_by_name(scheme), grid, op.mass, op.matrix, state0.flat())
+    block_mass = oracles.block_gram(op, op.spatial.mass)
+    coupled = evolve(scheme_by_name(scheme), grid, block_mass, op.matrix, state0.flat())
     assert np.max(np.abs(state.flat() - coupled)) <= 1e-11 * np.max(np.abs(coupled))
+
+
+def test_resolvent_invariant_is_gated_on_the_spatial_size():
+    # the check decomposes only the ndof x ndof pencil (K_g, M): the stretch
+    # workload's 28 chaos modes x 121 dofs (3,388 unknowns) report it, a 1D
+    # mesh of more than DENSE_EIG_SIZE_LIMIT dofs does not
+    cfg = load_config(WORKLOADS["stretch_2d_n2"]["config"])
+    cache = OperatorCache(cfg)
+    summary = _invariant_summary(cfg, cache)
+    op, _ = cache.operator(6, 6)
+    assert (op.block_dim, op.spatial.space.ndof) == (28, 121)
+    assert summary["resolvent_min_generalized_eigenvalue"] == op.min_resolvent_eigenvalue()
+    m = sgsystem.DENSE_EIG_SIZE_LIMIT + 2  # m - 1 interior P1 dofs
+    cfg = load_config(mini_config(geometry={"dim": 1, "fe_order": 1},
+                                  sweep={"n": [1], "m": [m], "n_k": [1]}))
+    assert "resolvent_min_generalized_eigenvalue" not in _invariant_summary(cfg, OperatorCache(cfg))
+
+
+def test_resolvent_invariant_matches_the_dense_block_pencil():
+    cfg = load_config(mini_config(sweep={"n": [2, 3], "m": [4, 8], "n_k": [4]}))
+    cache = OperatorCache(cfg)
+    got = _invariant_summary(cfg, cache)["resolvent_min_generalized_eigenvalue"]
+    op, _ = cache.operator(3, 4)
+    block_mass = oracles.block_gram(op, op.spatial.mass)
+    assert got == pytest.approx(oracles.min_generalized_eigenvalue(op.matrix, block_mass), rel=1e-12)
 
 
 # --- the collocation reference against its per-node oracle --------------------
@@ -838,7 +863,6 @@ def test_nan_stiffness_at_a_reference_node_raises_a_solver_error():
     nodes, _ = tensor_quad(H1, 3)
     field = CoefficientField(
         dim=1,
-        evaluate=logistic.evaluate,
         kappa=logistic.kappa,
         bound=logistic.bound,
         z_factor=lambda z: math.nan if z[0] == nodes[1, 0] else logistic.z_factor(z),

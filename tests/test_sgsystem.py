@@ -11,7 +11,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import oracles
-from sgpde import sgsystem
+from sgpde import harness, sgsystem
 from sgpde.coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
 from sgpde.pce import distribution, multi_index_set, tensor_quad, triple_products
 from sgpde.orthopoly import hermite, jacobi, laguerre
@@ -239,11 +239,12 @@ def test_resolvent_contractive():
     space = space_1d(8, 1)
     field = coefficient_by_name("logistic_1d")
     op = build_operator(H1, 2, space, field, q=30)
-    lam_min = oracles.min_generalized_eigenvalue(op.matrix, op.mass)
+    block_mass = oracles.block_gram(op, op.spatial.mass)
+    lam_min = oracles.min_generalized_eigenvalue(op.matrix, block_mass)
     assert lam_min >= -1e-10
     rng = np.random.default_rng(9)
     dense_a = op.matrix.toarray()
-    dense_m = op.mass.toarray()
+    dense_m = block_mass.toarray()
     for lam in (0.1, 1.0, 25.0):
         u = rng.standard_normal(op.size)
         v = np.linalg.solve(lam * dense_m + dense_a, lam * (dense_m @ u))
@@ -279,6 +280,13 @@ def _max_rel(a, b) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def _rotated_system_stiffness(op) -> np.ndarray:
+    """(V (x) I) (diag(lam) (x) K_g) (V^T (x) I), dense: the chaos-basis
+    operator rebuilt from the factors the operator holds."""
+    rotate = np.kron(op.eigvecs, np.eye(op.spatial.space.ndof))
+    return rotate @ oracles.system_matrices(op)[1].toarray() @ rotate.T
+
+
 def _non_separable(dim):
     """A field that is not a product f(z) g(x) and reads the last input too."""
     if dim == 1:
@@ -303,12 +311,9 @@ def test_decoupled_operator_matches_bmat_oracle(dist, n, space, field_name):
     mis = multi_index_set(dist.N, n)
     oracle = oracles.bmat_block_operator(mats, triple_products(dist, n), mis).toarray()
     op = assemble_block_operator(dist, mis, spatial_operators(space, field), q)
-    rotate = np.kron(op.factors.eigvecs, np.eye(space.ndof))
-    assert _max_rel(rotate @ op.stiffness.toarray() @ rotate.T, oracle) <= 1e-13
+    # V, lam and K_g factor the operator: V diag(lam) V^T (x) K_g is the oracle
+    assert _max_rel(_rotated_system_stiffness(op), oracle) <= 1e-13
     assert _max_rel(op.matrix.toarray(), oracle) <= 1e-13
-    # the system basis is decoupled: no entry couples two chaos modes
-    coo = op.stiffness.tocoo()
-    assert np.array_equal(coo.row // space.ndof, coo.col // space.ndof)
     # mode rotations are inverse to each other
     u = np.random.default_rng(3).standard_normal((len(mis), space.ndof))
     assert np.allclose(op.to_chaos(op.to_system(u)), u, rtol=0.0, atol=1e-14)
@@ -353,8 +358,7 @@ def test_quadrature_operator_matches_triple_product_oracle(dist, n, q, space, se
     assert _max_rel(got.toarray(), want) <= 1e-13
     assert defect == 0.0
     if separable:
-        rotate = np.kron(op.factors.eigvecs, np.eye(space.ndof))
-        assert _max_rel(rotate @ op.stiffness.toarray() @ rotate.T, want) <= 1e-13
+        assert _max_rel(_rotated_system_stiffness(op), want) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -373,15 +377,14 @@ def test_quadrature_operator_matches_oracle_laguerre_n6(dist):
     op = build_operator(dist, 6, space, field, 13)
     want = oracle_operator(dist, 6, space, field, 13).toarray()
     assert _max_rel(op.matrix.toarray(), want) <= 1e-11
-    rotate = np.kron(op.factors.eigvecs, np.eye(space.ndof))
-    assert _max_rel(rotate @ op.stiffness.toarray() @ rotate.T, want) <= 1e-11
+    assert _max_rel(_rotated_system_stiffness(op), want) <= 1e-11
 
 
 def test_invariants_from_factors_match_the_chaos_basis_matrix():
     space = space_1d(8, 2)
     op = build_operator(H1, 2, space, coefficient_by_name("logistic_1d"), q=30)
     assert op.symmetry_defect() == 0.0 == float(abs(op.matrix - op.matrix.T).max())
-    want = oracles.min_generalized_eigenvalue(op.matrix, op.mass)
+    want = oracles.min_generalized_eigenvalue(op.matrix, oracles.block_gram(op, op.spatial.mass))
     assert op.min_resolvent_eigenvalue() == pytest.approx(want, rel=1e-12)
 
 
@@ -390,12 +393,12 @@ def test_chaos_eigendecomposition_is_checked(monkeypatch):
     field = coefficient_by_name("logistic_1d")
     op = build_operator(H1, 2, space, field, q=20)
     # the builder symmetrizes G, so a skewed G is handed to the check directly
-    skewed = op.factors.chaos.copy()
+    skewed = op.chaos.copy()
     skewed[0, 1] *= 1.01
     with pytest.raises(SolverError, match="eigendecomposition"):
         sgsystem._checked_eigh(skewed)
     with pytest.raises(SolverError, match="non-finite"):
-        sgsystem._checked_eigh(np.where(np.eye(3) > 0, np.nan, op.factors.chaos))
+        sgsystem._checked_eigh(np.where(np.eye(3) > 0, np.nan, op.chaos))
 
     eigh = scipy.linalg.eigh
     for corrupt in (
@@ -406,7 +409,7 @@ def test_chaos_eigendecomposition_is_checked(monkeypatch):
         with pytest.raises(SolverError, match="eigendecomposition"):
             build_operator(H1, 2, space, field, q=20)
     monkeypatch.setattr(scipy.linalg, "eigh", eigh)
-    assert build_operator(H1, 2, space, field, q=20).factors is not None
+    assert len(build_operator(H1, 2, space, field, q=20).eigvals) == 3
 
 
 def test_nan_coefficient_at_one_node_raises():
@@ -415,7 +418,6 @@ def test_nan_coefficient_at_one_node_raises():
     bad_z = nodes[2, 0]
     field = CoefficientField(
         dim=1,
-        evaluate=logistic.evaluate,
         kappa=logistic.kappa,
         bound=logistic.bound,
         z_factor=lambda z: math.nan if z[0] == bad_z else logistic.z_factor(z),
@@ -493,17 +495,24 @@ def test_initial_coefficients_builds_one_load_per_distinct_function(monkeypatch)
 
 @pytest.mark.parametrize("dim,order,n_inputs", [(1, 1, 1), (2, 2, 2)])
 def test_separable_block_arrays_equal_the_kron_form(dim, order, n_inputs):
-    # I (x) M and diag(lam) (x) K_g joined from their blocks store the very
-    # arrays that sp.kron builds
-    space = make_fe_space(make_mesh(dim, 5 if dim == 1 else 3), order)
+    # the system-basis mass and stiffness that the harness joins for a batch
+    # of two operators, each I (x) M and diag(lam) (x) K_g from the arrays of
+    # M and K_g, store the very arrays of the block-diagonal sp.kron forms
+    dist = distribution(*[hermite()] * n_inputs)
     field = coefficient_by_name("logistic_1d" if dim == 1 else "logistic_anisotropic")
-    ops = spatial_operators(space, field)
-    mis = multi_index_set(n_inputs, 3 if dim == 1 else 2)
-    op = assemble_block_operator(distribution(*[hermite()] * n_inputs), mis, ops, 7)
-    eye = sp.eye(len(mis))
-    for got, want in (
-        (op.mass, sp.kron(eye, ops.mass, format="csr")),
-        (op.stiffness, sp.kron(sp.diags(op.factors.eigvals), ops.k_g, format="csr")),
+    batch = [
+        assemble_block_operator(
+            dist,
+            multi_index_set(n_inputs, n),
+            spatial_operators(make_fe_space(make_mesh(dim, m), order), field),
+            7,
+        )
+        for n, m in (((3, 5), (2, 4)) if dim == 1 else ((2, 3), (1, 2)))
+    ]
+    oracle = [oracles.system_matrices(op) for op in batch]
+    for got, want in zip(
+        harness._system_matrices(batch),
+        (sp.block_diag([o[k] for o in oracle], format="csr") for k in (0, 1)),
     ):
         assert got.shape == want.shape
         for attr in ("indptr", "indices", "data"):

@@ -11,6 +11,7 @@ from sgpde.spatial import (
     SolverError,
     assemble_mass,
     assemble_stiffness,
+    checked_solve,
     error_points,
     fe_eval,
     h1_gram,
@@ -22,7 +23,6 @@ from sgpde.spatial import (
     nodal_coordinates,
     prolong,
     stationary_solve,
-    _checked_solve,
     _gauss_01,
 )
 
@@ -173,7 +173,7 @@ def test_h1_gram_matches_unit_stiffness():
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_checked_solve_rejects_a_nan_result():
     with pytest.raises(SolverError, match="residual"):
-        _checked_solve(np.nan * sp.identity(3, format="csr"), np.ones(3), 1e-10)
+        checked_solve(np.nan * sp.identity(3, format="csr"), np.ones(3), 1e-10)
 
 
 def test_export_coo_format():
@@ -313,3 +313,23 @@ def test_space_numbering_matches_loop_oracle(dim, order, m):
     ):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert space.ndof == oracle.ndof and space.mesh.h == oracle.mesh.h
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stored_pattern_is_the_dof_adjacency_of_the_mesh(dim, order, m):
+    # every pair of dofs that share a cell is stored, also where the sum is
+    # exactly 0 (many P1 and P2 stiffness couplings on right triangles), so
+    # the pattern does not depend on rounding; both matrices are exactly symmetric
+    space = make_fe_space(make_mesh(dim, m), order)
+    coeff = (lambda x: 1.0 + x) if dim == 1 else coefficient_by_name(
+        "logistic_anisotropic"
+    ).spatial_part
+    dofs = space.dof_of_node[space.cell_nodes]
+    adjacent = {(i, j) for cell in dofs.tolist() for i in cell if i >= 0 for j in cell if j >= 0}
+    for a in (assemble_mass(space), assemble_stiffness(space, coeff)):
+        stored = a.tocoo()
+        assert a.nnz == len(adjacent)
+        assert set(zip(stored.row.tolist(), stored.col.tolist())) == adjacent
+        assert (a != a.T).nnz == 0

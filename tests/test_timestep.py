@@ -30,7 +30,6 @@ from sgpde.timestep import (
     implicit_euler,
     make_uniform_grid,
     scheme_by_name,
-    step,
 )
 
 M1 = sp.csr_matrix(np.array([[1.0]]))
@@ -46,9 +45,10 @@ def heat_setup(m=64, order=2, coeff=2.0):
 
 
 def test_scalar_steps():
-    assert step(implicit_euler(), 0.5, M1, K2, np.array([1.0]))[0] == pytest.approx(0.5)
-    assert step(crank_nicolson(), 1.0, M1, K2, np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-15)
-    out = step(crank_nicolson(), 1e-14, M1, K2, np.array([1.0]))
+    euler, cn = Propagator(implicit_euler(), M1, K2), Propagator(crank_nicolson(), M1, K2)
+    assert euler.step(np.array([1.0]), 0.5)[0] == pytest.approx(0.5)
+    assert cn.step(np.array([1.0]), 1.0)[0] == pytest.approx(0.0, abs=1e-15)
+    out = cn.step(np.array([1.0]), 1e-14)
     assert abs(out[0] - 1.0) <= 1e-10
 
 
@@ -172,7 +172,7 @@ def sg_operator(n=2, m=6, order=1):
 def sg_block_setup():
     """Chaos-basis block system of logistic_1d, n = 2, P1, m = 6."""
     op, state0 = sg_operator()
-    return op.mass, op.matrix, state0.flat()
+    return oracles.block_gram(op, op.spatial.mass), op.matrix, state0.flat()
 
 
 @pytest.mark.parametrize("setup", ["heat_p1", "sg_block"])
@@ -271,11 +271,11 @@ def test_scheme_by_name_errors():
 @pytest.mark.parametrize("name", ["implicit_euler", "crank_nicolson"])
 def test_decoupled_evolve_matches_coupled_evolve(name, grid):
     op, state0 = sg_operator(n=3, m=8, order=2)
-    assert op.factors is not None
     scheme = scheme_by_name(name)
-    coupled = evolve(scheme, grid, op.mass, op.matrix, state0.flat())
+    mass, stiffness = oracles.system_matrices(op)
+    coupled = evolve(scheme, grid, mass, op.matrix, state0.flat())
     w0 = op.to_system(state0.coeffs)
-    w = evolve(scheme, grid, op.mass, op.stiffness, w0.reshape(-1))
+    w = evolve(scheme, grid, mass, stiffness, w0.reshape(-1))
     decoupled = op.to_chaos(w.reshape(w0.shape)).reshape(-1)
     assert np.max(np.abs(decoupled - coupled)) <= 1e-11 * np.max(np.abs(coupled))
 
