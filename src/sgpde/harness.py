@@ -86,6 +86,7 @@ class AnalyticReference:
     diffusivity: Callable
     sine_modes: tuple
     t_final: float
+    est_error: float = 0.0  # exact: no error of its own
 
     def values(self, nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The exact solution at the final time at every node (Q, N) and
@@ -319,8 +320,8 @@ class ExperimentConfig:
                 raise ValueError(f"sweep.{axis} must be a non-empty list")
             for v in values:
                 _check_int(f"sweep.{axis}", v, lowest)
-            if sorted(values) != list(values):
-                raise ValueError(f"sweep.{axis} must be increasing")
+            if any(a >= b for a, b in zip(values, values[1:])):
+                raise ValueError(f"sweep.{axis} must be strictly increasing")
         max_n = max(self.sweep["n"])
         if self.quad_order < 2 * max_n + 1:
             raise ValueError(
@@ -347,6 +348,15 @@ class ExperimentConfig:
                 raise ValueError("reference must be strictly finer than the finest sweep point")
         elif kind != "analytic":
             raise ValueError("reference.kind must be 'analytic' or 'collocation'")
+        _built("distribution", self.build_distribution)
+        dim = self.geometry["dim"]
+        field_ = _built("coefficient", self.build_field)
+        if not field_.elliptic:
+            raise ValueError(f"coefficient {field_.name!r} must be elliptic (declare kappa > 0)")
+        datum = _built("initial_datum", self.build_initial_datum)
+        for key, built in (("coefficient", field_), ("initial_datum", datum)):
+            if built.dim != dim:
+                raise ValueError(f"{key} {built.name!r} is {built.dim}D but geometry.dim is {dim}")
 
     def build_distribution(self) -> DistributionSpec:
         fams = []
@@ -368,6 +378,14 @@ class ExperimentConfig:
     def to_canonical_json(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _built(key: str, build: Callable):
+    """What `build` makes of config key `key`; a failure names the key."""
+    try:
+        return build()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _check_int(key: str, value, lowest: int) -> None:
@@ -433,8 +451,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 class OperatorCache:
     """The solve pipeline of one config: spatial operators per mesh, block
-    operators, initial states and final states, each built once and shared
-    across sweep points and the collocation reference."""
+    operators and initial states, each built once and shared across sweep
+    points and the collocation reference."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -445,7 +463,6 @@ class OperatorCache:
         self.order = cfg.geometry["fe_order"]
         self._ops = {}
         self._spatial = {}
-        self._finals = {}
 
     def spatial(self, m: int) -> SpatialOperators:
         """The spatial operators of the mesh with parameter m."""
@@ -466,10 +483,6 @@ class OperatorCache:
             state0 = initial_coefficients(self.dist, mis, self.u0, ops, q)
             self._ops[key] = (op, state0)
         return self._ops[key]
-
-    def solved(self, n: int, m: int, n_k: int) -> bool:
-        """Whether the final state of (n, m, n_k) is already stored."""
-        return (n, m, n_k) in self._finals
 
 
 def _block_diagonal(blocks) -> sp.csr_matrix:
@@ -494,8 +507,8 @@ def _system_matrices(ops: list[SgOperator]) -> tuple[sp.csr_matrix, sp.csr_matri
     return _block_diagonal([s.mass for s in spatial]), stiffness
 
 
-def solve_points(cache: OperatorCache, points) -> dict[tuple, float]:
-    """Run every listed (n, m, n_k) not yet solved to the final time.
+def solve_points(cache: OperatorCache, points) -> dict[tuple, tuple[SgState, float]]:
+    """Run every distinct listed (n, m, n_k) to the final time.
 
     Points that share n_k share a time grid, so they are stepped together:
     one block-diagonal system of each point's system-basis mass and
@@ -504,16 +517,15 @@ def solve_points(cache: OperatorCache, points) -> dict[tuple, float]:
     each block is split off and rotated back to the chaos basis. Every step
     checks each point's residual on its own; a failure names its (n, m, n_k).
 
-    Returns the wall time of each point solved here: its batch's time
-    (operators, stepping and rotations) split over the batch's points in
-    proportion to their unknowns d_n * ndof.
+    Returns the final chaos state of each distinct point and its wall time:
+    its batch's time (operators, stepping and rotations) split over the
+    batch's points in proportion to their unknowns d_n * ndof.
     """
     batches: dict[int, list] = {}
     for point in dict.fromkeys(tuple(p) for p in points):
-        if not cache.solved(*point):
-            batches.setdefault(point[2], []).append(point)
+        batches.setdefault(point[2], []).append(point)
     scheme = scheme_by_name(cache.cfg.scheme)
-    charged = {}
+    solved = {}
     for n_k, batch in batches.items():
         t0 = time.perf_counter()
         built = [cache.operator(n, m) for n, m, _ in batch]
@@ -529,23 +541,22 @@ def solve_points(cache: OperatorCache, points) -> dict[tuple, float]:
         except SolverError as exc:
             raise SolverError(f"sweep points (n, m, n_k) in {batch} failed: {exc}") from exc
         blocks = np.split(w, np.cumsum(sizes)[:-1])
-        for point, (op, state0), w0, block in zip(batch, built, starts, blocks):
-            final = op.to_chaos(block.reshape(w0.shape))
-            cache._finals[point] = SgState(cache.cfg.t_final, final, state0.mis)
+        finals = [op.to_chaos(b.reshape(w0.shape)) for (op, _), w0, b in zip(built, starts, blocks)]
         wall = time.perf_counter() - t0
         log.debug(
             "solve batch: n_k=%d points=%s unknowns=%d steps=%d wall_s=%.6f",
             n_k, batch, sum(sizes), len(grid.steps), wall,
         )
-        charged.update((p, wall * size / sum(sizes)) for p, size in zip(batch, sizes))
-    return charged
+        for point, (_, state0), final, size in zip(batch, built, finals, sizes):
+            solved[point] = SgState(cache.cfg.t_final, final, state0.mis), wall * size / sum(sizes)
+    return solved
 
 
 def solve_single(cache: OperatorCache, n: int, m: int, n_k: int) -> tuple[SgState, FeSpace]:
     """Run one configuration to the final time (see `solve_points`); returns
     the final chaos state and its space."""
-    solve_points(cache, [(n, m, n_k)])
-    return cache._finals[n, m, n_k], cache.space(m)
+    state, _ = solve_points(cache, [(n, m, n_k)])[n, m, n_k]
+    return state, cache.space(m)
 
 
 def build_reference(cfg: ExperimentConfig, cache: OperatorCache, estimate_error: bool = True):
@@ -631,28 +642,6 @@ def _axis_h(axis: str, value: int, t_final: float) -> float:
     return t_final / value if axis == "n_k" else 1.0 / value
 
 
-def _measure(cfg, cache, reference, point: tuple, charged: dict) -> tuple[float, float, bool]:
-    """Error and wall time of one sweep point, and whether an earlier measured
-    point had the same (n, m, n_k); logs the solve and error times at DEBUG.
-
-    `charged` holds the solve time `solve_points` charged to each point; the
-    first measurement of a point takes it out, so later ones are cache hits.
-    """
-    n, m, n_k = point
-    share = charged.pop(point, None)
-    t0 = time.perf_counter()
-    state, space = solve_single(cache, n, m, n_k)
-    t1 = time.perf_counter()
-    err = error_norm_H(cache.dist, state, space, reference, q=cfg.quad_order)
-    t2 = time.perf_counter()
-    solve_s = (share or 0.0) + (t1 - t0)
-    log.debug(
-        "sweep point: n=%d m=%d n_k=%d cache_hit=%s solve_s=%.6f error_s=%.6f",
-        n, m, n_k, share is None, solve_s, t2 - t1,
-    )
-    return err, solve_s + (t2 - t1), share is None
-
-
 def _joint_points(cfg) -> list[tuple]:
     """The joint table's (n, m, n_k): level i takes each axis's i-th value,
     or its last when the axis is shorter."""
@@ -667,16 +656,41 @@ def _axis_points(cfg, axis: str) -> list[tuple]:
     return [tuple(v if k == axis else finest[k] for k in AXES) for v in cfg.sweep[axis]]
 
 
-def _run_axis(cfg, cache, reference, axis: str, charged: dict, sweep_floor: float) -> AxisResult:
+def _measure(cfg, cache, reference, tables: dict) -> dict:
+    """Solve and measure every distinct point of the sweep's tables once;
+    `tables` maps each table to its (n, m, n_k), in listing order.
+
+    Returns, per table, the (point, error, runtime_s, cache_hit) of each of
+    its points. A point listed earlier is a cache hit with runtime 0.0, so
+    the runtimes add up to the solve and error work done. Logs the solve and
+    error times of each distinct point at DEBUG."""
+    solved = solve_points(cache, [p for points in tables.values() for p in points])
+    errors = {}
+    measured = {}
+    for name, points in tables.items():
+        measured[name] = []
+        for point in points:
+            if point in errors:
+                measured[name].append((point, errors[point], 0.0, True))
+                continue
+            state, solve_s = solved[point]
+            t0 = time.perf_counter()
+            errors[point] = error_norm_H(
+                cache.dist, state, cache.space(point[1]), reference, q=cfg.quad_order
+            )
+            error_s = time.perf_counter() - t0
+            log.debug(
+                "sweep point: n=%d m=%d n_k=%d solve_s=%.6f error_s=%.6f",
+                *point, solve_s, error_s,
+            )
+            measured[name].append((point, errors[point], solve_s + error_s, False))
+    return measured
+
+
+def _axis_result(cfg, axis: str, rows: list, ref_floor: float, sweep_floor: float) -> AxisResult:
     values = list(cfg.sweep[axis])
-    errors, runtimes, hits = [], [], []
-    for point in _axis_points(cfg, axis):
-        err, runtime, hit = _measure(cfg, cache, reference, point, charged)
-        errors.append(err)
-        runtimes.append(runtime)
-        hits.append(hit)
+    _, errors, runtimes, hits = (list(column) for column in zip(*rows))
     hs = [_axis_h(axis, v, cfg.t_final) for v in values]
-    ref_floor = getattr(reference, "est_error", 0.0)
     keep, flagged = _admissible(hs, errors, ref_floor, sweep_floor)
     fit = None
     if len(keep) >= 3:
@@ -689,25 +703,6 @@ def _run_axis(cfg, cache, reference, axis: str, charged: dict, sweep_floor: floa
         axis, values, hs, errors, runtimes, hits, fit, local,
         half_split_slopes(hs, errors), keep, flagged,
     )
-
-
-def _run_joint(cfg, cache, reference, charged: dict) -> list:
-    rows = []
-    for i, point in enumerate(_joint_points(cfg)):
-        err, runtime, hit = _measure(cfg, cache, reference, point, charged)
-        n, m, n_k = point
-        rows.append(
-            {
-                "level": i,
-                "n": n,
-                "m": m,
-                "n_k": n_k,
-                "error": err,
-                "runtime_s": runtime,
-                "cache_hit": hit,
-            }
-        )
-    return rows
 
 
 def _invariant_summary(cfg, cache) -> dict:
@@ -766,14 +761,19 @@ def sweep(cfg: ExperimentConfig, estimate_reference_error: bool = True) -> Conve
     cfg.validate()
     cache = OperatorCache(cfg)
     reference = build_reference(cfg, cache, estimate_error=estimate_reference_error)
-    # every distinct point is solved up front, those sharing n_k as one batch;
-    # measurement then runs the joint table first: its finest level is the
-    # sweep floor used to keep per-axis fits clear of the other axes' errors
-    points = _joint_points(cfg) + [p for axis in AXES for p in _axis_points(cfg, axis)]
-    charged = solve_points(cache, points)
-    joint = _run_joint(cfg, cache, reference, charged)
+    # the joint table is listed first: its finest level is the sweep floor
+    # used to keep per-axis fits clear of the other axes' errors
+    tables = {"joint": _joint_points(cfg), **{axis: _axis_points(cfg, axis) for axis in AXES}}
+    measured = _measure(cfg, cache, reference, tables)
+    joint = [
+        dict(level=i, n=n, m=m, n_k=n_k, error=err, runtime_s=runtime, cache_hit=hit)
+        for i, ((n, m, n_k), err, runtime, hit) in enumerate(measured["joint"])
+    ]
     sweep_floor = joint[-1]["error"]
-    axes = {axis: _run_axis(cfg, cache, reference, axis, charged, sweep_floor) for axis in AXES}
+    axes = {
+        axis: _axis_result(cfg, axis, measured[axis], reference.est_error, sweep_floor)
+        for axis in AXES
+    }
     invariants = _invariant_summary(cfg, cache)
     checks = _evaluate_checks(cfg, axes, joint)
     passed = all(checks.values()) if checks else True
@@ -785,7 +785,7 @@ def sweep(cfg: ExperimentConfig, estimate_reference_error: bool = True) -> Conve
         invariants=invariants,
         checks=checks,
         passed=passed,
-        reference_error_estimate=float(getattr(reference, "est_error", 0.0)),
+        reference_error_estimate=reference.est_error,
     )
 
 

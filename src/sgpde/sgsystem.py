@@ -45,7 +45,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .coeffs import CoefficientField, InitialDatum
-from .pce import DistributionSpec, MultiIndexSet, tensor_basis_matrix, tensor_quad
+from .pce import DistributionSpec, MultiIndexSet, pce_project, tensor_basis_matrix, tensor_quad
 from .spatial import (
     FeSpace,
     SolverError,
@@ -226,12 +226,8 @@ def initial_coefficients(
 ) -> SgState:
     """Chaos modes of the initial datum on the space of `ops`: the q-node
     Gauss sum Phi^T W [P u0(z_i)]_i of its checked L2 projections P."""
-    if q < mis.n + 1:
-        raise ValueError(f"q = {q} must be at least n + 1 = {mis.n + 1}")
-    nodes, weights = tensor_quad(dist, q)
-    phi = tensor_basis_matrix(dist, mis, nodes)
-    starts = np.stack([ops.project(u0.sample(z)) for z in nodes])
-    return SgState(0.0, (phi * weights[:, None]).T @ starts, mis)
+    modes = pce_project(dist, mis, lambda z: ops.project(u0.sample(z)), q).modes
+    return SgState(0.0, modes, mis)
 
 
 def reconstruct_at_nodes(

@@ -285,21 +285,61 @@ def test_config_validation_errors():
 @pytest.mark.parametrize(
     "axis,values,reference,shown",
     [
-        ("m", [0, 8], {"kind": "collocation", "m_ref": 64, "n_k_ref": 64}, "0"),
-        ("n_k", [0, 16], {"kind": "analytic"}, "0"),
-        ("n", [-1, 2], {"kind": "analytic"}, "-1"),
-        ("n_k", [8.5, 16], {"kind": "analytic"}, r"8\.5"),
-        ("n", [True, 2], {"kind": "analytic"}, "True"),
+        ("m", [0, 8], {"kind": "collocation", "m_ref": 64, "n_k_ref": 64},
+         "value 0 must be an integer >= 1"),
+        ("n_k", [0, 16], {"kind": "analytic"}, "value 0 must be an integer >= 1"),
+        ("n", [-1, 2], {"kind": "analytic"}, "value -1 must be an integer >= 0"),
+        ("n_k", [8.5, 16], {"kind": "analytic"}, r"value 8\.5 must be an integer >= 1"),
+        ("n", [True, 2], {"kind": "analytic"}, "value True must be an integer >= 0"),
+        # a repeated value would flag itself "not decreasing" and cut every fit
+        ("n", [1, 2, 2, 3], {"kind": "analytic"}, "must be strictly increasing"),
     ],
-    ids=["m_zero_collocation", "n_k_zero", "n_negative", "n_k_float", "n_bool"],
+    ids=["m_zero_collocation", "n_k_zero", "n_negative", "n_k_float", "n_bool", "n_repeated"],
 )
 def test_bad_sweep_values_are_rejected_at_load(monkeypatch, axis, values, reference, shown):
     solved = []
     monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: solved.append(args))
     raw = mini_config(reference=reference)
     raw["sweep"] = {**raw["sweep"], axis: values}
-    lowest = 0 if axis == "n" else 1
-    with pytest.raises(ValueError, match=rf"sweep\.{axis} value {shown} must be an integer >= {lowest}"):
+    with pytest.raises(ValueError, match=rf"^sweep\.{axis} {shown}$"):
+        load_config(raw)
+    assert solved == []
+
+
+COLLOC_2D = WORKLOADS["colloc_2d"]["config"]
+
+
+@pytest.mark.parametrize(
+    "raw,shown",
+    [
+        ({**COLLOC_2D, "initial_datum": {"name": "sine_modes"}},
+         "initial_datum 'sine_modes' is 1D but geometry.dim is 2"),
+        ({**COLLOC_2D, "coefficient": {"name": "logistic_1d"}},
+         "coefficient 'logistic_1d' is 1D but geometry.dim is 2"),
+        (mini_config(coefficient={"name": "affine"}),
+         r"coefficient 'affine\(0\.5\)' must be elliptic"),
+        (mini_config(distribution=[{"kind": "beta"}]),
+         "distribution: unknown distribution component 'beta'"),
+        (mini_config(distribution=[{"kind": "jacobi", "alpha": -1.0}]),
+         "distribution: jacobi requires alpha > -1"),
+        (mini_config(coefficient={"name": "logistic_1d", "params": {"slope": 2.0}}),
+         "coefficient: .*unexpected keyword argument 'slope'"),
+        (mini_config(coefficient={"name": "logistic"}),
+         "coefficient: unknown coefficient 'logistic'"),
+        (mini_config(initial_datum={"name": "sine_modes", "params": {"modes": [[1]]}}),
+         "initial_datum: "),
+    ],
+    ids=[
+        "datum_1d_in_2d", "field_1d_in_2d", "field_not_elliptic", "unknown_distribution",
+        "jacobi_alpha", "unknown_field_param", "unknown_field", "bad_datum_param",
+    ],
+)
+def test_bad_distribution_field_or_datum_is_rejected_at_load(monkeypatch, raw, shown):
+    # each is built when the config loads; a bad one raises a ValueError
+    # naming its key, before anything is solved
+    solved = []
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: solved.append(args))
+    with pytest.raises(ValueError, match=rf"^{shown}"):
         load_config(raw)
     assert solved == []
 
@@ -434,16 +474,40 @@ def test_sweep_logs_one_debug_record_per_point(caplog):
     report = sweep(cfg)
     records = [r for r in caplog.records if r.getMessage().startswith("sweep point:")]
     points = _sweep_points(cfg, report)
-    assert len(records) == len(points) == 8
-    for record, (n, m, n_k, hit, runtime) in zip(records, points):
+    # one record per distinct point, at its first listing; a later listing
+    # is a cache hit that costs nothing
+    first = [p for p in points if not p[3]]
+    assert [p[:3] for p in first] == list(dict.fromkeys(p[:3] for p in points))
+    assert len(points) == 8 and len(records) == len(first) == 5
+    for record, (n, m, n_k, _, runtime) in zip(records, first):
         assert record.name == "sgpde.harness" and record.levelno == logging.DEBUG
-        assert record.args[:4] == (n, m, n_k, hit)
-        solve_s, error_s = record.args[4:]
+        assert record.args[:3] == (n, m, n_k)
+        solve_s, error_s = record.args[3:]
         assert solve_s >= 0.0 and error_s > 0.0
         assert solve_s + error_s == pytest.approx(runtime, rel=1e-12, abs=1e-15)
+    assert all(runtime == 0.0 for *_, hit, runtime in points if hit)
     message = records[0].getMessage()
-    assert message.startswith("sweep point: n=1 m=4 n_k=4 cache_hit=False solve_s=")
+    assert message.startswith("sweep point: n=1 m=4 n_k=4 solve_s=")
     assert " error_s=" in message
+
+
+def test_sweep_measures_each_distinct_point_once_as_a_fresh_solve(monkeypatch):
+    cfg = load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [4, 8]}))
+    calls = []
+    real = harness.error_norm_H
+    monkeypatch.setattr(harness, "error_norm_H", lambda *a, **k: calls.append(a) or real(*a, **k))
+    report = sweep(cfg)
+    monkeypatch.undo()
+    points = _sweep_points(cfg, report)
+    assert len(calls) == len({p[:3] for p in points}) == 5
+    # every listing reads the error of one solve of its point, bitwise
+    errors = [row["error"] for row in report.joint]
+    errors += [e for result in report.axes.values() for e in result.errors]
+    cache = OperatorCache(cfg)
+    reference = build_reference(cfg, cache)
+    for (n, m, n_k, *_), err in zip(points, errors, strict=True):
+        state, space = solve_single(cache, n, m, n_k)
+        assert err == error_norm_H(cache.dist, state, space, reference, q=cfg.quad_order)
 
 
 def test_sweep_logs_one_debug_record_per_batch(caplog):
@@ -466,13 +530,13 @@ def test_sweep_logs_one_debug_record_per_batch(caplog):
         assert steps == n_k and wall > 0.0
     # solve_points splits each batch's wall time in proportion to unknowns
     caplog.clear()
-    charged = harness.solve_points(cache, [p[:3] for p in points])
+    solved = harness.solve_points(cache, [p[:3] for p in points])
     first, second = (r.args for r in caplog.records if r.getMessage().startswith("solve batch:"))
     for n_k, batch, unknowns, _, wall in (first, second):
-        assert sum(charged[p] for p in batch) == pytest.approx(wall, rel=1e-12)
+        assert sum(solved[p][1] for p in batch) == pytest.approx(wall, rel=1e-12)
         for n, m, _ in batch:
             size = cache.operator(n, m)[0].size
-            assert charged[n, m, n_k] == pytest.approx(wall * size / unknowns, rel=1e-12)
+            assert solved[n, m, n_k][1] == pytest.approx(wall * size / unknowns, rel=1e-12)
 
 
 def test_sweep_logging_is_silent_by_default():
@@ -563,9 +627,7 @@ def test_collocation_reference_error_estimate():
 def test_solve_single_steps_decoupled_modes_without_the_coupled_matrix(scheme):
     cfg = load_config(mini_config(scheme=scheme, sweep={"n": [3], "m": [8], "n_k": [16]}))
     cache = OperatorCache(cfg)
-    assert not cache.solved(3, 8, 16)
     state, _ = solve_single(cache, 3, 8, 16)
-    assert cache.solved(3, 8, 16)
     _invariant_summary(cfg, cache)
     op, state0 = cache.operator(3, 8)
     assert "matrix" not in vars(op)  # the chaos-basis matrix was never built
@@ -678,20 +740,19 @@ def test_solve_points_matches_per_point_oracle(monkeypatch, setup, scheme):
         return real_evolve(*args, blocks=blocks)
 
     monkeypatch.setattr(harness, "evolve", counted_evolve)
-    charged = harness.solve_points(cache, BATCH_POINTS)
+    solved = harness.solve_points(cache, BATCH_POINTS)
     distinct = list(dict.fromkeys(BATCH_POINTS))
-    assert sorted(charged) == sorted(distinct)
+    assert sorted(solved) == sorted(distinct)
     # one block-diagonal evolve per n_k, one block per distinct point
     assert batches == [
         [cache.operator(n, m)[0].size for n, m, n_k in distinct if n_k == steps]
         for steps in (8, 4)
     ]
     for point in distinct:
-        state, _ = solve_single(cache, *point)
+        state, _ = solved[point]
         want = oracles.per_point_solve(cache, *point)
         assert state.time == want.time and state.mis is want.mis
         assert _rel(state.coeffs, want.coeffs) <= 1e-13
-    assert harness.solve_points(cache, BATCH_POINTS) == {} and len(batches) == 2
 
 
 def test_a_failing_block_names_its_sweep_point(monkeypatch):
@@ -710,7 +771,6 @@ def test_a_failing_block_names_its_sweep_point(monkeypatch):
     failed = r"sweep point \(n, m, n_k\) = \(2, 8, 8\) failed: time step residual .* in block 1 of 3"
     with pytest.raises(SolverError, match=failed):
         harness.solve_points(cache, points)
-    assert not any(cache.solved(*p) for p in points)
 
 
 @pytest.fixture

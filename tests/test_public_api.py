@@ -1,4 +1,5 @@
-"""The modules of the library use one another's public names only."""
+"""The modules of the library use one another's public names only, and no
+object's private attributes but their own."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,11 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sgpde"
+
+
+def is_private(name: str) -> bool:
+    """A leading underscore marks a private name; dunder names are public."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
 def private_imports(source: str, filename: str = "<source>") -> list[str]:
@@ -19,9 +25,23 @@ def private_imports(source: str, filename: str = "<source>") -> list[str]:
         if node.level == 0 and module != "sgpde" and not module.startswith("sgpde."):
             continue
         for alias in node.names:
-            name = alias.name
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                found.append(f"{filename}:{node.lineno}: from {'.' * node.level}{module} import {name}")
+            if is_private(alias.name):
+                found.append(
+                    f"{filename}:{node.lineno}: from {'.' * node.level}{module} import {alias.name}"
+                )
+    return found
+
+
+def private_attributes(source: str, filename: str = "<source>") -> list[str]:
+    """Every `obj._name` in the source whose `obj` is not `self` or `cls`:
+    code reaches another object's state through its public names."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.Attribute) or not is_private(node.attr):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            continue
+        found.append(f"{filename}:{node.lineno}: {ast.unparse(node)}")
     return found
 
 
@@ -42,4 +62,25 @@ def test_modules_import_no_private_name_of_another_module():
     paths = sorted(SRC.glob("*.py"))
     assert paths
     found = [hit for path in paths for hit in private_imports(path.read_text(), path.name)]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("state = cache._finals[point]\n", 1),
+        ("self.cache._finals.clear()\n", 1),
+        ("self._ops[key] = op\nn = cls._count\n", 0),
+        ("name = obj.__class__.__name__\n", 0),
+        ("lu = splu(a).L\n", 0),
+    ],
+)
+def test_private_attribute_check_flags_other_objects_private_names(source, flagged):
+    assert len(private_attributes(source)) == flagged
+
+
+def test_modules_read_no_private_attribute_of_another_object():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [hit for path in paths for hit in private_attributes(path.read_text(), path.name)]
     assert found == []
