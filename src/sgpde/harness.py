@@ -40,6 +40,7 @@ from .sgsystem import (
 from .spatial import FeSpace, SolverError, error_points, l2_error, make_fe_space, make_mesh, prolong
 from .timestep import (
     StepResidualError,
+    TimeGrid,
     a_stability_probe,
     crank_nicolson,
     evolve,
@@ -71,6 +72,16 @@ AXES = ("n", "m", "n_k")
 MACHINE_ERROR_FLOOR = 100.0 * np.finfo(float).eps
 REFERENCE_FLOOR_FACTOR = 10.0
 SWEEP_FLOOR_FACTOR = 3.0
+# Sweep points on spaces of at most this many dofs are propagated through the
+# spatial pencil instead of stepped. The crossover was measured on one BLAS
+# thread: at 225 dofs (2D P2, m = 8) the dense eigh and its check cost
+# 10-25 ms, more than the 16 Crank--Nicolson steps they replace (+11% on the
+# whole solve), while at 121 dofs (2D P2, m = 6) and on every 1D acceptance
+# space the pencil wins clearly.
+SPECTRAL_NDOF_LIMIT = 200
+# relative 2-norm gap allowed between a stepped first step and the spectral
+# one-step map of the same block
+FIRST_STEP_TOL = 1e-11
 
 
 # --- references -----------------------------------------------------------
@@ -285,10 +296,26 @@ def half_split_slopes(hs, errors) -> tuple[float, float] | None:
 
 # --- configuration --------------------------------------------------------
 
-_FAMILY_BUILDERS = {
-    "hermite": lambda spec: hermite(),
-    "jacobi": lambda spec: jacobi(spec.get("alpha", 0.0), spec.get("beta", 0.0)),
-    "laguerre": lambda spec: laguerre(spec.get("alpha", 0.0)),
+# each distribution kind: its factory and the parameters it reads (default 0)
+_FAMILIES = {
+    "hermite": (hermite, ()),
+    "jacobi": (jacobi, ("alpha", "beta")),
+    "laguerre": (laguerre, ("alpha",)),
+}
+# the keys the code reads from each dict of a config
+_REFERENCE_KEYS = {"analytic": {"kind"}, "collocation": {"kind", "m_ref", "n_k_ref", "quad_order"}}
+_TOLERANCE_KEYS = {
+    **{axis: {"slope", "tol", "min_slope", "decreasing", "superalgebraic", "max_final_error"}
+       for axis in AXES},
+    "joint": {"allowed_increase"},
+}
+_CONFIG_DICT_KEYS = {
+    "coefficient": {"name", "params"},
+    "initial_datum": {"name", "params"},
+    "geometry": {"dim", "fe_order"},
+    "sweep": set(AXES),
+    "output": {"csv_dir", "report"},
+    "tolerances": set(_TOLERANCE_KEYS),
 }
 
 
@@ -310,6 +337,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not (math.isfinite(self.t_final) and self.t_final > 0.0):
             raise ValueError(f"t_final value {self.t_final!r} must be finite and positive")
+        for key, known in _CONFIG_DICT_KEYS.items():
+            _check_keys(key, getattr(self, key), known)
+        for axis, tol in self.tolerances.items():
+            _check_keys(f"tolerances.{axis}", tol, _TOLERANCE_KEYS[axis])
         if self.geometry.get("dim") not in (1, 2):
             raise ValueError("geometry.dim must be 1 or 2")
         if self.geometry.get("fe_order") not in (1, 2):
@@ -328,6 +359,9 @@ class ExperimentConfig:
                 f"quad_order {self.quad_order} too small for n = {max_n}; need >= {2 * max_n + 1}"
             )
         kind = self.reference.get("kind")
+        if kind not in _REFERENCE_KEYS:
+            raise ValueError("reference.kind must be 'analytic' or 'collocation'")
+        _check_keys("reference", self.reference, _REFERENCE_KEYS[kind])
         if kind == "collocation":
             for key in ("m_ref", "n_k_ref"):
                 _check_int(f"reference.{key}", self.reference.get(key), 1)
@@ -346,8 +380,6 @@ class ExperimentConfig:
                 raise ValueError(f"reference n_k_ref = {nk_ref} must be >= {factor} * max n_k")
             if self.strict_reference and (m_ref == max_m or nk_ref == max_nk):
                 raise ValueError("reference must be strictly finer than the finest sweep point")
-        elif kind != "analytic":
-            raise ValueError("reference.kind must be 'analytic' or 'collocation'")
         _built("distribution", self.build_distribution)
         dim = self.geometry["dim"]
         field_ = _built("coefficient", self.build_field)
@@ -362,9 +394,11 @@ class ExperimentConfig:
         fams = []
         for spec in self.distribution:
             kind = spec.get("kind")
-            if kind not in _FAMILY_BUILDERS:
+            if kind not in _FAMILIES:
                 raise ValueError(f"unknown distribution component {kind!r}")
-            fams.append(_FAMILY_BUILDERS[kind](spec))
+            factory, params = _FAMILIES[kind]
+            _check_keys(kind, spec, {"kind", *params})
+            fams.append(factory(*(spec.get(p, 0.0) for p in params)))
         return DistributionSpec(tuple(fams))
 
     def build_field(self) -> CoefficientField:
@@ -386,6 +420,13 @@ def _built(key: str, build: Callable):
         return build()
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{key}: {exc}") from exc
+
+
+def _check_keys(key: str, given: dict, known) -> None:
+    """Reject the keys of the config dict `key` that the code does not read."""
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {key} keys: {unknown}")
 
 
 def _check_int(key: str, value, lowest: int) -> None:
@@ -426,9 +467,7 @@ def load_config(source) -> ExperimentConfig:
     else:
         raise TypeError("config source must be a path, JSON text, or dict")
     keys = fields(ExperimentConfig)
-    unknown = set(raw) - {f.name for f in keys}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys("config", raw, {f.name for f in keys})
     missing = [
         f.name for f in keys
         if f.name not in raw and f.default is MISSING and f.default_factory is MISSING
@@ -496,57 +535,108 @@ def _block_diagonal(blocks) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(rows[-1], rows[-1]))
 
 
-def _system_matrices(ops: list[SgOperator]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _system_matrices(ops: list[SgOperator], lams=None) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """The system-basis mass and stiffness of a batch of operators: the
     block-diagonal join of each operator's I (x) M and diag(lam) (x) K_g, in
-    turn. Block i of an operator stores the entries of M, and lam_i times
-    the entries of K_g."""
-    spatial = [op.spatial for op in ops for _ in range(op.block_dim)]
+    turn, where lam is the operator's eigvals or its entry of `lams`. Block i
+    of an operator stores the entries of M, and lam_i times the entries of
+    K_g."""
+    lams = [op.eigvals for op in ops] if lams is None else lams
+    spatial = [op.spatial for op, lam in zip(ops, lams) for _ in lam]
     stiffness = _block_diagonal([s.k_g for s in spatial])
-    stiffness.data *= np.concatenate([np.repeat(op.eigvals, op.spatial.k_g.nnz) for op in ops])
+    stiffness.data *= np.concatenate(
+        [np.repeat(lam, op.spatial.k_g.nnz) for op, lam in zip(ops, lams)]
+    )
     return _block_diagonal([s.mass for s in spatial]), stiffness
+
+
+def _evolve_batch(scheme, grid: TimeGrid, ops, starts, batch, lams=None) -> list[np.ndarray]:
+    """Step the block-diagonal system `_system_matrices(ops, lams)`, one
+    operator per point of `batch`, from the rotated modes `starts`; returns
+    each point's final modes. A failing block raises SolverError naming its
+    (n, m, n_k)."""
+    mass, stiffness = _system_matrices(ops, lams)
+    sizes = [w0.size for w0 in starts]
+    start = np.concatenate([w0.reshape(-1) for w0 in starts])
+    try:
+        w = evolve(scheme, grid, mass, stiffness, start, blocks=sizes)
+    except StepResidualError as exc:
+        raise SolverError(f"sweep point (n, m, n_k) = {batch[exc.block]} failed: {exc}") from exc
+    except SolverError as exc:
+        raise SolverError(f"sweep points (n, m, n_k) in {batch} failed: {exc}") from exc
+    return [b.reshape(w0.shape) for w0, b in zip(starts, np.split(w, np.cumsum(sizes)[:-1]))]
+
+
+def _first_step_check(scheme, grid: TimeGrid, ops: list[SgOperator], starts, batch) -> float:
+    """Step the stiffest block (lam_max) of each point once through `evolve`,
+    with its residual check, and compare it with the pencil's one-step map;
+    returns the largest relative 2-norm difference. A difference above
+    FIRST_STEP_TOL raises SolverError naming the point."""
+    first = TimeGrid(grid.steps[0], grid.steps[:1])
+    stiffest = [w0[-1:] for w0 in starts]
+    stepped = _evolve_batch(scheme, first, ops, stiffest, batch, [op.eigvals[-1:] for op in ops])
+    worst = 0.0
+    for point, op, w0, got in zip(batch, ops, stiffest, stepped):
+        want = op.spatial.pencil.propagate(scheme.r, first.steps, op.eigvals[-1:], w0)
+        diff, scale = float(np.linalg.norm(got - want)), float(np.linalg.norm(got))
+        if not diff <= FIRST_STEP_TOL * scale:  # "not <=" so that NaN fails too
+            raise SolverError(
+                f"sweep point (n, m, n_k) = {point} failed: its first step differs from the "
+                f"spectral one-step map by {diff:.3e} (stepped norm {scale:.3e})"
+            )
+        worst = max(worst, diff / scale if scale else 0.0)
+    return worst
 
 
 def solve_points(cache: OperatorCache, points) -> dict[tuple, tuple[SgState, float]]:
     """Run every distinct listed (n, m, n_k) to the final time.
 
-    Points that share n_k share a time grid, so they are stepped together:
-    one block-diagonal system of each point's system-basis mass and
-    stiffness (the decoupled chaos modes, see `_system_matrices`), started
-    from the concatenated rotated initial modes. After the one `evolve`
-    each block is split off and rotated back to the chaos basis. Every step
-    checks each point's residual on its own; a failure names its (n, m, n_k).
+    Points that share n_k share a time grid. A point whose space has at most
+    SPECTRAL_NDOF_LIMIT dofs is propagated through its space's pencil: the
+    rotated modes W_0 go to ((W_0 M Y) o prod_k r(-tau_k lam_i mu_j)) Y^T
+    (`Pencil.propagate`), and the stiffest block of each such point takes
+    the grid's first step through `evolve` as a check (`_first_step_check`).
+    The other points are stepped together: one block-diagonal system of each
+    point's system-basis mass and stiffness (the decoupled chaos modes, see
+    `_system_matrices`), started from the concatenated rotated initial modes,
+    through one `evolve`, with each point's residual checked on its own.
+    Each final state is rotated back to the chaos basis; a failure names its
+    (n, m, n_k).
 
     Returns the final chaos state of each distinct point and its wall time:
-    its batch's time (operators, stepping and rotations) split over the
-    batch's points in proportion to their unknowns d_n * ndof.
+    its batch's time (operators, pencils, propagation and rotations) split
+    over the batch's points in proportion to their unknowns d_n * ndof.
     """
-    batches: dict[int, list] = {}
+    batches: dict[tuple, list] = {}
     for point in dict.fromkeys(tuple(p) for p in points):
-        batches.setdefault(point[2], []).append(point)
+        spectral = cache.space(point[1]).ndof <= SPECTRAL_NDOF_LIMIT
+        batches.setdefault((point[2], spectral), []).append(point)
     scheme = scheme_by_name(cache.cfg.scheme)
     solved = {}
-    for n_k, batch in batches.items():
+    for (n_k, spectral), batch in batches.items():
         t0 = time.perf_counter()
         built = [cache.operator(n, m) for n, m, _ in batch]
+        ops = [op for op, _ in built]
         starts = [op.to_system(state0.coeffs) for op, state0 in built]
-        sizes = [op.size for op, _ in built]
         grid = make_uniform_grid(cache.cfg.t_final, n_k)
-        mass, stiffness = _system_matrices([op for op, _ in built])
-        start = np.concatenate([w0.reshape(-1) for w0 in starts])
-        try:
-            w = evolve(scheme, grid, mass, stiffness, start, blocks=sizes)
-        except StepResidualError as exc:
-            raise SolverError(f"sweep point (n, m, n_k) = {batch[exc.block]} failed: {exc}") from exc
-        except SolverError as exc:
-            raise SolverError(f"sweep points (n, m, n_k) in {batch} failed: {exc}") from exc
-        blocks = np.split(w, np.cumsum(sizes)[:-1])
-        finals = [op.to_chaos(b.reshape(w0.shape)) for (op, _), w0, b in zip(built, starts, blocks)]
+        if spectral:
+            finals = [
+                op.spatial.pencil.propagate(scheme.r, grid.steps, op.eigvals, w0)
+                for op, w0 in zip(ops, starts)
+            ]
+            first_step = _first_step_check(scheme, grid, ops, starts, batch)
+        else:
+            finals = _evolve_batch(scheme, grid, ops, starts, batch)
+        finals = [op.to_chaos(w) for op, w in zip(ops, finals)]
         wall = time.perf_counter() - t0
-        log.debug(
-            "solve batch: n_k=%d points=%s unknowns=%d steps=%d wall_s=%.6f",
-            n_k, batch, sum(sizes), len(grid.steps), wall,
-        )
+        sizes = [op.size for op in ops]
+        record = "solve batch: path=%s n_k=%d points=%s unknowns=%d steps=%d wall_s=%.6f"
+        args = ("spectral" if spectral else "stepped", n_k, batch, sum(sizes), n_k, wall)
+        if spectral:  # the batch's worst pencil defects and first-step gap
+            record += " pencil_orth=%.3e pencil_rel_res=%.3e first_step_rel_diff=%.3e"
+            pencils = [op.spatial.pencil for op in ops]
+            args += (max(p.orth for p in pencils), max(p.res for p in pencils), first_step)
+        log.debug(record, *args)
         for point, (_, state0), final, size in zip(batch, built, finals, sizes):
             solved[point] = SgState(cache.cfg.t_final, final, state0.mis), wall * size / sum(sizes)
     return solved
@@ -731,9 +821,6 @@ def _evaluate_checks(cfg, axes: dict, joint: list) -> dict:
                 for i in range(len(joint) - 1)
             )
             checks["joint_monotone"] = ok
-            continue
-        if axis not in axes:
-            checks[f"{axis}_present"] = False
             continue
         result = axes[axis]
         if "slope" in tol:

@@ -21,8 +21,9 @@ w = (V^T (x) I) u evolve under the block-diagonal diag(lam) (x) K_g.
 Everything these builders need of one spatial space lives in one
 `SpatialOperators`, built by `spatial_operators(space, field)`: the mass
 matrix M, the stiffness K_g of the field's spatial part, K(z) = f(z) K_g at
-a parameter node, and the checked L2 projection of spatial functions, each
-projected once. The block operator, the initial chaos modes and the
+a parameter node, the checked L2 projection of spatial functions, each
+projected once, and the checked dense decomposition of the pencil (K_g, M),
+made when first read. The block operator, the initial chaos modes and the
 collocation reference of the harness all take it, so a space shared by
 several of them is assembled and projected once.
 
@@ -30,6 +31,14 @@ An `SgOperator` holds the factors of A and nothing else: G, lam and V, and
 the `SpatialOperators` of M and K_g. It stores no block matrix. `matrix`
 builds G (x) K_g when first read, and the system-basis I (x) M and
 diag(lam) (x) K_g are joined only where the harness steps a batch.
+
+The pencil decomposition is K_g Y = M Y diag(mu) with Y^T M Y = I. In its
+coordinates c_i = Y^T M w_i, rotated mode i evolves
+coordinate-wise, c_ij -> r(-tau lam_i mu_j) c_ij per step, so a rational
+scheme's final state is W_T = ((W_0 M Y) o prod_k r(-tau_k lam_i mu_j)) Y^T
+without stepping (Thomee, Galerkin Finite Element Methods for Parabolic
+Problems, 2nd ed., 2006, ch. 7-9). The same decomposition gives the
+smallest resolvent eigenvalue min lam_i mu_j.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -56,6 +66,7 @@ from .spatial import (
 )
 
 __all__ = [
+    "Pencil",
     "SgOperator",
     "SgState",
     "SpatialOperators",
@@ -119,11 +130,10 @@ class SgOperator:
 
     def min_resolvent_eigenvalue(self) -> float:
         """Smallest eigenvalue of the pencil (G (x) K_g, I (x) M): the
-        smallest product lam_i mu_j with the eigenvalues mu of (K_g, M).
-        Decomposes the ndof x ndof pencil densely, so ndof is at most
+        smallest product lam_i mu_j with the eigenvalues mu of the space's
+        pencil (K_g, M), which is decomposed densely, so ndof is at most
         DENSE_EIG_SIZE_LIMIT."""
-        mu = _generalized_eigenvalues(self.spatial.k_g, self.spatial.mass)
-        return float(np.outer(self.eigvals, mu).min())
+        return float(np.outer(self.eigvals, self.spatial.pencil.mu).min())
 
 
 @dataclass(frozen=True)
@@ -143,6 +153,36 @@ def _max_abs(a) -> float:
     return float(abs(a).max()) if a.size else 0.0
 
 
+@dataclass(frozen=True)
+class Pencil:
+    """Checked eigendecomposition of a symmetric-definite pencil (A, B):
+    A Y = B Y diag(mu), Y^T B Y = I, mu ascending, with the orthogonality
+    defect ||Y^T B Y - I|| and the relative residual
+    ||A Y - B Y diag(mu)|| / (||A|| ||Y||) it passed (2-norms)."""
+
+    mu: np.ndarray
+    y: np.ndarray
+    by: np.ndarray  # B Y
+    orth: float
+    res: float
+
+    def propagate(self, symbol, steps, lam: np.ndarray, w0: np.ndarray) -> np.ndarray:
+        """Final state of the rows w_i of w0 (k, ndof), each evolving under
+        B w' = -lam_i A w by the one-step map symbol(-tau A, B) over the
+        step sizes `steps`:
+
+            W_T = ((W_0 B Y) o prod_k symbol(-tau_k lam_i mu_j)) Y^T.
+
+        `symbol` is a scheme's r, or np.exp for the exact flow. Equal step
+        sizes share one power, so a uniform grid costs one symbol call."""
+        taus, counts = np.unique(np.asarray(steps, dtype=float), return_counts=True)
+        z = -np.outer(lam, self.mu)
+        factor = np.ones_like(z)
+        for tau, count in zip(taus, counts):
+            factor *= symbol(tau * z) ** count
+        return ((w0 @ self.by) * factor) @ self.y.T
+
+
 @dataclass(frozen=True, eq=False)
 class SpatialOperators:
     """One spatial Galerkin space of a coefficient field f(z) g(x) and what
@@ -154,6 +194,16 @@ class SpatialOperators:
     mass: sp.csr_matrix
     k_g: sp.csr_matrix
     _projections: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+
+    @functools.cached_property
+    def pencil(self) -> Pencil:
+        """The checked decomposition K_g Y = M Y diag(mu), Y^T M Y = I, dense,
+        computed when first read; ndof is at most DENSE_EIG_SIZE_LIMIT. A
+        failed check or a non-finite M or K_g raises SolverError."""
+        ndof = self.space.ndof
+        if ndof > DENSE_EIG_SIZE_LIMIT:
+            raise ValueError(f"pencil size {ndof} too large for dense solve")
+        return _checked_eigh(self.k_g.toarray(), self.mass.toarray(), "spatial pencil (K_g, M)")
 
     def stiffness_at(self, z) -> sp.csr_matrix:
         """The stiffness matrix K(z) = f(z) K_g at a parameter node z."""
@@ -177,23 +227,33 @@ def spatial_operators(space: FeSpace, field: CoefficientField) -> SpatialOperato
     )
 
 
-def _checked_eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """G = V diag(lam) V^T with its orthogonality defect ||V^T V - I|| and
-    relative residual ||G V - V diag(lam)|| / ||G|| (2-norms). Raises
-    SolverError when G is not finite or either exceeds 1e-12, which also
-    catches a G that is not symmetric."""
-    if not np.isfinite(g).all():
-        raise SolverError("chaos matrix holds non-finite entries")
-    lam, vecs = scipy.linalg.eigh(g)
-    orth = float(np.linalg.norm(vecs.T @ vecs - np.eye(len(g)), 2))
-    res = float(np.linalg.norm(g @ vecs - vecs * lam, 2))
-    scale = float(np.linalg.norm(g, 2))
+def _norm2(a: np.ndarray) -> float:
+    """The 2-norm of a dense matrix, sqrt(lambda_max(A^T A)): the largest
+    singular value, at about a third of the cost of an SVD."""
+    n = a.shape[1]
+    return math.sqrt(max(scipy.linalg.eigvalsh(a.T @ a, subset_by_index=[n - 1, n - 1])[0], 0.0))
+
+
+def _checked_eigh(a: np.ndarray, b: np.ndarray | None = None, what: str = "chaos matrix") -> Pencil:
+    """The eigendecomposition of the symmetric pencil (A, B), B = I when
+    None, checked: the orthogonality defect ||Y^T B Y - I|| and the
+    relative residual ||A Y - B Y diag(mu)|| / (||A|| ||Y||) (2-norms) must
+    be at most EIGH_TOL, which also catches an A that is not symmetric.
+    Raises SolverError naming `what` when either fails or an input is not
+    finite."""
+    if not (np.isfinite(a).all() and (b is None or np.isfinite(b).all())):
+        raise SolverError(f"{what} holds non-finite entries")
+    mu, y = scipy.linalg.eigh(a) if b is None else scipy.linalg.eigh(a, b)
+    by = y if b is None else b @ y
+    orth = _norm2(y.T @ by - np.eye(len(a)))
+    res = _norm2(a @ y - by * mu)
+    scale = _norm2(a) * _norm2(y)
     if not (orth <= EIGH_TOL and res <= EIGH_TOL * scale):
         raise SolverError(
-            f"chaos matrix eigendecomposition failed its check: "
+            f"{what} eigendecomposition failed its check: "
             f"orthogonality defect {orth:.3e}, residual {res:.3e}"
         )
-    return lam, vecs, orth, res / scale if scale else 0.0
+    return Pencil(mu, y, by, orth, res / scale if scale else 0.0)
 
 
 def assemble_block_operator(
@@ -213,12 +273,12 @@ def assemble_block_operator(
     scaled = weights * np.array([ops.field.z_factor(z) for z in nodes])
     g = phi.T @ (scaled[:, None] * phi)
     g = 0.5 * (g + g.T)
-    lam, vecs, orth, res = _checked_eigh(g)
+    dec = _checked_eigh(g)
     log.debug(
         "block operator: d_n=%d ndof=%d Q=%d wall_s=%.4f eigh_orth=%.3e eigh_rel_res=%.3e",
-        len(mis), ops.space.ndof, len(nodes), time.perf_counter() - t0, orth, res,
+        len(mis), ops.space.ndof, len(nodes), time.perf_counter() - t0, dec.orth, dec.res,
     )
-    return SgOperator(mis, ops, g, lam, vecs)
+    return SgOperator(mis, ops, g, dec.mu, dec.y)
 
 
 def initial_coefficients(
@@ -237,9 +297,3 @@ def reconstruct_at_nodes(
     basis = tensor_basis_matrix(dist, state.mis, nodes)
     return basis @ state.coeffs
 
-
-def _generalized_eigenvalues(a: sp.spmatrix, b: sp.spmatrix) -> np.ndarray:
-    """Ascending eigenvalues of the pencil (A, B), dense at desk scale."""
-    if a.shape[0] > DENSE_EIG_SIZE_LIMIT:
-        raise ValueError(f"pencil size {a.shape[0]} too large for dense solve")
-    return scipy.linalg.eigh(a.toarray(), b.toarray(), eigvals_only=True)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import oracles
@@ -377,6 +378,42 @@ def test_bad_config_values_are_rejected_at_load(monkeypatch, override, key, show
     assert solved == []
 
 
+@pytest.mark.parametrize(
+    "override,shown",
+    [
+        ({"tolerances": {"m": {"min_slop": 100.0}}}, r"unknown tolerances\.m keys: \['min_slop'\]"),
+        ({"tolerances": {"joint": {"allowed_increase": 0.05, "increase": 0.1}}},
+         r"unknown tolerances\.joint keys: \['increase'\]"),
+        ({"tolerances": {"nk": {"decreasing": True}}}, r"unknown tolerances keys: \['nk'\]"),
+        ({"distribution": [{"kind": "jacobi", "alhpa": 3.0}]},
+         r"distribution: unknown jacobi keys: \['alhpa'\]"),
+        ({"distribution": [{"kind": "hermite", "alpha": 1.0}]},
+         r"distribution: unknown hermite keys: \['alpha'\]"),
+        ({"reference": {**COLLOCATION, "m_reff": 32}}, r"unknown reference keys: \['m_reff'\]"),
+        ({"reference": {"kind": "analytic", "m_ref": 64}}, r"unknown reference keys: \['m_ref'\]"),
+        ({"geometry": {"dim": 1, "fe_order": 2, "fe_ordr": 1}},
+         r"unknown geometry keys: \['fe_ordr'\]"),
+        ({"sweep": {"n": [1], "m": [8], "n_k": [8], "nk": [16]}}, r"unknown sweep keys: \['nk'\]"),
+        ({"coefficient": {"name": "logistic_1d", "param": {}}},
+         r"unknown coefficient keys: \['param'\]"),
+        ({"output": {"csv": "out"}}, r"unknown output keys: \['csv'\]"),
+    ],
+    ids=[
+        "tolerance_min_slop", "tolerance_joint", "tolerance_axis", "jacobi_alhpa",
+        "hermite_alpha", "reference_m_reff", "analytic_m_ref", "geometry_fe_ordr", "sweep_nk",
+        "coefficient_param", "output_csv",
+    ],
+)
+def test_unknown_config_keys_are_rejected_at_load(monkeypatch, override, shown):
+    # a key the code does not read is most likely misspelled: a check or a
+    # parameter it names would silently fall back to its default
+    solved = []
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: solved.append(args))
+    with pytest.raises(ValueError, match=rf"^{shown}$"):
+        load_config(mini_config(**override))
+    assert solved == []
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
 def test_non_finite_or_non_positive_t_final_is_rejected_at_load(monkeypatch, value):
     # JSON text spells the first two NaN and Infinity, literals that json reads
@@ -516,23 +553,29 @@ def test_sweep_logs_one_debug_record_per_batch(caplog):
     report = sweep(cfg)
     points = _sweep_points(cfg, report)
     records = [r for r in caplog.records if r.getMessage().startswith("solve batch:")]
-    # the distinct points in measurement order, grouped by n_k
-    assert [r.args[:2] for r in records] == [
-        (4, [(1, 4, 4), (2, 8, 4)]),
-        (8, [(2, 8, 8), (1, 8, 8), (2, 4, 8)]),
+    # the distinct points in measurement order, grouped by n_k; every space
+    # is below SPECTRAL_NDOF_LIMIT, so every batch is propagated spectrally
+    assert [r.args[:3] for r in records] == [
+        ("spectral", 4, [(1, 4, 4), (2, 8, 4)]),
+        ("spectral", 8, [(2, 8, 8), (1, 8, 8), (2, 4, 8)]),
     ]
     assert sum(not hit for *_, hit, _ in points) == 5
     cache = OperatorCache(cfg)
     for record in records:
-        n_k, batch, unknowns, steps, wall = record.args
+        _, n_k, batch, unknowns, steps, wall, orth, res, first_step = record.args
         assert record.name == "sgpde.harness" and record.levelno == logging.DEBUG
         assert unknowns == sum(cache.operator(n, m)[0].size for n, m, _ in batch)
         assert steps == n_k and wall > 0.0
+        # the worst checked pencil defects and first-step gap of the batch
+        assert 0.0 <= orth <= sgsystem.EIGH_TOL and 0.0 <= res <= sgsystem.EIGH_TOL
+        assert 0.0 <= first_step <= harness.FIRST_STEP_TOL
+        assert orth == max(cache.spatial(m).pencil.orth for _, m, _ in batch)
+        assert res == max(cache.spatial(m).pencil.res for _, m, _ in batch)
     # solve_points splits each batch's wall time in proportion to unknowns
     caplog.clear()
     solved = harness.solve_points(cache, [p[:3] for p in points])
     first, second = (r.args for r in caplog.records if r.getMessage().startswith("solve batch:"))
-    for n_k, batch, unknowns, _, wall in (first, second):
+    for _, n_k, batch, unknowns, _, wall, *_ in (first, second):
         assert sum(solved[p][1] for p in batch) == pytest.approx(wall, rel=1e-12)
         for n, m, _ in batch:
             size = cache.operator(n, m)[0].size
@@ -731,6 +774,7 @@ BATCH_SETUPS = {
 @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
 @pytest.mark.parametrize("setup", list(BATCH_SETUPS))
 def test_solve_points_matches_per_point_oracle(monkeypatch, setup, scheme):
+    monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", 0)  # every point on the step loop
     cache = OperatorCache(load_config({**BATCH_SETUPS[setup], "scheme": scheme}))
     batches = []
     real_evolve = harness.evolve
@@ -756,6 +800,7 @@ def test_solve_points_matches_per_point_oracle(monkeypatch, setup, scheme):
 
 
 def test_a_failing_block_names_its_sweep_point(monkeypatch):
+    monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", 0)  # every point on the step loop
     cache = OperatorCache(load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [8]})))
     points = [(1, 4, 8), (2, 8, 8), (1, 8, 8)]
     sizes = [cache.operator(n, m)[0].size for n, m, _ in points]
@@ -771,6 +816,108 @@ def test_a_failing_block_names_its_sweep_point(monkeypatch):
     failed = r"sweep point \(n, m, n_k\) = \(2, 8, 8\) failed: time step residual .* in block 1 of 3"
     with pytest.raises(SolverError, match=failed):
         harness.solve_points(cache, points)
+
+
+# --- spectral propagation against the batched step loop ---------------------
+
+SPECTRAL_POINTS = [(1, 4, 8), (2, 4, 8), (2, 2, 8), (1, 2, 4), (2, 4, 4)]
+# steps of 0.01, 0.02 and 0.03, repeated out of order, summing to t_final 0.1
+NONUNIFORM = timestep.TimeGrid(0.1, (0.01, 0.03, 0.02, 0.01, 0.03))
+
+
+@pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+@pytest.mark.parametrize("setup", list(BATCH_SETUPS))
+def test_spectral_propagation_matches_the_step_loop(monkeypatch, setup, scheme):
+    cache = OperatorCache(load_config({**BATCH_SETUPS[setup], "scheme": scheme}))
+    spectral = harness.solve_points(cache, SPECTRAL_POINTS)
+    monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", 0)
+    stepped = harness.solve_points(cache, SPECTRAL_POINTS)
+    for point in SPECTRAL_POINTS:
+        assert _rel(spectral[point][0].coeffs, stepped[point][0].coeffs) <= 1e-11
+    # a non-uniform grid groups its equal steps into one power each
+    rule = scheme_by_name(scheme)
+    for n, m in {(n, m) for n, m, _ in SPECTRAL_POINTS}:
+        op, state0 = cache.operator(n, m)
+        w0 = op.to_system(state0.coeffs)
+        got = op.spatial.pencil.propagate(rule.r, NONUNIFORM.steps, op.eigvals, w0)
+        want = evolve(rule, NONUNIFORM, *oracles.system_matrices(op), w0.reshape(-1))
+        assert _rel(got, want.reshape(w0.shape)) <= 1e-11
+
+
+@pytest.mark.parametrize("setup", list(BATCH_SETUPS))
+def test_spectral_map_of_exp_is_the_exact_flow(setup):
+    cache = OperatorCache(load_config(BATCH_SETUPS[setup]))
+    op, state0 = cache.operator(2, 4)
+    w0 = op.to_system(state0.coeffs)
+    ops = op.spatial
+    got = ops.pencil.propagate(np.exp, NONUNIFORM.steps, op.eigvals, w0)
+    want = np.array([
+        oracles._exact_flow(ops.mass, lam * ops.k_g, w, [NONUNIFORM.t_final])[0]
+        for lam, w in zip(op.eigvals, w0)
+    ])
+    assert _rel(got, want) <= 1e-12
+
+
+def test_a_spectral_point_is_bitwise_the_same_alone_or_in_a_batch():
+    cache = OperatorCache(load_config(BATCH_SETUPS["2d_p2_N2"]))
+    batch = harness.solve_points(cache, SPECTRAL_POINTS)
+    for point in SPECTRAL_POINTS:
+        alone = harness.solve_points(OperatorCache(cache.cfg), [point])
+        assert np.array_equal(alone[point][0].coeffs, batch[point][0].coeffs)
+
+
+def test_a_corrupted_pencil_raises_a_solver_error(monkeypatch):
+    cfg = load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [8]}))
+    eigh = scipy.linalg.eigh
+
+    def unnormalized(a, b=None, **kwargs):
+        mu, y = eigh(a, b, **kwargs)
+        return (mu, 1.0001 * y) if b is not None else (mu, y)  # the pencil only
+
+    monkeypatch.setattr(scipy.linalg, "eigh", unnormalized)
+    failed = r"spatial pencil \(K_g, M\) eigendecomposition failed its check"
+    with pytest.raises(SolverError, match=failed):
+        harness.solve_points(OperatorCache(cfg), [(1, 4, 8)])
+    monkeypatch.undo()
+    ops = OperatorCache(cfg).spatial(4)
+    k_g = ops.k_g.copy()
+    k_g.data[3] = math.nan
+    broken = sgsystem.SpatialOperators(ops.space, ops.field, ops.mass, k_g)
+    with pytest.raises(SolverError, match=r"spatial pencil \(K_g, M\) holds non-finite entries"):
+        broken.pencil
+
+
+def test_a_first_step_disagreement_names_its_sweep_point(monkeypatch):
+    cache = OperatorCache(load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [8]})))
+    points = [(1, 4, 8), (2, 8, 8), (1, 8, 8)]
+    real_evolve = harness.evolve
+
+    def off_in_second_block(*args, blocks):
+        # the stiffest block of the second point comes back 1e-9 off
+        w = real_evolve(*args, blocks=blocks)
+        w[blocks[0] : blocks[0] + blocks[1]] *= 1.0 + 1e-9
+        return w
+
+    monkeypatch.setattr(harness, "evolve", off_in_second_block)
+    failed = r"sweep point \(n, m, n_k\) = \(2, 8, 8\) failed: its first step differs"
+    with pytest.raises(SolverError, match=failed):
+        harness.solve_points(cache, points)
+
+
+def test_batches_split_at_the_spectral_ndof_limit(monkeypatch, caplog):
+    # 1D P2: m = 4 has 7 dofs and m = 8 has 15; a limit of 10 splits each n_k
+    monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", 10)
+    caplog.set_level(logging.DEBUG, logger="sgpde.harness")
+    cache = OperatorCache(load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [4, 8]})))
+    points = [(1, 4, 4), (2, 8, 4), (2, 4, 4), (1, 8, 8)]
+    harness.solve_points(cache, points)
+    records = [r.args for r in caplog.records if r.getMessage().startswith("solve batch:")]
+    assert [args[:3] for args in records] == [
+        ("spectral", 4, [(1, 4, 4), (2, 4, 4)]),
+        ("stepped", 4, [(2, 8, 4)]),
+        ("stepped", 8, [(1, 8, 8)]),
+    ]
+    assert [len(args) for args in records] == [9, 6, 6]
 
 
 @pytest.fixture

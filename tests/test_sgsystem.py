@@ -388,6 +388,42 @@ def test_invariants_from_factors_match_the_chaos_basis_matrix():
     assert op.min_resolvent_eigenvalue() == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim,order,m", [(1, 1, 32), (2, 2, 4)])
+def test_spatial_pencil_is_checked_and_decomposed_once(monkeypatch, dim, order, m):
+    field = coefficient_by_name("logistic_1d" if dim == 1 else "logistic_anisotropic")
+    ops = spatial_operators(make_fe_space(make_mesh(dim, m), order), field)
+    calls = []
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k))
+    pencil = ops.pencil
+    k, mass = ops.k_g.toarray(), ops.mass.toarray()
+    assert np.array_equal(pencil.by, mass @ pencil.y)
+    assert np.max(np.abs(pencil.y.T @ pencil.by - np.eye(len(k)))) <= 1e-13
+    assert np.max(np.abs(k @ pencil.y - pencil.by * pencil.mu)) <= 1e-12 * np.max(np.abs(k))
+    assert 0.0 <= pencil.orth <= sgsystem.EIGH_TOL and 0.0 <= pencil.res <= sgsystem.EIGH_TOL
+    want = eigh(k, mass, eigvals_only=True)
+    assert np.max(np.abs(pencil.mu - want)) <= 1e-12 * want[-1]
+    # the resolvent invariant of every operator on the space reads the same mu
+    op = assemble_block_operator(H1, multi_index_set(1, 2), ops, 20)
+    assert op.min_resolvent_eigenvalue() == float(np.outer(op.eigvals, pencil.mu).min())
+    assert ops.pencil is pencil
+    assert [len(a) for a in calls] == [2, 1]  # the pencil, then G of the operator
+
+
+def test_spatial_pencil_is_gated_and_rejects_a_bad_decomposition(monkeypatch):
+    too_large = spatial_1d(sgsystem.DENSE_EIG_SIZE_LIMIT + 2)  # m - 1 interior P1 dofs
+    with pytest.raises(ValueError, match="too large for dense solve"):
+        too_large.pencil
+    eigh = scipy.linalg.eigh
+    for corrupt in (
+        lambda mu, y: (mu, y * (1.0 + 1e-9)),  # not M-orthonormal
+        lambda mu, y: (mu, y[:, ::-1]),  # eigenvectors out of order with mu
+    ):
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda a, b, c=corrupt: c(*eigh(a, b)))
+        with pytest.raises(SolverError, match=r"spatial pencil \(K_g, M\) eigendecomposition"):
+            spatial_1d(8).pencil
+
+
 def test_chaos_eigendecomposition_is_checked(monkeypatch):
     space = space_1d(4)
     field = coefficient_by_name("logistic_1d")
