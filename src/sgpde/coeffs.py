@@ -4,13 +4,13 @@ A coefficient field maps a random parameter z in R^N and a spatial point x
 to a scalar (1D) or a Hermitian 2x2 matrix (2D). Every field is separable,
 value = f(z) * g(x): `CoefficientField` holds the two factors, its value is
 their product, and the library assembles the spatial matrix of g once per
-space. Ellipticity bounds are declared, not proven; `eval_bounds_check`
-verifies them by sampling.
+space. Ellipticity bounds are declared, not proven; the test suite checks
+them by sampling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,11 +18,9 @@ import numpy as np
 __all__ = [
     "CoefficientField",
     "InitialDatum",
-    "BoundsReport",
     "builtin_separable",
     "logistic_factor",
     "logistic_factor_derivatives",
-    "eval_bounds_check",
     "coefficient_by_name",
     "initial_datum_by_name",
     "COEFFICIENT_BUILTINS",
@@ -34,10 +32,11 @@ class CoefficientField:
     """Diffusion coefficient M(z, x) = f(z) g(x); see the module docstring.
 
     `z_factor` is the scalar f and `spatial_part` the spatial g.
-    `z_derivatives` are optional exact derivatives of f, used only for
-    smoothness reporting. Fields without declared bounds are non-elliptic
-    probes for assembly tests and are rejected by solvers that require
-    coercivity.
+    `z_derivatives` are optional exact derivatives of f, declared for the
+    chaos truncation bound (`pce.weighted_sobolev_norm`); no report reads
+    them yet (ROADMAP F4, D9). Fields without declared bounds are
+    non-elliptic probes for assembly tests and are rejected by solvers that
+    require coercivity.
     """
 
     dim: int
@@ -53,7 +52,8 @@ class CoefficientField:
         return self.kappa is not None and self.kappa > 0.0
 
     def evaluate(self, z, x):
-        """The value f(z) g(x) at the parameter z and the point x."""
+        """The value f(z) g(x) at the parameter z and the point x, the
+        field's definition; the library assembles f and g apart."""
         return self.z_factor(z) * np.asarray(self.spatial_part(x))
 
 
@@ -128,41 +128,6 @@ def builtin_separable(
         z_derivatives=f_derivatives,
         name=name,
     )
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    kappa: float | None
-    bound: float | None
-    checked: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def eval_bounds_check(
-    field_: CoefficientField, z_samples: Sequence, x_samples: Sequence, tol: float = 1e-10
-) -> BoundsReport:
-    """Verify declared ellipticity bounds on a sample grid; report-only."""
-    violations = []
-    checked = 0
-    for z in z_samples:
-        for x in x_samples:
-            val = np.asarray(field_.evaluate(z, x), dtype=float)
-            eigs = (
-                np.array([float(val)])
-                if val.shape == ()
-                else np.linalg.eigvalsh(val)
-            )
-            checked += 1
-            lo, hi = float(eigs.min()), float(eigs.max())
-            if field_.kappa is not None and lo < field_.kappa - tol:
-                violations.append((np.asarray(z).tolist(), np.asarray(x).tolist(), lo, "below kappa"))
-            if field_.bound is not None and hi > field_.bound + tol:
-                violations.append((np.asarray(z).tolist(), np.asarray(x).tolist(), hi, "above bound"))
-    return BoundsReport(field_.kappa, field_.bound, checked, violations)
 
 
 # --- named built-ins -----------------------------------------------------

@@ -56,6 +56,7 @@ __all__ = [
     "OperatorCache",
     "RateFit",
     "analytic_reference",
+    "build_reference",
     "collocation_reference",
     "error_norm_H",
     "fit_rate",
@@ -64,6 +65,7 @@ __all__ = [
     "sweep",
     "load_config",
     "config_hash",
+    "write_outputs",
 ]
 
 log = logging.getLogger(__name__)
@@ -337,6 +339,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not (math.isfinite(self.t_final) and self.t_final > 0.0):
             raise ValueError(f"t_final value {self.t_final!r} must be finite and positive")
+        scheme_by_name(self.scheme)
         for key, known in _CONFIG_DICT_KEYS.items():
             _check_keys(key, getattr(self, key), known)
         for axis, tol in self.tolerances.items():
@@ -478,7 +481,6 @@ def load_config(source) -> ExperimentConfig:
         **{f.name: _converted(f.name, f.type, raw[f.name]) for f in keys if f.name in raw}
     )
     cfg.validate()
-    scheme_by_name(cfg.scheme)  # fail early on unknown schemes
     return cfg
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "hermite",
     "jacobi",
     "laguerre",
-    "recurrence_coeffs",
     "eval_orthonormal",
     "gauss_rule",
     "orthonormal_coeffs",
@@ -72,11 +71,6 @@ class PolyFamily:
         """True if the Sobolev weight of this family is rho(z) = z."""
         return self.kind == "laguerre"
 
-    def rho(self, z):
-        """Sobolev weight: identity for hermite/jacobi, z for laguerre."""
-        z = np.asarray(z, dtype=float)
-        return z if self.kind == "laguerre" else np.ones_like(z)
-
 
 def hermite() -> PolyFamily:
     """Family for a standard normal input."""
@@ -103,9 +97,6 @@ class QuadratureRule:
     def __post_init__(self):
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
-
-    def integrate(self, values) -> float:
-        return float(np.dot(self.weights, values))
 
 
 def _monic_recurrence(family: PolyFamily, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,23 +129,6 @@ def _monic_recurrence(family: PolyFamily, k_max: int) -> tuple[np.ndarray, np.nd
                 / (d * d * (d + 1.0) * (d - 1.0))
             )
     return alphas, betas
-
-
-def recurrence_coeffs(family: PolyFamily, k_max: int) -> list[tuple[float, float]]:
-    """Coefficients (a_k, b_k) of the orthonormal three-term recurrence.
-
-    The orthonormal polynomials satisfy
-
-        z * h_k(z) = b_{k+1} h_{k+1}(z) + a_k h_k(z) + b_k h_{k-1}(z)
-
-    with b_0 = 0 by convention. For the hermite family a_k = 0, b_k = sqrt(k).
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    alphas, betas = _monic_recurrence(family, k_max)
-    bs = np.sqrt(betas)
-    bs[0] = 0.0
-    return list(zip(alphas.tolist(), bs.tolist()))
 
 
 def eval_orthonormal(family: PolyFamily, n: int, z) -> np.ndarray:
@@ -254,9 +228,6 @@ class PolyCoeffs:
 
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=float), self.coeffs)
-
-    def derivative(self, order: int = 1) -> "PolyCoeffs":
-        return PolyCoeffs(np.polynomial.polynomial.polyder(self.coeffs, order))
 
 
 def _trim(c: np.ndarray) -> np.ndarray:

@@ -22,9 +22,9 @@ __all__ = [
     "MultiIndexSet",
     "TripleProductTensor",
     "PceVector",
+    "distribution",
     "multi_index_set",
     "tensor_quad",
-    "tensor_basis_eval",
     "tensor_basis_matrix",
     "triple_products",
     "pce_project",
@@ -84,15 +84,6 @@ class MultiIndexSet:
     def __iter__(self):
         return iter(self.indices)
 
-    def position(self, alpha: tuple[int, ...]) -> int:
-        return self._lookup[alpha]
-
-    @property
-    def _lookup(self) -> dict:
-        if "_pos" not in self.__dict__:
-            object.__setattr__(self, "_pos", {a: i for i, a in enumerate(self.indices)})
-        return self.__dict__["_pos"]
-
 
 def _compositions(total: int, parts: int):
     """Compositions of `total` into `parts` slots, leading entry largest first."""
@@ -148,12 +139,6 @@ def tensor_basis_matrix(dist: DistributionSpec, mis: MultiIndexSet, nodes: np.nd
     return out
 
 
-def tensor_basis_eval(dist: DistributionSpec, mis: MultiIndexSet, z) -> np.ndarray:
-    """Vector (Phi_alpha(z))_alpha at a single point z in R^N."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return tensor_basis_matrix(dist, mis, z[None, :])[0]
-
-
 @dataclass(frozen=True)
 class TripleProductTensor:
     """Sparse expectations eps[alpha, beta, gamma] = E[Phi_a Phi_b Phi_c].
@@ -167,9 +152,6 @@ class TripleProductTensor:
     mis: MultiIndexSet
     mis2: MultiIndexSet
     entries: dict
-
-    def get(self, alpha, beta, gamma) -> float:
-        return self.entries.get((alpha, beta, gamma), 0.0)
 
     def to_text(self) -> str:
         """One `alpha beta gamma value` line per entry, graded-lex sorted."""
@@ -244,11 +226,6 @@ class PceVector:
         if self.modes.shape[0] != len(self.mis):
             raise ValueError("mode count does not match index set")
 
-    def evaluate(self, dist: DistributionSpec, z) -> np.ndarray:
-        """Reconstruct sum_alpha f_alpha Phi_alpha(z)."""
-        phi = tensor_basis_eval(dist, self.mis, z)
-        return phi @ self.modes
-
 
 def pce_project(dist: DistributionSpec, mis: MultiIndexSet, f: Callable, q: int) -> PceVector:
     """Quadrature chaos projection: f_alpha = sum_i w_i f(z_i) Phi_alpha(z_i).
@@ -289,6 +266,10 @@ def weighted_sobolev_norm(
     a callable evaluating that partial derivative at one point z. For N = 1 a
     plain sequence [f, f', f'', ...] is accepted. Integrals use a q-node
     tensor Gauss grid.
+
+    With `pce_error_constant` it gives the paper's chaos truncation bound,
+    which no command reports yet; both are kept for the report of separate
+    errors (ROADMAP D9).
     """
     if isinstance(derivatives, Sequence):
         if dist.N != 1:
@@ -309,7 +290,7 @@ def pce_error_constant(dist: DistributionSpec, ell: int) -> float:
 
     C = N^(ell/2) * prod_{r=0}^{ell-1} max_j C_j(2r), an empty product for
     ell = 0; the truncation error of order n is bounded by
-    C * n^(-ell) * ||f||_{H^(2 ell)_rho}.
+    C * n^(-ell) * ||f||_{H^(2 ell)_rho}; see `weighted_sobolev_norm`.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")

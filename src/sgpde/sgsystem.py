@@ -66,6 +66,7 @@ from .spatial import (
 )
 
 __all__ = [
+    "DENSE_EIG_SIZE_LIMIT",
     "Pencil",
     "SgOperator",
     "SgState",
@@ -110,7 +111,9 @@ class SgOperator:
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The operator in the chaos basis, (d_n * ndof)^2, symmetric."""
+        """The operator in the chaos basis, (d_n * ndof)^2, symmetric. No
+        command reads it; it is kept only for the size that the traced
+        benchmark (`perfbench/spans.py`) reports, until ROADMAP D1."""
         return sp.kron(self.chaos, self.spatial.k_g, format="csr")
 
     def to_system(self, coeffs: np.ndarray) -> np.ndarray:
@@ -143,9 +146,6 @@ class SgState:
     time: float
     coeffs: np.ndarray  # (d_n, ndof)
     mis: MultiIndexSet
-
-    def flat(self) -> np.ndarray:
-        return self.coeffs.reshape(-1)
 
 
 def _max_abs(a) -> float:

@@ -10,8 +10,8 @@ operations: one table of affine cell maps (`_geometry`) gives the quadrature
 points and physical gradients, matmuls on fixed shapes form the element
 contributions and one scatter sums them. Meshes and spaces are numbered the
 same way; a P2 edge midpoint is numbered in the order in which its edge first
-appears in the cells. Point evaluation and prolongation share one sparse
-evaluation matrix.
+appears in the cells. Prolongation evaluates the coarse space at the fine
+nodes through one sparse evaluation matrix.
 
 Spatial callables (coefficients, loads, exact and initial functions) are
 still sampled one point at a time: they receive a float in 1D and an ndarray
@@ -38,12 +38,8 @@ __all__ = [
     "make_fe_space",
     "assemble_mass",
     "assemble_stiffness",
-    "h1_gram",
     "load_vector",
     "checked_solve",
-    "l2_project",
-    "stationary_solve",
-    "fe_eval",
     "nodal_coordinates",
     "prolong",
     "error_points",
@@ -312,11 +308,6 @@ def assemble_stiffness(space: FeSpace, coeff) -> sp.csr_matrix:
     return _scatter(space, (flux @ np.swapaxes(grads, 2, 3)).sum(axis=1))
 
 
-def h1_gram(space: FeSpace) -> sp.csr_matrix:
-    """Gram matrix of the H^1_0 seminorm (unit-coefficient stiffness)."""
-    return assemble_stiffness(space, 1.0)
-
-
 def load_vector(space: FeSpace, f) -> np.ndarray:
     """Right-hand side (f, phi_i) for a sampleable spatial function f."""
     dw, xq, vals, _ = _element_rule(space, 6)
@@ -338,18 +329,6 @@ def checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
     return x
 
 
-def l2_project(space: FeSpace, f) -> np.ndarray:
-    """L2-orthogonal projection onto the space: solves M u = (f, phi)."""
-    return checked_solve(assemble_mass(space), load_vector(space, f), 1e-10)
-
-
-def stationary_solve(space: FeSpace, coeff, rhs) -> np.ndarray:
-    """Galerkin solution of the stationary diffusion problem K u = (rhs, phi)."""
-    k = assemble_stiffness(space, coeff)
-    b = load_vector(space, rhs)
-    return checked_solve(k, b, 1e-10)
-
-
 # --- point evaluation, prolongation, errors ------------------------------
 
 def _eval_matrix(space: FeSpace, points) -> sp.csr_matrix:
@@ -367,11 +346,6 @@ def _eval_matrix(space: FeSpace, points) -> sp.csr_matrix:
     rows = np.broadcast_to(np.arange(len(pts))[:, None], dofs.shape)
     keep = dofs >= 0
     return sp.csr_matrix((vals.T[keep], (rows[keep], dofs[keep])), shape=(len(pts), space.ndof))
-
-
-def fe_eval(space: FeSpace, u: np.ndarray, points) -> np.ndarray:
-    """Evaluate the FE function (zero on the boundary) at arbitrary points."""
-    return _eval_matrix(space, points) @ u
 
 
 def nodal_coordinates(space: FeSpace) -> np.ndarray:

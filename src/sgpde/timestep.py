@@ -101,7 +101,7 @@ def scheme_by_name(name: str) -> RationalScheme:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Positive steps summing to the final time; points are the partial sums."""
+    """Positive steps summing to the final time."""
 
     t_final: float
     steps: tuple[float, ...]
@@ -113,14 +113,6 @@ class TimeGrid:
             raise ValueError("all steps must be positive")
         if abs(sum(self.steps) - self.t_final) > 1e-12 * max(1.0, self.t_final):
             raise ValueError("steps do not sum to the final time")
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.steps)])
-
-    @property
-    def tau_max(self) -> float:
-        return max(self.steps)
 
 
 def make_uniform_grid(t_final: float, n_steps: int) -> TimeGrid:

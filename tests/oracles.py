@@ -6,15 +6,17 @@ slow paths that a faster library path replaced stay here as its reference,
 and so do the tools only the tests use: the brute-force collocation operator,
 the block Gram lift, the kron forms of the system-basis block matrices, the
 pointwise analytic solution, the coordinate export, the local-order probe, dense
-pencil eigenvalues, and the coupled chaos operator of a field that is not a
-product f(z) g(x), which the library does not take.
+pencil eigenvalues, the coupled chaos operator of a field that is not a
+product f(z) g(x), which the library does not take, the L2 projection,
+stationary solve and point evaluation of the spatial space, and the sampled
+check of a field's declared ellipticity bounds.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -39,12 +41,15 @@ from sgpde.spatial import (
     Mesh,
     _TRI_PTS,
     _TRI_WTS,
+    _eval_matrix,
     _gauss_01,
     _shapes_1d,
     _shapes_tri,
     assemble_mass,
     assemble_stiffness,
+    checked_solve,
     l2_error,
+    load_vector,
 )
 from sgpde.timestep import Propagator, crank_nicolson, evolve, make_uniform_grid, scheme_by_name
 
@@ -309,8 +314,10 @@ def aliasing_probe(dist, n: int, space, field, q: int) -> float:
 def _chaos_matrices(eps, mis) -> np.ndarray:
     """E[a, b, g] = eps[alpha_a, beta_b, gamma_g], one d_n x d_n matrix per |alpha| <= 2n."""
     e = np.zeros((len(eps.mis2), len(mis), len(mis)))
+    pos2 = {a: i for i, a in enumerate(eps.mis2)}
+    pos = {a: i for i, a in enumerate(mis)}
     for (alpha, beta, gamma), val in eps.entries.items():
-        e[eps.mis2.position(alpha), mis.position(beta), mis.position(gamma)] = val
+        e[pos2[alpha], pos[beta], pos[gamma]] = val
     return e
 
 
@@ -427,7 +434,7 @@ def bmat_block_operator(coeff_mats, eps, mis) -> sp.csr_matrix:
         for gi, gamma in enumerate(mis):
             acc = None
             for alpha in eps.mis2:
-                val = eps.get(alpha, beta, gamma)
+                val = eps.entries.get((alpha, beta, gamma), 0.0)
                 if val:
                     term = val * coeff_mats[alpha]
                     acc = term if acc is None else acc + term
@@ -440,7 +447,6 @@ def per_node_collocation_reference(dist, q_ref, space, n_steps, field, u0, t_fin
     K(z_i) assembled from the coefficient callable and the initial datum
     L2-projected at each node, then independent Crank--Nicolson solves."""
     from sgpde.harness import CollocationReference
-    from sgpde.spatial import l2_project
 
     nodes, weights = tensor_quad(dist, q_ref)
     grid = make_uniform_grid(t_final, n_steps)
@@ -710,3 +716,59 @@ def per_point_solve(cache, n: int, m: int, n_k: int):
     w0 = op.to_system(state0.coeffs)
     w = evolve(scheme_by_name(cache.cfg.scheme), grid, *system_matrices(op), w0.reshape(-1))
     return SgState(cache.cfg.t_final, op.to_chaos(w.reshape(w0.shape)), state0.mis)
+
+
+# --- spatial tools that only the tests use ----------------------------------
+
+def l2_project(space: FeSpace, f) -> np.ndarray:
+    """L2-orthogonal projection onto the space: solves M u = (f, phi)."""
+    return checked_solve(assemble_mass(space), load_vector(space, f), 1e-10)
+
+
+def stationary_solve(space: FeSpace, coeff, rhs) -> np.ndarray:
+    """Galerkin solution of the stationary diffusion problem K u = (rhs, phi)."""
+    k = assemble_stiffness(space, coeff)
+    b = load_vector(space, rhs)
+    return checked_solve(k, b, 1e-10)
+
+
+def fe_eval(space: FeSpace, u: np.ndarray, points) -> np.ndarray:
+    """Evaluate the FE function (zero on the boundary) at arbitrary points."""
+    return _eval_matrix(space, points) @ u
+
+
+# --- sampled check of declared ellipticity bounds ---------------------------
+
+@dataclass(frozen=True)
+class BoundsReport:
+    kappa: float | None
+    bound: float | None
+    checked: int
+    violations: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def eval_bounds_check(
+    field_: CoefficientField, z_samples: Sequence, x_samples: Sequence, tol: float = 1e-10
+) -> BoundsReport:
+    """Verify declared ellipticity bounds on a sample grid; report-only."""
+    violations = []
+    checked = 0
+    for z in z_samples:
+        for x in x_samples:
+            val = np.asarray(field_.evaluate(z, x), dtype=float)
+            eigs = (
+                np.array([float(val)])
+                if val.shape == ()
+                else np.linalg.eigvalsh(val)
+            )
+            checked += 1
+            lo, hi = float(eigs.min()), float(eigs.max())
+            if field_.kappa is not None and lo < field_.kappa - tol:
+                violations.append((np.asarray(z).tolist(), np.asarray(x).tolist(), lo, "below kappa"))
+            if field_.bound is not None and hi > field_.bound + tol:
+                violations.append((np.asarray(z).tolist(), np.asarray(x).tolist(), hi, "above bound"))
+    return BoundsReport(field_.kappa, field_.bound, checked, violations)

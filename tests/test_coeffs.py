@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from sgpde.coeffs import (
     COEFFICIENT_BUILTINS,
     CoefficientField,
     builtin_separable,
     coefficient_by_name,
-    eval_bounds_check,
     initial_datum_by_name,
     logistic_factor,
     logistic_factor_derivatives,
 )
-from sgpde.spatial import assemble_stiffness, h1_gram, make_fe_space, make_mesh
+from sgpde.spatial import assemble_stiffness, make_fe_space, make_mesh
 
 
 def test_constant_unit_field():
     f = coefficient_by_name("constant", value=1.0, dim=1)
     assert f.kappa == f.bound == 1.0
     assert f.evaluate(0.3, 0.5) == 1.0
-    report = eval_bounds_check(f, np.linspace(-3, 3, 5), np.linspace(0.1, 0.9, 5))
+    report = oracles.eval_bounds_check(f, np.linspace(-3, 3, 5), np.linspace(0.1, 0.9, 5))
     assert report.ok and report.checked == 25
 
 
@@ -34,7 +34,7 @@ def test_logistic_anisotropic_matches_stated_bounds():
     assert np.allclose(val, 1.5 * np.diag([1.5, 2.5]))
     zs = np.linspace(-8.0, 8.0, 10)
     xs = [np.array([a, b]) for a in np.linspace(0.01, 0.99, 10) for b in np.linspace(0.01, 0.99, 10)]
-    report = eval_bounds_check(f, zs, xs)
+    report = oracles.eval_bounds_check(f, zs, xs)
     assert report.ok and report.checked == 1000
 
 
@@ -46,7 +46,7 @@ def test_bounds_check_flags_violations():
         f_bounds=(1.0, 1.0),
         g_bounds=(0.9, 1.0),  # claims kappa = 0.9 but the field is 0.5
     )
-    report = eval_bounds_check(overstated, [0.0], [0.25, 0.75])
+    report = oracles.eval_bounds_check(overstated, [0.0], [0.25, 0.75])
     assert not report.ok
     assert len(report.violations) == 2
     assert report.violations[0][3] == "below kappa"
@@ -128,7 +128,7 @@ def test_discrete_coercivity_of_logistic_field_2d():
     # smallest eigenvalue of (K(z), H1-Gram) stays above kappa = 1
     f = coefficient_by_name("logistic_anisotropic")
     space = make_fe_space(make_mesh(2, 3), 2)
-    gram = h1_gram(space).toarray()
+    gram = assemble_stiffness(space, 1.0).toarray()
     for z in np.linspace(-6.0, 6.0, 20):
         k = assemble_stiffness(space, lambda x: f.evaluate(z, x)).toarray()
         lam_min = scipy.linalg.eigh(k, gram, eigvals_only=True)[0]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import logging
 import math
@@ -40,7 +41,6 @@ from sgpde.spatial import (
     SolverError,
     assemble_mass,
     l2_error,
-    l2_project,
     load_vector,
     make_fe_space,
     make_mesh,
@@ -425,6 +425,19 @@ def test_non_finite_or_non_positive_t_final_is_rejected_at_load(monkeypatch, val
     assert solved == []
 
 
+def test_unknown_scheme_of_a_directly_built_config_fails_before_the_reference(monkeypatch):
+    # a config built without load_config is validated by sweep, which must
+    # name the scheme before it spends time on the collocation reference
+    cfg = dataclasses.replace(load_config(COLLOC_2D), scheme="crank_nicholson")
+    built = []
+    monkeypatch.setattr(harness, "build_reference", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match=r"^unknown scheme 'crank_nicholson'$"):
+        cfg.validate()
+    with pytest.raises(ValueError, match=r"^unknown scheme 'crank_nicholson'$"):
+        sweep(cfg)
+    assert built == []
+
+
 def test_odd_reference_mesh_is_rejected_only_for_the_error_estimate(monkeypatch, tmp_path, capsys):
     # the two-grid estimate solves on m_ref // 2, which must divide m_ref; a
     # run without the estimate never builds that mesh
@@ -676,8 +689,8 @@ def test_solve_single_steps_decoupled_modes_without_the_coupled_matrix(scheme):
     assert "matrix" not in vars(op)  # the chaos-basis matrix was never built
     grid = make_uniform_grid(cfg.t_final, 16)
     block_mass = oracles.block_gram(op, op.spatial.mass)
-    coupled = evolve(scheme_by_name(scheme), grid, block_mass, op.matrix, state0.flat())
-    assert np.max(np.abs(state.flat() - coupled)) <= 1e-11 * np.max(np.abs(coupled))
+    coupled = evolve(scheme_by_name(scheme), grid, block_mass, op.matrix, state0.coeffs.reshape(-1))
+    assert np.max(np.abs(state.coeffs.reshape(-1) - coupled)) <= 1e-11 * np.max(np.abs(coupled))
 
 
 def test_resolvent_invariant_is_gated_on_the_spatial_size():

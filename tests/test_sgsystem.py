@@ -26,8 +26,6 @@ from sgpde.spatial import (
     SolverError,
     assemble_mass,
     assemble_stiffness,
-    h1_gram,
-    l2_project,
     load_vector,
     make_fe_space,
     make_mesh,
@@ -146,7 +144,7 @@ def test_initial_coefficients_deterministic():
     ops = spatial_1d(16)
     u0 = initial_datum_by_name("sine_modes", modes=[(1, 1.0)])
     state = initial_coefficients(H1, multi_index_set(1, 2), u0, ops, q=8)
-    proj = l2_project(ops.space, lambda x: math.sin(math.pi * x))
+    proj = oracles.l2_project(ops.space, lambda x: math.sin(math.pi * x))
     assert np.max(np.abs(state.coeffs[0] - proj)) < 1e-10
     assert np.max(np.abs(state.coeffs[1:])) < 1e-12
 
@@ -157,7 +155,7 @@ def test_initial_coefficients_first_mode():
         dim=1, sample=lambda z: (lambda x: z[0] * math.sin(math.pi * x)), name="h1_sine"
     )
     state = initial_coefficients(H1, multi_index_set(1, 2), u0, ops, q=8)
-    proj = l2_project(ops.space, lambda x: math.sin(math.pi * x))
+    proj = oracles.l2_project(ops.space, lambda x: math.sin(math.pi * x))
     assert np.max(np.abs(state.coeffs[1] - proj)) < 1e-10
     assert np.max(np.abs(state.coeffs[0])) < 1e-12
     assert np.max(np.abs(state.coeffs[2])) < 1e-12
@@ -169,7 +167,7 @@ def test_initial_coefficients_square_mode():
         dim=1, sample=lambda z: (lambda x: z[0] ** 2 * math.sin(math.pi * x)), name="h2_sine"
     )
     state = initial_coefficients(H1, multi_index_set(1, 3), u0, ops, q=10)
-    proj = l2_project(ops.space, lambda x: math.sin(math.pi * x))
+    proj = oracles.l2_project(ops.space, lambda x: math.sin(math.pi * x))
     assert np.max(np.abs(state.coeffs[0] - proj)) < 1e-10
     assert np.max(np.abs(state.coeffs[2] - math.sqrt(2.0) * proj)) < 1e-10
     assert np.max(np.abs(state.coeffs[1])) < 1e-11
@@ -215,7 +213,7 @@ def test_block_coercivity_logistic():
     space = space_1d(10, 2)
     field = coefficient_by_name("logistic_1d")
     op = build_operator(H1, 2, space, field, q=30)
-    gram = oracles.block_gram(op, h1_gram(space))
+    gram = oracles.block_gram(op, assemble_stiffness(space, 1.0))
     rng = np.random.default_rng(4)
     for _ in range(100):
         x = rng.standard_normal(op.size)
@@ -524,7 +522,7 @@ def test_initial_coefficients_builds_one_load_per_distinct_function(monkeypatch)
     fresh = InitialDatum(dim=1, sample=lambda z: (lambda x: z[0] * math.sin(math.pi * x)))
     per_node = initial_coefficients(H1, mis, fresh, ops, q=8)
     assert len(calls) == 1 + 8
-    proj = l2_project(ops.space, lambda x: math.sin(math.pi * x))
+    proj = oracles.l2_project(ops.space, lambda x: math.sin(math.pi * x))
     assert np.max(np.abs(shared.coeffs[0] - proj)) < 1e-10
     assert np.max(np.abs(per_node.coeffs[1] - proj)) < 1e-10
 

@@ -13,16 +13,12 @@ from sgpde.spatial import (
     assemble_stiffness,
     checked_solve,
     error_points,
-    fe_eval,
-    h1_gram,
     l2_error,
-    l2_project,
     load_vector,
     make_fe_space,
     make_mesh,
     nodal_coordinates,
     prolong,
-    stationary_solve,
     _gauss_01,
 )
 
@@ -88,7 +84,7 @@ def test_poisson_2d_p2_manufactured_solution():
     errs = []
     for m in (2, 4):
         space = space_2d(m, 2)
-        u = stationary_solve(space, np.eye(2), rhs)
+        u = oracles.stationary_solve(space, np.eye(2), rhs)
         errs.append(l2_error(space, u, exact))
     # measured 1.46e-3 at m=2; the P1 level at m=4 is 4.0e-3
     assert errs[0] < 2e-3
@@ -99,16 +95,16 @@ def test_l2_project_reproduces_members_and_zero():
     space = space_1d(7, 1)
     rng = np.random.default_rng(1)
     u = rng.standard_normal(space.ndof)
-    uh = l2_project(space, lambda x: float(fe_eval(space, u, [x])[0]))
+    uh = oracles.l2_project(space, lambda x: float(oracles.fe_eval(space, u, [x])[0]))
     assert np.max(np.abs(uh - u)) < 1e-10
-    z = l2_project(space, lambda x: 0.0)
+    z = oracles.l2_project(space, lambda x: 0.0)
     assert np.max(np.abs(z)) < 1e-12
 
 
 def test_l2_project_sine_nodal_accuracy():
     m = 16
     space = space_1d(m, 1)
-    u = l2_project(space, lambda x: math.sin(math.pi * x))
+    u = oracles.l2_project(space, lambda x: math.sin(math.pi * x))
     xi = nodal_coordinates(space)[:, 0]
     dev = np.max(np.abs(u - np.sin(math.pi * xi)))
     assert dev <= math.pi**2 / m**2
@@ -117,12 +113,12 @@ def test_l2_project_sine_nodal_accuracy():
 def test_stationary_solve_1d_examples():
     space = space_1d(32, 1)
     rhs = lambda x: math.pi**2 * math.sin(math.pi * x)
-    u1 = stationary_solve(space, 1.0, rhs)
+    u1 = oracles.stationary_solve(space, 1.0, rhs)
     err = l2_error(space, u1, lambda x: math.sin(math.pi * x))
     assert err < 2.0 / 32**2
-    u0 = stationary_solve(space, 1.0, lambda x: 0.0)
+    u0 = oracles.stationary_solve(space, 1.0, lambda x: 0.0)
     assert np.max(np.abs(u0)) < 1e-12
-    u2 = stationary_solve(space, 2.0, lambda x: 2.0 * rhs(x))
+    u2 = oracles.stationary_solve(space, 2.0, lambda x: 2.0 * rhs(x))
     assert np.max(np.abs(u2 - u1)) < 1e-10
 
 
@@ -132,7 +128,7 @@ def test_stationary_rate_1d(order, min_slope):
     rhs = lambda x: math.pi**2 * math.sin(math.pi * x)
     ms = [8, 16, 32]
     errs = [
-        l2_error(space_1d(m, order), stationary_solve(space_1d(m, order), 1.0, rhs), exact)
+        l2_error(space_1d(m, order), oracles.stationary_solve(space_1d(m, order), 1.0, rhs), exact)
         for m in ms
     ]
     slope = fit_slope([1.0 / m for m in ms], errs)
@@ -146,14 +142,14 @@ def test_fe_eval_and_prolong_are_exact_on_members():
     u = rng.standard_normal(coarse.ndof)
     uf = prolong(coarse, u, fine)
     xs = rng.uniform(0.0, 1.0, size=50)
-    assert np.max(np.abs(fe_eval(fine, uf, xs) - fe_eval(coarse, u, xs))) < 1e-12
+    assert np.max(np.abs(oracles.fe_eval(fine, uf, xs) - oracles.fe_eval(coarse, u, xs))) < 1e-12
 
     coarse2 = space_2d(2, 2)
     fine2 = space_2d(4, 2)
     u2 = rng.standard_normal(coarse2.ndof)
     uf2 = prolong(coarse2, u2, fine2)
     pts = rng.uniform(0.0, 1.0, size=(40, 2))
-    assert np.max(np.abs(fe_eval(fine2, uf2, pts) - fe_eval(coarse2, u2, pts))) < 1e-12
+    assert np.max(np.abs(oracles.fe_eval(fine2, uf2, pts) - oracles.fe_eval(coarse2, u2, pts))) < 1e-12
 
 
 def test_prolong_rejects_non_nested():
@@ -161,13 +157,6 @@ def test_prolong_rejects_non_nested():
         prolong(space_1d(3), np.zeros(2), space_1d(8))
     with pytest.raises(ValueError):
         prolong(space_1d(4, 2), np.zeros(7), space_1d(8, 1))
-
-
-def test_h1_gram_matches_unit_stiffness():
-    space = space_2d(2, 2)
-    g = h1_gram(space)
-    k = assemble_stiffness(space, 1.0)
-    assert (abs(g - k)).max() < 1e-14
 
 
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
@@ -220,7 +209,7 @@ def test_array_kernels_match_cellwise_oracles(dim, order, coeff_kind):
     assert _rel(load_vector(space, f), oracles.cellwise_load(space, f)) <= 1e-13
     err = l2_error(space, u, f)
     assert abs(err - oracles.cellwise_l2_error(space, u, f)) <= 1e-13 * err
-    assert _rel(fe_eval(space, u, pts), oracles.pointwise_fe_eval(space, u, pts)) <= 1e-13
+    assert _rel(oracles.fe_eval(space, u, pts), oracles.pointwise_fe_eval(space, u, pts)) <= 1e-13
 
 
 def test_callables_are_sampled_one_point_at_a_time():
