@@ -28,7 +28,6 @@ from .coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial
 from .orthopoly import hermite, jacobi, laguerre
 from .pce import DistributionSpec, eigenvalue_floor, multi_index_set, tensor_quad, triple_products
 from .sgsystem import (
-    DENSE_EIG_SIZE_LIMIT,
     SgOperator,
     SgState,
     SpatialOperators,
@@ -38,15 +37,7 @@ from .sgsystem import (
     spatial_operators,
 )
 from .spatial import FeSpace, SolverError, error_points, l2_error, make_fe_space, make_mesh, prolong
-from .timestep import (
-    StepResidualError,
-    TimeGrid,
-    a_stability_probe,
-    crank_nicolson,
-    evolve,
-    make_uniform_grid,
-    scheme_by_name,
-)
+from .timestep import StepResidualError, a_stability_probe, crank_nicolson, evolve, scheme_by_name
 
 __all__ = [
     "AnalyticReference",
@@ -74,9 +65,9 @@ AXES = ("n", "m", "n_k")
 MACHINE_ERROR_FLOOR = 100.0 * np.finfo(float).eps
 REFERENCE_FLOOR_FACTOR = 10.0
 SWEEP_FLOOR_FACTOR = 3.0
-# Sweep points on spaces of at most this many dofs are propagated through the
-# spatial pencil instead of stepped. The crossover was measured on one BLAS
-# thread: at 225 dofs (2D P2, m = 8) the dense eigh and its check cost
+# Sweep points and collocation nodes on spaces of at most this many dofs are
+# propagated through the spatial pencil instead of stepped. The crossover was
+# measured on one BLAS thread: at 225 dofs (2D P2, m = 8) the dense eigh and its check cost
 # 10-25 ms, more than the 16 Crank--Nicolson steps they replace (+11% on the
 # whole solve), while at 121 dofs (2D P2, m = 6) and on every 1D acceptance
 # space the pencil wins clearly.
@@ -154,25 +145,26 @@ def collocation_reference(
     """Independent Crank--Nicolson solves at each quadrature node on the
     space of `ops`.
 
-    Node z_i steps the stiffness `ops.stiffness_at(z_i)`, f(z_i) K_g, from
-    `ops.project(u0(z_i))`, so each distinct spatial function of the datum
-    is projected once per space. A node whose solve fails raises with its
-    index and z: a `SolverError` stays a `SolverError`, anything else
-    becomes a `RuntimeError`.
+    Node z_i is the scalar-diffusivity problem M w' = -f(z_i) K_g w from the
+    checked projection `ops.project(u0(z_i))`, so each distinct spatial
+    function of the datum is projected once per space. Every node is one
+    item of one `_propagate` call. A node whose f(z_i), datum or solve fails
+    raises with its index and z: a `SolverError` stays a `SolverError`,
+    anything else becomes a `RuntimeError`.
     """
     t0 = time.perf_counter()
     nodes, weights = tensor_quad(dist, q_ref)
-    grid = make_uniform_grid(t_final, n_steps)
-    scheme = crank_nicolson()
-    values = np.empty((len(nodes), ops.space.ndof))
+    items = []
     for i, z in enumerate(nodes):
+        name = f"collocation node {i} (z = {z})"
         try:
-            start = ops.project(u0.sample(z))
-            values[i] = evolve(scheme, grid, ops.mass, ops.stiffness_at(z), start)
+            items.append((ops, np.array([ops.field.z_factor(z)], dtype=float),
+                          ops.project(u0.sample(z))[None, :], name))
         except SolverError as exc:
-            raise SolverError(f"collocation node {i} (z = {z}) failed: {exc}") from exc
+            raise SolverError(f"{name} failed: {exc}") from exc
         except Exception as exc:
-            raise RuntimeError(f"collocation node {i} (z = {z}) failed: {exc}") from exc
+            raise RuntimeError(f"{name} failed: {exc}") from exc
+    values = np.concatenate(_propagate(crank_nicolson(), t_final, n_steps, items))
     log.debug(
         "collocation reference: Q=%d ndof=%d steps=%d wall_s=%.4f",
         len(nodes), ops.space.ndof, n_steps, time.perf_counter() - t0,
@@ -344,13 +336,16 @@ class ExperimentConfig:
             _check_keys(key, getattr(self, key), known)
         for axis, tol in self.tolerances.items():
             _check_keys(f"tolerances.{axis}", tol, _TOLERANCE_KEYS[axis])
+        for i, spec in enumerate(self.distribution):
+            if not isinstance(spec, dict):
+                raise ValueError(f"distribution[{i}] value {spec!r} must be of type dict")
         if self.geometry.get("dim") not in (1, 2):
             raise ValueError("geometry.dim must be 1 or 2")
         if self.geometry.get("fe_order") not in (1, 2):
             raise ValueError("geometry.fe_order must be 1 or 2")
         for axis, lowest in zip(AXES, (0, 1, 1)):
             values = self.sweep.get(axis, [])
-            if not values:
+            if not (isinstance(values, list) and values):
                 raise ValueError(f"sweep.{axis} must be a non-empty list")
             for v in values:
                 _check_int(f"sweep.{axis}", v, lowest)
@@ -426,7 +421,9 @@ def _built(key: str, build: Callable):
 
 
 def _check_keys(key: str, given: dict, known) -> None:
-    """Reject the keys of the config dict `key` that the code does not read."""
+    """Reject a config dict `key` that is no dict or holds keys the code does not read."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{key} value {given!r} must be of type dict")
     unknown = sorted(set(given) - set(known))
     if unknown:
         raise ValueError(f"unknown {key} keys: {unknown}")
@@ -442,21 +439,19 @@ def _converted(key: str, kind: str, value):
 
     JSON has no tuple, and a number may come as an int or a float: a list
     becomes a tuple, a number a float, and an integral number an int. A
-    value that does not fit its type (20.5 for an int, "false" for a bool)
-    raises a ValueError naming the key.
+    value that does not fit its type (20.5 for an int, "false" for a bool,
+    a string for a dict) raises a ValueError naming the key.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind == "tuple":
-        return tuple(value)
     if kind == "float" and number:
         return float(value)
     if kind == "int" and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
-    if kind == "bool" and isinstance(value, bool):
-        return value
-    if kind in ("float", "int", "bool"):
-        raise ValueError(f"{key} value {value!r} must be of type {kind}")
-    return value
+    json_type = {"tuple": list, "dict": dict, "str": str, "bool": bool}.get(kind)
+    if json_type is not None and isinstance(value, json_type):
+        return tuple(value) if kind == "tuple" else value
+    shown = "list" if kind == "tuple" else kind
+    raise ValueError(f"{key} value {value!r} must be of type {shown}")
 
 
 def load_config(source) -> ExperimentConfig:
@@ -537,108 +532,129 @@ def _block_diagonal(blocks) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(rows[-1], rows[-1]))
 
 
-def _system_matrices(ops: list[SgOperator], lams=None) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The system-basis mass and stiffness of a batch of operators: the
-    block-diagonal join of each operator's I (x) M and diag(lam) (x) K_g, in
-    turn, where lam is the operator's eigvals or its entry of `lams`. Block i
-    of an operator stores the entries of M, and lam_i times the entries of
-    K_g."""
-    lams = [op.eigvals for op in ops] if lams is None else lams
-    spatial = [op.spatial for op, lam in zip(ops, lams) for _ in lam]
+def _system_matrices(items) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The block-diagonal mass and stiffness of propagation items (see
+    `_propagate`): row i of an item is one block, which stores the entries
+    of its M, and lam_i times the entries of its K_g."""
+    spatial = [ops for ops, lam, _, _ in items for _ in lam]
     stiffness = _block_diagonal([s.k_g for s in spatial])
-    stiffness.data *= np.concatenate(
-        [np.repeat(lam, op.spatial.k_g.nnz) for op, lam in zip(ops, lams)]
-    )
+    stiffness.data *= np.concatenate([np.repeat(lam, ops.k_g.nnz) for ops, lam, _, _ in items])
     return _block_diagonal([s.mass for s in spatial]), stiffness
 
 
-def _evolve_batch(scheme, grid: TimeGrid, ops, starts, batch, lams=None) -> list[np.ndarray]:
-    """Step the block-diagonal system `_system_matrices(ops, lams)`, one
-    operator per point of `batch`, from the rotated modes `starts`; returns
-    each point's final modes. A failing block raises SolverError naming its
-    (n, m, n_k)."""
-    mass, stiffness = _system_matrices(ops, lams)
-    sizes = [w0.size for w0 in starts]
-    start = np.concatenate([w0.reshape(-1) for w0 in starts])
+def _stepped(scheme, t_final: float, n_steps: int, items) -> list[np.ndarray]:
+    """Step the items as one block-diagonal system (`_system_matrices`)
+    through the library's one `evolve`, with one residual block per item;
+    returns each item's final rows. A failure names its item."""
+    mass, stiffness = _system_matrices(items)
+    sizes = [w0.size for _, _, w0, _ in items]
+    start = np.concatenate([w0.reshape(-1) for _, _, w0, _ in items])
     try:
-        w = evolve(scheme, grid, mass, stiffness, start, blocks=sizes)
+        w = evolve(scheme, t_final, n_steps, mass, stiffness, start, blocks=sizes)
     except StepResidualError as exc:
-        raise SolverError(f"sweep point (n, m, n_k) = {batch[exc.block]} failed: {exc}") from exc
+        raise SolverError(f"{items[exc.block][3]} failed: {exc}") from exc
     except SolverError as exc:
-        raise SolverError(f"sweep points (n, m, n_k) in {batch} failed: {exc}") from exc
-    return [b.reshape(w0.shape) for w0, b in zip(starts, np.split(w, np.cumsum(sizes)[:-1]))]
+        raise SolverError(f"{', '.join(item[3] for item in items)} failed: {exc}") from exc
+    parts = np.split(w, np.cumsum(sizes)[:-1])
+    return [part.reshape(item[2].shape) for item, part in zip(items, parts)]
 
 
-def _first_step_check(scheme, grid: TimeGrid, ops: list[SgOperator], starts, batch) -> float:
-    """Step the stiffest block (lam_max) of each point once through `evolve`,
-    with its residual check, and compare it with the pencil's one-step map;
-    returns the largest relative 2-norm difference. A difference above
-    FIRST_STEP_TOL raises SolverError naming the point."""
-    first = TimeGrid(grid.steps[0], grid.steps[:1])
-    stiffest = [w0[-1:] for w0 in starts]
-    stepped = _evolve_batch(scheme, first, ops, stiffest, batch, [op.eigvals[-1:] for op in ops])
+def _spectral(scheme, t_final: float, n_steps: int, items) -> tuple[list[np.ndarray], tuple]:
+    """Propagate the items through their spaces' pencils (`Pencil.propagate`),
+    and step the stiffest row (largest lam) of each once through `_stepped`
+    as a check against the pencil's one-step map. Returns the final rows and
+    the largest pencil defects and relative first-step gap; a failed pencil
+    or a gap above FIRST_STEP_TOL raises SolverError naming its item."""
+    tau = t_final / n_steps
+    finals, stiffest = [], []
+    for ops, lam, w0, name in items:
+        try:
+            finals.append(ops.pencil.propagate(scheme.r, tau, n_steps, lam, w0))
+        except SolverError as exc:
+            raise SolverError(f"{name} failed: {exc}") from exc
+        k = int(np.argmax(lam))
+        stiffest.append((ops, lam[k : k + 1], w0[k : k + 1], name))
     worst = 0.0
-    for point, op, w0, got in zip(batch, ops, stiffest, stepped):
-        want = op.spatial.pencil.propagate(scheme.r, first.steps, op.eigvals[-1:], w0)
+    for (ops, lam, w0, name), got in zip(stiffest, _stepped(scheme, tau, 1, stiffest)):
+        want = ops.pencil.propagate(scheme.r, tau, 1, lam, w0)
         diff, scale = float(np.linalg.norm(got - want)), float(np.linalg.norm(got))
         if not diff <= FIRST_STEP_TOL * scale:  # "not <=" so that NaN fails too
             raise SolverError(
-                f"sweep point (n, m, n_k) = {point} failed: its first step differs from the "
-                f"spectral one-step map by {diff:.3e} (stepped norm {scale:.3e})"
+                f"{name} failed: its first step differs from the spectral one-step map "
+                f"by {diff:.3e} (stepped norm {scale:.3e})"
             )
         worst = max(worst, diff / scale if scale else 0.0)
-    return worst
+    pencils = [ops.pencil for ops, _, _, _ in items]
+    return finals, (max(p.orth for p in pencils), max(p.res for p in pencils), worst)
+
+
+def _propagate(scheme, t_final: float, n_steps: int, items) -> list[np.ndarray]:
+    """The library's one propagation path: the final rows of every item
+    after n_steps scheme steps of size t_final / n_steps.
+
+    An item (ops, lam, w0, name) holds rows w_i of w0 (k, ndof) on the space
+    of the `SpatialOperators` ops, each evolving under M w' = -lam_i K_g w,
+    and the name that its failure carries. Items on spaces of at most
+    SPECTRAL_NDOF_LIMIT dofs go through their pencils (`_spectral`), the
+    others are stepped together (`_stepped`); each path logs one DEBUG
+    record. A non-finite lam fails, naming its item, before any work.
+    """
+    for _, lam, _, name in items:
+        if not np.isfinite(lam).all():
+            raise SolverError(f"{name} failed: non-finite diffusivity factor in {lam}")
+    finals = [None] * len(items)
+    on_pencil = [it[0].space.ndof <= SPECTRAL_NDOF_LIMIT for it in items]
+    for spectral in (True, False):
+        chosen = [i for i, p in enumerate(on_pencil) if p == spectral]
+        if not chosen:
+            continue
+        t0 = time.perf_counter()
+        batch = [items[i] for i in chosen]
+        record = "propagation: path=%s steps=%d items=%s unknowns=%d wall_s=%.6f"
+        if spectral:
+            done, extra = _spectral(scheme, t_final, n_steps, batch)
+            record += " pencil_orth=%.3e pencil_rel_res=%.3e first_step_rel_diff=%.3e"
+        else:
+            done, extra = _stepped(scheme, t_final, n_steps, batch), ()
+        for i, final in zip(chosen, done):
+            finals[i] = final
+        log.debug(
+            record, "spectral" if spectral else "stepped", n_steps, [it[3] for it in batch],
+            sum(it[2].size for it in batch), time.perf_counter() - t0, *extra,
+        )
+    return finals
 
 
 def solve_points(cache: OperatorCache, points) -> dict[tuple, tuple[SgState, float]]:
     """Run every distinct listed (n, m, n_k) to the final time.
 
-    Points that share n_k share a time grid. A point whose space has at most
-    SPECTRAL_NDOF_LIMIT dofs is propagated through its space's pencil: the
-    rotated modes W_0 go to ((W_0 M Y) o prod_k r(-tau_k lam_i mu_j)) Y^T
-    (`Pencil.propagate`), and the stiffest block of each such point takes
-    the grid's first step through `evolve` as a check (`_first_step_check`).
-    The other points are stepped together: one block-diagonal system of each
-    point's system-basis mass and stiffness (the decoupled chaos modes, see
-    `_system_matrices`), started from the concatenated rotated initial modes,
-    through one `evolve`, with each point's residual checked on its own.
-    Each final state is rotated back to the chaos basis; a failure names its
-    (n, m, n_k).
+    The points that share n_k are one `_propagate` call, one item per point:
+    its chaos modes rotated by V^T, which decouples them, with the
+    eigenvalues lam of G. Each final state is rotated back to the chaos
+    basis; a failure names its (n, m, n_k).
 
     Returns the final chaos state of each distinct point and its wall time:
-    its batch's time (operators, pencils, propagation and rotations) split
-    over the batch's points in proportion to their unknowns d_n * ndof.
+    its n_k's time (operators, pencils, propagation and rotations) split
+    over that n_k's points in proportion to their unknowns d_n * ndof.
     """
-    batches: dict[tuple, list] = {}
+    by_steps: dict[int, list] = {}
     for point in dict.fromkeys(tuple(p) for p in points):
-        spectral = cache.space(point[1]).ndof <= SPECTRAL_NDOF_LIMIT
-        batches.setdefault((point[2], spectral), []).append(point)
+        by_steps.setdefault(point[2], []).append(point)
     scheme = scheme_by_name(cache.cfg.scheme)
     solved = {}
-    for (n_k, spectral), batch in batches.items():
+    for n_k, batch in by_steps.items():
         t0 = time.perf_counter()
         built = [cache.operator(n, m) for n, m, _ in batch]
-        ops = [op for op, _ in built]
-        starts = [op.to_system(state0.coeffs) for op, state0 in built]
-        grid = make_uniform_grid(cache.cfg.t_final, n_k)
-        if spectral:
-            finals = [
-                op.spatial.pencil.propagate(scheme.r, grid.steps, op.eigvals, w0)
-                for op, w0 in zip(ops, starts)
-            ]
-            first_step = _first_step_check(scheme, grid, ops, starts, batch)
-        else:
-            finals = _evolve_batch(scheme, grid, ops, starts, batch)
-        finals = [op.to_chaos(w) for op, w in zip(ops, finals)]
+        items = [
+            (op.spatial, op.eigvals, op.to_system(s0.coeffs), f"sweep point (n, m, n_k) = {point}")
+            for point, (op, s0) in zip(batch, built)
+        ]
+        finals = _propagate(scheme, cache.cfg.t_final, n_k, items)
+        finals = [op.to_chaos(w) for (op, _), w in zip(built, finals)]
         wall = time.perf_counter() - t0
-        sizes = [op.size for op in ops]
-        record = "solve batch: path=%s n_k=%d points=%s unknowns=%d steps=%d wall_s=%.6f"
-        args = ("spectral" if spectral else "stepped", n_k, batch, sum(sizes), n_k, wall)
-        if spectral:  # the batch's worst pencil defects and first-step gap
-            record += " pencil_orth=%.3e pencil_rel_res=%.3e first_step_rel_diff=%.3e"
-            pencils = [op.spatial.pencil for op in ops]
-            args += (max(p.orth for p in pencils), max(p.res for p in pencils), first_step)
-        log.debug(record, *args)
+        sizes = [op.size for op, _ in built]
+        record = "solve batch: n_k=%d points=%s unknowns=%d wall_s=%.6f"
+        log.debug(record, n_k, batch, sum(sizes), wall)
         for point, (_, state0), final, size in zip(batch, built, finals, sizes):
             solved[point] = SgState(cache.cfg.t_final, final, state0.mis), wall * size / sum(sizes)
     return solved
@@ -809,7 +825,7 @@ def _invariant_summary(cfg, cache) -> dict:
         "initial_datum_smoothness": cache.u0.smoothness,
         "coefficient_field": cache.field.name,
     }
-    if op.spatial.space.ndof <= DENSE_EIG_SIZE_LIMIT:
+    if op.spatial.space.ndof <= SPECTRAL_NDOF_LIMIT:  # the pencil of a spectral space
         summary["resolvent_min_generalized_eigenvalue"] = op.min_resolvent_eigenvalue()
     return summary
 

@@ -20,12 +20,14 @@ w = (V^T (x) I) u evolve under the block-diagonal diag(lam) (x) K_g.
 
 Everything these builders need of one spatial space lives in one
 `SpatialOperators`, built by `spatial_operators(space, field)`: the mass
-matrix M, the stiffness K_g of the field's spatial part, K(z) = f(z) K_g at
-a parameter node, the checked L2 projection of spatial functions, each
-projected once, and the checked dense decomposition of the pencil (K_g, M),
-made when first read. The block operator, the initial chaos modes and the
-collocation reference of the harness all take it, so a space shared by
-several of them is assembled and projected once.
+matrix M, the stiffness K_g of the field's spatial part, the checked L2
+projection of spatial functions, each projected once, and the checked
+dense decomposition of the pencil (K_g, M), made when first read. The block
+operator, the initial chaos modes and the collocation reference of the
+harness all take it, so a space shared by several of them is assembled and
+projected once. A rotated chaos mode and a collocation node are the same
+scalar-diffusivity problem M w' = -lam K_g w, with lam an eigenvalue of G
+or f(z_i); the harness propagates both through one function.
 
 An `SgOperator` holds the factors of A and nothing else: G, lam and V, and
 the `SpatialOperators` of M and K_g. It stores no block matrix. `matrix`
@@ -35,10 +37,11 @@ diag(lam) (x) K_g are joined only where the harness steps a batch.
 The pencil decomposition is K_g Y = M Y diag(mu) with Y^T M Y = I. In its
 coordinates c_i = Y^T M w_i, rotated mode i evolves
 coordinate-wise, c_ij -> r(-tau lam_i mu_j) c_ij per step, so a rational
-scheme's final state is W_T = ((W_0 M Y) o prod_k r(-tau_k lam_i mu_j)) Y^T
-without stepping (Thomee, Galerkin Finite Element Methods for Parabolic
-Problems, 2nd ed., 2006, ch. 7-9). The same decomposition gives the
-smallest resolvent eigenvalue min lam_i mu_j.
+scheme's final state after n steps is
+W_T = ((W_0 M Y) o r(-tau lam_i mu_j)^n) Y^T without stepping (Thomee,
+Galerkin Finite Element Methods for Parabolic Problems, 2nd ed., 2006,
+ch. 7-9). The same decomposition gives the smallest resolvent eigenvalue
+min lam_i mu_j.
 """
 
 from __future__ import annotations
@@ -166,20 +169,15 @@ class Pencil:
     orth: float
     res: float
 
-    def propagate(self, symbol, steps, lam: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    def propagate(self, symbol, tau: float, n_steps: int, lam, w0: np.ndarray) -> np.ndarray:
         """Final state of the rows w_i of w0 (k, ndof), each evolving under
-        B w' = -lam_i A w by the one-step map symbol(-tau A, B) over the
-        step sizes `steps`:
+        B w' = -lam_i A w by n_steps steps of the one-step map
+        symbol(-tau A, B):
 
-            W_T = ((W_0 B Y) o prod_k symbol(-tau_k lam_i mu_j)) Y^T.
+            W_T = ((W_0 B Y) o symbol(-tau lam_i mu_j)^n_steps) Y^T.
 
-        `symbol` is a scheme's r, or np.exp for the exact flow. Equal step
-        sizes share one power, so a uniform grid costs one symbol call."""
-        taus, counts = np.unique(np.asarray(steps, dtype=float), return_counts=True)
-        z = -np.outer(lam, self.mu)
-        factor = np.ones_like(z)
-        for tau, count in zip(taus, counts):
-            factor *= symbol(tau * z) ** count
+        `symbol` is a scheme's r, or np.exp for the exact flow."""
+        factor = symbol(tau * -np.outer(lam, self.mu)) ** n_steps
         return ((w0 @ self.by) * factor) @ self.y.T
 
 
@@ -204,10 +202,6 @@ class SpatialOperators:
         if ndof > DENSE_EIG_SIZE_LIMIT:
             raise ValueError(f"pencil size {ndof} too large for dense solve")
         return _checked_eigh(self.k_g.toarray(), self.mass.toarray(), "spatial pencil (K_g, M)")
-
-    def stiffness_at(self, z) -> sp.csr_matrix:
-        """The stiffness matrix K(z) = f(z) K_g at a parameter node z."""
-        return self.field.z_factor(z) * self.k_g
 
     def project(self, f) -> np.ndarray:
         """L2 projection of the spatial function f: solves M u = (f, phi) with

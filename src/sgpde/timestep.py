@@ -12,12 +12,15 @@ passed through the A-acceptability probe once per process. With M = I
 the formulas reduce to the resolvent form of the schemes on the
 continuous state space.
 
-A `Propagator` (and `evolve`) may step several independent systems at once:
-given the sizes of the diagonal blocks of block-diagonal (M, K), one LU and
-one solve per step serve every block. The per-step residual check stays per
-block: block k's residual is measured against block k's own right-hand side,
-so a large block cannot mask a failure in a small one, and a failing block
-raises `StepResidualError` carrying its index.
+Every grid is uniform: `evolve(scheme, t_final, n_steps, ...)` takes
+n_steps steps of tau = t_final / n_steps, and a `Propagator` is the one-step
+map of one step size, factored once. A `Propagator` (and `evolve`) may step
+several independent systems at once: given the sizes of the diagonal blocks
+of block-diagonal (M, K), one LU and one solve per step serve every block.
+The per-step residual check stays per block: block k's residual is
+measured against block k's own right-hand side, so a large block cannot
+mask a failure in a small one, and a failing block raises
+`StepResidualError` carrying its index.
 """
 
 from __future__ import annotations
@@ -33,12 +36,10 @@ from .spatial import SolverError
 
 __all__ = [
     "RationalScheme",
-    "TimeGrid",
     "implicit_euler",
     "crank_nicolson",
     "scheme_by_name",
     "a_stability_probe",
-    "make_uniform_grid",
     "Propagator",
     "StepResidualError",
     "evolve",
@@ -99,28 +100,6 @@ def scheme_by_name(name: str) -> RationalScheme:
         raise ValueError(f"unknown scheme {name!r}") from None
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Positive steps summing to the final time."""
-
-    t_final: float
-    steps: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.t_final <= 0.0:
-            raise ValueError("final time must be positive")
-        if any(s <= 0.0 for s in self.steps):
-            raise ValueError("all steps must be positive")
-        if abs(sum(self.steps) - self.t_final) > 1e-12 * max(1.0, self.t_final):
-            raise ValueError("steps do not sum to the final time")
-
-
-def make_uniform_grid(t_final: float, n_steps: int) -> TimeGrid:
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    return TimeGrid(t_final, (t_final / n_steps,) * n_steps)
-
-
 class StepResidualError(SolverError):
     """A time step failed its residual check in diagonal block `block`."""
 
@@ -130,10 +109,11 @@ class StepResidualError(SolverError):
 
 
 class Propagator:
-    """One-step map of a scheme for fixed (M, K).
+    """One-step map of a scheme for fixed (M, K) and one step size tau.
 
-    The step matrix d0 M - d1 tau K and its LU are built once per step size
-    tau and cached; every step still checks its residual against that matrix.
+    The step matrix d0 M - d1 tau K is factored at the first step, so that
+    the LU is built inside `step`, and reused by every later step; every
+    step still checks its residual against that matrix.
     When the scheme's numerator reads K (n1 != 0, as in Crank--Nicolson) the
     stacked CSR [M; K] is built once, so that one product gives both M u
     and K u; each row keeps its stored order, so the right-hand side is
@@ -144,8 +124,11 @@ class Propagator:
     raises a `StepResidualError` naming it.
     """
 
-    def __init__(self, scheme: RationalScheme, mass, stiff, blocks=None):
+    def __init__(self, scheme: RationalScheme, mass, stiff, tau: float, blocks=None):
+        if not tau > 0.0:  # "not >" so that NaN fails too
+            raise ValueError("tau must be positive")
         self.scheme = scheme
+        self.tau = tau
         self.mass = sp.csr_matrix(mass)
         self.stiff = sp.csr_matrix(stiff)
         size = self.mass.shape[0]
@@ -153,34 +136,31 @@ class Propagator:
         if min(blocks) < 1 or sum(blocks) != size:
             raise ValueError(f"block sizes {blocks} do not partition {size} unknowns")
         self._starts = np.cumsum((0,) + blocks[:-1])
-        self._lu: dict[float, tuple] = {}
+        self._lu = None  # (step matrix, its LU), made at the first step
         self._stacked = None
         if scheme.num[1] != 0.0:
             self._stacked = sp.vstack([self.mass, self.stiff], format="csr")
 
-    def rhs(self, u: np.ndarray, tau: float) -> np.ndarray:
+    def rhs(self, u: np.ndarray) -> np.ndarray:
         """The step's right-hand side (n0 M - n1 tau K) u, as n0 (M u) - n1 tau (K u)."""
         n0, n1 = self.scheme.num
         if self._stacked is None:
             return n0 * (self.mass @ u)
         mk = self._stacked @ u
         size = self.mass.shape[0]
-        return n0 * mk[:size] - n1 * tau * mk[size:]
+        return n0 * mk[:size] - n1 * self.tau * mk[size:]
 
-    def step(self, u: np.ndarray, tau: float) -> np.ndarray:
-        cached = self._lu.get(tau)
-        if cached is None:  # a non-positive tau is never cached
-            if tau <= 0.0:
-                raise ValueError("tau must be positive")
+    def step(self, u: np.ndarray) -> np.ndarray:
+        tau = self.tau
+        if self._lu is None:
             d0, d1 = self.scheme.den
             lhs = d0 * self.mass - d1 * tau * self.stiff
             try:
-                lu = spla.splu(lhs.tocsc())
+                self._lu = lhs, spla.splu(lhs.tocsc())
             except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
                 raise SolverError(f"step matrix for tau = {tau} cannot be factored: {exc}") from exc
-            cached = self._lu[tau] = (lhs, lu)
-        lhs, lu = cached
-        b = self.rhs(u, tau)
+        lhs, lu = self._lu
+        b = self.rhs(u)
         out = lu.solve(b)
         r = lhs @ out - b
         res = np.sqrt(np.add.reduceat(r * r, self._starts))
@@ -197,12 +177,15 @@ class Propagator:
 
 
 def evolve(
-    scheme: RationalScheme, grid: TimeGrid, mass, stiff, u0: np.ndarray, blocks=None
+    scheme: RationalScheme, t_final: float, n_steps: int, mass, stiff, u0: np.ndarray, blocks=None
 ) -> np.ndarray:
-    """March the grid; returns the state at its final time. `blocks` are the
-    diagonal block sizes of a block-diagonal system (see `Propagator`)."""
-    prop = Propagator(scheme, mass, stiff, blocks)
+    """March n_steps steps of tau = t_final / n_steps; returns the state at
+    t_final. `blocks` are the diagonal block sizes of a block-diagonal
+    system (see `Propagator`)."""
+    if n_steps < 1:
+        raise ValueError("need at least one step")
+    prop = Propagator(scheme, mass, stiff, t_final / n_steps, blocks)
     u = np.array(u0, dtype=float)
-    for tau in grid.steps:
-        u = prop.step(u, tau)
+    for _ in range(n_steps):
+        u = prop.step(u)
     return u

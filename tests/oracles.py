@@ -51,7 +51,7 @@ from sgpde.spatial import (
     l2_error,
     load_vector,
 )
-from sgpde.timestep import Propagator, crank_nicolson, evolve, make_uniform_grid, scheme_by_name
+from sgpde.timestep import Propagator, crank_nicolson, evolve, scheme_by_name
 
 
 def hermite_moment(j: int) -> float:
@@ -178,12 +178,10 @@ def consistency_probe(scheme, mass, stiff, u0, tau_list, substeps: int = 1000) -
     else:
         refs = []
         for tau in taus:
-            grid = make_uniform_grid(tau, substeps)
-            refs.append(evolve(crank_nicolson(), grid, mass, stiff, u0))
-    prop = Propagator(scheme, mass, stiff)
+            refs.append(evolve(crank_nicolson(), tau, substeps, mass, stiff, u0))
     errors = []
     for tau, ref in zip(taus, refs):
-        diff = prop.step(u0, tau) - ref
+        diff = Propagator(scheme, mass, stiff, tau).step(u0) - ref
         errors.append(float(np.sqrt(diff @ (mass @ diff))))
     scale = float(np.sqrt(u0 @ (mass @ u0)))
     if max(errors) <= 1e-13 * max(scale, 1e-300):
@@ -449,7 +447,6 @@ def per_node_collocation_reference(dist, q_ref, space, n_steps, field, u0, t_fin
     from sgpde.harness import CollocationReference
 
     nodes, weights = tensor_quad(dist, q_ref)
-    grid = make_uniform_grid(t_final, n_steps)
     mass = assemble_mass(space)
     scheme = crank_nicolson()
     values = np.empty((len(nodes), space.ndof))
@@ -457,10 +454,27 @@ def per_node_collocation_reference(dist, q_ref, space, n_steps, field, u0, t_fin
         try:
             stiff = stiffness_at(space, field, z)
             u_start = l2_project(space, u0.sample(z))
-            values[i] = evolve(scheme, grid, mass, stiff, u_start)
+            values[i] = evolve(scheme, t_final, n_steps, mass, stiff, u_start)
         except Exception as exc:
             raise RuntimeError(f"collocation node {i} (z = {z}) failed: {exc}") from exc
     return CollocationReference(dist, nodes, weights, space, mass, values, t_final)
+
+
+def per_node_stepped_reference(dist, q_ref, ops, n_steps, u0, t_final):
+    """The collocation reference stepped one node at a time, the loop that
+    the batched `harness._propagate` replaced: node z_i runs its own
+    Crank--Nicolson `evolve` of (M, f(z_i) K_g) from `ops.project(u0(z_i))`,
+    on the shared operators of the space."""
+    from sgpde.harness import CollocationReference
+
+    nodes, weights = tensor_quad(dist, q_ref)
+    values = np.empty((len(nodes), ops.space.ndof))
+    for i, z in enumerate(nodes):
+        start = ops.project(u0.sample(z))
+        values[i] = evolve(
+            crank_nicolson(), t_final, n_steps, ops.mass, ops.field.z_factor(z) * ops.k_g, start
+        )
+    return CollocationReference(dist, nodes, weights, ops.space, ops.mass, values, t_final)
 
 
 # --- the loops that the array numbering of meshes and spaces replaced ------
@@ -712,9 +726,9 @@ def per_point_solve(cache, n: int, m: int, n_k: int):
     rotated initial modes through one `evolve`, rotated back to the chaos
     basis. The cache provides the operator; no final state is stored."""
     op, state0 = cache.operator(n, m)
-    grid = make_uniform_grid(cache.cfg.t_final, n_k)
     w0 = op.to_system(state0.coeffs)
-    w = evolve(scheme_by_name(cache.cfg.scheme), grid, *system_matrices(op), w0.reshape(-1))
+    scheme = scheme_by_name(cache.cfg.scheme)
+    w = evolve(scheme, cache.cfg.t_final, n_k, *system_matrices(op), w0.reshape(-1))
     return SgState(cache.cfg.t_final, op.to_chaos(w.reshape(w0.shape)), state0.mis)
 
 

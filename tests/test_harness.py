@@ -47,7 +47,7 @@ from sgpde.spatial import (
     nodal_coordinates,
     prolong,
 )
-from sgpde.timestep import evolve, make_uniform_grid, scheme_by_name
+from sgpde.timestep import evolve, scheme_by_name
 
 H1 = distribution(hermite())
 ROOT = Path(__file__).resolve().parents[1]
@@ -362,11 +362,21 @@ COLLOCATION = {"kind": "collocation", "m_ref": 64, "n_k_ref": 64}
         ({"reference": {"kind": "collocation", "m_ref": 64}}, r"reference\.n_k_ref", "None"),
         ({"reference": {**COLLOCATION, "quad_order": 2.5}}, r"reference\.quad_order", r"2\.5"),
         ({"reference": {**COLLOCATION, "quad_order": 0}}, r"reference\.quad_order", "0"),
+        # a dict or list key given a value of another JSON type
+        ({"distribution": {"kind": "hermite"}}, "distribution", r"\{'kind': 'hermite'\}"),
+        ({"distribution": ["hermite"]}, r"distribution\[0\]", "'hermite'"),
+        ({"geometry": 1}, "geometry", "1"),
+        ({"coefficient": "logistic_1d"}, "coefficient", "'logistic_1d'"),
+        ({"reference": ["analytic"]}, "reference", r"\['analytic'\]"),
+        ({"tolerances": {"n": True}}, r"tolerances\.n", "True"),
+        ({"scheme": ["crank_nicolson"]}, "scheme", r"\['crank_nicolson'\]"),
     ],
     ids=[
         "quad_order_fraction", "quad_order_string", "t_final_string", "strict_string",
         "strict_int", "m_ref_float", "n_k_ref_fraction", "n_k_ref_bool", "n_k_ref_missing",
-        "ref_quad_order_fraction", "ref_quad_order_zero",
+        "ref_quad_order_fraction", "ref_quad_order_zero", "distribution_dict",
+        "distribution_component_string", "geometry_int", "coefficient_string", "reference_list",
+        "tolerance_axis_bool", "scheme_list",
     ],
 )
 def test_bad_config_values_are_rejected_at_load(monkeypatch, override, key, shown):
@@ -565,30 +575,39 @@ def test_sweep_logs_one_debug_record_per_batch(caplog):
     cfg = load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [4, 8]}))
     report = sweep(cfg)
     points = _sweep_points(cfg, report)
-    records = [r for r in caplog.records if r.getMessage().startswith("solve batch:")]
+    paths = [r for r in caplog.records if r.getMessage().startswith("propagation:")]
+    batches = [r for r in caplog.records if r.getMessage().startswith("solve batch:")]
     # the distinct points in measurement order, grouped by n_k; every space
     # is below SPECTRAL_NDOF_LIMIT, so every batch is propagated spectrally
-    assert [r.args[:3] for r in records] == [
-        ("spectral", 4, [(1, 4, 4), (2, 8, 4)]),
-        ("spectral", 8, [(2, 8, 8), (1, 8, 8), (2, 4, 8)]),
+    assert [r.args[:2] for r in batches] == [
+        (4, [(1, 4, 4), (2, 8, 4)]),
+        (8, [(2, 8, 8), (1, 8, 8), (2, 4, 8)]),
+    ]
+    assert [r.args[:3] for r in paths] == [
+        ("spectral", n_k, [f"sweep point (n, m, n_k) = {p}" for p in batch])
+        for n_k, batch, *_ in (r.args for r in batches)
     ]
     assert sum(not hit for *_, hit, _ in points) == 5
     cache = OperatorCache(cfg)
-    for record in records:
-        _, n_k, batch, unknowns, steps, wall, orth, res, first_step = record.args
-        assert record.name == "sgpde.harness" and record.levelno == logging.DEBUG
-        assert unknowns == sum(cache.operator(n, m)[0].size for n, m, _ in batch)
-        assert steps == n_k and wall > 0.0
+    for path, batch in zip(paths, batches):
+        _, steps, _, unknowns, wall, orth, res, first_step = path.args
+        n_k, points_of_batch, batch_unknowns, batch_wall = batch.args
+        for record in (path, batch):
+            assert record.name == "sgpde.harness" and record.levelno == logging.DEBUG
+        assert unknowns == batch_unknowns == sum(
+            cache.operator(n, m)[0].size for n, m, _ in points_of_batch
+        )
+        assert steps == n_k and 0.0 < wall <= batch_wall
         # the worst checked pencil defects and first-step gap of the batch
         assert 0.0 <= orth <= sgsystem.EIGH_TOL and 0.0 <= res <= sgsystem.EIGH_TOL
         assert 0.0 <= first_step <= harness.FIRST_STEP_TOL
-        assert orth == max(cache.spatial(m).pencil.orth for _, m, _ in batch)
-        assert res == max(cache.spatial(m).pencil.res for _, m, _ in batch)
+        assert orth == max(cache.spatial(m).pencil.orth for _, m, _ in points_of_batch)
+        assert res == max(cache.spatial(m).pencil.res for _, m, _ in points_of_batch)
     # solve_points splits each batch's wall time in proportion to unknowns
     caplog.clear()
     solved = harness.solve_points(cache, [p[:3] for p in points])
     first, second = (r.args for r in caplog.records if r.getMessage().startswith("solve batch:"))
-    for _, n_k, batch, unknowns, _, wall, *_ in (first, second):
+    for n_k, batch, unknowns, wall in (first, second):
         assert sum(solved[p][1] for p in batch) == pytest.approx(wall, rel=1e-12)
         for n, m, _ in batch:
             size = cache.operator(n, m)[0].size
@@ -687,26 +706,47 @@ def test_solve_single_steps_decoupled_modes_without_the_coupled_matrix(scheme):
     _invariant_summary(cfg, cache)
     op, state0 = cache.operator(3, 8)
     assert "matrix" not in vars(op)  # the chaos-basis matrix was never built
-    grid = make_uniform_grid(cfg.t_final, 16)
     block_mass = oracles.block_gram(op, op.spatial.mass)
-    coupled = evolve(scheme_by_name(scheme), grid, block_mass, op.matrix, state0.coeffs.reshape(-1))
+    coupled = evolve(
+        scheme_by_name(scheme), cfg.t_final, 16, block_mass, op.matrix, state0.coeffs.reshape(-1)
+    )
     assert np.max(np.abs(state.coeffs.reshape(-1) - coupled)) <= 1e-11 * np.max(np.abs(coupled))
 
 
 def test_resolvent_invariant_is_gated_on_the_spatial_size():
-    # the check decomposes only the ndof x ndof pencil (K_g, M): the stretch
-    # workload's 28 chaos modes x 121 dofs (3,388 unknowns) report it, a 1D
-    # mesh of more than DENSE_EIG_SIZE_LIMIT dofs does not
+    # the check reads the ndof x ndof pencil (K_g, M) of a space on the
+    # spectral path: the stretch workload's 28 chaos modes x 121 dofs (3,388
+    # unknowns) report it, a 1D mesh of more than SPECTRAL_NDOF_LIMIT dofs
+    # does not
     cfg = load_config(WORKLOADS["stretch_2d_n2"]["config"])
     cache = OperatorCache(cfg)
     summary = _invariant_summary(cfg, cache)
     op, _ = cache.operator(6, 6)
     assert (op.block_dim, op.spatial.space.ndof) == (28, 121)
     assert summary["resolvent_min_generalized_eigenvalue"] == op.min_resolvent_eigenvalue()
-    m = sgsystem.DENSE_EIG_SIZE_LIMIT + 2  # m - 1 interior P1 dofs
+    m = harness.SPECTRAL_NDOF_LIMIT + 2  # m - 1 interior P1 dofs
     cfg = load_config(mini_config(geometry={"dim": 1, "fe_order": 1},
                                   sweep={"n": [1], "m": [m], "n_k": [1]}))
-    assert "resolvent_min_generalized_eigenvalue" not in _invariant_summary(cfg, OperatorCache(cfg))
+    cache = OperatorCache(cfg)
+    assert "resolvent_min_generalized_eigenvalue" not in _invariant_summary(cfg, cache)
+    assert "pencil" not in vars(cache.spatial(m))
+
+
+def test_a_sweep_above_the_spectral_limit_builds_no_pencil(monkeypatch):
+    # with every space above the limit, the sweep steps every point and its
+    # invariant summary omits the resolvent eigenvalue instead of
+    # decomposing the coarsest space for it alone
+    cfg = load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [4, 8]}))
+    monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", 6)  # below m = 4's 7 P2 dofs
+    decomposed = []
+    real = sgsystem._checked_eigh
+    monkeypatch.setattr(
+        sgsystem, "_checked_eigh",
+        lambda a, b=None, what="chaos matrix": decomposed.append(what) or real(a, b, what),
+    )
+    report = sweep(cfg)
+    assert "resolvent_min_generalized_eigenvalue" not in report.invariants
+    assert decomposed and "spatial pencil (K_g, M)" not in decomposed  # only the G of operators
 
 
 def test_resolvent_invariant_matches_the_dense_block_pencil():
@@ -746,26 +786,55 @@ PER_NODE_DATUM = InitialDatum(
     ids=["1d_p1_logistic", "1d_p2_constant", "2d_p2_N1", "2d_p2_N2", "1d_p2_per_node_datum"],
 )
 def test_separable_reference_matches_per_node_oracle(
-    dist, q, dim, order, m, steps, field_name, u0
+    monkeypatch, dist, q, dim, order, m, steps, field_name, u0
 ):
+    # every space here is on the spectral path at the default limit; at 0
+    # the nodes are stepped as one block-diagonal system
     params = {"dim": dim, "value": 2.0} if field_name == "constant" else {}
     field = coefficient_by_name(field_name, **params)
     fine = make_fe_space(make_mesh(dim, m), order)
     coarse = make_fe_space(make_mesh(dim, m // 2), order)
-    ref = collocation_reference(dist, q, spatial_operators(fine, field), steps, u0, 0.1)
     want = oracles.per_node_collocation_reference(dist, q, fine, steps, field, u0, 0.1)
-    assert np.array_equal(ref.nodes, want.nodes) and np.array_equal(ref.weights, want.weights)
-    assert _rel(ref.values, want.values) <= 1e-12
-    half = collocation_reference(dist, q, spatial_operators(coarse, field), steps // 2, u0, 0.1)
     half_want = oracles.per_node_collocation_reference(dist, q, coarse, steps // 2, field, u0, 0.1)
-    lifted = prolong(coarse, half.values.T, fine)
     lifted_want = prolong(coarse, half_want.values.T, fine)
-    for got, expect in (
-        (_distance(ref, lifted), _distance(want, lifted_want)),  # the two-grid estimate
-        (_distance(ref, np.zeros_like(lifted)), _distance(want, np.zeros_like(lifted))),
-    ):
-        assert expect > 0.0
-        assert abs(got - expect) <= 1e-12 * expect
+    for limit in (0, harness.SPECTRAL_NDOF_LIMIT):
+        monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", limit)
+        ops = spatial_operators(fine, field)
+        ref = collocation_reference(dist, q, ops, steps, u0, 0.1)
+        assert np.array_equal(ref.nodes, want.nodes) and np.array_equal(ref.weights, want.weights)
+        assert _rel(ref.values, want.values) <= 1e-12
+        if limit == 0:
+            # the batch differs from the per-node loop only in SuperLU's
+            # column ordering of the joined step matrix
+            looped = oracles.per_node_stepped_reference(dist, q, ops, steps, u0, 0.1)
+            assert _rel(ref.values, looped.values) <= 1e-14
+        half = collocation_reference(dist, q, spatial_operators(coarse, field), steps // 2, u0, 0.1)
+        lifted = prolong(coarse, half.values.T, fine)
+        norm = _distance(want, np.zeros_like(lifted))
+        for got, expect in (
+            (_distance(ref, lifted), _distance(want, lifted_want)),  # the two-grid estimate
+            (_distance(ref, np.zeros_like(lifted)), norm),
+        ):
+            assert expect > 0.0
+            # the estimate is a difference of two nearly equal solutions: the
+            # pencil's rounding of the values (below 1e-13 relative here)
+            # grows by that cancellation, so the spectral path's gap is
+            # bounded relative to the reference's norm
+            assert abs(got - expect) <= 1e-12 * (expect if limit == 0 else norm)
+
+
+def test_stepped_colloc_2d_reference_is_bitwise_the_per_node_loop():
+    # the colloc_2d workload's reference (m_ref 16, 961 dofs) and its
+    # two-grid estimate (m = 8, 225 dofs) are both above the spectral limit:
+    # their batched nodes reproduce the per-node step loop bit for bit
+    cfg = load_config(COLLOC_2D)
+    cache = OperatorCache(cfg)
+    for m, steps in ((16, 64), (8, 32)):
+        ops = cache.spatial(m)
+        assert ops.space.ndof > harness.SPECTRAL_NDOF_LIMIT
+        got = collocation_reference(cache.dist, 3, ops, steps, cache.u0, cfg.t_final)
+        want = oracles.per_node_stepped_reference(cache.dist, 3, ops, steps, cache.u0, cfg.t_final)
+        assert np.array_equal(got.values, want.values)
 
 
 # --- batched sweep-point solves against the per-point oracle -----------------
@@ -812,20 +881,26 @@ def test_solve_points_matches_per_point_oracle(monkeypatch, setup, scheme):
         assert _rel(state.coeffs, want.coeffs) <= 1e-13
 
 
+def _corrupt_second_block(monkeypatch, sizes):
+    """Factor every step matrix of sum(sizes) unknowns, a batch of blocks of
+    these sizes, with its second block perturbed."""
+    real_splu = timestep.spla.splu
+
+    def wrong_lu(a, *args, **kwargs):
+        if a.shape[0] == sum(sizes):
+            shift = np.zeros(a.shape[0])
+            shift[sizes[0] : sizes[0] + sizes[1]] = 0.5
+            a = a + sp.diags(shift, format="csc")
+        return real_splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(timestep.spla, "splu", wrong_lu)
+
+
 def test_a_failing_block_names_its_sweep_point(monkeypatch):
     monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", 0)  # every point on the step loop
     cache = OperatorCache(load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [8]})))
     points = [(1, 4, 8), (2, 8, 8), (1, 8, 8)]
-    sizes = [cache.operator(n, m)[0].size for n, m, _ in points]
-    real_splu = timestep.spla.splu
-
-    def wrong_lu_for_second_point(a, *args, **kwargs):
-        # the batch's step matrix is factored with the second point's block perturbed
-        shift = np.zeros(a.shape[0])
-        shift[sizes[0] : sizes[0] + sizes[1]] = 0.5
-        return real_splu(a + sp.diags(shift, format="csc"), *args, **kwargs)
-
-    monkeypatch.setattr(timestep.spla, "splu", wrong_lu_for_second_point)
+    _corrupt_second_block(monkeypatch, [cache.operator(n, m)[0].size for n, m, _ in points])
     failed = r"sweep point \(n, m, n_k\) = \(2, 8, 8\) failed: time step residual .* in block 1 of 3"
     with pytest.raises(SolverError, match=failed):
         harness.solve_points(cache, points)
@@ -834,8 +909,6 @@ def test_a_failing_block_names_its_sweep_point(monkeypatch):
 # --- spectral propagation against the batched step loop ---------------------
 
 SPECTRAL_POINTS = [(1, 4, 8), (2, 4, 8), (2, 2, 8), (1, 2, 4), (2, 4, 4)]
-# steps of 0.01, 0.02 and 0.03, repeated out of order, summing to t_final 0.1
-NONUNIFORM = timestep.TimeGrid(0.1, (0.01, 0.03, 0.02, 0.01, 0.03))
 
 
 @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
@@ -847,14 +920,6 @@ def test_spectral_propagation_matches_the_step_loop(monkeypatch, setup, scheme):
     stepped = harness.solve_points(cache, SPECTRAL_POINTS)
     for point in SPECTRAL_POINTS:
         assert _rel(spectral[point][0].coeffs, stepped[point][0].coeffs) <= 1e-11
-    # a non-uniform grid groups its equal steps into one power each
-    rule = scheme_by_name(scheme)
-    for n, m in {(n, m) for n, m, _ in SPECTRAL_POINTS}:
-        op, state0 = cache.operator(n, m)
-        w0 = op.to_system(state0.coeffs)
-        got = op.spatial.pencil.propagate(rule.r, NONUNIFORM.steps, op.eigvals, w0)
-        want = evolve(rule, NONUNIFORM, *oracles.system_matrices(op), w0.reshape(-1))
-        assert _rel(got, want.reshape(w0.shape)) <= 1e-11
 
 
 @pytest.mark.parametrize("setup", list(BATCH_SETUPS))
@@ -863,9 +928,9 @@ def test_spectral_map_of_exp_is_the_exact_flow(setup):
     op, state0 = cache.operator(2, 4)
     w0 = op.to_system(state0.coeffs)
     ops = op.spatial
-    got = ops.pencil.propagate(np.exp, NONUNIFORM.steps, op.eigvals, w0)
+    got = ops.pencil.propagate(np.exp, 0.02, 5, op.eigvals, w0)
     want = np.array([
-        oracles._exact_flow(ops.mass, lam * ops.k_g, w, [NONUNIFORM.t_final])[0]
+        oracles._exact_flow(ops.mass, lam * ops.k_g, w, [0.1])[0]
         for lam, w in zip(op.eigvals, w0)
     ])
     assert _rel(got, want) <= 1e-12
@@ -924,13 +989,14 @@ def test_batches_split_at_the_spectral_ndof_limit(monkeypatch, caplog):
     cache = OperatorCache(load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [4, 8]})))
     points = [(1, 4, 4), (2, 8, 4), (2, 4, 4), (1, 8, 8)]
     harness.solve_points(cache, points)
-    records = [r.args for r in caplog.records if r.getMessage().startswith("solve batch:")]
+    records = [r.args for r in caplog.records if r.getMessage().startswith("propagation:")]
+    named = [f"sweep point (n, m, n_k) = {p}" for p in points]
     assert [args[:3] for args in records] == [
-        ("spectral", 4, [(1, 4, 4), (2, 4, 4)]),
-        ("stepped", 4, [(2, 8, 4)]),
-        ("stepped", 8, [(1, 8, 8)]),
+        ("spectral", 4, [named[0], named[2]]),
+        ("stepped", 4, [named[1]]),
+        ("stepped", 8, [named[3]]),
     ]
-    assert [len(args) for args in records] == [9, 6, 6]
+    assert [len(args) for args in records] == [8, 5, 5]
 
 
 @pytest.fixture
@@ -1044,27 +1110,18 @@ def test_reference_spaces_are_shared_with_the_sweep(monkeypatch):
 
 def test_failing_reference_node_keeps_its_error_type(monkeypatch):
     field = coefficient_by_name("logistic_1d")
-    u0 = initial_datum_by_name("sine_modes")
     space = make_fe_space(make_mesh(1, 8), 1)
-    ops = spatial_operators(space, field)
-    nodes, _ = tensor_quad(H1, 3)
-    d0, d1 = timestep.crank_nicolson().den
-    # the step matrix of node 1, f(z_1) K_g, for 4 Crank--Nicolson steps of 0.025
-    node_1 = d0 * ops.mass - d1 * 0.025 * ops.stiffness_at(nodes[1])
-    real_splu = timestep.spla.splu
-
-    def wrong_lu_at_node_1(a, *args, **kwargs):
-        # node 1 gets the factor of a perturbed matrix, so its first step
-        # fails the residual check; every other factorization is left alone
-        if a.shape == node_1.shape and abs(a - node_1).max() <= 1e-14 * abs(node_1).max():
-            a = a + 0.5 * sp.identity(a.shape[0], format="csc")
-        return real_splu(a, *args, **kwargs)
-
-    monkeypatch.setattr(timestep.spla, "splu", wrong_lu_at_node_1)
-    failed_node_1 = r"collocation node 1 \(z = .*\) failed: time step residual"
-    with pytest.raises(SolverError, match=failed_node_1):
-        collocation_reference(H1, 3, ops, 4, u0, 0.1)
-    monkeypatch.undo()
+    u0 = initial_datum_by_name("sine_modes")
+    # node 1's block of the batched factorization is corrupted: on the
+    # stepped path in the reference's steps, on the spectral path in the
+    # first-step check; either way its residual check names node 1
+    failed_node_1 = r"collocation node 1 \(z = .*\) failed: time step residual .* in block 1 of 3"
+    for limit in (0, harness.SPECTRAL_NDOF_LIMIT):
+        monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", limit)
+        _corrupt_second_block(monkeypatch, [space.ndof] * 3)
+        with pytest.raises(SolverError, match=failed_node_1):
+            collocation_reference(H1, 3, spatial_operators(space, field), 4, u0, 0.1)
+        monkeypatch.undo()
 
     def bad_sample(z):
         if z[0] > 0.0:
@@ -1078,7 +1135,7 @@ def test_failing_reference_node_keeps_its_error_type(monkeypatch):
     assert not isinstance(info.value, SolverError)
 
 
-def test_nan_stiffness_at_a_reference_node_raises_a_solver_error():
+def test_nan_stiffness_at_a_reference_node_raises_a_solver_error(monkeypatch):
     logistic = coefficient_by_name("logistic_1d")
     nodes, _ = tensor_quad(H1, 3)
     field = CoefficientField(
@@ -1088,11 +1145,17 @@ def test_nan_stiffness_at_a_reference_node_raises_a_solver_error():
         z_factor=lambda z: math.nan if z[0] == nodes[1, 0] else logistic.z_factor(z),
         spatial_part=logistic.spatial_part,
     )
-    ops = spatial_operators(make_fe_space(make_mesh(1, 8), 1), field)
-    # SuperLU finds the NaN step matrix of node 1 exactly singular
-    failed_node_1 = r"collocation node 1 \(z = .*\) failed: step matrix .* cannot be factored"
-    with pytest.raises(SolverError, match=failed_node_1):
-        collocation_reference(H1, 3, ops, 4, initial_datum_by_name("sine_modes"), 0.1)
+    factored = []
+    monkeypatch.setattr(timestep.spla, "splu", lambda *args: factored.append(args))
+    # f(z_1) is NaN: on either path the node is named before anything is
+    # factored or decomposed
+    failed_node_1 = r"collocation node 1 \(z = .*\) failed: non-finite diffusivity factor"
+    for limit in (0, harness.SPECTRAL_NDOF_LIMIT):
+        monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", limit)
+        ops = spatial_operators(make_fe_space(make_mesh(1, 8), 1), field)
+        with pytest.raises(SolverError, match=failed_node_1):
+            collocation_reference(H1, 3, ops, 4, initial_datum_by_name("sine_modes"), 0.1)
+        assert factored == [] and "pencil" not in vars(ops)
 
 
 def test_reference_logging_is_silent_by_default():
@@ -1126,7 +1189,11 @@ def test_reference_build_logs_one_debug_record(caplog):
     collocation_reference(H1, 3, ops, 4, u0, 0.1)
     collocation_reference(H1, 2, ops, 6, u0, 0.1)
     records = [r for r in caplog.records if r.name == "sgpde.harness"]
-    assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
-    first, second = (r.getMessage() for r in records)
+    assert all(r.levelno == logging.DEBUG for r in records)
+    # each build logs its one propagation (7 dofs: the spectral path), then itself
+    kinds = [r.getMessage().partition(":")[0] for r in records]
+    assert kinds == ["propagation", "collocation reference"] * 2
+    assert [r.args[:2] for r in records[::2]] == [("spectral", 4), ("spectral", 6)]
+    first, second = (r.getMessage() for r in records[1::2])
     assert first.startswith(f"collocation reference: Q=3 ndof={space.ndof} steps=4 wall_s=")
     assert second.startswith(f"collocation reference: Q=2 ndof={space.ndof} steps=6 wall_s=")

@@ -211,3 +211,37 @@ def test_the_allowed_names_are_unreached_without_their_allowance():
     # an allowance for a name that a command reaches is stale
     found = {qualified.rpartition(".")[2] for qualified in unreached(library_sources())}
     assert set(UNREACHED_ALLOWED) <= found
+
+
+def call_sites(source: str, name: str, filename: str = "<source>") -> list[str]:
+    """Every call of `name(...)` or `obj.name(...)` in the source."""
+    return [
+        f"{filename}:{node.lineno}"
+        for node in ast.walk(ast.parse(source, filename=filename))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        == name
+    ]
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("u = evolve(s, 1.0, 4, m, k, u0)\n", 1),
+        ("u = timestep.evolve(s, 1.0, 4, m, k, u0)\nv = evolve(*args)\n", 2),
+        ("from .timestep import evolve\nstep = evolve\n", 0),
+    ],
+    ids=["plain", "attribute_and_plain", "no_call"],
+)
+def test_call_site_check_counts_plain_and_attribute_calls(source, found):
+    assert len(call_sites(source, "evolve")) == found
+
+
+def test_evolve_has_one_call_site():
+    # every evolution in the library runs through one stepping loop, so a
+    # second loop beside it cannot come back unnoticed
+    sites = [
+        site for path in sorted(SRC.glob("*.py"))
+        for site in call_sites(path.read_text(), "evolve", path.name)
+    ]
+    assert len(sites) == 1, sites

@@ -21,12 +21,10 @@ from sgpde.spatial import (
 from sgpde.timestep import (
     Propagator,
     StepResidualError,
-    TimeGrid,
     a_stability_probe,
     crank_nicolson,
     evolve,
     implicit_euler,
-    make_uniform_grid,
     scheme_by_name,
 )
 
@@ -43,52 +41,41 @@ def heat_setup(m=64, order=2, coeff=2.0):
 
 
 def test_scalar_steps():
-    euler, cn = Propagator(implicit_euler(), M1, K2), Propagator(crank_nicolson(), M1, K2)
-    assert euler.step(np.array([1.0]), 0.5)[0] == pytest.approx(0.5)
-    assert cn.step(np.array([1.0]), 1.0)[0] == pytest.approx(0.0, abs=1e-15)
-    out = cn.step(np.array([1.0]), 1e-14)
+    assert Propagator(implicit_euler(), M1, K2, 0.5).step(np.array([1.0]))[0] == pytest.approx(0.5)
+    cn = Propagator(crank_nicolson(), M1, K2, 1.0).step(np.array([1.0]))
+    assert cn[0] == pytest.approx(0.0, abs=1e-15)
+    out = Propagator(crank_nicolson(), M1, K2, 1e-14).step(np.array([1.0]))
     assert abs(out[0] - 1.0) <= 1e-10
 
 
 def test_grid_construction():
-    grid = make_uniform_grid(1.0, 4)
-    assert np.allclose(np.cumsum(grid.steps), [0.25, 0.5, 0.75, 1.0])
-    assert max(grid.steps) == 0.25
-    assert make_uniform_grid(1.0, 1).steps == (1.0,)
-    with pytest.raises(ValueError):
-        TimeGrid(1.0, (0.5, 0.6))
-    with pytest.raises(ValueError):
-        TimeGrid(1.0, (0.5, -0.5, 1.0))
-    with pytest.raises(ValueError):
-        make_uniform_grid(1.0, 0)
+    # a grid is (t_final, n_steps): n_steps steps of t_final / n_steps
+    final = evolve(implicit_euler(), 1.0, 4, M1, K2, np.array([1.0]))
+    assert final[0] == pytest.approx((1.0 + 0.25 * 2.0) ** -4, rel=1e-15)
+    assert evolve(implicit_euler(), 1.0, 1, M1, K2, np.array([1.0]))[0] == pytest.approx(1.0 / 3.0)
+    with pytest.raises(ValueError, match="need at least one step"):
+        evolve(implicit_euler(), 1.0, 0, M1, K2, np.array([1.0]))
+    for t_final in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            evolve(implicit_euler(), t_final, 2, M1, K2, np.array([1.0]))
 
 
 def test_evolve_constant_when_stiffness_vanishes():
     zero = sp.csr_matrix((1, 1))
     u0 = np.array([3.0])
-    final = evolve(implicit_euler(), make_uniform_grid(2.0, 5), M1, zero, u0)
+    final = evolve(implicit_euler(), 2.0, 5, M1, zero, u0)
     assert final.shape == (1,) and final[0] == pytest.approx(3.0)
 
 
 def test_evolve_scalar_product_formula():
     n, tau, a = 7, 0.3, 2.0
-    grid = make_uniform_grid(n * tau, n)
-    final = evolve(implicit_euler(), grid, M1, K2, np.array([1.0]))
+    final = evolve(implicit_euler(), n * tau, n, M1, K2, np.array([1.0]))
     assert final[0] == pytest.approx((1.0 + tau * a) ** (-n), rel=1e-12)
-
-
-def test_evolve_nonuniform_grid_composes():
-    grid = TimeGrid(0.7, (0.4, 0.2, 0.1))
-    final = evolve(implicit_euler(), grid, M1, K2, np.array([1.0]))
-    want = 1.0
-    for tau in grid.steps:
-        want /= 1.0 + tau * 2.0
-    assert final[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_heat_amplitude_matches_separation_of_variables():
     space, mass, stiff, u0 = heat_setup()
-    final = evolve(crank_nicolson(), make_uniform_grid(0.1, 512), mass, stiff, u0)
+    final = evolve(crank_nicolson(), 0.1, 512, mass, stiff, u0)
     amp = oracles.heat_amplitude(2.0, 1, 0.1)
     assert amp == pytest.approx(0.13887, abs=5e-5)
     mid = oracles.fe_eval(space, final, [0.5])[0]
@@ -107,11 +94,11 @@ def test_a_stability_probe():
 def test_unconditional_energy_decay_implicit_euler():
     _, mass, stiff, u0 = heat_setup(m=16, order=1)
     for tau in (10.0, 1.0, 0.01):
-        prop = Propagator(implicit_euler(), mass, stiff)
+        prop = Propagator(implicit_euler(), mass, stiff, tau)
         u = u0
         e_prev = u @ (mass @ u)
         for _ in range(4):
-            u = prop.step(u, tau)
+            u = prop.step(u)
             e = u @ (mass @ u)
             assert e <= e_prev + 1e-10
             e_prev = e
@@ -138,22 +125,27 @@ def test_global_convergence_order_on_heat_oracle(name, order, tol):
     amp = oracles.heat_amplitude(2.0, 1, t_final)
     errs, taus = [], []
     for n_steps in (8, 16, 32, 64):
-        grid = make_uniform_grid(t_final, n_steps)
-        final = evolve(scheme, grid, mass, stiff, u0)
+        final = evolve(scheme, t_final, n_steps, mass, stiff, u0)
         errs.append(l2_error(space, final, lambda x: amp * math.sin(math.pi * x)))
-        taus.append(max(grid.steps))
+        taus.append(t_final / n_steps)
     slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
     assert slope == pytest.approx(order, abs=tol)
 
 
-def test_factorizations_cached_per_step_size():
+def test_factorizations_cached_per_step_size(monkeypatch):
+    # a Propagator has one step size: it factors at its first step, not
+    # before, and reuses that factor at every later step
     _, mass, stiff, u0 = heat_setup(m=16, order=1)
-    prop = Propagator(crank_nicolson(), mass, stiff)
+    factored = []
+    real_splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a: factored.append(a.shape) or real_splu(a))
+    prop = Propagator(crank_nicolson(), mass, stiff, 0.01)
+    assert factored == []
     for _ in range(5):
-        u0 = prop.step(u0, 0.01)
-    assert len(prop._lu) == 1
-    prop.step(u0, 0.02)
-    assert len(prop._lu) == 2
+        u0 = prop.step(u0)
+    assert len(factored) == 1
+    Propagator(crank_nicolson(), mass, stiff, 0.02).step(u0)
+    assert len(factored) == 2
 
 
 def sg_operator(n=2, m=6, order=1):
@@ -181,33 +173,30 @@ def test_cached_step_matches_rebuilt_step_bitwise(name, setup):
     else:
         mass, stiff, u = sg_block_setup()
     scheme = scheme_by_name(name)
-    prop = Propagator(scheme, mass, stiff)
+    props = {tau: Propagator(scheme, mass, stiff, tau) for tau in (0.1, 0.05, 0.2)}
     want = u
     for tau in (0.1, 0.05, 0.1, 0.05, 0.2):
-        u = prop.step(u, tau)
+        u = props[tau].step(u)
         want = oracles.rebuilt_step(scheme, mass, stiff, want, tau)
         assert np.array_equal(u, want)
-    assert sorted(prop._lu) == [0.05, 0.1, 0.2]
 
 
 def test_non_positive_step_is_rejected_and_never_cached():
     _, mass, stiff, u = heat_setup(m=8, order=1)
-    prop = Propagator(implicit_euler(), mass, stiff)
-    for tau in (0.0, -0.1, 0.0):
+    for tau in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError, match="tau must be positive"):
-            prop.step(u, tau)
-    assert prop._lu == {}
+            Propagator(implicit_euler(), mass, stiff, tau)
 
 
 def test_residual_check_runs_on_cached_steps():
     _, mass, stiff, u0 = heat_setup(m=16, order=1)
-    prop = Propagator(implicit_euler(), mass, stiff)
-    u = prop.step(u0, 0.01)
-    lhs, _ = prop._lu[0.01]
+    prop = Propagator(implicit_euler(), mass, stiff, 0.01)
+    u = prop.step(u0)
+    lhs, _ = prop._lu
     wrong = (mass + 0.02 * stiff).tocsc()
-    prop._lu[0.01] = (lhs, spla.splu(wrong))
+    prop._lu = (lhs, spla.splu(wrong))
     with pytest.raises(SolverError, match="residual"):
-        prop.step(u, 0.01)
+        prop.step(u)
 
 
 def test_residual_check_runs_per_block():
@@ -220,19 +209,19 @@ def test_residual_check_runs_per_block():
     u2 = np.concatenate([u, 1e-13 * u])
     shift = sp.block_diag([sp.csr_matrix((n, n)), 0.5 * sp.identity(n)])
     wrong = spla.splu((mass2 + 0.01 * stiff2 + shift).tocsc())
-    whole, blocked = Propagator(implicit_euler(), mass2, stiff2), Propagator(
-        implicit_euler(), mass2, stiff2, blocks=(n, n)
+    whole, blocked = Propagator(implicit_euler(), mass2, stiff2, 0.01), Propagator(
+        implicit_euler(), mass2, stiff2, 0.01, blocks=(n, n)
     )
     for prop in (whole, blocked):
-        good = prop.step(u2, 0.01)  # the right factor passes either way
-        prop._lu[0.01] = (prop._lu[0.01][0], wrong)
-    whole.step(good, 0.01)  # masked by block 0
+        good = prop.step(u2)  # the right factor passes either way
+        prop._lu = (prop._lu[0], wrong)
+    whole.step(good)  # masked by block 0
     with pytest.raises(StepResidualError, match="in block 1 of 2") as info:
-        blocked.step(good, 0.01)
+        blocked.step(good)
     assert info.value.block == 1 and isinstance(info.value, SolverError)
     for blocks in ((n,), (n, n - 1), (0, 2 * n)):
         with pytest.raises(ValueError, match="do not partition"):
-            Propagator(implicit_euler(), mass2, stiff2, blocks=blocks)
+            Propagator(implicit_euler(), mass2, stiff2, 0.01, blocks=blocks)
 
 
 @pytest.mark.parametrize("name", ["implicit_euler", "crank_nicolson"])
@@ -242,12 +231,12 @@ def test_nan_fails_the_first_step(name):
     nan_stiff = stiff.copy()
     nan_stiff.data[3] = np.nan
     with pytest.raises(SolverError, match=r"tau = 0\.01 cannot be factored"):
-        Propagator(scheme, mass, nan_stiff).step(u0, 0.01)  # SuperLU finds it singular
+        Propagator(scheme, mass, nan_stiff, 0.01).step(u0)  # SuperLU finds it singular
     # a NaN state passes the factorization; its NaN residual must fail the check
     u_nan = u0.copy()
     u_nan[2] = np.nan
     with pytest.raises(SolverError, match="residual"):
-        Propagator(scheme, mass, stiff).step(u_nan, 0.01)
+        Propagator(scheme, mass, stiff, 0.01).step(u_nan)
 
 
 def test_schemes_built_and_validated_once():
@@ -261,19 +250,15 @@ def test_scheme_by_name_errors():
         scheme_by_name("leapfrog")
 
 
-@pytest.mark.parametrize(
-    "grid",
-    [make_uniform_grid(0.1, 16), TimeGrid(0.1, (0.002, 0.008, 0.03, 0.005, 0.04, 0.015))],
-    ids=["uniform", "nonuniform"],
-)
+@pytest.mark.parametrize("grid", [(0.1, 16)], ids=["uniform"])
 @pytest.mark.parametrize("name", ["implicit_euler", "crank_nicolson"])
 def test_decoupled_evolve_matches_coupled_evolve(name, grid):
     op, state0 = sg_operator(n=3, m=8, order=2)
     scheme = scheme_by_name(name)
     mass, stiffness = oracles.system_matrices(op)
-    coupled = evolve(scheme, grid, mass, op.matrix, state0.coeffs.reshape(-1))
+    coupled = evolve(scheme, *grid, mass, op.matrix, state0.coeffs.reshape(-1))
     w0 = op.to_system(state0.coeffs)
-    w = evolve(scheme, grid, mass, stiffness, w0.reshape(-1))
+    w = evolve(scheme, *grid, mass, stiffness, w0.reshape(-1))
     decoupled = op.to_chaos(w.reshape(w0.shape)).reshape(-1)
     assert np.max(np.abs(decoupled - coupled)) <= 1e-11 * np.max(np.abs(coupled))
 
@@ -287,12 +272,12 @@ def test_right_hand_side_is_bitwise_the_two_product_form(name, dim, order):
     coeff = 2.0 if dim == 1 else coefficient_by_name("logistic_anisotropic").spatial_part
     mass, stiff = assemble_mass(space), assemble_stiffness(space, coeff)
     scheme = scheme_by_name(name)
-    prop = Propagator(scheme, mass, stiff)
-    assert (prop._stacked is None) == (name == "implicit_euler")
     n0, n1 = scheme.num
     u = np.random.default_rng(dim).standard_normal(space.ndof)
     for tau in (0.1, 0.013):
+        prop = Propagator(scheme, mass, stiff, tau)
+        assert (prop._stacked is None) == (name == "implicit_euler")
         want = n0 * (mass @ u)
         if n1 != 0.0:
             want = want - n1 * tau * (stiff @ u)
-        assert np.array_equal(prop.rhs(u, tau), want)
+        assert np.array_equal(prop.rhs(u), want)
