@@ -51,11 +51,6 @@ class CoefficientField:
     def elliptic(self) -> bool:
         return self.kappa is not None and self.kappa > 0.0
 
-    def evaluate(self, z, x):
-        """The value f(z) g(x) at the parameter z and the point x, the
-        field's definition; the library assembles f and g apart."""
-        return self.z_factor(z) * np.asarray(self.spatial_part(x))
-
 
 @dataclass(frozen=True)
 class InitialDatum:

@@ -194,7 +194,7 @@ def error_norm_H(
     state: SgState,
     space: FeSpace,
     reference,
-    q: int = 20,
+    q: int,
 ) -> float:
     """Natural-norm error: z-quadrature of spatial L2 errors.
 
@@ -336,6 +336,16 @@ class ExperimentConfig:
             _check_keys(key, getattr(self, key), known)
         for axis, tol in self.tolerances.items():
             _check_keys(f"tolerances.{axis}", tol, _TOLERANCE_KEYS[axis])
+            for key, value in tol.items():
+                if key in ("decreasing", "superalgebraic"):
+                    ok, shown = isinstance(value, bool), "of type bool"
+                else:
+                    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+                    ok, shown = number and math.isfinite(value), "a finite number"
+                if not ok:
+                    raise ValueError(f"tolerances.{axis}.{key} value {value!r} must be {shown}")
+            if ("slope" in tol) != ("tol" in tol):
+                raise ValueError(f"tolerances.{axis} must give slope and tol together")
         for i, spec in enumerate(self.distribution):
             if not isinstance(spec, dict):
                 raise ValueError(f"distribution[{i}] value {spec!r} must be of type dict")
@@ -387,6 +397,8 @@ class ExperimentConfig:
         for key, built in (("coefficient", field_), ("initial_datum", datum)):
             if built.dim != dim:
                 raise ValueError(f"{key} {built.name!r} is {built.dim}D but geometry.dim is {dim}")
+        if kind == "analytic":
+            _built("reference", lambda: analytic_reference(field_, datum, self.t_final))
 
     def build_distribution(self) -> DistributionSpec:
         fams = []
@@ -455,15 +467,13 @@ def _converted(key: str, kind: str, value):
 
 
 def load_config(source) -> ExperimentConfig:
-    """Build and validate a config from a JSON document, path, or dict."""
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        raw = json.loads(source)
-    elif isinstance(source, (str, Path)):
+    """Build and validate a config from the path of a JSON file, or a dict."""
+    if isinstance(source, (str, Path)):
         raw = json.loads(Path(source).read_text())
     elif isinstance(source, dict):
         raw = source
     else:
-        raise TypeError("config source must be a path, JSON text, or dict")
+        raise TypeError("config source must be a path or a dict")
     keys = fields(ExperimentConfig)
     _check_keys("config", raw, {f.name for f in keys})
     missing = [
@@ -861,11 +871,11 @@ def _evaluate_checks(cfg, axes: dict, joint: list) -> dict:
     return checks
 
 
-def sweep(cfg: ExperimentConfig, estimate_reference_error: bool = True) -> ConvergenceReport:
+def sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     """Run the full per-axis and joint refinement study for one configuration."""
     cfg.validate()
     cache = OperatorCache(cfg)
-    reference = build_reference(cfg, cache, estimate_error=estimate_reference_error)
+    reference = build_reference(cfg, cache)
     # the joint table is listed first: its finest level is the sweep floor
     # used to keep per-axis fits clear of the other axes' errors
     tables = {"joint": _joint_points(cfg), **{axis: _axis_points(cfg, axis) for axis in AXES}}

@@ -15,23 +15,24 @@ weights are Christoffel numbers, so small weights at far-out nodes are
 accurate relative to their own size.
 
 The module also provides the second-order differential operator whose
-eigenfunctions are the orthogonal polynomials, applied exactly on monomial
-coefficients, together with its eigenvalues and norm-bound constants.
+eigenfunctions are the orthogonal polynomials, applied exactly to a
+``numpy.polynomial.Polynomial`` in the monomial basis, together with its
+eigenvalues and norm-bound constants.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "PolyFamily",
     "QuadratureRule",
-    "PolyCoeffs",
     "hermite",
     "jacobi",
     "laguerre",
@@ -43,7 +44,8 @@ __all__ = [
     "sl_norm_bound_constant",
 ]
 
-MAX_POLY_DEGREE = 64
+# the monomial z
+_Z = Polynomial([0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -208,78 +210,32 @@ def _gauss_nodes_weights(family: PolyFamily, q: int) -> tuple[np.ndarray, np.nda
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """A polynomial in the monomial basis; ``coeffs[k]`` multiplies ``z**k``."""
-
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(1))
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        c = _trim(c)
-        if c.size - 1 > MAX_POLY_DEGREE:
-            raise ValueError(f"degree {c.size - 1} exceeds cap {MAX_POLY_DEGREE}")
-        object.__setattr__(self, "coeffs", c)
-        c.setflags(write=False)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=float), self.coeffs)
-
-
-def _trim(c: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(c)[0]
-    return c[: nz[-1] + 1] if nz.size else np.zeros(1)
-
-
-def _shift(c: np.ndarray, k: int) -> np.ndarray:
-    """Multiply a coefficient array by z**k."""
-    return np.concatenate([np.zeros(k), c])
-
-
-def _add(*arrays: np.ndarray) -> np.ndarray:
-    n = max(a.size for a in arrays)
-    out = np.zeros(n)
-    for a in arrays:
-        out[: a.size] += a
-    return out
-
-
-def orthonormal_coeffs(family: PolyFamily, k: int) -> PolyCoeffs:
-    """Monomial coefficients of the orthonormal polynomial h_k."""
+def orthonormal_coeffs(family: PolyFamily, k: int) -> Polynomial:
+    """The orthonormal polynomial h_k in the monomial basis."""
     if k < 0:
         raise ValueError("k must be >= 0")
     alphas, betas = _monic_recurrence(family, k + 1)
     bs = np.sqrt(betas)
-    prev = np.zeros(1)
-    cur = np.ones(1)
+    prev, cur = Polynomial([0.0]), Polynomial([1.0])
     for j in range(k):
-        nxt = (_add(_shift(cur, 1), -alphas[j] * cur, -bs[j] * prev)) / bs[j + 1]
-        prev, cur = cur, nxt
-    return PolyCoeffs(cur)
+        prev, cur = cur, (_Z * cur - alphas[j] * cur - bs[j] * prev) / bs[j + 1]
+    return cur
 
 
-def apply_Q(family: PolyFamily, p: PolyCoeffs) -> PolyCoeffs:
+def apply_Q(family: PolyFamily, p: Polynomial) -> Polynomial:
     """Apply the family's Sturm--Liouville operator exactly on coefficients.
 
     hermite:  Q = -d2 + z d1
     jacobi:   Q = -(1 - z^2) d2 + (alpha - beta + (alpha + beta + 2) z) d1
     laguerre: Q = -z d2 + (z - alpha - 1) d1
     """
-    d1 = np.polynomial.polynomial.polyder(p.coeffs)
-    d2 = np.polynomial.polynomial.polyder(p.coeffs, 2)
+    d1, d2 = p.deriv(), p.deriv(2)
     if family.kind == "hermite":
-        out = _add(-d2, _shift(d1, 1))
-    elif family.kind == "jacobi":
-        a, b = family.alpha, family.beta
-        out = _add(-d2, _shift(d2, 2), (a - b) * d1, (a + b + 2.0) * _shift(d1, 1))
-    else:
-        a = family.alpha
-        out = _add(-_shift(d2, 1), _shift(d1, 1), -(a + 1.0) * d1)
-    return PolyCoeffs(out)
+        return -d2 + _Z * d1
+    a, b = family.alpha, family.beta
+    if family.kind == "jacobi":
+        return -d2 + _Z * _Z * d2 + (a - b) * d1 + (a + b + 2.0) * (_Z * d1)
+    return -(_Z * d2) + _Z * d1 - (a + 1.0) * d1
 
 
 def sl_eigenvalue(family: PolyFamily, k: int) -> float:

@@ -21,7 +21,6 @@ __all__ = [
     "DistributionSpec",
     "MultiIndexSet",
     "TripleProductTensor",
-    "PceVector",
     "distribution",
     "multi_index_set",
     "tensor_quad",
@@ -215,24 +214,13 @@ def triple_products(dist: DistributionSpec, n: int) -> TripleProductTensor:
     return TripleProductTensor(n, mis, mis2, entries)
 
 
-@dataclass(frozen=True)
-class PceVector:
-    """Chaos coefficients of a scalar- or vector-valued random quantity."""
-
-    mis: MultiIndexSet
-    modes: np.ndarray  # shape (d_n,) or (d_n, payload_dim)
-
-    def __post_init__(self):
-        if self.modes.shape[0] != len(self.mis):
-            raise ValueError("mode count does not match index set")
-
-
-def pce_project(dist: DistributionSpec, mis: MultiIndexSet, f: Callable, q: int) -> PceVector:
+def pce_project(dist: DistributionSpec, mis: MultiIndexSet, f: Callable, q: int) -> np.ndarray:
     """Quadrature chaos projection: f_alpha = sum_i w_i f(z_i) Phi_alpha(z_i).
 
     Exact for f polynomial of per-dimension degree <= 2q - 1 - n. The
     callable receives one point z (array of length N) and may return a
-    scalar or a fixed-size array payload.
+    scalar or a fixed-size array payload. Returns the modes, (d_n,) or
+    (d_n, payload_dim), in the order of `mis`.
     """
     if q < mis.n + 1:
         raise ValueError(f"q = {q} must be at least n + 1 = {mis.n + 1}")
@@ -249,9 +237,7 @@ def pce_project(dist: DistributionSpec, mis: MultiIndexSet, f: Callable, q: int)
     samples = np.stack(samples)  # (Q,) or (Q, payload)
     phi = tensor_basis_matrix(dist, mis, nodes)
     modes = (phi * weights[:, None]).T @ samples.reshape(len(weights), -1)
-    if shape == ():
-        modes = modes[:, 0]
-    return PceVector(mis, modes)
+    return modes[:, 0] if shape == () else modes
 
 
 def weighted_sobolev_norm(

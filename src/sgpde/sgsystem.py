@@ -280,8 +280,7 @@ def initial_coefficients(
 ) -> SgState:
     """Chaos modes of the initial datum on the space of `ops`: the q-node
     Gauss sum Phi^T W [P u0(z_i)]_i of its checked L2 projections P."""
-    modes = pce_project(dist, mis, lambda z: ops.project(u0.sample(z)), q).modes
-    return SgState(0.0, modes, mis)
+    return SgState(0.0, pce_project(dist, mis, lambda z: ops.project(u0.sample(z)), q), mis)
 
 
 def reconstruct_at_nodes(

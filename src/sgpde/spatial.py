@@ -3,7 +3,8 @@
 Meshes are uniform: m cells on (0, 1) in 1D, a structured triangulation of
 the unit square with 2 m^2 triangles in 2D. Lagrange elements of order 1
 (P1) or 2 (P2) with homogeneous Dirichlet conditions enforced by dof
-elimination; all retained dofs are interior.
+elimination: a node is on the boundary exactly when one of its coordinates
+is 0.0 or 1.0, and every other node is a dof.
 
 Every kernel works on all cells at once, in a fixed number of whole-array
 operations: one table of affine cell maps (`_geometry`) gives the quadrature
@@ -13,11 +14,11 @@ same way; a P2 edge midpoint is numbered in the order in which its edge first
 appears in the cells. Prolongation evaluates the coarse space at the fine
 nodes through one sparse evaluation matrix.
 
-Spatial callables (coefficients, loads, exact and initial functions) are
-still sampled one point at a time: they receive a float in 1D and an ndarray
-of shape (2,) in 2D; matrix-valued coefficients return a Hermitian 2x2
-array, checked at every sample. `l2_error` also takes a stack of states
-with their exact values given as an array at its own `error_points`.
+Spatial callables (coefficients, loads and initial functions) are sampled
+one point at a time: they receive a float in 1D and an ndarray of shape (2,)
+in 2D; matrix-valued coefficients return a Hermitian 2x2 array, checked at
+every sample. `l2_error` takes a stack of states with their exact values
+given as an array at its own `error_points`.
 """
 
 from __future__ import annotations
@@ -100,48 +101,29 @@ def make_fe_space(mesh: Mesh, order: int) -> FeSpace:
     if order not in (1, 2):
         raise ValueError("order must be 1 (P1) or 2 (P2)")
     m = mesh.m
-    if mesh.dim == 1:
-        if order == 1:
-            nodes = mesh.vertices.copy()
-            cell_nodes = mesh.cells.copy()
-            boundary = np.zeros(len(nodes), dtype=bool)
-            boundary[[0, m]] = True
-        else:
-            nodes = (np.arange(2 * m + 1, dtype=float) / (2 * m))[:, None]
-            cell_nodes = np.column_stack(
-                [2 * np.arange(m), 2 * np.arange(m) + 1, 2 * np.arange(m) + 2]
-            )
-            boundary = np.zeros(len(nodes), dtype=bool)
-            boundary[[0, 2 * m]] = True
+    if order == 1:
+        nodes, cell_nodes = mesh.vertices, mesh.cells
+    elif mesh.dim == 1:
+        nodes = (np.arange(2 * m + 1, dtype=float) / (2 * m))[:, None]
+        cell_nodes = np.column_stack([2 * np.arange(m), 2 * np.arange(m) + 1, 2 * np.arange(m) + 2])
     else:
-        i, j = np.divmod(np.arange((m + 1) ** 2), m + 1)
-        vert_boundary = (i == 0) | (i == m) | (j == 0) | (j == m)
-        if order == 1:
-            nodes = mesh.vertices.copy()
-            cell_nodes = mesh.cells.copy()
-            boundary = vert_boundary
-        else:
-            # the edges ab, bc, ca of each cell in turn; an edge's midpoint
-            # node is numbered in order of the edge's first appearance
-            a = mesh.cells.ravel()
-            b = mesh.cells[:, [1, 2, 0]].ravel()
-            nv = len(mesh.vertices)
-            _, first, edge = np.unique(
-                np.minimum(a, b) * nv + np.maximum(a, b), return_index=True, return_inverse=True
-            )
-            rank = np.empty(len(first), dtype=int)
-            rank[np.argsort(first)] = np.arange(len(first))
-            ends = np.sort(first)
-            a, b = a[ends], b[ends]
-            nodes = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[a] + mesh.vertices[b])])
-            cell_nodes = np.hstack([mesh.cells, nv + rank[edge].reshape(-1, 3)])
-            # a midpoint is on the boundary when its edge runs along a side
-            mid_boundary = ((i[a] == i[b]) & ((i[a] == 0) | (i[a] == m))) | (
-                (j[a] == j[b]) & ((j[a] == 0) | (j[a] == m))
-            )
-            boundary = np.concatenate([vert_boundary, mid_boundary])
+        # the edges ab, bc, ca of each cell in turn; an edge's midpoint
+        # node is numbered in order of the edge's first appearance
+        a = mesh.cells.ravel()
+        b = mesh.cells[:, [1, 2, 0]].ravel()
+        nv = len(mesh.vertices)
+        _, first, edge = np.unique(
+            np.minimum(a, b) * nv + np.maximum(a, b), return_index=True, return_inverse=True
+        )
+        rank = np.empty(len(first), dtype=int)
+        rank[np.argsort(first)] = np.arange(len(first))
+        ends = np.sort(first)
+        nodes = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[a[ends]] + mesh.vertices[b[ends]])])
+        cell_nodes = np.hstack([mesh.cells, nv + rank[edge].reshape(-1, 3)])
+    # 0 / m and m / m are exactly 0.0 and 1.0, and so is the midpoint of two
+    # such coordinates; every other coordinate is at least 1 / (2 m) away
+    interior = ~((nodes == 0.0) | (nodes == 1.0)).any(axis=1)
     dof_of_node = np.full(len(nodes), -1, dtype=int)
-    interior = ~boundary
     dof_of_node[interior] = np.arange(int(interior.sum()))
     return FeSpace(mesh, order, nodes, cell_nodes, dof_of_node, int(interior.sum()))
 
@@ -380,20 +362,13 @@ def error_points(space: FeSpace) -> np.ndarray:
     return _element_rule(space, _ERROR_Q1D)[1].reshape(-1, space.dim)
 
 
-def l2_error(space: FeSpace, u: np.ndarray, exact):
-    """L2 distance between FE functions and smooth exact functions.
-
-    Either one state u (ndof,) and a callable `exact`, sampled one point at a
-    time, giving a float; or a stack u (k, ndof) and the exact values
-    (k, n_points) at `error_points(space)`, giving the (k,) distances.
-    """
-    dw, xq, vals, _ = _element_rule(space, _ERROR_Q1D)
-    single = callable(exact)
-    if single:
-        u, exact = np.asarray(u)[None], _sampled(exact, xq, space.dim)
+def l2_error(space: FeSpace, u: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """L2 distances between FE functions and smooth exact functions: the
+    states u (k, ndof) against their exact values (k, n_points) at
+    `error_points(space)`, giving the (k,) distances."""
+    dw, _, vals, _ = _element_rule(space, _ERROR_Q1D)
     full = np.zeros((len(u), len(space.nodes)))
     sel = space.dof_of_node >= 0
     full[:, sel] = u[:, space.dof_of_node[sel]]
     diff = full[:, space.cell_nodes] @ vals - np.reshape(exact, (len(u),) + dw.shape)
-    err = np.sqrt((diff * diff).reshape(len(u), -1) @ dw.ravel())
-    return float(err[0]) if single else err
+    return np.sqrt((diff * diff).reshape(len(u), -1) @ dw.ravel())

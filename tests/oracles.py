@@ -8,8 +8,9 @@ the block Gram lift, the kron forms of the system-basis block matrices, the
 pointwise analytic solution, the coordinate export, the local-order probe, dense
 pencil eigenvalues, the coupled chaos operator of a field that is not a
 product f(z) g(x), which the library does not take, the L2 projection,
-stationary solve and point evaluation of the spatial space, and the sampled
-check of a field's declared ellipticity bounds.
+stationary solve, point evaluation and sampled single-state L2 error of the
+spatial space, the value f(z) g(x) of a field, and the sampled check of a
+field's declared ellipticity bounds.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from sgpde.spatial import (
     assemble_mass,
     assemble_stiffness,
     checked_solve,
+    error_points,
     l2_error,
     load_vector,
 )
@@ -206,9 +208,18 @@ class CoupledField:
     bound: float | None = None
 
 
+def evaluate(field, z, x):
+    """The value of a field at the parameter z and the point x: f(z) g(x)
+    for a `CoefficientField`, whose factors the library assembles apart, and
+    the field's own callable for a `CoupledField`."""
+    if isinstance(field, CoupledField):
+        return field.evaluate(z, x)
+    return field.z_factor(z) * np.asarray(field.spatial_part(x))
+
+
 def stiffness_at(space, field, z) -> sp.csr_matrix:
     """K(z) assembled from the coefficient callable at the parameter node z."""
-    return assemble_stiffness(space, lambda x: field.evaluate(z, x))
+    return assemble_stiffness(space, lambda x: evaluate(field, z, x))
 
 
 def min_generalized_eigenvalue(a: sp.spmatrix, b: sp.spmatrix) -> float:
@@ -346,7 +357,7 @@ def triple_product_block_operator(coeff_mats, eps, mis, space) -> sp.csr_matrix:
 def coupled_block_operator(dist, mis, space, field, q: int) -> sp.csr_matrix:
     """The chaos-basis Galerkin operator as the node sum
     sum_i w_i (phi_i phi_i^T) (x) K(z_i) over the q-node tensor Gauss grid,
-    q >= 2n + 1, with K(z_i) assembled from `field.evaluate`; exactly
+    q >= 2n + 1, with K(z_i) assembled from `evaluate(field, z_i, x)`; exactly
     symmetric. It takes a field of any form."""
     if q < 2 * mis.n + 1:
         raise ValueError(f"q = {q} must be at least 2n + 1 = {2 * mis.n + 1}")
@@ -710,12 +721,12 @@ def pointwise_fe_eval(space, u, points) -> np.ndarray:
 def per_node_analytic_error(dist, state, space, reference, q: int) -> float:
     """Natural-norm error against an analytic reference, one z-node at a time:
     sqrt(sum_i w_i |u(z_i) - exact(z_i)|_L2^2), each spatial error from a
-    single-state `l2_error` call that samples `analytic_solution` at z_i."""
+    single-state `sampled_l2_error` call that samples `analytic_solution` at z_i."""
     nodes, weights = tensor_quad(dist, q)
     recon = reconstruct_at_nodes(dist, state, nodes)
     total = 0.0
     for i, z in enumerate(nodes):
-        err = l2_error(space, recon[i], analytic_solution(reference, z))
+        err = sampled_l2_error(space, recon[i], analytic_solution(reference, z))
         total += float(weights[i]) * err * err
     return math.sqrt(total)
 
@@ -751,6 +762,15 @@ def fe_eval(space: FeSpace, u: np.ndarray, points) -> np.ndarray:
     return _eval_matrix(space, points) @ u
 
 
+def sampled_l2_error(space: FeSpace, u: np.ndarray, exact: Callable) -> float:
+    """L2 distance between one state u and a callable `exact`, sampled one
+    point at a time at `error_points` (a float in 1D, a (2,) array in 2D)
+    and integrated by the library's stacked `l2_error`."""
+    pts = error_points(space)
+    values = [exact(x) for x in (pts[:, 0].tolist() if space.dim == 1 else pts)]
+    return float(l2_error(space, np.asarray(u)[None], np.array(values)[None])[0])
+
+
 # --- sampled check of declared ellipticity bounds ---------------------------
 
 @dataclass(frozen=True)
@@ -773,7 +793,7 @@ def eval_bounds_check(
     checked = 0
     for z in z_samples:
         for x in x_samples:
-            val = np.asarray(field_.evaluate(z, x), dtype=float)
+            val = np.asarray(evaluate(field_, z, x), dtype=float)
             eigs = (
                 np.array([float(val)])
                 if val.shape == ()

@@ -16,7 +16,16 @@ import scipy.sparse as sp
 import oracles
 from sgpde import harness, pce, sgsystem, spatial, timestep
 from sgpde.cli import main
-from sgpde.coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
+from sgpde.coeffs import (
+    COEFFICIENT_BUILTINS,
+    INITIAL_DATUM_BUILTINS,
+    CoefficientField,
+    InitialDatum,
+    builtin_separable,
+    coefficient_by_name,
+    initial_datum_by_name,
+    logistic_factor,
+)
 from sgpde.harness import (
     _admissible,
     _distance,
@@ -103,7 +112,8 @@ def test_collocation_matches_analytic_for_constant_field():
     # all node solutions identical for a z-independent field
     assert np.max(np.abs(ref.values - ref.values[0])) < 1e-12
     for i in (0, 4):
-        err = l2_error(ref.space, ref.values[i], oracles.analytic_solution(ana, ref.nodes[i]))
+        exact = oracles.analytic_solution(ana, ref.nodes[i])
+        err = oracles.sampled_l2_error(ref.space, ref.values[i], exact)
         assert err <= 1e-5
 
 
@@ -125,7 +135,7 @@ def test_error_norm_zero_for_identical_states():
     # least-squares chaos representation of the reference samples
     coeffs = np.linalg.lstsq(basis, ref.values, rcond=None)[0]
     state = SgState(0.05, coeffs, mis)
-    err = error_norm_H(H1, state, space, ref)
+    err = error_norm_H(H1, state, space, ref, q=20)
     assert err < 1e-12
 
 
@@ -143,7 +153,7 @@ def test_error_norm_single_node_perturbation():
     bump = np.zeros((4, space.ndof))
     bump[2] = c
     coeffs_pert = coeffs + np.linalg.solve(basis, bump)
-    err = error_norm_H(H1, SgState(0.05, coeffs_pert, mis), space, ref)
+    err = error_norm_H(H1, SgState(0.05, coeffs_pert, mis), space, ref, q=20)
     ones = np.ones(space.ndof)
     mass = assemble_mass(space)
     want = c * math.sqrt(ref.weights[2]) * math.sqrt(ones @ (mass @ ones))
@@ -424,14 +434,79 @@ def test_unknown_config_keys_are_rejected_at_load(monkeypatch, override, shown):
     assert solved == []
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
-def test_non_finite_or_non_positive_t_final_is_rejected_at_load(monkeypatch, value):
-    # JSON text spells the first two NaN and Infinity, literals that json reads
+@pytest.mark.parametrize(
+    "tolerances,key,shown",
+    [
+        ({"m": {"min_slope": "2"}}, r"tolerances\.m\.min_slope", "'2'"),
+        ({"joint": {"allowed_increase": "x"}}, r"tolerances\.joint\.allowed_increase", "'x'"),
+        ({"n_k": {"slope": True, "tol": 0.1}}, r"tolerances\.n_k\.slope", "True"),
+        ({"n_k": {"slope": 1.0, "tol": math.nan}}, r"tolerances\.n_k\.tol", "nan"),
+        ({"m": {"max_final_error": math.inf}}, r"tolerances\.m\.max_final_error", "inf"),
+        ({"n": {"decreasing": "no"}}, r"tolerances\.n\.decreasing", "'no'"),
+        ({"n": {"superalgebraic": 1}}, r"tolerances\.n\.superalgebraic", "1"),
+    ],
+    ids=["min_slope_string", "allowed_increase_string", "slope_bool", "tol_nan",
+         "max_final_error_inf", "decreasing_string", "superalgebraic_int"],
+)
+def test_bad_tolerance_values_are_rejected_at_load(monkeypatch, tolerances, key, shown):
+    # a tolerance is read only after the whole sweep, so its type is checked first
     solved = []
     monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: solved.append(args))
-    text = json.dumps(mini_config(t_final=value))
+    with pytest.raises(ValueError, match=rf"^{key} value {shown} must be "):
+        load_config(mini_config(tolerances=tolerances))
+    assert solved == []
+
+
+@pytest.mark.parametrize("tolerance", [{"slope": 2.0}, {"tol": 0.1}], ids=["slope", "tol"])
+def test_slope_without_tol_or_tol_without_slope_is_rejected_at_load(monkeypatch, tolerance):
+    solved = []
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: solved.append(args))
+    with pytest.raises(ValueError, match=r"^tolerances\.m must give slope and tol together$"):
+        load_config(mini_config(tolerances={"m": tolerance}))
+    assert solved == []
+
+
+def _ramp_field():
+    # 1D and elliptic, but g(x) = 1 + x is not constant
+    return builtin_separable(
+        logistic_factor, lambda x: 1.0 + x, f_bounds=(1.0, 2.0), g_bounds=(1.0, 2.0), name="ramp"
+    )
+
+
+def _bump_datum():
+    return InitialDatum(dim=1, sample=lambda z: (lambda x: x * (1.0 - x)), name="bump")
+
+
+@pytest.mark.parametrize(
+    "override,shown",
+    [
+        ({"coefficient": {"name": "logistic_anisotropic"},
+          "initial_datum": {"name": "product_sine"}, "geometry": {"dim": 2, "fe_order": 2}},
+         "a 1D coefficient"),
+        ({"coefficient": {"name": "ramp"}}, "a constant-in-x coefficient"),
+        ({"initial_datum": {"name": "bump"}}, "Fourier sine initial data"),
+    ],
+    ids=["2d_field", "non_constant_g", "non_sine_datum"],
+)
+def test_an_analytic_reference_that_cannot_be_built_is_rejected_at_load(monkeypatch, override, shown):
+    monkeypatch.setitem(COEFFICIENT_BUILTINS, "ramp", _ramp_field)
+    monkeypatch.setitem(INITIAL_DATUM_BUILTINS, "bump", _bump_datum)
+    solved = []
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: solved.append(args))
+    with pytest.raises(ValueError, match=rf"^reference: analytic reference needs {shown}$"):
+        load_config(mini_config(**override))
+    assert solved == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+def test_non_finite_or_non_positive_t_final_is_rejected_at_load(monkeypatch, tmp_path, value):
+    # a JSON file spells the first two NaN and Infinity, literals that json reads
+    solved = []
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: solved.append(args))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(mini_config(t_final=value)))
     with pytest.raises(ValueError, match=rf"^t_final value {value!r} must be finite and positive"):
-        load_config(text)
+        load_config(path)
     assert solved == []
 
 
@@ -464,9 +539,8 @@ def test_odd_reference_mesh_is_rejected_only_for_the_error_estimate(monkeypatch,
     with pytest.raises(ValueError, match=r"m_ref = 45 cannot take .* m = m_ref // 2 = 22"):
         sweep(cfg)
     assert built == []  # rejected before any solve
-    report = sweep(cfg, estimate_reference_error=False)
-    assert len(built) == 1 and report.reference_error_estimate == 0.0
-    assert all(math.isfinite(row["error"]) for row in report.joint)
+    assert build_reference(cfg, OperatorCache(cfg), estimate_error=False).est_error == 0.0
+    assert len(built) == 1
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     assert main(["solve", str(path)]) == 0
@@ -660,7 +734,7 @@ def test_config_hash_of_workload_configs_is_pinned(workload):
 def test_readme_example_config_loads():
     readme = (ROOT / "README.md").read_text()
     example = readme.split("```json\n", 1)[1].split("```", 1)[0]
-    cfg = load_config(example)
+    cfg = load_config(json.loads(example))
     assert cfg.distribution == ({"kind": "hermite"},) and cfg.quad_order == 30
     assert cfg.t_final == 0.6 and cfg.strict_reference is True
 
@@ -849,6 +923,8 @@ BATCH_SETUPS = {
         geometry={"dim": 2, "fe_order": 2},
         sweep={"n": [1, 2], "m": [2, 4], "n_k": [4, 8]},
         quad_order=5,
+        # validated at load, never built: an analytic reference needs a 1D field
+        reference={"kind": "collocation", "m_ref": 16, "n_k_ref": 32},
     ),
 }
 

@@ -1,6 +1,7 @@
 """The modules of the library use one another's public names only, and no
 object's private attributes but their own; `__all__` lists what a module
-offers, and every public function and class is reached by a command."""
+offers, every public function and class is reached by a command, and every
+public method and property is read by the library."""
 
 import ast
 import importlib
@@ -211,6 +212,70 @@ def test_the_allowed_names_are_unreached_without_their_allowance():
     # an allowance for a name that a command reaches is stale
     found = {qualified.rpartition(".")[2] for qualified in unreached(library_sources())}
     assert set(UNREACHED_ALLOWED) <= found
+
+
+# Public methods and properties that no library file reads, kept on purpose.
+UNREAD_METHODS_ALLOWED = {
+    "SgOperator.matrix": "read by the traced benchmark (perfbench/spans.py) to size the "
+                         "operator, until ROADMAP D1 sizes it from its factors",
+}
+
+
+def unread_methods(sources: dict, allowed=()) -> list[str]:
+    """The public methods and properties of the classes of `sources`
+    (module name -> source text) that no source reads as an attribute
+    outside the method's own definition, as `Class.name`; dunder methods are
+    exempt, and so are the `Class.name` entries of `allowed`. Like
+    `unreached`, it matches by identifier, so any attribute of that name
+    counts as a read."""
+    trees = [ast.parse(source) for source in sources.values()]
+    reads = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr] = reads.get(node.attr, 0) + 1
+    found = []
+    for tree in trees:
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = method.name
+                own = sum(isinstance(sub, ast.Attribute) and sub.attr == name
+                          for sub in ast.walk(method))
+                qualified = f"{cls.name}.{name}"
+                if (not is_private(name) and not name.startswith("__")
+                        and reads.get(name, 0) <= own and qualified not in allowed):
+                    found.append(qualified)
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "sources,allowed,flagged",
+    [
+        ({"m": "class C:\n    def dead(self):\n        pass\n"}, (), ["C.dead"]),
+        ({"m": "class C:\n    @property\n    def size(self):\n        return 1\n",
+          "n": "def f(c):\n    return c.size\n"}, (), []),
+        ({"m": "class C:\n    def loop(self):\n        return self.loop()\n"}, (), ["C.loop"]),
+        ({"m": "class C:\n    def run(self):\n        return self.go()\n\n"
+               "    def go(self):\n        pass\n"}, (), ["C.run"]),
+        ({"m": "class C:\n    def __len__(self):\n        return 0\n\n"
+               "    def _hidden(self):\n        pass\n"}, (), []),
+        ({"m": "class C:\n    def kept(self):\n        pass\n"}, ("C.kept",), []),
+    ],
+    ids=["dead", "property_read", "self_only", "read_by_a_sibling", "dunder_and_private",
+         "allowed"],
+)
+def test_method_check_flags_methods_that_no_source_reads(sources, allowed, flagged):
+    assert unread_methods(sources, allowed) == flagged
+
+
+def test_every_public_method_is_read_by_the_library():
+    assert unread_methods(library_sources(), UNREAD_METHODS_ALLOWED) == []
+
+
+def test_the_allowed_methods_are_unread_without_their_allowance():
+    assert set(UNREAD_METHODS_ALLOWED) <= set(unread_methods(library_sources()))
 
 
 def call_sites(source: str, name: str, filename: str = "<source>") -> list[str]:
