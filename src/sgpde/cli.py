@@ -53,8 +53,7 @@ def cmd_solve(args) -> int:
     cache = OperatorCache(cfg)
     n, m, n_k = (max(cfg.sweep[k]) for k in ("n", "m", "n_k"))
     state, space = solve_single(cache, n, m, n_k)
-    reference = build_reference(cfg, cache, estimate_error=False)
-    err = error_norm_H(cache.dist, state, space, reference, q=cfg.quad_order)
+    err = error_norm_H(cache.dist, state, space, build_reference(cache, estimate_error=False))
     print(f"n = {n}, m = {m}, n_k = {n_k}: error = {err:.6e}")
     if args.state_out:
         Path(args.state_out).parent.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,10 @@ plus jointly, measures errors against a reference in the natural norm
 (z-quadrature of spatial L2 norms), and fits log-log convergence slopes.
 References are either analytic (constant-in-x 1D problems with sine data) or
 deterministic collocation solves at the quadrature nodes on a strictly
-finer space-time grid.
+finer space-time grid. Both hold their z-nodes and weights and measure a
+state themselves: `error_norm_H` reconstructs the chaos state at the
+reference's nodes and returns the reference's `distance`, which also gives
+a collocation reference's two-grid estimate of its own error.
 """
 
 from __future__ import annotations
@@ -77,33 +80,46 @@ SPECTRAL_NDOF_LIMIT = 200
 FIRST_STEP_TOL = 1e-11
 
 
+def _on_pencil(ops: SpatialOperators) -> bool:
+    """Whether items on the space of `ops` are propagated through its pencil."""
+    return ops.space.ndof <= SPECTRAL_NDOF_LIMIT
+
+
 # --- references -----------------------------------------------------------
+#
+# A reference holds its z-nodes and weights, its own error estimate and a
+# `distance(space, recon)`: the natural-norm distance
+# sqrt(sum_i w_i |recon_i - u(z_i)|^2) between states recon (Q, ndof) on
+# `space`, one row per node, and the solution it holds at its nodes.
 
 @dataclass(frozen=True)
 class AnalyticReference:
-    """Exact solution of the constant-in-x 1D problem.
+    """Exact solution of the constant-in-x 1D problem at the nodes of a z-grid.
 
-    u(t, x, z) = sum_j c_j exp(-a(z) (j pi)^2 t) sin(j pi x), where a(z)
-    is the scalar diffusivity factor.
+    u(t, x, z) = sum_j c_j exp(-a(z) (j pi)^2 t) sin(j pi x), where a(z) is
+    the scalar diffusivity factor; at the final time, node i holds
+    sum_j amplitudes[i, j] sin(frequencies[j] x).
     """
 
-    diffusivity: Callable
-    sine_modes: tuple
-    t_final: float
+    nodes: np.ndarray
+    weights: np.ndarray
+    frequencies: np.ndarray  # j pi
+    amplitudes: np.ndarray  # (Q, modes): c_j exp(-a(z_i) (j pi)^2 t_final)
     est_error: float = 0.0  # exact: no error of its own
 
-    def values(self, nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The exact solution at the final time at every node (Q, N) and
-        every point x of the interval: the (Q, len(x)) array whose row i is
-        u(t_final, x, nodes[i])."""
-        a = np.array([float(self.diffusivity(z)) for z in nodes])
-        j, c = (np.array(v, dtype=float) for v in zip(*self.sine_modes))
-        amplitudes = c * np.exp(-np.outer(a, (j * math.pi) ** 2 * self.t_final))
-        return amplitudes @ np.sin(np.outer(j * math.pi, np.ravel(x)))
+    def distance(self, space: FeSpace, recon: np.ndarray) -> float:
+        """One stacked `l2_error` on the mesh of `space`, against the exact
+        solution at every node and error point at once."""
+        x = np.ravel(error_points(space))
+        errors = l2_error(space, recon, self.amplitudes @ np.sin(np.outer(self.frequencies, x)))
+        return math.sqrt(float(self.weights @ (errors * errors)))
 
 
-def analytic_reference(field: CoefficientField, u0: InitialDatum, t_final: float) -> AnalyticReference:
-    """Analytic reference for a constant-in-x 1D coefficient f(z) g."""
+def analytic_reference(
+    dist: DistributionSpec, q: int, field: CoefficientField, u0: InitialDatum, t_final: float
+) -> AnalyticReference:
+    """Analytic reference for a constant-in-x 1D coefficient f(z) g on the
+    q-node tensor Gauss grid of `dist`."""
     if field.dim != 1:
         raise ValueError("analytic reference needs a 1D coefficient")
     g = field.spatial_part
@@ -113,25 +129,30 @@ def analytic_reference(field: CoefficientField, u0: InitialDatum, t_final: float
     if not u0.sine_modes:
         raise ValueError("analytic reference needs Fourier sine initial data")
     g0 = float(probes[0])
-    return AnalyticReference(
-        diffusivity=lambda z, zf=field.z_factor: zf(z) * g0,
-        sine_modes=u0.sine_modes,
-        t_final=t_final,
-    )
+    nodes, weights = tensor_quad(dist, q)
+    a = np.array([float(field.z_factor(z) * g0) for z in nodes])
+    j, c = (np.array(v, dtype=float) for v in zip(*u0.sine_modes))
+    frequencies = j * math.pi
+    amplitudes = c * np.exp(-np.outer(a, frequencies**2 * t_final))
+    return AnalyticReference(nodes, weights, frequencies, amplitudes)
 
 
 @dataclass(frozen=True)
 class CollocationReference:
-    """Fine deterministic solves at the z-quadrature nodes at the final time."""
+    """Fine deterministic solves at the z-quadrature nodes at the final time,
+    on the space of `ops`."""
 
-    dist: DistributionSpec
     nodes: np.ndarray
     weights: np.ndarray
-    space: FeSpace
-    mass: object  # fine mass matrix, reused by the norm
+    ops: SpatialOperators
     values: np.ndarray  # (Q, ndof_fine)
-    t_final: float
     est_error: float = 0.0
+
+    def distance(self, space: FeSpace, recon: np.ndarray) -> float:
+        """The states prolonged to the reference's space, measured in its
+        mass matrix."""
+        e = prolong(space, recon.T, self.ops.space) - self.values.T
+        return math.sqrt(float(self.weights @ np.sum(e * (self.ops.mass @ e), axis=0)))
 
 
 def collocation_reference(
@@ -169,49 +190,13 @@ def collocation_reference(
         "collocation reference: Q=%d ndof=%d steps=%d wall_s=%.4f",
         len(nodes), ops.space.ndof, n_steps, time.perf_counter() - t0,
     )
-    return CollocationReference(dist, nodes, weights, ops.space, ops.mass, values, t_final)
+    return CollocationReference(nodes, weights, ops, values)
 
 
-def _distance(ref: CollocationReference, lifted: np.ndarray) -> float:
-    """Natural-norm distance sqrt(sum_i w_i |lifted_i - values_i|_M^2) between
-    the reference and states on its space, one column per reference node."""
-    e = lifted - ref.values.T
-    return math.sqrt(float(ref.weights @ np.sum(e * (ref.mass @ e), axis=0)))
-
-
-def _with_error_estimate(
-    ref: CollocationReference, cache: OperatorCache, q_ref: int, coarse_m: int, coarse_steps: int
-) -> CollocationReference:
-    """Two-grid estimate of the reference's own discretization error."""
-    half = collocation_reference(
-        ref.dist, q_ref, cache.spatial(coarse_m), coarse_steps, cache.u0, ref.t_final
-    )
-    return replace(ref, est_error=_distance(ref, prolong(half.space, half.values.T, ref.space)))
-
-
-def error_norm_H(
-    dist: DistributionSpec,
-    state: SgState,
-    space: FeSpace,
-    reference,
-    q: int,
-) -> float:
-    """Natural-norm error: z-quadrature of spatial L2 errors.
-
-    Against a collocation reference the chaos state is reconstructed at the
-    reference's own nodes and prolonged to the fine mesh. Against an
-    analytic reference the state is reconstructed at the nodes of a q-node
-    z-grid, the exact solution is evaluated at all nodes and error points
-    at once, and one stacked `l2_error` integrates every spatial error
-    elementwise on the state's mesh.
-    """
-    if isinstance(reference, CollocationReference):
-        recon = reconstruct_at_nodes(dist, state, reference.nodes)
-        return _distance(reference, prolong(space, recon.T, reference.space))
-    nodes, weights = tensor_quad(dist, q)
-    recon = reconstruct_at_nodes(dist, state, nodes)
-    errors = l2_error(space, recon, reference.values(nodes, error_points(space)))
-    return math.sqrt(float(weights @ (errors * errors)))
+def error_norm_H(dist: DistributionSpec, state: SgState, space: FeSpace, reference) -> float:
+    """Natural-norm error: the chaos state reconstructed at the reference's
+    nodes and measured by the reference's own `distance`."""
+    return reference.distance(space, reconstruct_at_nodes(dist, state, reference.nodes))
 
 
 # --- rate fitting ---------------------------------------------------------
@@ -342,6 +327,11 @@ class ExperimentConfig:
                 else:
                     number = isinstance(value, (int, float)) and not isinstance(value, bool)
                     ok, shown = number and math.isfinite(value), "a finite number"
+                    # below these bounds no sweep can meet the check
+                    if ok and key in ("tol", "max_final_error"):
+                        ok, shown = value >= 0.0, ">= 0"
+                    elif ok and key == "allowed_increase":
+                        ok, shown = value > -1.0, "> -1"
                 if not ok:
                     raise ValueError(f"tolerances.{axis}.{key} value {value!r} must be {shown}")
             if ("slope" in tol) != ("tol" in tol):
@@ -388,7 +378,7 @@ class ExperimentConfig:
                 raise ValueError(f"reference n_k_ref = {nk_ref} must be >= {factor} * max n_k")
             if self.strict_reference and (m_ref == max_m or nk_ref == max_nk):
                 raise ValueError("reference must be strictly finer than the finest sweep point")
-        _built("distribution", self.build_distribution)
+        dist = _built("distribution", self.build_distribution)
         dim = self.geometry["dim"]
         field_ = _built("coefficient", self.build_field)
         if not field_.elliptic:
@@ -398,7 +388,9 @@ class ExperimentConfig:
             if built.dim != dim:
                 raise ValueError(f"{key} {built.name!r} is {built.dim}D but geometry.dim is {dim}")
         if kind == "analytic":
-            _built("reference", lambda: analytic_reference(field_, datum, self.t_final))
+            _built("reference", lambda: analytic_reference(
+                dist, self.quad_order, field_, datum, self.t_final
+            ))
 
     def build_distribution(self) -> DistributionSpec:
         fams = []
@@ -613,7 +605,7 @@ def _propagate(scheme, t_final: float, n_steps: int, items) -> list[np.ndarray]:
         if not np.isfinite(lam).all():
             raise SolverError(f"{name} failed: non-finite diffusivity factor in {lam}")
     finals = [None] * len(items)
-    on_pencil = [it[0].space.ndof <= SPECTRAL_NDOF_LIMIT for it in items]
+    on_pencil = [_on_pencil(it[0]) for it in items]
     for spectral in (True, False):
         chosen = [i for i, p in enumerate(on_pencil) if p == spectral]
         if not chosen:
@@ -677,9 +669,13 @@ def solve_single(cache: OperatorCache, n: int, m: int, n_k: int) -> tuple[SgStat
     return state, cache.space(m)
 
 
-def build_reference(cfg: ExperimentConfig, cache: OperatorCache, estimate_error: bool = True):
+def build_reference(cache: OperatorCache, estimate_error: bool = True):
+    """The reference of the cache's config, on the cache's spaces. A
+    collocation reference's own error is estimated by the distance to the
+    collocation on the mesh m_ref // 2 with half the steps."""
+    cfg = cache.cfg
     if cfg.reference["kind"] == "analytic":
-        return analytic_reference(cache.field, cache.u0, cfg.t_final)
+        return analytic_reference(cache.dist, cfg.quad_order, cache.field, cache.u0, cfg.t_final)
     m_ref = cfg.reference["m_ref"]
     nk_ref = cfg.reference["n_k_ref"]
     q_ref = cfg.reference.get("quad_order", cfg.quad_order)
@@ -692,11 +688,12 @@ def build_reference(cfg: ExperimentConfig, cache: OperatorCache, estimate_error:
     ref = collocation_reference(
         cache.dist, q_ref, cache.spatial(m_ref), nk_ref, cache.u0, cfg.t_final
     )
-    if estimate_error:
-        ref = _with_error_estimate(
-            ref, cache, q_ref, coarse_m=coarse_m, coarse_steps=max(nk_ref // 2, 1)
-        )
-    return ref
+    if not estimate_error:
+        return ref
+    half = collocation_reference(
+        cache.dist, q_ref, cache.spatial(coarse_m), max(nk_ref // 2, 1), cache.u0, cfg.t_final
+    )
+    return replace(ref, est_error=ref.distance(half.ops.space, half.values))
 
 
 # --- sweeping and reporting ------------------------------------------------
@@ -774,7 +771,7 @@ def _axis_points(cfg, axis: str) -> list[tuple]:
     return [tuple(v if k == axis else finest[k] for k in AXES) for v in cfg.sweep[axis]]
 
 
-def _measure(cfg, cache, reference, tables: dict) -> dict:
+def _measure(cache, reference, tables: dict) -> dict:
     """Solve and measure every distinct point of the sweep's tables once;
     `tables` maps each table to its (n, m, n_k), in listing order.
 
@@ -793,9 +790,7 @@ def _measure(cfg, cache, reference, tables: dict) -> dict:
                 continue
             state, solve_s = solved[point]
             t0 = time.perf_counter()
-            errors[point] = error_norm_H(
-                cache.dist, state, cache.space(point[1]), reference, q=cfg.quad_order
-            )
+            errors[point] = error_norm_H(cache.dist, state, cache.space(point[1]), reference)
             error_s = time.perf_counter() - t0
             log.debug(
                 "sweep point: n=%d m=%d n_k=%d solve_s=%.6f error_s=%.6f",
@@ -835,7 +830,7 @@ def _invariant_summary(cfg, cache) -> dict:
         "initial_datum_smoothness": cache.u0.smoothness,
         "coefficient_field": cache.field.name,
     }
-    if op.spatial.space.ndof <= SPECTRAL_NDOF_LIMIT:  # the pencil of a spectral space
+    if _on_pencil(op.spatial):
         summary["resolvent_min_generalized_eigenvalue"] = op.min_resolvent_eigenvalue()
     return summary
 
@@ -875,11 +870,11 @@ def sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     """Run the full per-axis and joint refinement study for one configuration."""
     cfg.validate()
     cache = OperatorCache(cfg)
-    reference = build_reference(cfg, cache)
+    reference = build_reference(cache)
     # the joint table is listed first: its finest level is the sweep floor
     # used to keep per-axis fits clear of the other axes' errors
     tables = {"joint": _joint_points(cfg), **{axis: _axis_points(cfg, axis) for axis in AXES}}
-    measured = _measure(cfg, cache, reference, tables)
+    measured = _measure(cache, reference, tables)
     joint = [
         dict(level=i, n=n, m=m, n_k=n_k, error=err, runtime_s=runtime, cache_hit=hit)
         for i, ((n, m, n_k), err, runtime, hit) in enumerate(measured["joint"])

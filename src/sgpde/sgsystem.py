@@ -69,7 +69,6 @@ from .spatial import (
 )
 
 __all__ = [
-    "DENSE_EIG_SIZE_LIMIT",
     "Pencil",
     "SgOperator",
     "SgState",
@@ -82,7 +81,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-DENSE_EIG_SIZE_LIMIT = 3000
 EIGH_TOL = 1e-12
 
 
@@ -137,8 +135,7 @@ class SgOperator:
     def min_resolvent_eigenvalue(self) -> float:
         """Smallest eigenvalue of the pencil (G (x) K_g, I (x) M): the
         smallest product lam_i mu_j with the eigenvalues mu of the space's
-        pencil (K_g, M), which is decomposed densely, so ndof is at most
-        DENSE_EIG_SIZE_LIMIT."""
+        pencil (K_g, M), which is decomposed densely."""
         return float(np.outer(self.eigvals, self.spatial.pencil.mu).min())
 
 
@@ -196,11 +193,8 @@ class SpatialOperators:
     @functools.cached_property
     def pencil(self) -> Pencil:
         """The checked decomposition K_g Y = M Y diag(mu), Y^T M Y = I, dense,
-        computed when first read; ndof is at most DENSE_EIG_SIZE_LIMIT. A
-        failed check or a non-finite M or K_g raises SolverError."""
-        ndof = self.space.ndof
-        if ndof > DENSE_EIG_SIZE_LIMIT:
-            raise ValueError(f"pencil size {ndof} too large for dense solve")
+        computed when first read. A failed check or a non-finite M or K_g
+        raises SolverError."""
         return _checked_eigh(self.k_g.toarray(), self.mass.toarray(), "spatial pencil (K_g, M)")
 
     def project(self, f) -> np.ndarray:

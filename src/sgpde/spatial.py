@@ -83,7 +83,11 @@ def make_mesh(dim: int, m: int) -> Mesh:
 
 @dataclass(frozen=True)
 class FeSpace:
-    """P1 or P2 Lagrange space with homogeneous Dirichlet elimination."""
+    """P1 or P2 Lagrange space with homogeneous Dirichlet elimination.
+
+    The interior nodes are the dofs, numbered in node order:
+    `dof_of_node[dof_of_node >= 0]` is `arange(ndof)`.
+    """
 
     mesh: Mesh
     order: int
@@ -332,10 +336,7 @@ def _eval_matrix(space: FeSpace, points) -> sp.csr_matrix:
 
 def nodal_coordinates(space: FeSpace) -> np.ndarray:
     """Coordinates of the interior dofs, in dof order."""
-    sel = space.dof_of_node >= 0
-    coords = space.nodes[sel]
-    order = np.argsort(space.dof_of_node[sel])
-    return coords[order]
+    return space.nodes[space.dof_of_node >= 0]
 
 
 def prolong(coarse: FeSpace, u: np.ndarray, fine: FeSpace) -> np.ndarray:
@@ -368,7 +369,6 @@ def l2_error(space: FeSpace, u: np.ndarray, exact: np.ndarray) -> np.ndarray:
     `error_points(space)`, giving the (k,) distances."""
     dw, _, vals, _ = _element_rule(space, _ERROR_Q1D)
     full = np.zeros((len(u), len(space.nodes)))
-    sel = space.dof_of_node >= 0
-    full[:, sel] = u[:, space.dof_of_node[sel]]
+    full[:, space.dof_of_node >= 0] = u
     diff = full[:, space.cell_nodes] @ vals - np.reshape(exact, (len(u),) + dw.shape)
     return np.sqrt((diff * diff).reshape(len(u), -1) @ dw.ravel())

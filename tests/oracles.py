@@ -36,7 +36,7 @@ from sgpde.pce import (
     tensor_quad,
 )
 from sgpde.coeffs import CoefficientField
-from sgpde.sgsystem import DENSE_EIG_SIZE_LIMIT, SgState, reconstruct_at_nodes
+from sgpde.sgsystem import SgState, reconstruct_at_nodes, spatial_operators
 from sgpde.spatial import (
     FeSpace,
     Mesh,
@@ -121,13 +121,12 @@ def heat_amplitude(diffusivity: float, mode: int, t: float) -> float:
     return math.exp(-diffusivity * (mode * math.pi) ** 2 * t)
 
 
-def analytic_solution(reference, z, t: float | None = None) -> Callable:
-    """The exact solution of an `AnalyticReference` at the node z and time t
-    (default its final time) as a pointwise callable of x: the oracle of
-    its array form `values`."""
-    t = reference.t_final if t is None else t
-    a = float(reference.diffusivity(z))
-    modes = [(j, c * math.exp(-a * (j * math.pi) ** 2 * t)) for j, c in reference.sine_modes]
+def analytic_solution(field, u0, z, t: float) -> Callable:
+    """The exact solution at the parameter z and time t of the problem with a
+    constant-in-x 1D coefficient f(z) g and a sine-sum datum, as a pointwise
+    callable of x: the oracle of the amplitudes of an `AnalyticReference`."""
+    a = float(field.z_factor(z) * field.spatial_part(0.5))
+    modes = [(j, c * math.exp(-a * (j * math.pi) ** 2 * t)) for j, c in u0.sine_modes]
 
     def u(x):
         return sum(c * math.sin(j * math.pi * x) for j, c in modes)
@@ -220,6 +219,9 @@ def evaluate(field, z, x):
 def stiffness_at(space, field, z) -> sp.csr_matrix:
     """K(z) assembled from the coefficient callable at the parameter node z."""
     return assemble_stiffness(space, lambda x: evaluate(field, z, x))
+
+
+DENSE_EIG_SIZE_LIMIT = 3000
 
 
 def min_generalized_eigenvalue(a: sp.spmatrix, b: sp.spmatrix) -> float:
@@ -458,17 +460,17 @@ def per_node_collocation_reference(dist, q_ref, space, n_steps, field, u0, t_fin
     from sgpde.harness import CollocationReference
 
     nodes, weights = tensor_quad(dist, q_ref)
-    mass = assemble_mass(space)
+    ops = spatial_operators(space, field)
     scheme = crank_nicolson()
     values = np.empty((len(nodes), space.ndof))
     for i, z in enumerate(nodes):
         try:
             stiff = stiffness_at(space, field, z)
             u_start = l2_project(space, u0.sample(z))
-            values[i] = evolve(scheme, t_final, n_steps, mass, stiff, u_start)
+            values[i] = evolve(scheme, t_final, n_steps, ops.mass, stiff, u_start)
         except Exception as exc:
             raise RuntimeError(f"collocation node {i} (z = {z}) failed: {exc}") from exc
-    return CollocationReference(dist, nodes, weights, space, mass, values, t_final)
+    return CollocationReference(nodes, weights, ops, values)
 
 
 def per_node_stepped_reference(dist, q_ref, ops, n_steps, u0, t_final):
@@ -485,7 +487,7 @@ def per_node_stepped_reference(dist, q_ref, ops, n_steps, u0, t_final):
         values[i] = evolve(
             crank_nicolson(), t_final, n_steps, ops.mass, ops.field.z_factor(z) * ops.k_g, start
         )
-    return CollocationReference(dist, nodes, weights, ops.space, ops.mass, values, t_final)
+    return CollocationReference(nodes, weights, ops, values)
 
 
 # --- the loops that the array numbering of meshes and spaces replaced ------
@@ -718,15 +720,15 @@ def pointwise_fe_eval(space, u, points) -> np.ndarray:
     return out
 
 
-def per_node_analytic_error(dist, state, space, reference, q: int) -> float:
-    """Natural-norm error against an analytic reference, one z-node at a time:
+def per_node_analytic_error(dist, state, space, field, u0, t_final: float, q: int) -> float:
+    """Natural-norm error against the exact solution, one z-node at a time:
     sqrt(sum_i w_i |u(z_i) - exact(z_i)|_L2^2), each spatial error from a
     single-state `sampled_l2_error` call that samples `analytic_solution` at z_i."""
     nodes, weights = tensor_quad(dist, q)
     recon = reconstruct_at_nodes(dist, state, nodes)
     total = 0.0
     for i, z in enumerate(nodes):
-        err = sampled_l2_error(space, recon[i], analytic_solution(reference, z))
+        err = sampled_l2_error(space, recon[i], analytic_solution(field, u0, z, t_final))
         total += float(weights[i]) * err * err
     return math.sqrt(total)
 

@@ -28,7 +28,6 @@ from sgpde.coeffs import (
 )
 from sgpde.harness import (
     _admissible,
-    _distance,
     _invariant_summary,
     analytic_reference,
     build_reference,
@@ -54,7 +53,6 @@ from sgpde.spatial import (
     make_fe_space,
     make_mesh,
     nodal_coordinates,
-    prolong,
 )
 from sgpde.timestep import evolve, scheme_by_name
 
@@ -82,25 +80,25 @@ def mini_config(**overrides):
 def test_analytic_reference_examples():
     field = coefficient_by_name("constant", value=2.0, dim=1)
     u0 = initial_datum_by_name("sine_modes", modes=[(1, 1.0)])
-    ref = analytic_reference(field, u0, 0.1)
-    z = np.array([0.3])
-    at0 = oracles.analytic_solution(ref, z, t=0.0)
-    assert at0(0.5) == pytest.approx(1.0, rel=1e-14)
+    ref = analytic_reference(H1, 5, field, u0, 0.1)
+    nodes, weights = tensor_quad(H1, 5)
+    assert np.array_equal(ref.nodes, nodes) and np.array_equal(ref.weights, weights)
+    assert ref.frequencies.tolist() == [math.pi]
+    assert ref.amplitudes.shape == (5, 1)
     amp = oracles.heat_amplitude(2.0, 1, 0.1)
-    assert oracles.analytic_solution(ref, z)(0.5) == pytest.approx(amp, rel=1e-12)
-    # logistic factor at z = 0 gives diffusivity 1.5
-    logi = coefficient_by_name("logistic_1d")
-    ref2 = analytic_reference(logi, u0, 0.1)
-    assert oracles.analytic_solution(ref2, np.array([0.0]))(0.5) == pytest.approx(
-        oracles.heat_amplitude(1.5, 1, 0.1), rel=1e-12
-    )
+    assert ref.amplitudes[:, 0] == pytest.approx([amp] * 5, rel=1e-12)
+    assert oracles.analytic_solution(field, u0, nodes[0], 0.0)(0.5) == pytest.approx(1.0, rel=1e-14)
+    # logistic factor at z = 0, the middle of the 5 Hermite nodes, gives diffusivity 1.5
+    ref2 = analytic_reference(H1, 5, coefficient_by_name("logistic_1d"), u0, 0.1)
+    assert ref2.nodes[2, 0] == 0.0
+    assert ref2.amplitudes[2, 0] == pytest.approx(oracles.heat_amplitude(1.5, 1, 0.1), rel=1e-12)
 
 
 def test_analytic_reference_rejects_nonseparable():
     field = coefficient_by_name("logistic_anisotropic")
     u0 = initial_datum_by_name("sine_modes")
     with pytest.raises(ValueError):
-        analytic_reference(field, u0, 0.1)
+        analytic_reference(H1, 5, field, u0, 0.1)
 
 
 def test_collocation_matches_analytic_for_constant_field():
@@ -108,12 +106,11 @@ def test_collocation_matches_analytic_for_constant_field():
     u0 = initial_datum_by_name("sine_modes", modes=[(1, 1.0)])
     space = make_fe_space(make_mesh(1, 256), 2)
     ref = collocation_reference(H1, 8, spatial_operators(space, field), 512, u0, 0.1)
-    ana = analytic_reference(field, u0, 0.1)
     # all node solutions identical for a z-independent field
     assert np.max(np.abs(ref.values - ref.values[0])) < 1e-12
     for i in (0, 4):
-        exact = oracles.analytic_solution(ana, ref.nodes[i])
-        err = oracles.sampled_l2_error(ref.space, ref.values[i], exact)
+        exact = oracles.analytic_solution(field, u0, ref.nodes[i], 0.1)
+        err = oracles.sampled_l2_error(ref.ops.space, ref.values[i], exact)
         assert err <= 1e-5
 
 
@@ -135,7 +132,7 @@ def test_error_norm_zero_for_identical_states():
     # least-squares chaos representation of the reference samples
     coeffs = np.linalg.lstsq(basis, ref.values, rcond=None)[0]
     state = SgState(0.05, coeffs, mis)
-    err = error_norm_H(H1, state, space, ref, q=20)
+    err = error_norm_H(H1, state, space, ref)
     assert err < 1e-12
 
 
@@ -153,7 +150,7 @@ def test_error_norm_single_node_perturbation():
     bump = np.zeros((4, space.ndof))
     bump[2] = c
     coeffs_pert = coeffs + np.linalg.solve(basis, bump)
-    err = error_norm_H(H1, SgState(0.05, coeffs_pert, mis), space, ref, q=20)
+    err = error_norm_H(H1, SgState(0.05, coeffs_pert, mis), space, ref)
     ones = np.ones(space.ndof)
     mass = assemble_mass(space)
     want = c * math.sqrt(ref.weights[2]) * math.sqrt(ones @ (mass @ ones))
@@ -164,15 +161,15 @@ def test_error_norm_matches_monte_carlo():
     cfg = load_config(mini_config(sweep={"n": [2], "m": [8], "n_k": [16]}))
     cache = OperatorCache(cfg)
     state, space = solve_single(cache, 2, 8, 16)
-    ana = analytic_reference(cache.field, cache.u0, cfg.t_final)
-    quad_err = error_norm_H(cache.dist, state, space, ana, q=30)
+    ana = analytic_reference(cache.dist, 30, cache.field, cache.u0, cfg.t_final)
+    quad_err = error_norm_H(cache.dist, state, space, ana)
     rng = np.random.default_rng(123)
     samples = rng.standard_normal((10_000, 1))
     recon = tensor_basis_matrix(cache.dist, state.mis, samples) @ state.coeffs
     mass = assemble_mass(space)
     b_sin = load_vector(space, lambda x: math.sin(math.pi * x))
     sin_norm2 = 0.5
-    amps = np.array([ana.diffusivity(z) for z in samples])
+    amps = np.array([cache.field.z_factor(z) * cache.field.spatial_part(0.5) for z in samples])
     damp = np.exp(-amps * math.pi**2 * cfg.t_final)
     err2 = (
         np.einsum("qi,ij,qj->q", recon, mass.toarray(), recon)
@@ -184,21 +181,28 @@ def test_error_norm_matches_monte_carlo():
     assert abs(quad_err**2 - mc_mean) <= 3.0 * mc_stderr
 
 
+# a constant-in-x diffusivity that reads every input, and a three-mode datum
+TANH_FIELD = CoefficientField(
+    dim=1, z_factor=lambda z: 1.5 + 0.5 * math.tanh(float(np.sum(z))), spatial_part=lambda x: 1.0
+)
+THREE_SINES = initial_datum_by_name("sine_modes", modes=[(1, 1.0), (2, -0.4), (5, 0.15)])
+
+
 def _analytic_fixture(order: int, n_inputs: int):
-    """A 1D space, an analytic reference whose constant-in-x diffusivity reads
-    every input, and a chaos state close to the exact solution (the nodal
-    interpolants of the exact solution projected on degree-3 chaos modes)."""
+    """A 1D space, the analytic reference of `TANH_FIELD` and `THREE_SINES`
+    on an 8-node grid, and a chaos state close to the exact solution (the
+    nodal interpolants of the exact solution projected on degree-3 chaos
+    modes)."""
     dist = distribution(*[hermite()] * n_inputs)
-    ref = harness.AnalyticReference(
-        diffusivity=lambda z: 1.5 + 0.5 * math.tanh(float(np.sum(z))),
-        sine_modes=((1, 1.0), (2, -0.4), (5, 0.15)),
-        t_final=0.05,
-    )
+    ref = analytic_reference(dist, 8, TANH_FIELD, THREE_SINES, 0.05)
     space = make_fe_space(make_mesh(1, 7), order)
     mis = multi_index_set(n_inputs, 3)
     nodes, weights = tensor_quad(dist, 6)
     x = nodal_coordinates(space)[:, 0]
-    exact = np.array([[oracles.analytic_solution(ref, z)(xi) for xi in x] for z in nodes])
+    exact = np.array([
+        [oracles.analytic_solution(TANH_FIELD, THREE_SINES, z, 0.05)(xi) for xi in x]
+        for z in nodes
+    ])
     phi = tensor_basis_matrix(dist, mis, nodes)
     return dist, ref, space, SgState(0.05, (phi * weights[:, None]).T @ exact, mis)
 
@@ -211,24 +215,30 @@ def test_analytic_error_matches_per_node_oracle(monkeypatch, order, n_inputs):
     monkeypatch.setattr(
         harness, "l2_error", lambda *args: calls.append(args) or l2_error(*args)
     )
-    got = error_norm_H(dist, state, space, ref, q=8)
-    want = oracles.per_node_analytic_error(dist, state, space, ref, q=8)
+
+    def oracle(s):
+        return oracles.per_node_analytic_error(dist, s, space, TANH_FIELD, THREE_SINES, 0.05, q=8)
+
+    got = error_norm_H(dist, state, space, ref)
+    want = oracle(state)
     assert len(calls) == 1  # one stacked call for all 8**N nodes
     assert abs(got - want) <= 1e-13 * want
     # a rough state: the error is of the size of the solution itself
     noise = np.random.default_rng(order).standard_normal(state.coeffs.shape)
     rough = SgState(0.05, noise, state.mis)
-    got = error_norm_H(dist, rough, space, ref, q=8)
-    assert abs(got - oracles.per_node_analytic_error(dist, rough, space, ref, q=8)) <= 1e-13 * got
+    got = error_norm_H(dist, rough, space, ref)
+    assert abs(got - oracle(rough)) <= 1e-13 * got
 
 
 def test_analytic_values_are_the_pointwise_solution():
-    _, ref, space, _ = _analytic_fixture(2, 2)
-    nodes = np.array([[0.3, -1.2], [2.0, 0.1], [-0.7, -0.7]])
+    _, ref, _, _ = _analytic_fixture(2, 2)
     x = np.linspace(0.0, 1.0, 11)
-    got = ref.values(nodes, x)
-    want = np.array([[oracles.analytic_solution(ref, z)(xi) for xi in x] for z in nodes])
-    assert got.shape == (3, 11)
+    got = ref.amplitudes @ np.sin(np.outer(ref.frequencies, x))
+    want = np.array([
+        [oracles.analytic_solution(TANH_FIELD, THREE_SINES, z, 0.05)(xi) for xi in x]
+        for z in ref.nodes
+    ])
+    assert got.shape == (64, 11)
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -457,6 +467,34 @@ def test_bad_tolerance_values_are_rejected_at_load(monkeypatch, tolerances, key,
     assert solved == []
 
 
+@pytest.mark.parametrize(
+    "axis,key,allowed,refused,shown",
+    [
+        ("n_k", "tol", 0.0, -0.1, ">= 0"),
+        ("m", "max_final_error", 0.0, -1e-5, ">= 0"),
+        ("joint", "allowed_increase", -0.5, -1.0, "> -1"),
+    ],
+    ids=["tol", "max_final_error", "allowed_increase"],
+)
+def test_tolerances_that_no_sweep_can_meet_are_rejected_at_load(
+    monkeypatch, axis, key, allowed, refused, shown
+):
+    # every error is positive, so |slope - s| <= tol, final error <=
+    # max_final_error and next <= (1 + allowed_increase) * previous fail on
+    # every sweep once the bound is below its range
+    def config(value):
+        tolerance = {key: value, **({"slope": 1.0} if key == "tol" else {})}
+        return mini_config(tolerances={axis: tolerance})
+
+    load_config(config(allowed))
+    solved = []
+    monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: solved.append(args))
+    shown = rf"^tolerances\.{axis}\.{key} value {refused!r} must be {shown}$"
+    with pytest.raises(ValueError, match=shown):
+        load_config(config(refused))
+    assert solved == []
+
+
 @pytest.mark.parametrize("tolerance", [{"slope": 2.0}, {"tol": 0.1}], ids=["slope", "tol"])
 def test_slope_without_tol_or_tol_without_slope_is_rejected_at_load(monkeypatch, tolerance):
     solved = []
@@ -539,7 +577,7 @@ def test_odd_reference_mesh_is_rejected_only_for_the_error_estimate(monkeypatch,
     with pytest.raises(ValueError, match=r"m_ref = 45 cannot take .* m = m_ref // 2 = 22"):
         sweep(cfg)
     assert built == []  # rejected before any solve
-    assert build_reference(cfg, OperatorCache(cfg), estimate_error=False).est_error == 0.0
+    assert build_reference(OperatorCache(cfg), estimate_error=False).est_error == 0.0
     assert len(built) == 1
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
@@ -553,7 +591,7 @@ def test_odd_reference_mesh_is_rejected_only_for_the_error_estimate(monkeypatch,
             strict_reference=False,
         )
     )
-    assert build_reference(cfg, OperatorCache(cfg)).est_error > 0.0
+    assert build_reference(OperatorCache(cfg)).est_error > 0.0
 
 
 def strip_runtimes(payload):
@@ -638,10 +676,10 @@ def test_sweep_measures_each_distinct_point_once_as_a_fresh_solve(monkeypatch):
     errors = [row["error"] for row in report.joint]
     errors += [e for result in report.axes.values() for e in result.errors]
     cache = OperatorCache(cfg)
-    reference = build_reference(cfg, cache)
+    reference = build_reference(cache)
     for (n, m, n_k, *_), err in zip(points, errors, strict=True):
         state, space = solve_single(cache, n, m, n_k)
-        assert err == error_norm_H(cache.dist, state, space, reference, q=cfg.quad_order)
+        assert err == error_norm_H(cache.dist, state, space, reference)
 
 
 def test_sweep_logs_one_debug_record_per_batch(caplog):
@@ -768,7 +806,7 @@ def test_collocation_reference_error_estimate():
         )
     )
     cache = OperatorCache(cfg)
-    ref = build_reference(cfg, cache, estimate_error=True)
+    ref = build_reference(cache, estimate_error=True)
     assert ref.est_error > 0.0
 
 
@@ -870,7 +908,6 @@ def test_separable_reference_matches_per_node_oracle(
     coarse = make_fe_space(make_mesh(dim, m // 2), order)
     want = oracles.per_node_collocation_reference(dist, q, fine, steps, field, u0, 0.1)
     half_want = oracles.per_node_collocation_reference(dist, q, coarse, steps // 2, field, u0, 0.1)
-    lifted_want = prolong(coarse, half_want.values.T, fine)
     for limit in (0, harness.SPECTRAL_NDOF_LIMIT):
         monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", limit)
         ops = spatial_operators(fine, field)
@@ -883,11 +920,12 @@ def test_separable_reference_matches_per_node_oracle(
             looped = oracles.per_node_stepped_reference(dist, q, ops, steps, u0, 0.1)
             assert _rel(ref.values, looped.values) <= 1e-14
         half = collocation_reference(dist, q, spatial_operators(coarse, field), steps // 2, u0, 0.1)
-        lifted = prolong(coarse, half.values.T, fine)
-        norm = _distance(want, np.zeros_like(lifted))
+        zeros = np.zeros_like(ref.values)
+        norm = want.distance(fine, zeros)
         for got, expect in (
-            (_distance(ref, lifted), _distance(want, lifted_want)),  # the two-grid estimate
-            (_distance(ref, np.zeros_like(lifted)), norm),
+            # the two-grid estimate
+            (ref.distance(coarse, half.values), want.distance(coarse, half_want.values)),
+            (ref.distance(fine, zeros), norm),
         ):
             assert expect > 0.0
             # the estimate is a difference of two nearly equal solutions: the
@@ -1105,7 +1143,7 @@ def test_reference_work_counts(work_counts):
         )
     )
     # separable: one K_g and one load per space (fine and coarse estimate spaces)
-    build_reference(cfg, OperatorCache(cfg), estimate_error=True)
+    build_reference(OperatorCache(cfg), estimate_error=True)
     assert work_counts == {"stiffness": 2, "load": 2}
     space = make_fe_space(make_mesh(1, 8), 1)
     q = 5
@@ -1177,9 +1215,9 @@ def test_reference_spaces_are_shared_with_the_sweep(monkeypatch):
     built = []
     monkeypatch.setattr(harness, "make_mesh", lambda dim, m: built.append(m) or make_mesh(dim, m))
     cache = OperatorCache(cfg)
-    ref = build_reference(cfg, cache, estimate_error=True)
+    ref = build_reference(cache, estimate_error=True)
     assert built == [16, 8]
-    assert ref.space is cache.space(16)
+    assert ref.ops is cache.spatial(16)
     cache.space(8)  # the estimate's coarse space is the sweep's finest space
     assert built == [16, 8]
 

@@ -408,10 +408,7 @@ def test_spatial_pencil_is_checked_and_decomposed_once(monkeypatch, dim, order, 
     assert [len(a) for a in calls] == [2, 1]  # the pencil, then G of the operator
 
 
-def test_spatial_pencil_is_gated_and_rejects_a_bad_decomposition(monkeypatch):
-    too_large = spatial_1d(sgsystem.DENSE_EIG_SIZE_LIMIT + 2)  # m - 1 interior P1 dofs
-    with pytest.raises(ValueError, match="too large for dense solve"):
-        too_large.pencil
+def test_spatial_pencil_rejects_a_bad_decomposition(monkeypatch):
     eigh = scipy.linalg.eigh
     for corrupt in (
         lambda mu, y: (mu, y * (1.0 + 1e-9)),  # not M-orthonormal

@@ -305,6 +305,17 @@ def test_space_numbering_matches_loop_oracle(dim, order, m):
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16])
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("dim", [1, 2])
+def test_interior_dofs_are_numbered_in_node_order(dim, order, m):
+    # nodal_coordinates and l2_error read the dofs in node order, with no gather
+    space = make_fe_space(make_mesh(dim, m), order)
+    interior = space.dof_of_node >= 0
+    assert np.array_equal(space.dof_of_node[interior], np.arange(space.ndof))
+    assert np.array_equal(nodal_coordinates(space), space.nodes[interior])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
 def test_stored_pattern_is_the_dof_adjacency_of_the_mesh(dim, order, m):
     # every pair of dofs that share a cell is stored, also where the sum is
     # exactly 0 (many P1 and P2 stiffness couplings on right triangles), so
