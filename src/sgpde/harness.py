@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from . import __version__
 from .coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
 from .orthopoly import hermite, jacobi, laguerre
-from .pce import DistributionSpec, eigenvalue_floor, multi_index_set, tensor_quad, triple_products
+from .pce import DistributionSpec, eigenvalue_floor, multi_index_set, tensor_quad
 from .sgsystem import (
     SgOperator,
     SgState,
@@ -229,7 +229,7 @@ def fit_rate(points) -> RateFit:
     residuals = logs_e - fitted
     rms = float(np.sqrt(np.mean(residuals**2)))
     denom = float(np.sum((logs_h - logs_h.mean()) ** 2))
-    stderr = math.sqrt(max(np.sum(residuals**2), 0.0) / max(len(pts) - 2, 1) / denom)
+    stderr = math.sqrt(np.sum(residuals**2) / (len(pts) - 2) / denom)
     return RateFit(float(slope), float(intercept), rms, float(stderr))
 
 
@@ -281,6 +281,8 @@ _FAMILIES = {
     "jacobi": (jacobi, ("alpha", "beta")),
     "laguerre": (laguerre, ("alpha",)),
 }
+# the coarsest mesh m with an interior dof, per FE order: P1 on one cell has none
+_LOWEST_M = {1: 2, 2: 1}
 # the keys the code reads from each dict of a config
 _REFERENCE_KEYS = {"analytic": {"kind"}, "collocation": {"kind", "m_ref", "n_k_ref", "quad_order"}}
 _TOLERANCE_KEYS = {
@@ -300,6 +302,11 @@ _CONFIG_DICT_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The config keys of one experiment, checked when it is made: a bad value
+    raises a ValueError naming its key. What the checks build is kept in
+    attributes that are not fields: `dist`, `field`, `u0` and `analytic`
+    (the `AnalyticReference` of an analytic config, else None)."""
+
     distribution: tuple
     coefficient: dict
     initial_datum: dict
@@ -313,7 +320,7 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
     strict_reference: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.t_final) and self.t_final > 0.0):
             raise ValueError(f"t_final value {self.t_final!r} must be finite and positive")
         scheme_by_name(self.scheme)
@@ -343,7 +350,8 @@ class ExperimentConfig:
             raise ValueError("geometry.dim must be 1 or 2")
         if self.geometry.get("fe_order") not in (1, 2):
             raise ValueError("geometry.fe_order must be 1 or 2")
-        for axis, lowest in zip(AXES, (0, 1, 1)):
+        lowest_m = _LOWEST_M[self.geometry["fe_order"]]
+        for axis, lowest in zip(AXES, (0, lowest_m, 1)):
             values = self.sweep.get(axis, [])
             if not (isinstance(values, list) and values):
                 raise ValueError(f"sweep.{axis} must be a non-empty list")
@@ -361,8 +369,8 @@ class ExperimentConfig:
             raise ValueError("reference.kind must be 'analytic' or 'collocation'")
         _check_keys("reference", self.reference, _REFERENCE_KEYS[kind])
         if kind == "collocation":
-            for key in ("m_ref", "n_k_ref"):
-                _check_int(f"reference.{key}", self.reference.get(key), 1)
+            for key, lowest in (("m_ref", lowest_m), ("n_k_ref", 1)):
+                _check_int(f"reference.{key}", self.reference.get(key), lowest)
             if "quad_order" in self.reference:
                 _check_int("reference.quad_order", self.reference["quad_order"], 1)
             m_ref = self.reference["m_ref"]
@@ -376,44 +384,43 @@ class ExperimentConfig:
                 )
             if nk_ref < factor * max_nk:
                 raise ValueError(f"reference n_k_ref = {nk_ref} must be >= {factor} * max n_k")
-            if self.strict_reference and (m_ref == max_m or nk_ref == max_nk):
-                raise ValueError("reference must be strictly finer than the finest sweep point")
-        dist = _built("distribution", self.build_distribution)
+        dist = _built(
+            "distribution", lambda: DistributionSpec(tuple(map(_family, self.distribution)))
+        )
         dim = self.geometry["dim"]
-        field_ = _built("coefficient", self.build_field)
+        field_ = _built("coefficient", lambda: _named(coefficient_by_name, self.coefficient))
         if not field_.elliptic:
             raise ValueError(f"coefficient {field_.name!r} must be elliptic (declare kappa > 0)")
-        datum = _built("initial_datum", self.build_initial_datum)
+        datum = _built("initial_datum", lambda: _named(initial_datum_by_name, self.initial_datum))
         for key, built in (("coefficient", field_), ("initial_datum", datum)):
             if built.dim != dim:
                 raise ValueError(f"{key} {built.name!r} is {built.dim}D but geometry.dim is {dim}")
+        analytic = None
         if kind == "analytic":
-            _built("reference", lambda: analytic_reference(
+            analytic = _built("reference", lambda: analytic_reference(
                 dist, self.quad_order, field_, datum, self.t_final
             ))
-
-    def build_distribution(self) -> DistributionSpec:
-        fams = []
-        for spec in self.distribution:
-            kind = spec.get("kind")
-            if kind not in _FAMILIES:
-                raise ValueError(f"unknown distribution component {kind!r}")
-            factory, params = _FAMILIES[kind]
-            _check_keys(kind, spec, {"kind", *params})
-            fams.append(factory(*(spec.get(p, 0.0) for p in params)))
-        return DistributionSpec(tuple(fams))
-
-    def build_field(self) -> CoefficientField:
-        return coefficient_by_name(self.coefficient["name"], **self.coefficient.get("params", {}))
-
-    def build_initial_datum(self) -> InitialDatum:
-        return initial_datum_by_name(
-            self.initial_datum["name"], **self.initial_datum.get("params", {})
-        )
+        for name, value in dict(dist=dist, field=field_, u0=datum, analytic=analytic).items():
+            object.__setattr__(self, name, value)
 
     def to_canonical_json(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _family(spec: dict):
+    """The polynomial family of one distribution component."""
+    kind = spec.get("kind")
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown distribution component {kind!r}")
+    factory, params = _FAMILIES[kind]
+    _check_keys(kind, spec, {"kind", *params})
+    return factory(*(spec.get(p, 0.0) for p in params))
+
+
+def _named(by_name: Callable, spec: dict):
+    """The builtin that a coefficient or initial-datum dict names."""
+    return by_name(spec["name"], **spec.get("params", {}))
 
 
 def _built(key: str, build: Callable):
@@ -459,7 +466,8 @@ def _converted(key: str, kind: str, value):
 
 
 def load_config(source) -> ExperimentConfig:
-    """Build and validate a config from the path of a JSON file, or a dict."""
+    """The config in the JSON file at a path, or in a dict, each value read
+    as its field's type (see `_converted`) and checked as the config is made."""
     if isinstance(source, (str, Path)):
         raw = json.loads(Path(source).read_text())
     elif isinstance(source, dict):
@@ -474,11 +482,9 @@ def load_config(source) -> ExperimentConfig:
     ]
     if missing:
         raise ValueError(f"missing config keys: {missing}")
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         **{f.name: _converted(f.name, f.type, raw[f.name]) for f in keys if f.name in raw}
     )
-    cfg.validate()
-    return cfg
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -489,24 +495,20 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 class OperatorCache:
     """The solve pipeline of one config: spatial operators per mesh, block
-    operators and initial states, each built once and shared across sweep
-    points and the collocation reference."""
+    operators and initial states, each built once from what the config
+    built and shared across sweep points and the collocation reference."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.dist = cfg.build_distribution()
-        self.field = cfg.build_field()
-        self.u0 = cfg.build_initial_datum()
-        self.dim = cfg.geometry["dim"]
-        self.order = cfg.geometry["fe_order"]
         self._ops = {}
         self._spatial = {}
 
     def spatial(self, m: int) -> SpatialOperators:
         """The spatial operators of the mesh with parameter m."""
         if m not in self._spatial:
-            space = make_fe_space(make_mesh(self.dim, m), self.order)
-            self._spatial[m] = spatial_operators(space, self.field)
+            geometry = self.cfg.geometry
+            space = make_fe_space(make_mesh(geometry["dim"], m), geometry["fe_order"])
+            self._spatial[m] = spatial_operators(space, self.cfg.field)
         return self._spatial[m]
 
     def space(self, m: int) -> FeSpace:
@@ -515,10 +517,10 @@ class OperatorCache:
     def operator(self, n: int, m: int) -> tuple[SgOperator, SgState]:
         key = (n, m)
         if key not in self._ops:
-            ops, q = self.spatial(m), self.cfg.quad_order
-            mis = multi_index_set(self.dist.N, n)
-            op = assemble_block_operator(self.dist, mis, ops, q)
-            state0 = initial_coefficients(self.dist, mis, self.u0, ops, q)
+            cfg, ops = self.cfg, self.spatial(m)
+            mis = multi_index_set(cfg.dist.N, n)
+            op = assemble_block_operator(cfg.dist, mis, ops, cfg.quad_order)
+            state0 = initial_coefficients(cfg.dist, mis, cfg.u0, ops, cfg.quad_order)
             self._ops[key] = (op, state0)
         return self._ops[key]
 
@@ -670,12 +672,13 @@ def solve_single(cache: OperatorCache, n: int, m: int, n_k: int) -> tuple[SgStat
 
 
 def build_reference(cache: OperatorCache, estimate_error: bool = True):
-    """The reference of the cache's config, on the cache's spaces. A
-    collocation reference's own error is estimated by the distance to the
-    collocation on the mesh m_ref // 2 with half the steps."""
+    """The reference of the cache's config: the analytic reference the
+    config built, or a collocation on the cache's spaces. A collocation
+    reference's own error is estimated by the distance to the collocation
+    on the mesh m_ref // 2 with half the steps."""
     cfg = cache.cfg
-    if cfg.reference["kind"] == "analytic":
-        return analytic_reference(cache.dist, cfg.quad_order, cache.field, cache.u0, cfg.t_final)
+    if cfg.analytic is not None:
+        return cfg.analytic
     m_ref = cfg.reference["m_ref"]
     nk_ref = cfg.reference["n_k_ref"]
     q_ref = cfg.reference.get("quad_order", cfg.quad_order)
@@ -685,13 +688,16 @@ def build_reference(cache: OperatorCache, estimate_error: bool = True):
             f"reference m_ref = {m_ref} cannot take the two-grid error estimate: its mesh "
             f"m = m_ref // 2 = {coarse_m} does not divide m_ref; use an even m_ref"
         )
-    ref = collocation_reference(
-        cache.dist, q_ref, cache.spatial(m_ref), nk_ref, cache.u0, cfg.t_final
-    )
+    if estimate_error and coarse_m < _LOWEST_M[cfg.geometry["fe_order"]]:
+        raise ValueError(
+            f"reference m_ref = {m_ref} cannot take the two-grid error estimate: its mesh "
+            f"m = m_ref // 2 = {coarse_m} has no interior dof; use m_ref >= 4"
+        )
+    ref = collocation_reference(cfg.dist, q_ref, cache.spatial(m_ref), nk_ref, cfg.u0, cfg.t_final)
     if not estimate_error:
         return ref
     half = collocation_reference(
-        cache.dist, q_ref, cache.spatial(coarse_m), max(nk_ref // 2, 1), cache.u0, cfg.t_final
+        cfg.dist, q_ref, cache.spatial(coarse_m), max(nk_ref // 2, 1), cfg.u0, cfg.t_final
     )
     return replace(ref, est_error=ref.distance(half.ops.space, half.values))
 
@@ -790,7 +796,7 @@ def _measure(cache, reference, tables: dict) -> dict:
                 continue
             state, solve_s = solved[point]
             t0 = time.perf_counter()
-            errors[point] = error_norm_H(cache.dist, state, cache.space(point[1]), reference)
+            errors[point] = error_norm_H(cache.cfg.dist, state, cache.space(point[1]), reference)
             error_s = time.perf_counter() - t0
             log.debug(
                 "sweep point: n=%d m=%d n_k=%d solve_s=%.6f error_s=%.6f",
@@ -824,11 +830,10 @@ def _invariant_summary(cfg, cache) -> dict:
     summary = {
         "block_symmetry_max_defect": op.symmetry_defect(),
         "a_stability_boundary_max": a_stability_probe(scheme_by_name(cfg.scheme))[0],
-        "triple_product_entries": len(triple_products(cache.dist, n).entries),
         # informational: the sharper decay weight of the truncation bound
-        "eigenvalue_floor_d_n_plus_1": eigenvalue_floor(cache.dist, n + 1),
-        "initial_datum_smoothness": cache.u0.smoothness,
-        "coefficient_field": cache.field.name,
+        "eigenvalue_floor_d_n_plus_1": eigenvalue_floor(cfg.dist, n + 1),
+        "initial_datum_smoothness": cfg.u0.smoothness,
+        "coefficient_field": cfg.field.name,
     }
     if _on_pencil(op.spatial):
         summary["resolvent_min_generalized_eigenvalue"] = op.min_resolvent_eigenvalue()
@@ -868,7 +873,6 @@ def _evaluate_checks(cfg, axes: dict, joint: list) -> dict:
 
 def sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     """Run the full per-axis and joint refinement study for one configuration."""
-    cfg.validate()
     cache = OperatorCache(cfg)
     reference = build_reference(cache)
     # the joint table is listed first: its finest level is the sweep floor
@@ -906,19 +910,15 @@ def write_outputs(cfg: ExperimentConfig, report: ConvergenceReport) -> list[str]
     if csv_dir:
         out = Path(csv_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for axis, result in report.axes.items():
+        tables = {a: zip(r.values, r.errors, r.runtimes) for a, r in report.axes.items()}
+        tables["joint"] = ((row["level"], row["error"], row["runtime_s"]) for row in report.joint)
+        for axis, rows in tables.items():
             path = out / f"axis_{axis}.csv"
             with open(path, "w", newline="\n") as fh:
                 fh.write("axis,value,error,runtime_s\n")
-                for v, e, r in zip(result.values, result.errors, result.runtimes):
+                for v, e, r in rows:
                     fh.write(f"{axis},{v},{e!r},{r:.6f}\n")
             written.append(str(path))
-        path = out / "axis_joint.csv"
-        with open(path, "w", newline="\n") as fh:
-            fh.write("axis,value,error,runtime_s\n")
-            for row in report.joint:
-                fh.write(f"joint,{row['level']},{row['error']!r},{row['runtime_s']:.6f}\n")
-        written.append(str(path))
     report_path = cfg.output.get("report")
     if report_path:
         Path(report_path).parent.mkdir(parents=True, exist_ok=True)

@@ -161,15 +161,15 @@ def test_error_norm_matches_monte_carlo():
     cfg = load_config(mini_config(sweep={"n": [2], "m": [8], "n_k": [16]}))
     cache = OperatorCache(cfg)
     state, space = solve_single(cache, 2, 8, 16)
-    ana = analytic_reference(cache.dist, 30, cache.field, cache.u0, cfg.t_final)
-    quad_err = error_norm_H(cache.dist, state, space, ana)
+    ana = analytic_reference(cfg.dist, 30, cfg.field, cfg.u0, cfg.t_final)
+    quad_err = error_norm_H(cfg.dist, state, space, ana)
     rng = np.random.default_rng(123)
     samples = rng.standard_normal((10_000, 1))
-    recon = tensor_basis_matrix(cache.dist, state.mis, samples) @ state.coeffs
+    recon = tensor_basis_matrix(cfg.dist, state.mis, samples) @ state.coeffs
     mass = assemble_mass(space)
     b_sin = load_vector(space, lambda x: math.sin(math.pi * x))
     sin_norm2 = 0.5
-    amps = np.array([cache.field.z_factor(z) * cache.field.spatial_part(0.5) for z in samples])
+    amps = np.array([cfg.field.z_factor(z) * cfg.field.spatial_part(0.5) for z in samples])
     damp = np.exp(-amps * math.pi**2 * cfg.t_final)
     err2 = (
         np.einsum("qi,ij,qj->q", recon, mass.toarray(), recon)
@@ -549,15 +549,13 @@ def test_non_finite_or_non_positive_t_final_is_rejected_at_load(monkeypatch, tmp
 
 
 def test_unknown_scheme_of_a_directly_built_config_fails_before_the_reference(monkeypatch):
-    # a config built without load_config is validated by sweep, which must
-    # name the scheme before it spends time on the collocation reference
-    cfg = dataclasses.replace(load_config(COLLOC_2D), scheme="crank_nicholson")
+    # a config made without load_config is checked when it is made, so no
+    # config with an unknown scheme reaches the collocation reference
+    cfg = load_config(COLLOC_2D)
     built = []
     monkeypatch.setattr(harness, "build_reference", lambda *args, **kwargs: built.append(args))
     with pytest.raises(ValueError, match=r"^unknown scheme 'crank_nicholson'$"):
-        cfg.validate()
-    with pytest.raises(ValueError, match=r"^unknown scheme 'crank_nicholson'$"):
-        sweep(cfg)
+        dataclasses.replace(cfg, scheme="crank_nicholson")
     assert built == []
 
 
@@ -592,6 +590,92 @@ def test_odd_reference_mesh_is_rejected_only_for_the_error_estimate(monkeypatch,
         )
     )
     assert build_reference(OperatorCache(cfg)).est_error > 0.0
+
+
+P1_1D = {"dim": 1, "fe_order": 1}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"geometry": P1_1D, "sweep": {"n": [1, 2], "m": [1, 2, 4, 8], "n_k": [8, 16]}},
+        {**{k: COLLOC_2D[k] for k in ("coefficient", "initial_datum", "quad_order")},
+         "geometry": {"dim": 2, "fe_order": 1}, "sweep": {"n": [1], "m": [1, 2], "n_k": [4]},
+         "reference": {"kind": "collocation", "m_ref": 8, "n_k_ref": 16}},
+    ],
+    ids=["1d_analytic", "2d_collocation"],
+)
+def test_a_p1_sweep_mesh_without_interior_dofs_is_rejected_at_load(monkeypatch, override):
+    # a P1 space on one cell has no dof; P2 on one cell has one
+    solved = []
+    real = harness.evolve
+    monkeypatch.setattr(harness, "evolve", lambda *a, **k: solved.append(a) or real(*a, **k))
+    with pytest.raises(ValueError, match=r"^sweep\.m value 1 must be an integer >= 2$"):
+        sweep(load_config(mini_config(**override)))
+    assert solved == []
+    one_cell = {"kind": "collocation", "m_ref": 1, "n_k_ref": 16}
+    with pytest.raises(ValueError, match=r"^reference\.m_ref value 1 must be an integer >= 2$"):
+        load_config(mini_config(geometry=P1_1D, reference=one_cell, strict_reference=False))
+    load_config(mini_config(sweep={"n": [1], "m": [1], "n_k": [8]}))  # P2
+
+
+def test_sgpde_solve_rejects_a_p1_mesh_without_interior_dofs(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(mini_config(geometry=P1_1D, sweep={"n": [1], "m": [1], "n_k": [8]})))
+    with pytest.raises(ValueError, match=r"^sweep\.m value 1 must be an integer >= 2$"):
+        main(["solve", str(path)])
+
+
+@pytest.mark.parametrize("m_ref", [2, 3])
+def test_a_p1_estimate_mesh_without_interior_dofs_is_rejected_before_any_solve(
+    monkeypatch, tmp_path, capsys, m_ref
+):
+    # the two-grid estimate solves on m_ref // 2 = 1, a P1 space with no dof;
+    # a run without the estimate never builds that mesh
+    raw = mini_config(
+        geometry=P1_1D,
+        sweep={"n": [1, 2], "m": [m_ref], "n_k": [8, 16]},
+        reference={"kind": "collocation", "m_ref": m_ref, "n_k_ref": 16},
+        strict_reference=False,
+    )
+    built = []
+    real = harness.collocation_reference
+    monkeypatch.setattr(
+        harness, "collocation_reference", lambda *args: built.append(args[2].space) or real(*args)
+    )
+    shown = rf"^reference m_ref = {m_ref} cannot take .* m = m_ref // 2 = 1 has no interior dof"
+    with pytest.raises(ValueError, match=shown):
+        sweep(load_config(raw))
+    assert built == []  # rejected before any solve
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", str(path)]) == 0
+    assert "error =" in capsys.readouterr().out
+
+
+def test_each_object_a_config_names_is_built_once_per_config(monkeypatch, tmp_path):
+    # the config builds its distribution, field, datum and analytic reference
+    # when it is made; the cache, the sweep and the reference reuse them
+    names = ("coefficient_by_name", "initial_datum_by_name", "analytic_reference")
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    raw = mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [4, 8]})
+    sweep(load_config(raw))
+    assert counts == dict.fromkeys(counts, 1)
+    counts.update(dict.fromkeys(counts, 0))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", str(path)]) == 0
+    assert counts == dict.fromkeys(counts, 1)
 
 
 def strip_runtimes(payload):
@@ -679,7 +763,7 @@ def test_sweep_measures_each_distinct_point_once_as_a_fresh_solve(monkeypatch):
     reference = build_reference(cache)
     for (n, m, n_k, *_), err in zip(points, errors, strict=True):
         state, space = solve_single(cache, n, m, n_k)
-        assert err == error_norm_H(cache.dist, state, space, reference)
+        assert err == error_norm_H(cfg.dist, state, space, reference)
 
 
 def test_sweep_logs_one_debug_record_per_batch(caplog):
@@ -944,8 +1028,8 @@ def test_stepped_colloc_2d_reference_is_bitwise_the_per_node_loop():
     for m, steps in ((16, 64), (8, 32)):
         ops = cache.spatial(m)
         assert ops.space.ndof > harness.SPECTRAL_NDOF_LIMIT
-        got = collocation_reference(cache.dist, 3, ops, steps, cache.u0, cfg.t_final)
-        want = oracles.per_node_stepped_reference(cache.dist, 3, ops, steps, cache.u0, cfg.t_final)
+        got = collocation_reference(cfg.dist, 3, ops, steps, cfg.u0, cfg.t_final)
+        want = oracles.per_node_stepped_reference(cfg.dist, 3, ops, steps, cfg.u0, cfg.t_final)
         assert np.array_equal(got.values, want.values)
 
 
@@ -1171,15 +1255,14 @@ def test_sweep_assembles_each_spatial_matrix_once_per_space(monkeypatch):
         for key, name in (("mass", "assemble_mass"), ("stiffness", "assemble_stiffness")):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(key, getattr(spatial, name)))
-    for module in (harness, pce):
-        monkeypatch.setattr(module, "triple_products", counted("triple_products", pce.triple_products))
+    monkeypatch.setattr(pce, "triple_products", counted("triple_products", pce.triple_products))
     # separable field, analytic reference: only the operators and initial states assemble
     cfg = load_config(mini_config(sweep={"n": [1, 2, 3], "m": [4, 8, 16], "n_k": [4, 8]}))
     report = sweep(cfg)
-    assert report.invariants["triple_product_entries"] > 0
+    assert "triple_product_entries" not in report.invariants
     # 3 spaces, 7 distinct (n, m) operators: one mass and one K_g per space,
-    # and the one triple-product tensor is the invariant summary's
-    assert counts == {"mass": 3, "stiffness": 3, "triple_products": 1}
+    # and no triple-product tensor
+    assert counts == {"mass": 3, "stiffness": 3, "triple_products": 0}
 
 
 def test_colloc_2d_sweep_builds_each_spatial_operator_once_per_space(monkeypatch):
