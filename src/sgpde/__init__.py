@@ -13,4 +13,4 @@ import logging
 logging.getLogger("sgpde").addHandler(logging.NullHandler())
 
 from .orthopoly import PolyFamily, hermite, jacobi, laguerre  # noqa: F401
-from .pce import DistributionSpec, distribution, multi_index_set, triple_products  # noqa: F401
+from .pce import DistributionSpec, distribution, multi_index_set  # noqa: F401

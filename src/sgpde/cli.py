@@ -12,7 +12,7 @@ from . import __version__
 from .coeffs import coefficient_by_name
 from .harness import build_reference, error_norm_H, load_config, sweep, write_outputs, OperatorCache, solve_single
 from .orthopoly import eval_orthonormal, gauss_rule, hermite, jacobi, laguerre, orthonormal_coeffs, apply_Q, sl_eigenvalue
-from .pce import distribution, multi_index_set, triple_products
+from .pce import distribution, multi_index_set
 from .sgsystem import assemble_block_operator, spatial_operators
 from .spatial import assemble_stiffness, make_fe_space, make_mesh
 from .timestep import Propagator, a_stability_probe, implicit_euler, crank_nicolson
@@ -35,16 +35,6 @@ def cmd_tables(args) -> int:
         print(f"{float(x)!r} {float(w)!r}")
     print(f"# eigenvalues k <= {args.k_max}")
     print(" ".join(repr(sl_eigenvalue(family, k)) for k in range(args.k_max + 1)))
-    eps = triple_products(distribution(family), args.eps_n)
-    text = eps.to_text()
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"eps_{args.family}_n{args.eps_n}.txt").write_text(text)
-        print(f"# wrote {out / f'eps_{args.family}_n{args.eps_n}.txt'}")
-    else:
-        print(f"# triple products, n = {args.eps_n}")
-        sys.stdout.write(text)
     return 0
 
 
@@ -103,12 +93,6 @@ def invariant_suite() -> list[tuple[str, bool, str]]:
         record(f"a_stability[{label}]", bmax <= 1.0 + 1e-12 and imax < 1.0, f"boundary {bmax:.3e}")
 
     dist = distribution(hermite())
-    eps = triple_products(dist, 2)
-    sym = all(eps.entries.get((a, c, b)) == v for (a, b, c), v in eps.entries.items())
-    sparse_ok = all(sum(a) <= sum(b) + sum(c) for (a, b, c) in eps.entries)
-    record("triple_product_symmetry", sym)
-    record("triple_product_sparsity", sparse_ok)
-
     space = make_fe_space(make_mesh(1, 8), 2)
     ops = spatial_operators(space, coefficient_by_name("logistic_1d"))
     op = assemble_block_operator(dist, multi_index_set(1, 2), ops, q=20)
@@ -141,14 +125,12 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=f"sgpde {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tables", help="print orthogonal-polynomial and triple-product tables")
+    p = sub.add_parser("tables", help="print a Gauss rule and the Sturm-Liouville eigenvalues of a family")
     p.add_argument("--family", choices=["hermite", "jacobi", "laguerre"], default="hermite")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--q", type=int, default=5)
     p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--eps-n", type=int, default=2)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("solve", help="run a single configuration at the finest sweep point")

@@ -34,9 +34,8 @@ class CoefficientField:
     `z_factor` is the scalar f and `spatial_part` the spatial g.
     `z_derivatives` are optional exact derivatives of f, declared for the
     chaos truncation bound (`pce.weighted_sobolev_norm`); no report reads
-    them yet (ROADMAP F4, D9). Fields without declared bounds are
-    non-elliptic probes for assembly tests and are rejected by solvers that
-    require coercivity.
+    them yet (ROADMAP F4, D9). `kappa` and `bound` are the declared
+    ellipticity bounds, positive for every built-in.
     """
 
     dim: int
@@ -46,10 +45,6 @@ class CoefficientField:
     bound: float | None = None
     z_derivatives: tuple = ()
     name: str = ""
-
-    @property
-    def elliptic(self) -> bool:
-        return self.kappa is not None and self.kappa > 0.0
 
 
 @dataclass(frozen=True)
@@ -98,26 +93,22 @@ def builtin_separable(
     g: Callable,
     *,
     dim: int = 1,
-    f_bounds: tuple[float, float] | None = None,
-    g_bounds: tuple[float, float] | None = None,
+    f_bounds: tuple[float, float],
+    g_bounds: tuple[float, float],
     f_derivatives: tuple = (),
     name: str = "",
 ) -> CoefficientField:
-    """Separable field value = f(z) g(x) with bounds kappa = inf f inf g etc.
-
-    `f_bounds = None` builds a deliberately non-elliptic field (assembly
-    probes only). A declared nonpositive lower bound of f is rejected.
+    """Separable field value = f(z) g(x) with declared bounds (inf, sup) of
+    f and of g, so kappa = inf f inf g and bound = sup f sup g. A
+    nonpositive lower bound of either factor is rejected.
     """
-    if f_bounds is not None and f_bounds[0] <= 0.0:
-        raise ValueError(f"inf f = {f_bounds[0]} must be positive for an elliptic field")
-    kappa = bound = None
-    if f_bounds is not None and g_bounds is not None:
-        kappa = f_bounds[0] * g_bounds[0]
-        bound = f_bounds[1] * g_bounds[1]
+    for factor, (low, _) in (("f", f_bounds), ("g", g_bounds)):
+        if low <= 0.0:
+            raise ValueError(f"inf {factor} = {low} must be positive for an elliptic field")
     return CoefficientField(
         dim=dim,
-        kappa=kappa,
-        bound=bound,
+        kappa=f_bounds[0] * g_bounds[0],
+        bound=f_bounds[1] * g_bounds[1],
         z_factor=lambda z: f(np.asarray(z, dtype=float)[0] if np.ndim(z) else z),
         spatial_part=g,
         z_derivatives=f_derivatives,
@@ -128,8 +119,6 @@ def builtin_separable(
 # --- named built-ins -----------------------------------------------------
 
 def _constant_field(value: float = 1.0, dim: int = 1) -> CoefficientField:
-    if value <= 0.0:
-        raise ValueError("constant coefficient must be positive")
     return builtin_separable(
         lambda z: 1.0,
         (lambda x: value) if dim == 1 else (lambda x: value * np.eye(2)),
@@ -137,17 +126,6 @@ def _constant_field(value: float = 1.0, dim: int = 1) -> CoefficientField:
         f_bounds=(1.0, 1.0),
         g_bounds=(value, value),
         name=f"constant({value})",
-    )
-
-
-def _affine_field(slope: float = 0.5, dim: int = 1) -> CoefficientField:
-    # unbounded in z: non-elliptic probe for matrix-assembly tests
-    return builtin_separable(
-        lambda z: 1.0 + slope * z,
-        (lambda x: 1.0) if dim == 1 else (lambda x: np.eye(2)),
-        dim=dim,
-        f_bounds=None,
-        name=f"affine({slope})",
     )
 
 
@@ -182,7 +160,6 @@ def _logistic_anisotropic() -> CoefficientField:
 
 COEFFICIENT_BUILTINS = {
     "constant": _constant_field,
-    "affine": _affine_field,
     "logistic_1d": _logistic_1d,
     "logistic_anisotropic": _logistic_anisotropic,
 }

@@ -302,8 +302,9 @@ _CONFIG_DICT_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The config keys of one experiment, checked when it is made: a bad value
-    raises a ValueError naming its key. What the checks build is kept in
+    """The config keys of one experiment, checked when it is made: each value
+    is read as its field's type (`_converted`), and a bad value raises a
+    ValueError naming its key. What the checks build is kept in
     attributes that are not fields: `dist`, `field`, `u0` and `analytic`
     (the `AnalyticReference` of an analytic config, else None)."""
 
@@ -321,6 +322,8 @@ class ExperimentConfig:
     strict_reference: bool = True
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _converted(f.name, f.type, getattr(self, f.name)))
         if not (math.isfinite(self.t_final) and self.t_final > 0.0):
             raise ValueError(f"t_final value {self.t_final!r} must be finite and positive")
         scheme_by_name(self.scheme)
@@ -389,8 +392,6 @@ class ExperimentConfig:
         )
         dim = self.geometry["dim"]
         field_ = _built("coefficient", lambda: _named(coefficient_by_name, self.coefficient))
-        if not field_.elliptic:
-            raise ValueError(f"coefficient {field_.name!r} must be elliptic (declare kappa > 0)")
         datum = _built("initial_datum", lambda: _named(initial_datum_by_name, self.initial_datum))
         for key, built in (("coefficient", field_), ("initial_datum", datum)):
             if built.dim != dim:
@@ -449,16 +450,16 @@ def _converted(key: str, kind: str, value):
     """A top-level config value read as its field's annotated type `kind`.
 
     JSON has no tuple, and a number may come as an int or a float: a list
-    becomes a tuple, a number a float, and an integral number an int. A
-    value that does not fit its type (20.5 for an int, "false" for a bool,
-    a string for a dict) raises a ValueError naming the key.
+    or a tuple becomes a tuple, a number a float, and an integral number an
+    int. A value that does not fit its type (20.5 for an int, "false" for a
+    bool, a string for a dict) raises a ValueError naming the key.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "float" and number:
         return float(value)
     if kind == "int" and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
-    json_type = {"tuple": list, "dict": dict, "str": str, "bool": bool}.get(kind)
+    json_type = {"tuple": (list, tuple), "dict": dict, "str": str, "bool": bool}.get(kind)
     if json_type is not None and isinstance(value, json_type):
         return tuple(value) if kind == "tuple" else value
     shown = "list" if kind == "tuple" else kind
@@ -466,8 +467,9 @@ def _converted(key: str, kind: str, value):
 
 
 def load_config(source) -> ExperimentConfig:
-    """The config in the JSON file at a path, or in a dict, each value read
-    as its field's type (see `_converted`) and checked as the config is made."""
+    """The config in the JSON file at a path, or in a dict; the config reads
+    each value as its field's type (see `_converted`) and checks it as it is
+    made."""
     if isinstance(source, (str, Path)):
         raw = json.loads(Path(source).read_text())
     elif isinstance(source, dict):
@@ -482,9 +484,7 @@ def load_config(source) -> ExperimentConfig:
     ]
     if missing:
         raise ValueError(f"missing config keys: {missing}")
-    return ExperimentConfig(
-        **{f.name: _converted(f.name, f.type, raw[f.name]) for f in keys if f.name in raw}
-    )
+    return ExperimentConfig(**{f.name: raw[f.name] for f in keys if f.name in raw})
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

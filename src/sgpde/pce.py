@@ -1,10 +1,10 @@
 """Multi-dimensional polynomial chaos machinery.
 
 Builds tensorized orthonormal bases over an independent random vector,
-total-degree multi-index sets in graded lexicographic order, sparse
-triple-product tensors coupling three basis polynomials, quadrature-based
-chaos projections, weighted Sobolev norms, and the closed-form constant of
-the chaos truncation error bound.
+total-degree multi-index sets in graded lexicographic order, tensor Gauss
+grids and the basis matrix on them, quadrature-based chaos projections,
+weighted Sobolev norms, and the closed-form constant of the chaos
+truncation error bound.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ from .orthopoly import PolyFamily, eval_orthonormal, gauss_rule, sl_eigenvalue, 
 __all__ = [
     "DistributionSpec",
     "MultiIndexSet",
-    "TripleProductTensor",
     "distribution",
     "multi_index_set",
     "tensor_quad",
     "tensor_basis_matrix",
-    "triple_products",
     "pce_project",
     "weighted_sobolev_norm",
     "pce_error_constant",
@@ -34,7 +32,6 @@ __all__ = [
 ]
 
 MAX_INDEX_SET_SIZE = 10**7
-SPARSE_DROP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -136,82 +133,6 @@ def tensor_basis_matrix(dist: DistributionSpec, mis: MultiIndexSet, nodes: np.nd
             if a_j:
                 out[:, a] *= per_dim[j][a_j]
     return out
-
-
-@dataclass(frozen=True)
-class TripleProductTensor:
-    """Sparse expectations eps[alpha, beta, gamma] = E[Phi_a Phi_b Phi_c].
-
-    Stored for |alpha| <= 2n and |beta|, |gamma| <= n; entries below the
-    drop tolerance are absent. Values are invariant under any permutation
-    of the three indices by construction.
-    """
-
-    n: int
-    mis: MultiIndexSet
-    mis2: MultiIndexSet
-    entries: dict
-
-    def to_text(self) -> str:
-        """One `alpha beta gamma value` line per entry, graded-lex sorted."""
-        rank2 = {a: i for i, a in enumerate(self.mis2)}
-        rank = {a: i for i, a in enumerate(self.mis)}
-        lines = []
-        for (a, b, c) in sorted(self.entries, key=lambda k: (rank2[k[0]], rank[k[1]], rank[k[2]])):
-            fmt = lambda t: ",".join(str(i) for i in t)
-            lines.append(f"{fmt(a)} {fmt(b)} {fmt(c)} {self.entries[(a, b, c)]!r}")
-        return "\n".join(lines) + "\n"
-
-
-def _univariate_triple_table(family: PolyFamily, n: int) -> np.ndarray:
-    """E[h_a h_b h_c] for a <= 2n, b, c <= n, symmetric by construction.
-
-    Filled from sorted representatives so that permuted index triples share
-    the exact same float value.
-    """
-    q = 2 * n + 1
-    rule = gauss_rule(family, q)
-    H = eval_orthonormal(family, 2 * n, rule.nodes)
-    table = np.empty((2 * n + 1, n + 1, n + 1))
-    for a in range(2 * n + 1):
-        for b in range(min(a, n) + 1):
-            for c in range(b + 1):
-                val = float(np.dot(rule.weights, H[a] * H[b] * H[c]))
-                for idx in {(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
-                    if idx[0] <= 2 * n and idx[1] <= n and idx[2] <= n:
-                        table[idx] = val
-    return table
-
-
-def triple_products(dist: DistributionSpec, n: int) -> TripleProductTensor:
-    """Triple-product tensor over the tensorized basis, |alpha| <= 2n.
-
-    Per-dimension Gauss quadrature with 2n + 1 nodes is exact for the
-    integrands (degree at most 4n per dimension). Each entry is the product
-    of the per-dimension table values, taken in dimension order over one
-    (d_{2n}, d_n, d_n) array; entries are stored alpha-major in graded-lex
-    order.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    mis = multi_index_set(dist.N, n)
-    mis2 = multi_index_set(dist.N, 2 * n)
-    a, b = np.array(mis2.indices), np.array(mis.indices)
-    vals = None
-    for j, fam in enumerate(dist.components):
-        table = _univariate_triple_table(fam, n)
-        factor = table[a[:, j, None, None], b[None, :, j, None], b[None, None, :, j]]
-        vals = factor if vals is None else vals * factor
-    da, db = a.sum(axis=1), b.sum(axis=1)
-    keep = (da[:, None, None] <= db[None, :, None] + db[None, None, :]) & (
-        np.abs(vals) > SPARSE_DROP_TOL
-    )
-    ia, ib, ic = np.nonzero(keep)
-    entries = {
-        (mis2.indices[i], mis.indices[k], mis.indices[l]): v
-        for i, k, l, v in zip(ia.tolist(), ib.tolist(), ic.tolist(), vals[keep].tolist())
-    }
-    return TripleProductTensor(n, mis, mis2, entries)
 
 
 def pce_project(dist: DistributionSpec, mis: MultiIndexSet, f: Callable, q: int) -> np.ndarray:

@@ -217,9 +217,11 @@ def spatial_operators(space: FeSpace, field: CoefficientField) -> SpatialOperato
 
 def _norm2(a: np.ndarray) -> float:
     """The 2-norm of a dense matrix, sqrt(lambda_max(A^T A)): the largest
-    singular value, at about a third of the cost of an SVD."""
-    n = a.shape[1]
-    return math.sqrt(max(scipy.linalg.eigvalsh(a.T @ a, subset_by_index=[n - 1, n - 1])[0], 0.0))
+    singular value, at about a third of the cost of an SVD. LAPACK's
+    divide-and-conquer `syevd` takes every eigenvalue: `syevr`, which a
+    one-eigenvalue subset calls, can fail on the fully clustered spectrum
+    of an orthonormal A."""
+    return math.sqrt(max(scipy.linalg.eigvalsh(a.T @ a, driver="evd")[-1], 0.0))
 
 
 def _checked_eigh(a: np.ndarray, b: np.ndarray | None = None, what: str = "chaos matrix") -> Pencil:

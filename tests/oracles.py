@@ -9,7 +9,8 @@ pointwise analytic solution, the coordinate export, the local-order probe, dense
 pencil eigenvalues, the coupled chaos operator of a field that is not a
 product f(z) g(x), which the library does not take, the L2 projection,
 stationary solve, point evaluation and sampled single-state L2 error of the
-spatial space, the value f(z) g(x) of a field, and the sampled check of a
+spatial space, the value f(z) g(x) of a field, the triple-product tensor,
+the non-elliptic `affine_field` assembly probe, and the sampled check of a
 field's declared ellipticity bounds.
 """
 
@@ -27,15 +28,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import integrate
 
-from sgpde.pce import (
-    SPARSE_DROP_TOL,
-    TripleProductTensor,
-    _univariate_triple_table,
-    multi_index_set,
-    tensor_basis_matrix,
-    tensor_quad,
-)
 from sgpde.coeffs import CoefficientField
+from sgpde.orthopoly import PolyFamily, eval_orthonormal, gauss_rule
+from sgpde.pce import MultiIndexSet, multi_index_set, tensor_basis_matrix, tensor_quad
 from sgpde.sgsystem import SgState, reconstruct_at_nodes, spatial_operators
 from sgpde.spatial import (
     FeSpace,
@@ -231,12 +226,52 @@ def min_generalized_eigenvalue(a: sp.spmatrix, b: sp.spmatrix) -> float:
     return float(scipy.linalg.eigh(a.toarray(), b.toarray(), eigvals_only=True)[0])
 
 
+SPARSE_DROP_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class TripleProductTensor:
+    """Sparse expectations eps[alpha, beta, gamma] = E[Phi_a Phi_b Phi_c].
+
+    Stored for |alpha| <= 2n and |beta|, |gamma| <= n; entries below the
+    drop tolerance are absent. Values are invariant under any permutation
+    of the three indices by construction.
+    """
+
+    n: int
+    mis: MultiIndexSet
+    mis2: MultiIndexSet
+    entries: dict
+
+
+def univariate_triple_table(family: PolyFamily, n: int) -> np.ndarray:
+    """E[h_a h_b h_c] for a <= 2n, b, c <= n, symmetric by construction.
+
+    Filled from sorted representatives so that permuted index triples share
+    the exact same float value.
+    """
+    rule = gauss_rule(family, 2 * n + 1)
+    H = eval_orthonormal(family, 2 * n, rule.nodes)
+    table = np.empty((2 * n + 1, n + 1, n + 1))
+    for a in range(2 * n + 1):
+        for b in range(min(a, n) + 1):
+            for c in range(b + 1):
+                val = float(np.dot(rule.weights, H[a] * H[b] * H[c]))
+                for idx in {(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
+                    if idx[0] <= 2 * n and idx[1] <= n and idx[2] <= n:
+                        table[idx] = val
+    return table
+
+
 def loop_triple_products(dist, n: int) -> TripleProductTensor:
-    """Triple-product tensor with one Python product per (alpha, beta, gamma),
-    |alpha| <= 2n, |beta|, |gamma| <= n, taken over the dimensions in order."""
+    """Triple-product tensor over the tensorized basis, with one Python
+    product per (alpha, beta, gamma), |alpha| <= 2n, |beta|, |gamma| <= n,
+    taken over the dimensions in order. Per-dimension Gauss quadrature with
+    2n + 1 nodes is exact for the integrands (degree at most 4n per
+    dimension); entries are stored alpha-major in graded-lex order."""
     mis = multi_index_set(dist.N, n)
     mis2 = multi_index_set(dist.N, 2 * n)
-    tables = [_univariate_triple_table(fam, n) for fam in dist.components]
+    tables = [univariate_triple_table(fam, n) for fam in dist.components]
     entries: dict = {}
     for alpha in mis2:
         da = sum(alpha)
@@ -773,7 +808,19 @@ def sampled_l2_error(space: FeSpace, u: np.ndarray, exact: Callable) -> float:
     return float(l2_error(space, np.asarray(u)[None], np.array(values)[None])[0])
 
 
-# --- sampled check of declared ellipticity bounds ---------------------------
+# --- a field that no config can name, and the sampled bounds check ---------
+
+def affine_field(slope: float = 0.5, dim: int = 1) -> CoefficientField:
+    """The field (1 + slope z_1) g, with g = 1 in 1D and the identity in 2D:
+    a probe for operator assembly. It is unbounded in z, so not elliptic,
+    and declares no bounds."""
+    return CoefficientField(
+        dim=dim,
+        z_factor=lambda z: 1.0 + slope * (np.asarray(z, dtype=float)[0] if np.ndim(z) else z),
+        spatial_part=(lambda x: 1.0) if dim == 1 else (lambda x: np.eye(2)),
+        name=f"affine({slope})",
+    )
+
 
 @dataclass(frozen=True)
 class BoundsReport:

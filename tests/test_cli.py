@@ -13,22 +13,19 @@ from sgpde.cli import invariant_suite, main
 
 
 def test_tables_command(capsys):
-    assert main(["tables", "--family", "hermite", "--q", "3", "--eps-n", "1"]) == 0
+    assert main(["tables", "--family", "hermite", "--q", "3", "--k-max", "2"]) == 0
     out = capsys.readouterr().out
     lines = out.strip().split("\n")
     assert lines[0].startswith("# hermite gauss rule")
     nodes = [line.split() for line in lines if line and not line.startswith(("#", "node"))]
     gauss = [(float(a), float(b)) for a, b in (row for row in nodes if len(row) == 2)]
     assert gauss[0][0] == pytest.approx(-math.sqrt(3.0), abs=1e-12)
-    assert "2,1,1" not in out  # eps truncated at alpha <= 2n = 2 includes (2,) though
-    assert "0 0 0 " in out
-
-
-def test_tables_writes_eps_file(tmp_path):
-    assert main(["tables", "--family", "jacobi", "--alpha", "1.0", "--beta", "2.0",
-                 "--eps-n", "1", "--out", str(tmp_path)]) == 0
-    text = (tmp_path / "eps_jacobi_n1.txt").read_text()
-    assert text.splitlines()[0].startswith("0 0 0 ")
+    assert len(gauss) == 3
+    # the rule, then the hermite eigenvalues lambda_k = k, and nothing else
+    assert lines[-2:] == ["# eigenvalues k <= 2", "0.0 1.0 2.0"]
+    assert len(lines) == 2 + 3 + 2
+    with pytest.raises(SystemExit):  # the command takes no triple-product options
+        main(["tables", "--eps-n", "1"])
 
 
 def test_check_command(capsys):
@@ -115,3 +112,29 @@ def test_importing_the_cli_does_not_load_scipy_special():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_solve_on_one_blas_thread_survives_a_clustered_norm_check(tmp_path):
+    # three Hermite inputs at n = 5 with quad_order 11: on one BLAS thread the
+    # subset eigensolver (LAPACK syevr) failed on the chaos eigenvectors' Y^T Y
+    # with "LinAlgError: Internal Error."; the thread count must be set before
+    # numpy loads, so the solve runs in a fresh interpreter
+    path = config_file(
+        tmp_path,
+        distribution=[{"kind": "hermite"}] * 3,
+        geometry={"dim": 1, "fe_order": 1},
+        sweep={"n": [5], "m": [4], "n_k": [4]},
+        scheme="implicit_euler",
+        t_final=0.6,
+        quad_order=11,
+    )
+    src = str(Path(sgpde.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "sgpde.cli", "solve", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    head, error = done.stdout.split(": error = ")
+    assert head == "n = 5, m = 4, n_k = 4"
+    assert float(error) == pytest.approx(6.511027e-03, rel=1e-6)

@@ -53,15 +53,13 @@ def test_bounds_check_flags_violations():
 
 
 def test_nonpositive_f_bound_rejected():
-    with pytest.raises(ValueError, match="positive"):
-        builtin_separable(lambda z: z, lambda x: 1.0, f_bounds=(-1.0, 1.0))
-
-
-def test_affine_field_is_flagged_non_elliptic():
-    f = coefficient_by_name("affine", slope=0.5)
-    assert not f.elliptic
-    assert oracles.evaluate(f, 2.0, 0.3) == pytest.approx(2.0)
-    assert f.z_factor(2.0) == pytest.approx(2.0)
+    with pytest.raises(ValueError, match=r"^inf f = -1\.0 must be positive"):
+        builtin_separable(lambda z: z, lambda x: 1.0, f_bounds=(-1.0, 1.0), g_bounds=(1.0, 1.0))
+    # g may vanish as well, and both bounds are required
+    with pytest.raises(ValueError, match=r"^inf g = 0\.0 must be positive"):
+        builtin_separable(lambda z: 1.0, lambda x: x, f_bounds=(1.0, 1.0), g_bounds=(0.0, 1.0))
+    with pytest.raises(TypeError, match="g_bounds"):
+        builtin_separable(lambda z: 1.0, lambda x: 1.0, f_bounds=(1.0, 1.0))
 
 
 def test_field_without_both_factors_is_rejected():
@@ -80,8 +78,6 @@ def test_field_without_both_factors_is_rejected():
 BUILTIN_FIELDS = [
     ("constant", {"value": 1.7}),
     ("constant", {"value": 0.4, "dim": 2}),
-    ("affine", {"slope": 0.5}),
-    ("affine", {"slope": -0.3, "dim": 2}),
     ("logistic_1d", {}),
     ("logistic_anisotropic", {}),
 ]

@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import oracles
-from sgpde import harness, pce, sgsystem, spatial, timestep
+from sgpde import harness, sgsystem, spatial, timestep
 from sgpde.cli import main
 from sgpde.coeffs import (
     COEFFICIENT_BUILTINS,
@@ -337,8 +337,6 @@ COLLOC_2D = WORKLOADS["colloc_2d"]["config"]
          "initial_datum 'sine_modes' is 1D but geometry.dim is 2"),
         ({**COLLOC_2D, "coefficient": {"name": "logistic_1d"}},
          "coefficient 'logistic_1d' is 1D but geometry.dim is 2"),
-        (mini_config(coefficient={"name": "affine"}),
-         r"coefficient 'affine\(0\.5\)' must be elliptic"),
         (mini_config(distribution=[{"kind": "beta"}]),
          "distribution: unknown distribution component 'beta'"),
         (mini_config(distribution=[{"kind": "jacobi", "alpha": -1.0}]),
@@ -351,7 +349,7 @@ COLLOC_2D = WORKLOADS["colloc_2d"]["config"]
          "initial_datum: "),
     ],
     ids=[
-        "datum_1d_in_2d", "field_1d_in_2d", "field_not_elliptic", "unknown_distribution",
+        "datum_1d_in_2d", "field_1d_in_2d", "unknown_distribution",
         "jacobi_alpha", "unknown_field_param", "unknown_field", "bad_datum_param",
     ],
 )
@@ -557,6 +555,32 @@ def test_unknown_scheme_of_a_directly_built_config_fails_before_the_reference(mo
     with pytest.raises(ValueError, match=r"^unknown scheme 'crank_nicholson'$"):
         dataclasses.replace(cfg, scheme="crank_nicholson")
     assert built == []
+
+
+JOINT_1D = WORKLOADS["joint_1d"]["config"]
+
+
+@pytest.mark.parametrize(
+    "override,shown",
+    [
+        ({"t_final": "0.6"}, r"^t_final value '0\.6' must be of type float$"),
+        ({"quad_order": 30.5}, r"^quad_order value 30\.5 must be of type int$"),
+        ({"strict_reference": "false"}, r"^strict_reference value 'false' must be of type bool$"),
+    ],
+    ids=["t_final_string", "quad_order_fraction", "strict_string"],
+)
+def test_a_directly_made_config_reads_each_value_as_its_type(override, shown):
+    # load_config only reads the source: the types are checked as a config is made
+    with pytest.raises(ValueError, match=shown):
+        dataclasses.replace(load_config(JOINT_1D), **override)
+
+
+def test_a_directly_made_config_holds_its_distribution_as_a_tuple():
+    cfg = load_config(JOINT_1D)
+    for given in (list(cfg.distribution), tuple(cfg.distribution)):
+        made = dataclasses.replace(cfg, distribution=given)
+        assert type(made.distribution) is tuple
+        assert config_hash(made) == WORKLOAD_CONFIG_HASHES["joint_1d"]
 
 
 def test_odd_reference_mesh_is_rejected_only_for_the_error_estimate(monkeypatch, tmp_path, capsys):
@@ -1242,7 +1266,7 @@ def test_reference_work_counts(work_counts):
 
 
 def test_sweep_assembles_each_spatial_matrix_once_per_space(monkeypatch):
-    counts = {"mass": 0, "stiffness": 0, "triple_products": 0}
+    counts = {"mass": 0, "stiffness": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -1255,14 +1279,12 @@ def test_sweep_assembles_each_spatial_matrix_once_per_space(monkeypatch):
         for key, name in (("mass", "assemble_mass"), ("stiffness", "assemble_stiffness")):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(key, getattr(spatial, name)))
-    monkeypatch.setattr(pce, "triple_products", counted("triple_products", pce.triple_products))
     # separable field, analytic reference: only the operators and initial states assemble
     cfg = load_config(mini_config(sweep={"n": [1, 2, 3], "m": [4, 8, 16], "n_k": [4, 8]}))
     report = sweep(cfg)
     assert "triple_product_entries" not in report.invariants
-    # 3 spaces, 7 distinct (n, m) operators: one mass and one K_g per space,
-    # and no triple-product tensor
-    assert counts == {"mass": 3, "stiffness": 3, "triple_products": 0}
+    # 3 spaces, 7 distinct (n, m) operators: one mass and one K_g per space
+    assert counts == {"mass": 3, "stiffness": 3}
 
 
 def test_colloc_2d_sweep_builds_each_spatial_operator_once_per_space(monkeypatch):

