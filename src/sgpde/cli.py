@@ -18,6 +18,18 @@ from .spatial import assemble_stiffness, make_fe_space, make_mesh
 from .timestep import Propagator, a_stability_probe, implicit_euler, crank_nicolson
 
 
+def _at_least(lowest: int):
+    """An argparse type: an integer >= `lowest`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    return integer
+
+
 def _family_from_args(args):
     if args.family == "hermite":
         return hermite()
@@ -129,8 +141,8 @@ def main(argv=None) -> int:
     p.add_argument("--family", choices=["hermite", "jacobi", "laguerre"], default="hermite")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--q", type=int, default=5)
-    p.add_argument("--k-max", type=int, default=8)
+    p.add_argument("--q", type=_at_least(1), default=5)
+    p.add_argument("--k-max", type=_at_least(0), default=8)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("solve", help="run a single configuration at the finest sweep point")
@@ -146,7 +158,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a bad value in the arguments or the config
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

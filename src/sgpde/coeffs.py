@@ -54,13 +54,11 @@ class InitialDatum:
     `sample(z)` returns a callable on the spatial domain. `sine_modes`
     (1D only) lists (j, c_j) pairs of sin(j pi x) components when the datum
     is a deterministic Fourier sine sum, enabling analytic references.
-    `smoothness` is free-form declared regularity, recorded in reports.
     """
 
     dim: int
     sample: Callable
     sine_modes: tuple = ()
-    smoothness: str = ""
     name: str = ""
 
 
@@ -181,7 +179,6 @@ def _sine_modes_datum(modes: Sequence = ((1, 1.0),)) -> InitialDatum:
         dim=1,
         sample=lambda z: u0,
         sine_modes=modes,
-        smoothness="smooth (entire)",
         name="sine_modes",
     )
 
@@ -193,7 +190,6 @@ def _product_sine_datum(j: int = 1, amplitude: float = 1.0) -> InitialDatum:
     return InitialDatum(
         dim=2,
         sample=lambda z: u0,
-        smoothness="smooth (entire)",
         name="product_sine",
     )
 

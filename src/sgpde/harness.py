@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from . import __version__
 from .coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
 from .orthopoly import hermite, jacobi, laguerre
-from .pce import DistributionSpec, eigenvalue_floor, multi_index_set, tensor_quad
+from .pce import DistributionSpec, multi_index_set, tensor_quad
 from .sgsystem import (
     SgOperator,
     SgState,
@@ -40,7 +40,7 @@ from .sgsystem import (
     spatial_operators,
 )
 from .spatial import FeSpace, SolverError, error_points, l2_error, make_fe_space, make_mesh, prolong
-from .timestep import StepResidualError, a_stability_probe, crank_nicolson, evolve, scheme_by_name
+from .timestep import StepResidualError, crank_nicolson, evolve, scheme_by_name
 
 __all__ = [
     "AnalyticReference",
@@ -303,10 +303,10 @@ _CONFIG_DICT_KEYS = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The config keys of one experiment, checked when it is made: each value
-    is read as its field's type (`_converted`), and a bad value raises a
-    ValueError naming its key. What the checks build is kept in
-    attributes that are not fields: `dist`, `field`, `u0` and `analytic`
-    (the `AnalyticReference` of an analytic config, else None)."""
+    is read as its field's type and copied read-only (`_converted`), and a
+    bad value raises a ValueError naming its key. What the checks build is
+    kept in attributes that are not fields: `dist`, `field`, `u0` and
+    `analytic` (the `AnalyticReference` of an analytic config, else None)."""
 
     distribution: tuple
     coefficient: dict
@@ -356,7 +356,7 @@ class ExperimentConfig:
         lowest_m = _LOWEST_M[self.geometry["fe_order"]]
         for axis, lowest in zip(AXES, (0, lowest_m, 1)):
             values = self.sweep.get(axis, [])
-            if not (isinstance(values, list) and values):
+            if not (isinstance(values, tuple) and values):
                 raise ValueError(f"sweep.{axis} must be a non-empty list")
             for v in values:
                 _check_int(f"sweep.{axis}", v, lowest)
@@ -451,8 +451,10 @@ def _converted(key: str, kind: str, value):
 
     JSON has no tuple, and a number may come as an int or a float: a list
     or a tuple becomes a tuple, a number a float, and an integral number an
-    int. A value that does not fit its type (20.5 for an int, "false" for a
-    bool, a string for a dict) raises a ValueError naming the key.
+    int. A dict or a list is copied read-only, down to its nested values
+    (`_frozen`). A value that does not fit its type (20.5 for an int,
+    "false" for a bool, a string for a dict) raises a ValueError naming the
+    key.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "float" and number:
@@ -461,9 +463,31 @@ def _converted(key: str, kind: str, value):
         return int(value)
     json_type = {"tuple": (list, tuple), "dict": dict, "str": str, "bool": bool}.get(kind)
     if json_type is not None and isinstance(value, json_type):
-        return tuple(value) if kind == "tuple" else value
+        return _frozen(value)
     shown = "list" if kind == "tuple" else kind
     raise ValueError(f"{key} value {value!r} must be of type {shown}")
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change; JSON still encodes it as a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a config value is read-only; make a new config with dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # copy and pickle rebuild it whole, not key by key
+        return _ReadOnlyDict, (dict(self),)
+
+
+def _frozen(value):
+    """A read-only copy of a config value: each nested dict becomes a
+    `_ReadOnlyDict` and each list a tuple."""
+    if isinstance(value, dict):
+        return _ReadOnlyDict({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_frozen, value))
+    return value
 
 
 def load_config(source) -> ExperimentConfig:
@@ -741,7 +765,6 @@ class ConvergenceReport:
     version: str
     axes: dict
     joint: list
-    invariants: dict
     checks: dict
     passed: bool
     reference_error_estimate: float
@@ -752,7 +775,6 @@ class ConvergenceReport:
             "version": self.version,
             "axes": {k: v.to_dict() for k, v in self.axes.items()},
             "joint": self.joint,
-            "invariants": self.invariants,
             "checks": self.checks,
             "passed": self.passed,
             "reference_error_estimate": self.reference_error_estimate,
@@ -824,22 +846,6 @@ def _axis_result(cfg, axis: str, rows: list, ref_floor: float, sweep_floor: floa
     )
 
 
-def _invariant_summary(cfg, cache) -> dict:
-    n, m = max(cfg.sweep["n"]), min(cfg.sweep["m"])
-    op, _ = cache.operator(n, m)
-    summary = {
-        "block_symmetry_max_defect": op.symmetry_defect(),
-        "a_stability_boundary_max": a_stability_probe(scheme_by_name(cfg.scheme))[0],
-        # informational: the sharper decay weight of the truncation bound
-        "eigenvalue_floor_d_n_plus_1": eigenvalue_floor(cfg.dist, n + 1),
-        "initial_datum_smoothness": cfg.u0.smoothness,
-        "coefficient_field": cfg.field.name,
-    }
-    if _on_pencil(op.spatial):
-        summary["resolvent_min_generalized_eigenvalue"] = op.min_resolvent_eigenvalue()
-    return summary
-
-
 def _evaluate_checks(cfg, axes: dict, joint: list) -> dict:
     checks = {}
     for axis, tol in cfg.tolerances.items():
@@ -888,7 +894,6 @@ def sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         axis: _axis_result(cfg, axis, measured[axis], reference.est_error, sweep_floor)
         for axis in AXES
     }
-    invariants = _invariant_summary(cfg, cache)
     checks = _evaluate_checks(cfg, axes, joint)
     passed = all(checks.values()) if checks else True
     return ConvergenceReport(
@@ -896,7 +901,6 @@ def sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         version=__version__,
         axes=axes,
         joint=joint,
-        invariants=invariants,
         checks=checks,
         passed=passed,
         reference_error_estimate=reference.est_error,

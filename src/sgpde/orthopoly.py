@@ -64,9 +64,12 @@ class PolyFamily:
         if self.kind not in ("hermite", "jacobi", "laguerre"):
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind == "jacobi" and (self.alpha <= -1.0 or self.beta <= -1.0):
-            raise ValueError("jacobi requires alpha > -1 and beta > -1")
+            raise ValueError(
+                f"jacobi requires alpha > -1 and beta > -1, got alpha = {self.alpha!r}, "
+                f"beta = {self.beta!r}"
+            )
         if self.kind == "laguerre" and self.alpha <= -1.0:
-            raise ValueError("laguerre requires alpha > -1")
+            raise ValueError(f"laguerre requires alpha > -1, got alpha = {self.alpha!r}")
 
     @property
     def weighted(self) -> bool:

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .orthopoly import PolyFamily, eval_orthonormal, gauss_rule, sl_eigenvalue, sl_norm_bound_constant
+from .orthopoly import PolyFamily, eval_orthonormal, gauss_rule, sl_norm_bound_constant
 
 __all__ = [
     "DistributionSpec",
@@ -27,8 +27,6 @@ __all__ = [
     "pce_project",
     "weighted_sobolev_norm",
     "pce_error_constant",
-    "eigenvalue_sum",
-    "eigenvalue_floor",
 ]
 
 MAX_INDEX_SET_SIZE = 10**7
@@ -205,22 +203,3 @@ def pce_error_constant(dist: DistributionSpec, ell: int) -> float:
     for r in range(ell):
         prod *= max(sl_norm_bound_constant(fam, 2 * r) for fam in dist.components)
     return dist.N ** (ell / 2.0) * prod
-
-
-def eigenvalue_sum(dist: DistributionSpec, alpha: Sequence[int]) -> float:
-    """sum_j lambda_{alpha_j}^j, the decay weight of mode alpha."""
-    return sum(sl_eigenvalue(fam, a) for fam, a in zip(dist.components, alpha))
-
-
-def eigenvalue_floor(dist: DistributionSpec, n: int) -> float:
-    """min over |alpha| = n of the eigenvalue sum (reported, never assumed).
-
-    This is the sharper decay weight d(n) of the truncation bound; the
-    implemented bound itself uses the plain n^(-ell) form.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    best = math.inf
-    for alpha in _compositions(n, dist.N):
-        best = min(best, eigenvalue_sum(dist, alpha))
-    return best

@@ -104,6 +104,29 @@ def test_solve_command(tmp_path, capsys):
     assert data["coeffs"].shape[0] == 4  # d_3 modes in 1D
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["tables", "--q", "0"], "--q: must be >= 1, got 0"),
+        (["tables", "--k-max", "-1"], "--k-max: must be >= 0, got -1"),
+        (["tables", "--family", "jacobi", "--alpha", "-2"], "got alpha = -2.0"),
+        (["solve", "CONFIG"], "unknown config keys: ['colour']"),
+    ],
+    ids=["q", "k_max", "jacobi_alpha", "config_key"],
+)
+def test_a_bad_value_exits_2_with_a_one_line_error(tmp_path, capsys, argv, named):
+    argv = [str(config_file(tmp_path, colour="red")) if a == "CONFIG" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad argument by exiting
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1].startswith("sgpde")
+    assert named in err.splitlines()[-1]
+
+
 def test_importing_the_cli_does_not_load_scipy_special():
     src = str(Path(sgpde.__file__).resolve().parents[1])
     done = subprocess.run(

@@ -28,7 +28,6 @@ from sgpde.coeffs import (
 )
 from sgpde.harness import (
     _admissible,
-    _invariant_summary,
     analytic_reference,
     build_reference,
     collocation_reference,
@@ -583,6 +582,26 @@ def test_a_directly_made_config_holds_its_distribution_as_a_tuple():
         assert config_hash(made) == WORKLOAD_CONFIG_HASHES["joint_1d"]
 
 
+def test_a_checked_config_cannot_be_changed_after_its_checks():
+    raw = json.loads(json.dumps(JOINT_1D))
+    cfg = load_config(raw)
+    with pytest.raises(AttributeError):
+        cfg.sweep["n"].append(-3)
+    for change in (lambda: cfg.sweep.__setitem__("n", [-3]),
+                   lambda: cfg.distribution[0].update(kind="beta")):
+        with pytest.raises(TypeError, match="read-only"):
+            change()
+    # the config holds its own copies: editing the source changes nothing
+    raw["sweep"]["n"].append(99)
+    raw["distribution"][0]["kind"] = "laguerre"
+    assert config_hash(cfg) == WORKLOAD_CONFIG_HASHES["joint_1d"]
+    # dataclasses.replace makes a new config, and checks it
+    with pytest.raises(ValueError, match=r"^t_final value -1\.0 must be finite and positive"):
+        dataclasses.replace(cfg, t_final=-1.0)
+    assert config_hash(dataclasses.replace(cfg, t_final=cfg.t_final)) == config_hash(cfg)
+    assert config_hash(copy.deepcopy(cfg)) == config_hash(cfg)
+
+
 def test_odd_reference_mesh_is_rejected_only_for_the_error_estimate(monkeypatch, tmp_path, capsys):
     # the two-grid estimate solves on m_ref // 2, which must divide m_ref; a
     # run without the estimate never builds that mesh
@@ -643,11 +662,11 @@ def test_a_p1_sweep_mesh_without_interior_dofs_is_rejected_at_load(monkeypatch, 
     load_config(mini_config(sweep={"n": [1], "m": [1], "n_k": [8]}))  # P2
 
 
-def test_sgpde_solve_rejects_a_p1_mesh_without_interior_dofs(tmp_path):
+def test_sgpde_solve_rejects_a_p1_mesh_without_interior_dofs(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(mini_config(geometry=P1_1D, sweep={"n": [1], "m": [1], "n_k": [8]})))
-    with pytest.raises(ValueError, match=r"^sweep\.m value 1 must be an integer >= 2$"):
-        main(["solve", str(path)])
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == "sgpde: error: sweep.m value 1 must be an integer >= 2\n"
 
 
 @pytest.mark.parametrize("m_ref", [2, 3])
@@ -834,6 +853,13 @@ def test_sweep_logs_one_debug_record_per_batch(caplog):
             assert solved[n, m, n_k][1] == pytest.approx(wall * size / unknowns, rel=1e-12)
 
 
+def test_a_report_holds_only_what_the_sweep_measures():
+    report = sweep(load_config(mini_config(sweep={"n": [1, 2], "m": [4], "n_k": [4]}))).to_dict()
+    assert set(report) == {
+        "config_hash", "version", "axes", "joint", "checks", "passed", "reference_error_estimate",
+    }
+
+
 def test_sweep_logging_is_silent_by_default():
     script = (
         "import json, sys\n"
@@ -923,7 +949,6 @@ def test_solve_single_steps_decoupled_modes_without_the_coupled_matrix(scheme):
     cfg = load_config(mini_config(scheme=scheme, sweep={"n": [3], "m": [8], "n_k": [16]}))
     cache = OperatorCache(cfg)
     state, _ = solve_single(cache, 3, 8, 16)
-    _invariant_summary(cfg, cache)
     op, state0 = cache.operator(3, 8)
     assert "matrix" not in vars(op)  # the chaos-basis matrix was never built
     block_mass = oracles.block_gram(op, op.spatial.mass)
@@ -933,29 +958,9 @@ def test_solve_single_steps_decoupled_modes_without_the_coupled_matrix(scheme):
     assert np.max(np.abs(state.coeffs.reshape(-1) - coupled)) <= 1e-11 * np.max(np.abs(coupled))
 
 
-def test_resolvent_invariant_is_gated_on_the_spatial_size():
-    # the check reads the ndof x ndof pencil (K_g, M) of a space on the
-    # spectral path: the stretch workload's 28 chaos modes x 121 dofs (3,388
-    # unknowns) report it, a 1D mesh of more than SPECTRAL_NDOF_LIMIT dofs
-    # does not
-    cfg = load_config(WORKLOADS["stretch_2d_n2"]["config"])
-    cache = OperatorCache(cfg)
-    summary = _invariant_summary(cfg, cache)
-    op, _ = cache.operator(6, 6)
-    assert (op.block_dim, op.spatial.space.ndof) == (28, 121)
-    assert summary["resolvent_min_generalized_eigenvalue"] == op.min_resolvent_eigenvalue()
-    m = harness.SPECTRAL_NDOF_LIMIT + 2  # m - 1 interior P1 dofs
-    cfg = load_config(mini_config(geometry={"dim": 1, "fe_order": 1},
-                                  sweep={"n": [1], "m": [m], "n_k": [1]}))
-    cache = OperatorCache(cfg)
-    assert "resolvent_min_generalized_eigenvalue" not in _invariant_summary(cfg, cache)
-    assert "pencil" not in vars(cache.spatial(m))
-
-
 def test_a_sweep_above_the_spectral_limit_builds_no_pencil(monkeypatch):
-    # with every space above the limit, the sweep steps every point and its
-    # invariant summary omits the resolvent eigenvalue instead of
-    # decomposing the coarsest space for it alone
+    # with every space above the limit, the sweep steps every point and
+    # decomposes no spatial pencil
     cfg = load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [4, 8]}))
     monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", 6)  # below m = 4's 7 P2 dofs
     decomposed = []
@@ -964,18 +969,8 @@ def test_a_sweep_above_the_spectral_limit_builds_no_pencil(monkeypatch):
         sgsystem, "_checked_eigh",
         lambda a, b=None, what="chaos matrix": decomposed.append(what) or real(a, b, what),
     )
-    report = sweep(cfg)
-    assert "resolvent_min_generalized_eigenvalue" not in report.invariants
+    sweep(cfg)
     assert decomposed and "spatial pencil (K_g, M)" not in decomposed  # only the G of operators
-
-
-def test_resolvent_invariant_matches_the_dense_block_pencil():
-    cfg = load_config(mini_config(sweep={"n": [2, 3], "m": [4, 8], "n_k": [4]}))
-    cache = OperatorCache(cfg)
-    got = _invariant_summary(cfg, cache)["resolvent_min_generalized_eigenvalue"]
-    op, _ = cache.operator(3, 4)
-    block_mass = oracles.block_gram(op, op.spatial.mass)
-    assert got == pytest.approx(oracles.min_generalized_eigenvalue(op.matrix, block_mass), rel=1e-12)
 
 
 # --- the collocation reference against its per-node oracle --------------------
@@ -1281,8 +1276,7 @@ def test_sweep_assembles_each_spatial_matrix_once_per_space(monkeypatch):
                 monkeypatch.setattr(module, name, counted(key, getattr(spatial, name)))
     # separable field, analytic reference: only the operators and initial states assemble
     cfg = load_config(mini_config(sweep={"n": [1, 2, 3], "m": [4, 8, 16], "n_k": [4, 8]}))
-    report = sweep(cfg)
-    assert "triple_product_entries" not in report.invariants
+    sweep(cfg)
     # 3 spaces, 7 distinct (n, m) operators: one mass and one K_g per space
     assert counts == {"mass": 3, "stiffness": 3}
 

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 import oracles
-from sgpde.orthopoly import apply_Q, hermite, jacobi, laguerre
+from sgpde.orthopoly import apply_Q, hermite, jacobi, laguerre, sl_eigenvalue
 from sgpde.pce import (
     DistributionSpec,
     distribution,
-    eigenvalue_floor,
-    eigenvalue_sum,
     multi_index_set,
     pce_error_constant,
     pce_project,
@@ -179,7 +177,7 @@ def test_fourier_decay_identity_1d():
         mis = multi_index_set(1, 6)
         phi = tensor_basis_matrix(dist, mis, nodes)
         for k in range(1, 7):
-            lam = eigenvalue_sum(dist, (k,))
+            lam = sum(sl_eigenvalue(f, a) for f, a in zip(dist.components, (k,)))
             col = phi[:, mis.indices.index((k,))]
             base = float(np.dot(weights, p(nodes[:, 0]) * col))
             for ell, qf in [(1, qp), (2, qqp)]:
@@ -200,7 +198,7 @@ def test_fourier_decay_identity_2d_separable():
     mis = multi_index_set(2, 4)
     phi = tensor_basis_matrix(dist, mis, nodes)
     for alpha in mis:
-        lam = eigenvalue_sum(dist, alpha)
+        lam = sum(sl_eigenvalue(f, a) for f, a in zip(dist.components, alpha))
         if lam <= 0:
             continue
         col = phi[:, mis.indices.index(alpha)]
@@ -228,11 +226,3 @@ def test_pce_bound_on_smooth_function(dist, ell):
         recon = tensor_basis_matrix(dist, mis, nodes) @ v
         err = math.sqrt(float(np.dot(weights, (recon - fvals) ** 2)))
         assert err <= c * n ** (-ell) * norm * (1.0 + 1e-10)
-
-
-def test_eigenvalue_floor_reported():
-    assert eigenvalue_floor(H1, 3) == 3.0
-    assert eigenvalue_floor(distribution(jacobi(0.0, 0.0)), 2) == 6.0
-    # hermite x jacobi(0,0): splitting degree across dims can lower the sum
-    d = distribution(hermite(), jacobi(0.0, 0.0))
-    assert eigenvalue_floor(d, 2) == pytest.approx(2.0)
