@@ -39,7 +39,7 @@ from .sgsystem import (
     reconstruct_at_nodes,
     spatial_operators,
 )
-from .spatial import FeSpace, SolverError, error_points, l2_error, make_fe_space, make_mesh, prolong
+from .spatial import FeSpace, SolverError, l2_error, make_fe_space, make_mesh, prolong
 from .timestep import StepResidualError, crank_nicolson, evolve, scheme_by_name
 
 __all__ = [
@@ -110,8 +110,9 @@ class AnalyticReference:
     def distance(self, space: FeSpace, recon: np.ndarray) -> float:
         """One stacked `l2_error` on the mesh of `space`, against the exact
         solution at every node and error point at once."""
-        x = np.ravel(error_points(space))
-        errors = l2_error(space, recon, self.amplitudes @ np.sin(np.outer(self.frequencies, x)))
+        errors = l2_error(
+            space, recon, lambda x: self.amplitudes @ np.sin(np.outer(self.frequencies, x))
+        )
         return math.sqrt(float(self.weights @ (errors * errors)))
 
 
@@ -520,11 +521,16 @@ def config_hash(cfg: ExperimentConfig) -> str:
 class OperatorCache:
     """The solve pipeline of one config: spatial operators per mesh, block
     operators and initial states, each built once from what the config
-    built and shared across sweep points and the collocation reference."""
+    built and shared across sweep points and the collocation reference.
+
+    The operator G (x) K_g is built by factors: the chaos matrix G and its
+    checked eigendecomposition once per chaos order n, the spatial
+    operators once per mesh m. Each (n, m) pair only joins the two."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self._ops = {}
+        self._chaos = {}
         self._spatial = {}
 
     def spatial(self, m: int) -> SpatialOperators:
@@ -543,7 +549,10 @@ class OperatorCache:
         if key not in self._ops:
             cfg, ops = self.cfg, self.spatial(m)
             mis = multi_index_set(cfg.dist.N, n)
-            op = assemble_block_operator(cfg.dist, mis, ops, cfg.quad_order)
+            if n in self._chaos:
+                op = replace(self._chaos[n], spatial=ops)
+            else:
+                op = self._chaos[n] = assemble_block_operator(cfg.dist, mis, ops, cfg.quad_order)
             state0 = initial_coefficients(cfg.dist, mis, cfg.u0, ops, cfg.quad_order)
             self._ops[key] = (op, state0)
         return self._ops[key]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -63,13 +63,12 @@ class PolyFamily:
     def __post_init__(self):
         if self.kind not in ("hermite", "jacobi", "laguerre"):
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "jacobi" and (self.alpha <= -1.0 or self.beta <= -1.0):
-            raise ValueError(
-                f"jacobi requires alpha > -1 and beta > -1, got alpha = {self.alpha!r}, "
-                f"beta = {self.beta!r}"
-            )
-        if self.kind == "laguerre" and self.alpha <= -1.0:
-            raise ValueError(f"laguerre requires alpha > -1, got alpha = {self.alpha!r}")
+        params = {"jacobi": ("alpha", "beta"), "laguerre": ("alpha",)}.get(self.kind, ())
+        for name in params:
+            # a NaN fails both comparisons, so it is rejected with inf
+            if not -1.0 < getattr(self, name) < inf:
+                got = ", ".join(f"{p} = {getattr(self, p)!r}" for p in params)
+                raise ValueError(f"{self.kind} requires {name} > -1 and finite, got {got}")
 
     @property
     def weighted(self) -> bool:

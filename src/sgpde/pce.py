@@ -133,30 +133,27 @@ def tensor_basis_matrix(dist: DistributionSpec, mis: MultiIndexSet, nodes: np.nd
     return out
 
 
-def pce_project(dist: DistributionSpec, mis: MultiIndexSet, f: Callable, q: int) -> np.ndarray:
+def pce_project(dist: DistributionSpec, mis: MultiIndexSet, samples, q: int) -> np.ndarray:
     """Quadrature chaos projection: f_alpha = sum_i w_i f(z_i) Phi_alpha(z_i).
 
-    Exact for f polynomial of per-dimension degree <= 2q - 1 - n. The
-    callable receives one point z (array of length N) and may return a
-    scalar or a fixed-size array payload. Returns the modes, (d_n,) or
+    `samples` holds the values f(z_i) at the nodes of the q-node tensor
+    Gauss grid `tensor_quad(dist, q)`, in node order: (Q,) for a scalar f,
+    (Q, payload_dim) for an array payload. Exact for f polynomial of
+    per-dimension degree <= 2q - 1 - n. Returns the modes, (d_n,) or
     (d_n, payload_dim), in the order of `mis`.
     """
     if q < mis.n + 1:
         raise ValueError(f"q = {q} must be at least n + 1 = {mis.n + 1}")
     nodes, weights = tensor_quad(dist, q)
-    samples = []
-    shape = None
-    for i in range(nodes.shape[0]):
-        val = np.asarray(f(nodes[i]), dtype=float)
-        if shape is None:
-            shape = val.shape
-        elif val.shape != shape:
-            raise ValueError(f"payload shape {val.shape} != {shape} at node {i}")
-        samples.append(val)
-    samples = np.stack(samples)  # (Q,) or (Q, payload)
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim not in (1, 2) or len(samples) != len(weights):
+        raise ValueError(
+            f"samples of shape {samples.shape} must hold one value or vector at each of "
+            f"the {len(weights)} nodes"
+        )
     phi = tensor_basis_matrix(dist, mis, nodes)
     modes = (phi * weights[:, None]).T @ samples.reshape(len(weights), -1)
-    return modes[:, 0] if shape == () else modes
+    return modes[:, 0] if samples.ndim == 1 else modes
 
 
 def weighted_sobolev_norm(

@@ -21,18 +21,28 @@ w = (V^T (x) I) u evolve under the block-diagonal diag(lam) (x) K_g.
 Everything these builders need of one spatial space lives in one
 `SpatialOperators`, built by `spatial_operators(space, field)`: the mass
 matrix M, the stiffness K_g of the field's spatial part, the checked L2
-projection of spatial functions, each projected once, and the checked
-dense decomposition of the pencil (K_g, M), made when first read. The block
-operator, the initial chaos modes and the collocation reference of the
-harness all take it, so a space shared by several of them is assembled and
-projected once. A rotated chaos mode and a collocation node are the same
-scalar-diffusivity problem M w' = -lam K_g w, with lam an eigenvalue of G
-or f(z_i); the harness propagates both through one function.
+projection of spatial functions, each projected once, the projections of an
+initial datum at the nodes of a Gauss grid, stacked once per grid, and the
+checked dense decomposition of the pencil (K_g, M), made when first read.
+The block operator, the initial chaos modes and the collocation reference
+of the harness all take it, so a space shared by several of them is
+assembled and projected once. A rotated chaos mode and a collocation node
+are the same scalar-diffusivity problem M w' = -lam K_g w, with lam an
+eigenvalue of G or f(z_i); the harness propagates both through one
+function.
 
 An `SgOperator` holds the factors of A and nothing else: G, lam and V, and
 the `SpatialOperators` of M and K_g. It stores no block matrix. `matrix`
 builds G (x) K_g when first read, and the system-basis I (x) M and
 diag(lam) (x) K_g are joined only where the harness steps a batch.
+
+Every eigendecomposition, of G and of the pencil, is checked in O(n^2)
+past the products it forms: the orthogonality defect ||Y^T B Y - I||_F and
+the residual ||A Y - B Y diag(mu)||_F must be at most EIGH_TOL, the latter
+relative to (max_j |A e_j|) (max_j |Y e_j|), the largest column norms. A
+Frobenius norm is at least the 2-norm and a column norm at most it, so the
+check is never looser than one on the 2-norms ||.|| and ||A|| ||Y||: every
+decomposition that the 2-norm check rejects, this one rejects too.
 
 The pencil decomposition is K_g Y = M Y diag(mu) with Y^T M Y = I. In its
 coordinates c_i = Y^T M w_i, rotated mode i evolves
@@ -49,7 +59,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
-import math
 import time
 from dataclasses import dataclass
 
@@ -157,8 +166,7 @@ def _max_abs(a) -> float:
 class Pencil:
     """Checked eigendecomposition of a symmetric-definite pencil (A, B):
     A Y = B Y diag(mu), Y^T B Y = I, mu ascending, with the orthogonality
-    defect ||Y^T B Y - I|| and the relative residual
-    ||A Y - B Y diag(mu)|| / (||A|| ||Y||) it passed (2-norms)."""
+    defect and the relative residual it passed (see `_checked_pencil`)."""
 
     mu: np.ndarray
     y: np.ndarray
@@ -182,13 +190,15 @@ class Pencil:
 class SpatialOperators:
     """One spatial Galerkin space of a coefficient field f(z) g(x) and what
     every builder on it shares: the mass matrix M, the stiffness K_g of g,
-    and the checked L2 projections of spatial functions, each computed once."""
+    the checked L2 projections of spatial functions and the stacked
+    projections of an initial datum on a Gauss grid, each computed once."""
 
     space: FeSpace
     field: CoefficientField
     mass: sp.csr_matrix
     k_g: sp.csr_matrix
     _projections: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+    _datum_samples: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
     def pencil(self) -> Pencil:
@@ -205,6 +215,19 @@ class SpatialOperators:
             self._projections[f] = checked_solve(self.mass, load_vector(self.space, f), 1e-10)
         return self._projections[f]
 
+    def project_datum(self, dist: DistributionSpec, u0: InitialDatum, q: int) -> np.ndarray:
+        """The projections P u0(z_i) at the nodes of the q-node tensor Gauss
+        grid of `dist`, stacked in node order, (Q, ndof). Memoized per grid
+        and datum, so every chaos order on the space reads the same samples;
+        the array is shared, hence read-only."""
+        key = (dist, u0, q)
+        if key not in self._datum_samples:
+            nodes, _ = tensor_quad(dist, q)
+            samples = np.stack([self.project(u0.sample(z)) for z in nodes])
+            samples.flags.writeable = False
+            self._datum_samples[key] = samples
+        return self._datum_samples[key]
+
 
 def spatial_operators(space: FeSpace, field: CoefficientField) -> SpatialOperators:
     """Assemble M and K_g on the space."""
@@ -215,35 +238,42 @@ def spatial_operators(space: FeSpace, field: CoefficientField) -> SpatialOperato
     )
 
 
-def _norm2(a: np.ndarray) -> float:
-    """The 2-norm of a dense matrix, sqrt(lambda_max(A^T A)): the largest
-    singular value, at about a third of the cost of an SVD. LAPACK's
-    divide-and-conquer `syevd` takes every eigenvalue: `syevr`, which a
-    one-eigenvalue subset calls, can fail on the fully clustered spectrum
-    of an orthonormal A."""
-    return math.sqrt(max(scipy.linalg.eigvalsh(a.T @ a, driver="evd")[-1], 0.0))
+def _max_column_norm(a: np.ndarray) -> float:
+    """The largest 2-norm of a column of A, a lower bound on ||A||_2."""
+    return float(np.linalg.norm(a, axis=0).max())
 
 
-def _checked_eigh(a: np.ndarray, b: np.ndarray | None = None, what: str = "chaos matrix") -> Pencil:
-    """The eigendecomposition of the symmetric pencil (A, B), B = I when
-    None, checked: the orthogonality defect ||Y^T B Y - I|| and the
-    relative residual ||A Y - B Y diag(mu)|| / (||A|| ||Y||) (2-norms) must
-    be at most EIGH_TOL, which also catches an A that is not symmetric.
-    Raises SolverError naming `what` when either fails or an input is not
-    finite."""
-    if not (np.isfinite(a).all() and (b is None or np.isfinite(b).all())):
-        raise SolverError(f"{what} holds non-finite entries")
-    mu, y = scipy.linalg.eigh(a) if b is None else scipy.linalg.eigh(a, b)
+def _checked_pencil(
+    a: np.ndarray, b: np.ndarray | None, mu: np.ndarray, y: np.ndarray, what: str
+) -> Pencil:
+    """The decomposition A Y = B Y diag(mu), Y^T B Y = I of the pencil
+    (A, B), B = I when None, checked: the orthogonality defect
+    ||Y^T B Y - I||_F must be at most EIGH_TOL, and so must the residual
+    ||A Y - B Y diag(mu)||_F relative to the product of the largest column
+    norms of A and Y, so the check is never looser than the same test on
+    2-norms (see the module docstring). The residual also catches an A
+    that is not symmetric. Raises SolverError naming `what` when either
+    fails."""
     by = y if b is None else b @ y
-    orth = _norm2(y.T @ by - np.eye(len(a)))
-    res = _norm2(a @ y - by * mu)
-    scale = _norm2(a) * _norm2(y)
+    orth = float(np.linalg.norm(y.T @ by - np.eye(len(a))))
+    res = float(np.linalg.norm(a @ y - by * mu))
+    scale = _max_column_norm(a) * _max_column_norm(y)
     if not (orth <= EIGH_TOL and res <= EIGH_TOL * scale):
         raise SolverError(
             f"{what} eigendecomposition failed its check: "
             f"orthogonality defect {orth:.3e}, residual {res:.3e}"
         )
     return Pencil(mu, y, by, orth, res / scale if scale else 0.0)
+
+
+def _checked_eigh(a: np.ndarray, b: np.ndarray | None = None, what: str = "chaos matrix") -> Pencil:
+    """The eigendecomposition of the symmetric pencil (A, B), B = I when
+    None, checked by `_checked_pencil`. Raises SolverError naming `what`
+    when the check fails or an input is not finite."""
+    if not (np.isfinite(a).all() and (b is None or np.isfinite(b).all())):
+        raise SolverError(f"{what} holds non-finite entries")
+    mu, y = scipy.linalg.eigh(a) if b is None else scipy.linalg.eigh(a, b)
+    return _checked_pencil(a, b, mu, y, what)
 
 
 def assemble_block_operator(
@@ -275,8 +305,9 @@ def initial_coefficients(
     dist: DistributionSpec, mis: MultiIndexSet, u0: InitialDatum, ops: SpatialOperators, q: int
 ) -> SgState:
     """Chaos modes of the initial datum on the space of `ops`: the q-node
-    Gauss sum Phi^T W [P u0(z_i)]_i of its checked L2 projections P."""
-    return SgState(0.0, pce_project(dist, mis, lambda z: ops.project(u0.sample(z)), q), mis)
+    Gauss sum Phi^T W [P u0(z_i)]_i of its checked L2 projections P, which
+    `ops.project_datum` computes once per grid."""
+    return SgState(0.0, pce_project(dist, mis, ops.project_datum(dist, u0, q), q), mis)
 
 
 def reconstruct_at_nodes(

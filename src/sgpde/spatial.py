@@ -17,8 +17,8 @@ nodes through one sparse evaluation matrix.
 Spatial callables (coefficients, loads and initial functions) are sampled
 one point at a time: they receive a float in 1D and an ndarray of shape (2,)
 in 2D; matrix-valued coefficients return a Hermitian 2x2 array, checked at
-every sample. `l2_error` takes a stack of states with their exact values
-given as an array at its own `error_points`.
+every sample. `l2_error` takes a stack of states and their exact values as
+one function of all the points of its element rule at once.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "checked_solve",
     "nodal_coordinates",
     "prolong",
-    "error_points",
     "l2_error",
 ]
 
@@ -357,18 +356,14 @@ def prolong(coarse: FeSpace, u: np.ndarray, fine: FeSpace) -> np.ndarray:
 _ERROR_Q1D = 6
 
 
-def error_points(space: FeSpace) -> np.ndarray:
-    """The quadrature points of `l2_error` on the space, (n_points, dim), in
-    the order in which it reads exact values given as an array."""
-    return _element_rule(space, _ERROR_Q1D)[1].reshape(-1, space.dim)
-
-
-def l2_error(space: FeSpace, u: np.ndarray, exact: np.ndarray) -> np.ndarray:
+def l2_error(space: FeSpace, u: np.ndarray, exact) -> np.ndarray:
     """L2 distances between FE functions and smooth exact functions: the
-    states u (k, ndof) against their exact values (k, n_points) at
-    `error_points(space)`, giving the (k,) distances."""
-    dw, _, vals, _ = _element_rule(space, _ERROR_Q1D)
+    states u (k, ndof) against `exact`, a function of the points of the
+    error rule, (n_points, dim), that returns the k exact values at each,
+    (k, n_points). Gives the (k,) distances."""
+    dw, xq, vals, _ = _element_rule(space, _ERROR_Q1D)
     full = np.zeros((len(u), len(space.nodes)))
     full[:, space.dof_of_node >= 0] = u
-    diff = full[:, space.cell_nodes] @ vals - np.reshape(exact, (len(u),) + dw.shape)
+    values = exact(xq.reshape(-1, space.dim))
+    diff = full[:, space.cell_nodes] @ vals - np.reshape(values, (len(u),) + dw.shape)
     return np.sqrt((diff * diff).reshape(len(u), -1) @ dw.ravel())

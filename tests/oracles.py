@@ -11,7 +11,10 @@ product f(z) g(x), which the library does not take, the L2 projection,
 stationary solve, point evaluation and sampled single-state L2 error of the
 spatial space, the value f(z) g(x) of a field, the triple-product tensor,
 the non-elliptic `affine_field` assembly probe, and the sampled check of a
-field's declared ellipticity bounds.
+field's declared ellipticity bounds. The forms that one-pass library paths
+replaced stay too: the error points with the two-pass L2 error, the
+per-node chaos projection of a callable, and the eigendecomposition check
+on 2-norms.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ from sgpde.sgsystem import SgState, reconstruct_at_nodes, spatial_operators
 from sgpde.spatial import (
     FeSpace,
     Mesh,
+    _ERROR_Q1D,
     _TRI_PTS,
     _TRI_WTS,
+    _element_rule,
     _eval_matrix,
     _gauss_01,
     _shapes_1d,
@@ -44,7 +49,6 @@ from sgpde.spatial import (
     assemble_mass,
     assemble_stiffness,
     checked_solve,
-    error_points,
     l2_error,
     load_vector,
 )
@@ -801,11 +805,75 @@ def fe_eval(space: FeSpace, u: np.ndarray, points) -> np.ndarray:
 
 def sampled_l2_error(space: FeSpace, u: np.ndarray, exact: Callable) -> float:
     """L2 distance between one state u and a callable `exact`, sampled one
-    point at a time at `error_points` (a float in 1D, a (2,) array in 2D)
-    and integrated by the library's stacked `l2_error`."""
-    pts = error_points(space)
-    values = [exact(x) for x in (pts[:, 0].tolist() if space.dim == 1 else pts)]
-    return float(l2_error(space, np.asarray(u)[None], np.array(values)[None])[0])
+    point at a time at the points of the error rule (a float in 1D, a (2,)
+    array in 2D) and integrated by the library's stacked `l2_error`."""
+
+    def values(pts):
+        return np.array([[exact(x) for x in (pts[:, 0].tolist() if space.dim == 1 else pts)]])
+
+    return float(l2_error(space, np.asarray(u)[None], values)[0])
+
+
+# --- slow paths of the one-pass forms: error rule, projection, 2-norm check ---
+
+def error_points(space: FeSpace) -> np.ndarray:
+    """The points of the library's error rule, (n_points, dim), in the order
+    in which `l2_error` passes them to its exact function."""
+    return _element_rule(space, _ERROR_Q1D)[1].reshape(-1, space.dim)
+
+
+def two_pass_l2_error(space: FeSpace, u: np.ndarray, exact_values: np.ndarray) -> np.ndarray:
+    """The stacked L2 error that `spatial.l2_error` replaced: the exact
+    values (k, n_points) given as an array at `error_points`, with the error
+    rule built a second time."""
+    dw, _, vals, _ = _element_rule(space, _ERROR_Q1D)
+    full = np.zeros((len(u), len(space.nodes)))
+    full[:, space.dof_of_node >= 0] = u
+    diff = full[:, space.cell_nodes] @ vals - np.reshape(exact_values, (len(u),) + dw.shape)
+    return np.sqrt((diff * diff).reshape(len(u), -1) @ dw.ravel())
+
+
+def two_pass_analytic_distance(ref, space: FeSpace, recon: np.ndarray) -> float:
+    """`AnalyticReference.distance` as it was: the error points first, then
+    `two_pass_l2_error` on the exact values there."""
+    x = np.ravel(error_points(space))
+    errors = two_pass_l2_error(space, recon, ref.amplitudes @ np.sin(np.outer(ref.frequencies, x)))
+    return math.sqrt(float(ref.weights @ (errors * errors)))
+
+
+def per_node_pce_project(dist, mis: MultiIndexSet, f: Callable, q: int) -> np.ndarray:
+    """The chaos projection of a callable that `pce.pce_project` replaced
+    when it came to take samples: f called at one Gauss node at a time, its
+    values (a scalar or a fixed-size array) stacked, and the Gauss sum
+    f_alpha = sum_i w_i f(z_i) Phi_alpha(z_i) taken over them."""
+    nodes, weights = tensor_quad(dist, q)
+    samples = []
+    for i, z in enumerate(nodes):
+        val = np.asarray(f(z), dtype=float)
+        if samples and val.shape != samples[0].shape:
+            raise ValueError(f"payload shape {val.shape} != {samples[0].shape} at node {i}")
+        samples.append(val)
+    samples = np.stack(samples)
+    phi = tensor_basis_matrix(dist, mis, nodes)
+    modes = (phi * weights[:, None]).T @ samples.reshape(len(weights), -1)
+    return modes[:, 0] if samples.ndim == 1 else modes
+
+
+def norm2(a: np.ndarray) -> float:
+    """The 2-norm of a dense matrix, sqrt(lambda_max(A^T A)), every
+    eigenvalue taken by LAPACK's divide-and-conquer `syevd`."""
+    return math.sqrt(max(scipy.linalg.eigvalsh(a.T @ a, driver="evd")[-1], 0.0))
+
+
+def norm2_check_passes(a: np.ndarray, b, mu: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    """The eigendecomposition check that the library's O(n^2) one replaced:
+    A Y = B Y diag(mu), Y^T B Y = I (B = I when None) passes when
+    ||Y^T B Y - I|| <= tol and ||A Y - B Y diag(mu)|| <= tol ||A|| ||Y||,
+    all 2-norms."""
+    by = y if b is None else b @ y
+    orth = norm2(y.T @ by - np.eye(len(a)))
+    res = norm2(a @ y - by * mu)
+    return orth <= tol and res <= tol * norm2(a) * norm2(y)
 
 
 # --- a field that no config can name, and the sampled bounds check ---------

@@ -124,7 +124,7 @@ def test_acceptance_03_pce_bound():
             c = pce_error_constant(dist, ell)
             for n in range(2, 11):
                 mis = multi_index_set(1, n)
-                v = pce_project(dist, mis, f, q=q)
+                v = pce_project(dist, mis, fvals, q=q)
                 recon = tensor_basis_matrix(dist, mis, nodes) @ v
                 err = math.sqrt(float(np.dot(weights, (recon - fvals) ** 2)))
                 assert err <= c * n ** (-ell) * norm * (1.0 + 1e-10), (family.kind, ell, n)

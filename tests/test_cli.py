@@ -111,8 +111,13 @@ def test_solve_command(tmp_path, capsys):
         (["tables", "--k-max", "-1"], "--k-max: must be >= 0, got -1"),
         (["tables", "--family", "jacobi", "--alpha", "-2"], "got alpha = -2.0"),
         (["solve", "CONFIG"], "unknown config keys: ['colour']"),
+        (["tables", "--q", "100000"], "--q: must be <= 1000, got 100000"),
+        (["tables", "--family", "jacobi", "--alpha", "nan"], "alpha > -1 and finite, got alpha = nan"),
+        (["tables", "--family", "jacobi", "--beta", "inf"], "beta > -1 and finite, got alpha = 0.0, beta = inf"),
+        (["tables", "--family", "laguerre", "--alpha", "inf"], "alpha > -1 and finite, got alpha = inf"),
     ],
-    ids=["q", "k_max", "jacobi_alpha", "config_key"],
+    ids=["q", "k_max", "jacobi_alpha", "config_key", "q_above_1000", "jacobi_alpha_nan",
+         "jacobi_beta_inf", "laguerre_alpha_inf"],
 )
 def test_a_bad_value_exits_2_with_a_one_line_error(tmp_path, capsys, argv, named):
     argv = [str(config_file(tmp_path, colour="red")) if a == "CONFIG" else a for a in argv]

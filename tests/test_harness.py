@@ -43,7 +43,7 @@ from sgpde.harness import (
 )
 from sgpde.orthopoly import hermite
 from sgpde.pce import distribution, multi_index_set, tensor_basis_matrix, tensor_quad
-from sgpde.sgsystem import SgState, spatial_operators
+from sgpde.sgsystem import SgState, reconstruct_at_nodes, spatial_operators
 from sgpde.spatial import (
     SolverError,
     assemble_mass,
@@ -227,6 +227,21 @@ def test_analytic_error_matches_per_node_oracle(monkeypatch, order, n_inputs):
     rough = SgState(0.05, noise, state.mis)
     got = error_norm_H(dist, rough, space, ref)
     assert abs(got - oracle(rough)) <= 1e-13 * got
+
+
+@pytest.mark.parametrize("n_inputs", [1, 2])
+@pytest.mark.parametrize("order", [1, 2])
+def test_analytic_distance_is_the_two_pass_distance_bitwise(monkeypatch, order, n_inputs):
+    # one pass over the error rule gives the very distance of the error
+    # points and the array-valued l2_error that it replaced
+    dist, ref, space, state = _analytic_fixture(order, n_inputs)
+    recon = reconstruct_at_nodes(dist, state, ref.nodes)
+    rules = []
+    real = spatial._element_rule
+    monkeypatch.setattr(spatial, "_element_rule", lambda *a: rules.append(a) or real(*a))
+    got = ref.distance(space, recon)
+    assert len(rules) == 1
+    assert got.hex() == oracles.two_pass_analytic_distance(ref, space, recon).hex()
 
 
 def test_analytic_values_are_the_pointwise_solution():
@@ -1279,6 +1294,31 @@ def test_sweep_assembles_each_spatial_matrix_once_per_space(monkeypatch):
     sweep(cfg)
     # 3 spaces, 7 distinct (n, m) operators: one mass and one K_g per space
     assert counts == {"mass": 3, "stiffness": 3}
+
+
+def test_joint_1d_sweep_builds_each_chaos_factor_once_per_order(monkeypatch):
+    # G and its checked eigh depend on n alone: the sweep serves 13 (n, m)
+    # operators from 5 builds, each other pair joining its n's chaos factor
+    # with the pair's own spatial operators
+    built, served = [], {}
+    build, operator = harness.assemble_block_operator, OperatorCache.operator
+    monkeypatch.setattr(harness, "assemble_block_operator", lambda *a: built.append(a) or build(*a))
+
+    def recorded(cache, n, m):
+        got = operator(cache, n, m)
+        served[n, m] = cache, got[0]
+        return got
+
+    monkeypatch.setattr(OperatorCache, "operator", recorded)
+    cfg = load_config(WORKLOADS["joint_1d"]["config"])
+    sweep(cfg)
+    assert sorted(mis.n for _, mis, _, _ in built) == [1, 2, 3, 4, 5]
+    assert len(served) == 13
+    for (n, m), (cache, op) in served.items():
+        fresh = build(cfg.dist, multi_index_set(1, n), cache.spatial(m), cfg.quad_order)
+        assert op.spatial is cache.spatial(m) and op.mis == fresh.mis
+        for attr in ("chaos", "eigvals", "eigvecs"):
+            assert getattr(op, attr).tobytes() == getattr(fresh, attr).tobytes(), (n, m, attr)
 
 
 def test_colloc_2d_sweep_builds_each_spatial_operator_once_per_space(monkeypatch):

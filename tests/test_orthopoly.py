@@ -67,6 +67,19 @@ def test_invalid_parameters_rejected():
         laguerre(-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make,name",
+    [(lambda v: jacobi(v, 0.0), "alpha"), (lambda v: jacobi(0.0, v), "beta"),
+     (laguerre, "alpha")],
+    ids=["jacobi_alpha", "jacobi_beta", "laguerre_alpha"],
+)
+def test_non_finite_parameters_are_rejected_by_name(make, name, value):
+    # a NaN passes a "<= -1" test; each parameter must be finite and > -1
+    with pytest.raises(ValueError, match=rf"requires {name} > -1 and finite, got .*{name} = "):
+        make(value)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_recurrence_generates_orthonormal_polynomials(family):
     # 60-node rule integrates products of degree <= 8 polynomials exactly

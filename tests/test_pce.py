@@ -109,35 +109,47 @@ def test_triple_products_against_dense_quadrature_oracle():
 
 def test_pce_project_examples():
     mis = multi_index_set(1, 4)
-    v = pce_project(H1, mis, lambda z: z[0], q=12)
+    z = tensor_quad(H1, 12)[0][:, 0]
+    v = pce_project(H1, mis, z, q=12)
     assert v == pytest.approx([0.0, 1.0, 0.0, 0.0, 0.0], abs=1e-13)
-    v = pce_project(H1, mis, lambda z: 3.25, q=12)
+    v = pce_project(H1, mis, np.full(len(z), 3.25), q=12)
     assert v == pytest.approx([3.25, 0.0, 0.0, 0.0, 0.0], abs=1e-13)
-    v = pce_project(H1, mis, lambda z: z[0] ** 2, q=12)
+    v = pce_project(H1, mis, z**2, q=12)
     assert v == pytest.approx([1.0, 0.0, math.sqrt(2.0), 0.0, 0.0], abs=1e-12)
 
 
 def test_pce_project_vector_payload_and_mismatch():
     mis = multi_index_set(1, 2)
-    v = pce_project(H1, mis, lambda z: np.array([z[0], 2.0 * z[0]]), q=8)
+    z = tensor_quad(H1, 8)[0][:, 0]
+    v = pce_project(H1, mis, np.column_stack([z, 2.0 * z]), q=8)
     assert v.shape == (3, 2)
     assert v[1] == pytest.approx([1.0, 2.0], abs=1e-13)
-    ragged = lambda z: np.ones(2) if z[0] < 0 else np.ones(3)
-    with pytest.raises(ValueError):
-        pce_project(H1, mis, ragged, q=8)
+    # samples must be one value or vector per node of the q-node grid
+    for bad in (z[:-1], np.ones((8, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="must hold one value or vector at each of the 8 nodes"):
+            pce_project(H1, mis, bad, q=8)
 
 
 def test_pce_project_requires_enough_nodes():
     with pytest.raises(ValueError):
-        pce_project(H1, multi_index_set(1, 4), lambda z: 1.0, q=4)
+        pce_project(H1, multi_index_set(1, 4), np.ones(4), q=4)
+
+
+def test_pce_project_of_samples_is_the_per_node_projection_bitwise():
+    f = lambda z: np.array([math.exp(z[0] / 2.0) * z[1], z[0] - z[1] ** 2])
+    mis = multi_index_set(2, 3)
+    nodes = tensor_quad(HH, 7)[0]
+    got = pce_project(HH, mis, np.stack([f(z) for z in nodes]), q=7)
+    assert got.tobytes() == oracles.per_node_pce_project(HH, mis, f, 7).tobytes()
 
 
 def test_projection_idempotent_and_contractive():
     mis = multi_index_set(1, 6)
     f = lambda z: math.exp(z[0] / 2.0)
     q = 40
-    v1 = pce_project(H1, mis, f, q=q)
-    v2 = pce_project(H1, mis, lambda z: tensor_basis_matrix(H1, mis, z[None])[0] @ v1, q=q)
+    nodes = tensor_quad(H1, q)[0]
+    v1 = pce_project(H1, mis, np.array([f(z) for z in nodes]), q=q)
+    v2 = pce_project(H1, mis, tensor_basis_matrix(H1, mis, nodes) @ v1, q=q)
     assert np.max(np.abs(v1 - v2)) < 1e-12
     norm_f = quad_l2_norm(H1, lambda z: f(z), q=q)
     norm_rf = math.sqrt(float(np.sum(v1**2)))
@@ -222,7 +234,7 @@ def test_pce_bound_on_smooth_function(dist, ell):
     fvals = np.array([f(z) for z in nodes])
     for n in range(2, 11):
         mis = multi_index_set(1, n)
-        v = pce_project(dist, mis, f, q=q)
+        v = pce_project(dist, mis, fvals, q=q)
         recon = tensor_basis_matrix(dist, mis, nodes) @ v
         err = math.sqrt(float(np.dot(weights, (recon - fvals) ** 2)))
         assert err <= c * n ** (-ell) * norm * (1.0 + 1e-10)

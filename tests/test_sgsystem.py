@@ -422,6 +422,33 @@ def test_spatial_pencil_rejects_a_bad_decomposition(monkeypatch):
             spatial_1d(8).pencil
 
 
+@pytest.mark.parametrize("which", ["pencil", "chaos"])
+def test_the_eigh_check_rejects_whatever_the_two_norm_check_rejects(which):
+    # Frobenius numerators and a column-norm scale are never looser than the
+    # 2-norm check: Y scaled by 1 + delta, Y mixed by I + delta 11^T / n (a
+    # defect spread over every entry) and mu shifted by delta, from 1e-16
+    # to 1e-8, fail the library check wherever they fail the oracle's
+    if which == "pencil":
+        field = coefficient_by_name("logistic_anisotropic")
+        ops = spatial_operators(make_fe_space(make_mesh(2, 4), 2), field)
+        a, b = ops.k_g.toarray(), ops.mass.toarray()
+    else:  # d_n = 21
+        a, b = build_operator(distribution(hermite(), hermite()), 5, space_1d(4),
+                              coefficient_by_name("logistic_1d"), q=11).chaos, None
+    mu, y = scipy.linalg.eigh(a, b)
+    assert oracles.norm2_check_passes(a, b, mu, y, sgsystem.EIGH_TOL)
+    sgsystem._checked_pencil(a, b, mu, y, which)
+    spread = np.full((len(mu), len(mu)), 1.0 / len(mu))
+    rejected = 0
+    for delta in np.logspace(-16, -8, 33):
+        for mu_p, y_p in ((mu, y * (1.0 + delta)), (mu, y + delta * (y @ spread)), (mu + delta, y)):
+            if not oracles.norm2_check_passes(a, b, mu_p, y_p, sgsystem.EIGH_TOL):
+                rejected += 1
+                with pytest.raises(SolverError, match="eigendecomposition failed its check"):
+                    sgsystem._checked_pencil(a, b, mu_p, y_p, which)
+    assert rejected >= 20  # the oracle's threshold lies inside the sweep
+
+
 def test_chaos_eigendecomposition_is_checked(monkeypatch):
     space = space_1d(4)
     field = coefficient_by_name("logistic_1d")
@@ -525,6 +552,31 @@ def test_initial_coefficients_builds_one_load_per_distinct_function(monkeypatch)
     proj = oracles.l2_project(ops.space, lambda x: math.sin(math.pi * x))
     assert np.max(np.abs(shared.coeffs[0] - proj)) < 1e-10
     assert np.max(np.abs(per_node.coeffs[1] - proj)) < 1e-10
+
+
+def test_initial_modes_are_the_per_node_projection_bitwise(monkeypatch):
+    # the datum's projections at the Gauss nodes are stacked once per space
+    # and grid, and every chaos order reads them: a datum with a new spatial
+    # function at each of the 5 x 5 nodes is projected 25 times for three
+    # orders, and each order's modes are those of the per-node projection
+    calls = []
+    monkeypatch.setattr(
+        sgsystem, "load_vector", lambda space, f: calls.append(f) or load_vector(space, f)
+    )
+    field = coefficient_by_name("logistic_anisotropic")
+    ops = spatial_operators(make_fe_space(make_mesh(2, 3), 2), field)
+    dist = distribution(hermite(), hermite())
+    u0 = InitialDatum(
+        dim=2, sample=lambda z: (lambda x: math.sin(math.pi * x[0]) * math.cos(z[0] * x[1] + z[1]))
+    )
+    got = {n: initial_coefficients(dist, multi_index_set(2, n), u0, ops, q=5) for n in (1, 2, 3)}
+    assert len(calls) == 25
+    samples = ops.project_datum(dist, u0, 5)
+    assert samples is ops.project_datum(dist, u0, 5) and not samples.flags.writeable
+    for n, state in got.items():
+        mis = multi_index_set(2, n)
+        want = oracles.per_node_pce_project(dist, mis, lambda z: ops.project(u0.sample(z)), 5)
+        assert state.coeffs.tobytes() == want.tobytes(), n
 
 
 @pytest.mark.parametrize("dim,order,n_inputs", [(1, 1, 1), (2, 2, 2)])

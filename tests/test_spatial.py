@@ -12,7 +12,6 @@ from sgpde.spatial import (
     assemble_mass,
     assemble_stiffness,
     checked_solve,
-    error_points,
     l2_error,
     load_vector,
     make_fe_space,
@@ -234,10 +233,15 @@ def test_stacked_l2_error_matches_single_state_calls(dim, order):
         exact = [lambda x, k=k: math.sin((k + 1) * math.pi * x) for k in range(4)]
     else:
         exact = [lambda x, k=k: math.sin((k + 1) * math.pi * x[0]) * x[1] for k in range(4)]
-    pts = error_points(space)
-    assert pts.shape == (space.mesh.cells.shape[0] * (6 if dim == 1 else 7), dim)
-    values = np.array([[f(x[0] if dim == 1 else x) for x in pts] for f in exact])
+    seen = []
+
+    def values(pts):
+        seen.append(pts.shape)
+        return np.array([[f(x[0] if dim == 1 else x) for x in pts] for f in exact])
+
     stacked = l2_error(space, states, values)
+    # one call with every point of the error rule
+    assert seen == [(space.mesh.cells.shape[0] * (6 if dim == 1 else 7), dim)]
     assert stacked.shape == (4,)
     for k, f in enumerate(exact):
         single = oracles.cellwise_l2_error(space, states[k], f)
