@@ -1,9 +1,8 @@
-"""Command-line interface: tables, solve, converge, check."""
+"""Command-line interface: solve, converge, check."""
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -17,45 +16,6 @@ from .pce import distribution, multi_index_set
 from .sgsystem import assemble_block_operator, spatial_operators
 from .spatial import assemble_stiffness, make_fe_space, make_mesh
 from .timestep import Propagator, a_stability_probe, implicit_euler, crank_nicolson
-
-
-# The Gauss rule's cost grows about as q^2 (62 ms at q = 1000 on one Xeon
-# core); a bound keeps a mistyped q from tying up the machine
-MAX_TABLES_Q = 1000
-
-
-def _integer_in(lowest: int, highest: float = math.inf):
-    """An argparse type: an integer in [lowest, highest]."""
-
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < lowest:
-            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
-        if value > highest:
-            raise argparse.ArgumentTypeError(f"must be <= {highest}, got {value}")
-        return value
-
-    return integer
-
-
-def _family_from_args(args):
-    if args.family == "hermite":
-        return hermite()
-    if args.family == "jacobi":
-        return jacobi(args.alpha, args.beta)
-    return laguerre(args.alpha)
-
-
-def cmd_tables(args) -> int:
-    family = _family_from_args(args)
-    rule = gauss_rule(family, args.q)
-    print(f"# {args.family} gauss rule, q = {args.q}")
-    print("node weight")
-    for x, w in zip(rule.nodes, rule.weights):
-        print(f"{float(x)!r} {float(w)!r}")
-    print(f"# eigenvalues k <= {args.k_max}")
-    print(" ".join(repr(sl_eigenvalue(family, k)) for k in range(args.k_max + 1)))
-    return 0
 
 
 def cmd_solve(args) -> int:
@@ -145,14 +105,6 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=f"sgpde {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tables", help="print a Gauss rule and the Sturm-Liouville eigenvalues of a family")
-    p.add_argument("--family", choices=["hermite", "jacobi", "laguerre"], default="hermite")
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--q", type=_integer_in(1, MAX_TABLES_Q), default=5)
-    p.add_argument("--k-max", type=_integer_in(0), default=8)
-    p.set_defaults(func=cmd_tables)
-
     p = sub.add_parser("solve", help="run a single configuration at the finest sweep point")
     p.add_argument("config")
     p.add_argument("--state-out", default=None)
@@ -168,7 +120,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # a bad value in the arguments or the config
+    except ValueError as exc:  # a bad value in the config
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

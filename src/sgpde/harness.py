@@ -284,6 +284,11 @@ _FAMILIES = {
 }
 # the coarsest mesh m with an interior dof, per FE order: P1 on one cell has none
 _LOWEST_M = {1: 2, 2: 1}
+# bounds, in float64 entries (10^7 = 80 MB), on the largest dense arrays a
+# sweep forms: the chaos basis on the tensor Gauss grid, q^N x d_n, and the
+# collocation reference's node solutions, q_ref^N x ndof(m_ref)
+MAX_CHAOS_BASIS_ENTRIES = 10**7
+MAX_REFERENCE_ENTRIES = 10**7
 # the keys the code reads from each dict of a config
 _REFERENCE_KEYS = {"analytic": {"kind"}, "collocation": {"kind", "m_ref", "n_k_ref", "quad_order"}}
 _TOLERANCE_KEYS = {
@@ -368,6 +373,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"quad_order {self.quad_order} too small for n = {max_n}; need >= {2 * max_n + 1}"
             )
+        inputs = len(self.distribution)
+        basis = self.quad_order**inputs * math.comb(inputs + max_n, max_n)
+        if basis > MAX_CHAOS_BASIS_ENTRIES:
+            raise ValueError(
+                f"quad_order {self.quad_order} too large for N = {inputs} inputs and n = {max_n}: "
+                f"the chaos basis on its grid has {basis} entries; need <= {MAX_CHAOS_BASIS_ENTRIES}"
+            )
         kind = self.reference.get("kind")
         if kind not in _REFERENCE_KEYS:
             raise ValueError("reference.kind must be 'analytic' or 'collocation'")
@@ -388,6 +400,14 @@ class ExperimentConfig:
                 )
             if nk_ref < factor * max_nk:
                 raise ValueError(f"reference n_k_ref = {nk_ref} must be >= {factor} * max n_k")
+            q_ref = self.reference.get("quad_order", self.quad_order)
+            ndof = (self.geometry["fe_order"] * m_ref - 1) ** self.geometry["dim"]
+            values = q_ref**inputs * ndof
+            if values > MAX_REFERENCE_ENTRIES:
+                raise ValueError(
+                    f"reference quad_order {q_ref} and m_ref {m_ref} too large for N = {inputs} "
+                    f"inputs: the reference has {values} entries; need <= {MAX_REFERENCE_ENTRIES}"
+                )
         dist = _built(
             "distribution", lambda: DistributionSpec(tuple(map(_family, self.distribution)))
         )

@@ -19,6 +19,7 @@ on 2-norms.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -88,11 +89,18 @@ def jacobi_moment(alpha: float, beta: float, j: int) -> float:
 
 def moment(family, j: int) -> float:
     """Closed-form moment dispatch on a PolyFamily-like object."""
-    if family.kind == "hermite":
+    return _moment(family.kind, family.alpha, family.beta, j)
+
+
+@functools.cache
+def _moment(kind: str, alpha: float, beta: float, j: int) -> float:
+    """`moment` kept per (kind, alpha, beta, j): the exact-fraction moments
+    are costly, and a test of Gauss rules asks for the same ones per q."""
+    if kind == "hermite":
         return hermite_moment(j)
-    if family.kind == "laguerre":
-        return laguerre_moment(family.alpha, j)
-    return jacobi_moment(family.alpha, family.beta, j)
+    if kind == "laguerre":
+        return laguerre_moment(alpha, j)
+    return jacobi_moment(alpha, beta, j)
 
 
 def integrate_against_density(family, f, limit: int = 200) -> float:

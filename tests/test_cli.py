@@ -12,22 +12,6 @@ from sgpde import cli
 from sgpde.cli import invariant_suite, main
 
 
-def test_tables_command(capsys):
-    assert main(["tables", "--family", "hermite", "--q", "3", "--k-max", "2"]) == 0
-    out = capsys.readouterr().out
-    lines = out.strip().split("\n")
-    assert lines[0].startswith("# hermite gauss rule")
-    nodes = [line.split() for line in lines if line and not line.startswith(("#", "node"))]
-    gauss = [(float(a), float(b)) for a, b in (row for row in nodes if len(row) == 2)]
-    assert gauss[0][0] == pytest.approx(-math.sqrt(3.0), abs=1e-12)
-    assert len(gauss) == 3
-    # the rule, then the hermite eigenvalues lambda_k = k, and nothing else
-    assert lines[-2:] == ["# eigenvalues k <= 2", "0.0 1.0 2.0"]
-    assert len(lines) == 2 + 3 + 2
-    with pytest.raises(SystemExit):  # the command takes no triple-product options
-        main(["tables", "--eps-n", "1"])
-
-
 def test_check_command(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
@@ -105,31 +89,28 @@ def test_solve_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, named",
+    "overrides, named",
     [
-        (["tables", "--q", "0"], "--q: must be >= 1, got 0"),
-        (["tables", "--k-max", "-1"], "--k-max: must be >= 0, got -1"),
-        (["tables", "--family", "jacobi", "--alpha", "-2"], "got alpha = -2.0"),
-        (["solve", "CONFIG"], "unknown config keys: ['colour']"),
-        (["tables", "--q", "100000"], "--q: must be <= 1000, got 100000"),
-        (["tables", "--family", "jacobi", "--alpha", "nan"], "alpha > -1 and finite, got alpha = nan"),
-        (["tables", "--family", "jacobi", "--beta", "inf"], "beta > -1 and finite, got alpha = 0.0, beta = inf"),
-        (["tables", "--family", "laguerre", "--alpha", "inf"], "alpha > -1 and finite, got alpha = inf"),
+        ({"colour": "red"}, "unknown config keys: ['colour']"),
+        # a family parameter reaches the command only through a config;
+        # JSON writes a non-finite float as NaN or Infinity
+        ({"distribution": [{"kind": "jacobi", "alpha": -2}]},
+         "distribution: jacobi requires alpha > -1 and finite, got alpha = -2.0, beta = 0.0"),
+        ({"distribution": [{"kind": "jacobi", "alpha": math.nan}]},
+         "distribution: jacobi requires alpha > -1 and finite, got alpha = nan, beta = 0.0"),
+        ({"distribution": [{"kind": "jacobi", "beta": math.inf}]},
+         "distribution: jacobi requires beta > -1 and finite, got alpha = 0.0, beta = inf"),
+        ({"distribution": [{"kind": "laguerre", "alpha": math.inf}]},
+         "distribution: laguerre requires alpha > -1 and finite, got alpha = inf"),
     ],
-    ids=["q", "k_max", "jacobi_alpha", "config_key", "q_above_1000", "jacobi_alpha_nan",
-         "jacobi_beta_inf", "laguerre_alpha_inf"],
+    ids=["config_key", "jacobi_alpha", "jacobi_alpha_nan", "jacobi_beta_inf", "laguerre_alpha_inf"],
 )
-def test_a_bad_value_exits_2_with_a_one_line_error(tmp_path, capsys, argv, named):
-    argv = [str(config_file(tmp_path, colour="red")) if a == "CONFIG" else a for a in argv]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects a bad argument by exiting
-        code = exc.code
+def test_a_bad_value_exits_2_with_a_one_line_error(tmp_path, capsys, overrides, named):
+    code = main(["solve", str(config_file(tmp_path, **overrides))])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == "" and "Traceback" not in err
-    assert err.splitlines()[-1].startswith("sgpde")
-    assert named in err.splitlines()[-1]
+    assert err.splitlines() == [f"sgpde: error: {named}"]
 
 
 def test_importing_the_cli_does_not_load_scipy_special():

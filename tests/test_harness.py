@@ -421,6 +421,50 @@ def test_bad_config_values_are_rejected_at_load(monkeypatch, override, key, show
 
 
 @pytest.mark.parametrize(
+    "raw,shown",
+    [
+        # three inputs at n = 30: the chaos basis would be 61^3 x C(33, 3) floats, 9.9 GB
+        (mini_config(distribution=[{"kind": "hermite"}] * 3, quad_order=61,
+                     sweep={"n": [30], "m": [8], "n_k": [8]}),
+         "quad_order 61 too large for N = 3 inputs and n = 30: the chaos basis on its grid "
+         "has 1238408336 entries; need <= 10000000"),
+        # 2D P2 on m_ref = 512: 20 nodes x 1023^2 dofs
+        ({**COLLOC_2D, "reference": {**COLLOC_2D["reference"], "m_ref": 512, "quad_order": 20}},
+         "reference quad_order 20 and m_ref 512 too large for N = 1 inputs: the reference "
+         "has 20930580 entries; need <= 10000000"),
+    ],
+    ids=["chaos_basis", "reference"],
+)
+def test_a_sweep_too_large_for_memory_is_refused_before_anything_is_built(monkeypatch, raw, shown):
+    # the sizes are counted in integers: no grid, family or reference is built
+    def refuse(*args, **kwargs):
+        pytest.fail("the config built an array before refusing its size")
+
+    for name in ("tensor_quad", "analytic_reference", "DistributionSpec"):
+        monkeypatch.setattr(harness, name, refuse)
+    with pytest.raises(ValueError, match=rf"^{shown}$"):
+        load_config(raw)
+
+
+@pytest.mark.parametrize(
+    "bound,raw,size",
+    [
+        ("MAX_CHAOS_BASIS_ENTRIES", mini_config(), 20 * 4),  # 20 nodes x d_3 modes
+        ("MAX_REFERENCE_ENTRIES", mini_config(reference=COLLOCATION), 20 * 127),  # x P2 dofs
+    ],
+    ids=["chaos_basis", "reference"],
+)
+def test_a_config_at_a_memory_bound_loads_and_one_entry_above_it_is_refused(
+    monkeypatch, bound, raw, size
+):
+    monkeypatch.setattr(harness, bound, size)
+    load_config(raw)
+    monkeypatch.setattr(harness, bound, size - 1)
+    with pytest.raises(ValueError, match=rf"has {size} entries; need <= {size - 1}$"):
+        load_config(raw)
+
+
+@pytest.mark.parametrize(
     "override,shown",
     [
         ({"tolerances": {"m": {"min_slop": 100.0}}}, r"unknown tolerances\.m keys: \['min_slop'\]"),
