@@ -4,8 +4,10 @@ A coefficient field maps a random parameter z in R^N and a spatial point x
 to a scalar (1D) or a Hermitian 2x2 matrix (2D). Every field is separable,
 value = f(z) * g(x): `CoefficientField` holds the two factors, its value is
 their product, and the library assembles the spatial matrix of g once per
-space. Ellipticity bounds are declared, not proven; the test suite checks
-them by sampling.
+space. Both factors are functions over arrays, called once per grid: f of
+all the nodes of a z-grid, g of all the points of an element rule (see
+`spatial`). Ellipticity bounds are declared, not proven; the test suite
+checks them by sampling.
 """
 
 from __future__ import annotations
@@ -31,7 +33,12 @@ __all__ = [
 class CoefficientField:
     """Diffusion coefficient M(z, x) = f(z) g(x); see the module docstring.
 
-    `z_factor` is the scalar f and `spatial_part` the spatial g.
+    `z_factor` is the scalar f: it takes the nodes of a z-grid, (Q, N),
+    and returns the (Q,) values at them (`factor_at` checks the shape).
+    `spatial_part` is the spatial g: it takes points (n_points, dim) and
+    returns (n_points,) scalars in 1D, and in 2D (n_points, 2, 2) Hermitian
+    matrices or (n_points,) scalars; a scalar, or in 2D a constant 2x2
+    matrix, stands for the same value at every point.
     `z_derivatives` are optional exact derivatives of f, declared for the
     chaos truncation bound (`pce.weighted_sobolev_norm`); no report reads
     them yet (ROADMAP F4, D9). `kappa` and `bound` are the declared
@@ -46,14 +53,24 @@ class CoefficientField:
     z_derivatives: tuple = ()
     name: str = ""
 
+    def factor_at(self, nodes: np.ndarray) -> np.ndarray:
+        """f at the nodes (Q, N) of a z-grid, from one call of `z_factor`;
+        any shape of its values but (Q,) raises ValueError naming (Q,)."""
+        vals = np.asarray(self.z_factor(nodes), dtype=float)
+        if vals.shape != (len(nodes),):
+            raise ValueError(f"z_factor: expected shape ({len(nodes)},), got {vals.shape}")
+        return vals
+
 
 @dataclass(frozen=True)
 class InitialDatum:
     """Map from the random parameter to a spatial function, with metadata.
 
-    `sample(z)` returns a callable on the spatial domain. `sine_modes`
-    (1D only) lists (j, c_j) pairs of sin(j pi x) components when the datum
-    is a deterministic Fourier sine sum, enabling analytic references.
+    `sample(z)` takes one node z (N,) and returns a spatial function of the
+    points (n_points, dim) that gives their (n_points,) values, or one
+    scalar for all. `sine_modes` (1D only) lists (j, c_j) pairs of
+    sin(j pi x) components when the datum is a deterministic Fourier sine
+    sum, enabling analytic references.
     """
 
     dim: int
@@ -99,6 +116,9 @@ def builtin_separable(
     """Separable field value = f(z) g(x) with declared bounds (inf, sup) of
     f and of g, so kappa = inf f inf g and bound = sup f sup g. A
     nonpositive lower bound of either factor is rejected.
+
+    f reads the first input only: it maps an array of z_1 values to the
+    array of its values, of the same shape. g is the `spatial_part`.
     """
     for factor, (low, _) in (("f", f_bounds), ("g", g_bounds)):
         if low <= 0.0:
@@ -107,7 +127,7 @@ def builtin_separable(
         dim=dim,
         kappa=f_bounds[0] * g_bounds[0],
         bound=f_bounds[1] * g_bounds[1],
-        z_factor=lambda z: f(np.asarray(z, dtype=float)[0] if np.ndim(z) else z),
+        z_factor=lambda z: f(np.asarray(z, dtype=float)[:, 0]),
         spatial_part=g,
         z_derivatives=f_derivatives,
         name=name,
@@ -118,8 +138,9 @@ def builtin_separable(
 
 def _constant_field(value: float = 1.0, dim: int = 1) -> CoefficientField:
     return builtin_separable(
-        lambda z: 1.0,
-        (lambda x: value) if dim == 1 else (lambda x: value * np.eye(2)),
+        np.ones_like,
+        (lambda x: np.full(len(x), value)) if dim == 1
+        else (lambda x: value * np.broadcast_to(np.eye(2), (len(x), 2, 2))),
         dim=dim,
         f_bounds=(1.0, 1.0),
         g_bounds=(value, value),
@@ -130,7 +151,7 @@ def _constant_field(value: float = 1.0, dim: int = 1) -> CoefficientField:
 def _logistic_1d() -> CoefficientField:
     return builtin_separable(
         logistic_factor,
-        lambda x: 1.0,
+        lambda x: np.ones(len(x)),
         dim=1,
         f_bounds=(1.0, 2.0),
         g_bounds=(1.0, 1.0),
@@ -142,8 +163,10 @@ def _logistic_1d() -> CoefficientField:
 def _logistic_anisotropic() -> CoefficientField:
     # diag(1 + |x|^2, 3 - |x|^2) on the unit square has eigenvalues in [1, 3]
     def g(x):
-        r2 = float(x[0] ** 2 + x[1] ** 2)
-        return np.array([[1.0 + r2, 0.0], [0.0, 3.0 - r2]])
+        r2 = x[:, 0] ** 2 + x[:, 1] ** 2
+        vals = np.zeros((len(x), 2, 2))
+        vals[:, 0, 0], vals[:, 1, 1] = 1.0 + r2, 3.0 - r2
+        return vals
 
     return builtin_separable(
         logistic_factor,
@@ -173,7 +196,7 @@ def _sine_modes_datum(modes: Sequence = ((1, 1.0),)) -> InitialDatum:
     modes = tuple((int(j), float(c)) for j, c in modes)
 
     def u0(x):
-        return sum(c * np.sin(j * np.pi * x) for j, c in modes)
+        return sum(c * np.sin(j * np.pi * x[:, 0]) for j, c in modes)
 
     return InitialDatum(
         dim=1,
@@ -185,7 +208,7 @@ def _sine_modes_datum(modes: Sequence = ((1, 1.0),)) -> InitialDatum:
 
 def _product_sine_datum(j: int = 1, amplitude: float = 1.0) -> InitialDatum:
     def u0(x):
-        return amplitude * np.sin(j * np.pi * x[0]) * np.sin(j * np.pi * x[1])
+        return amplitude * np.sin(j * np.pi * x[:, 0]) * np.sin(j * np.pi * x[:, 1])
 
     return InitialDatum(
         dim=2,

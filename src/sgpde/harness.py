@@ -39,7 +39,7 @@ from .sgsystem import (
     reconstruct_at_nodes,
     spatial_operators,
 )
-from .spatial import FeSpace, SolverError, l2_error, make_fe_space, make_mesh, prolong
+from .spatial import FeSpace, SolverError, l2_error, make_fe_space, make_mesh, prolong, sampled
 from .timestep import StepResidualError, crank_nicolson, evolve, scheme_by_name
 
 __all__ = [
@@ -116,6 +116,11 @@ class AnalyticReference:
         return math.sqrt(float(self.weights @ (errors * errors)))
 
 
+# the points at which `analytic_reference` checks that g is constant
+_PROBES = np.array([[0.0], [0.23], [0.57], [0.91], [1.0]])
+_PROBES.flags.writeable = False
+
+
 def analytic_reference(
     dist: DistributionSpec, q: int, field: CoefficientField, u0: InitialDatum, t_final: float
 ) -> AnalyticReference:
@@ -123,15 +128,14 @@ def analytic_reference(
     q-node tensor Gauss grid of `dist`."""
     if field.dim != 1:
         raise ValueError("analytic reference needs a 1D coefficient")
-    g = field.spatial_part
-    probes = [g(x) for x in (0.0, 0.23, 0.57, 0.91, 1.0)]
-    if max(probes) - min(probes) > 1e-14 * max(1.0, abs(probes[0])):
+    probes = sampled(field.spatial_part, _PROBES)
+    if probes.max() - probes.min() > 1e-14 * max(1.0, abs(probes[0])):
         raise ValueError("analytic reference needs a constant-in-x coefficient")
     if not u0.sine_modes:
         raise ValueError("analytic reference needs Fourier sine initial data")
     g0 = float(probes[0])
     nodes, weights = tensor_quad(dist, q)
-    a = np.array([float(field.z_factor(z) * g0) for z in nodes])
+    a = field.factor_at(nodes) * g0
     j, c = (np.array(v, dtype=float) for v in zip(*u0.sine_modes))
     frequencies = j * math.pi
     amplitudes = c * np.exp(-np.outer(a, frequencies**2 * t_final))
@@ -169,19 +173,20 @@ def collocation_reference(
 
     Node z_i is the scalar-diffusivity problem M w' = -f(z_i) K_g w from the
     checked projection `ops.project(u0(z_i))`, so each distinct spatial
-    function of the datum is projected once per space. Every node is one
-    item of one `_propagate` call. A node whose f(z_i), datum or solve fails
+    function of the datum is projected once per space; f is evaluated at
+    all nodes in one call. Every node is one item of one `_propagate` call.
+    A node whose datum or solve fails, or whose f(z_i) is not finite,
     raises with its index and z: a `SolverError` stays a `SolverError`,
     anything else becomes a `RuntimeError`.
     """
     t0 = time.perf_counter()
     nodes, weights = tensor_quad(dist, q_ref)
+    factors = ops.field.factor_at(nodes)
     items = []
     for i, z in enumerate(nodes):
         name = f"collocation node {i} (z = {z})"
         try:
-            items.append((ops, np.array([ops.field.z_factor(z)], dtype=float),
-                          ops.project(u0.sample(z))[None, :], name))
+            items.append((ops, factors[i : i + 1], ops.project(u0.sample(z))[None, :], name))
         except SolverError as exc:
             raise SolverError(f"{name} failed: {exc}") from exc
         except Exception as exc:

@@ -290,7 +290,7 @@ def assemble_block_operator(
     t0 = time.perf_counter()
     nodes, weights = tensor_quad(dist, q)
     phi = tensor_basis_matrix(dist, mis, nodes)
-    scaled = weights * np.array([ops.field.z_factor(z) for z in nodes])
+    scaled = weights * ops.field.factor_at(nodes)
     g = phi.T @ (scaled[:, None] * phi)
     g = 0.5 * (g + g.T)
     dec = _checked_eigh(g)

@@ -14,15 +14,20 @@ same way; a P2 edge midpoint is numbered in the order in which its edge first
 appears in the cells. Prolongation evaluates the coarse space at the fine
 nodes through one sparse evaluation matrix.
 
-Spatial callables (coefficients, loads and initial functions) are sampled
-one point at a time: they receive a float in 1D and an ndarray of shape (2,)
-in 2D; matrix-valued coefficients return a Hermitian 2x2 array, checked at
-every sample. `l2_error` takes a stack of states and their exact values as
-one function of all the points of its element rule at once.
+Spatial functions (coefficients, loads and initial functions) are called
+once per kernel with all the points of its element rule as one array x of
+shape (n_points, dim). A scalar function returns its (n_points,) values or
+one scalar; a 2D coefficient returns (n_points, 2, 2) Hermitian matrices,
+(n_points,) scalars, one scalar or one constant 2x2 matrix, and every sample
+is checked. `l2_error` takes a stack of states and their exact values as one
+such function. Each space builds its cell geometry once, and its element
+rules once each: one per Gauss order in 1D, the one 7-point rule in 2D; all
+of them are kept read-only.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -40,6 +45,7 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "load_vector",
+    "sampled",
     "checked_solve",
     "nodal_coordinates",
     "prolong",
@@ -85,7 +91,8 @@ class FeSpace:
     """P1 or P2 Lagrange space with homogeneous Dirichlet elimination.
 
     The interior nodes are the dofs, numbered in node order:
-    `dof_of_node[dof_of_node >= 0]` is `arange(ndof)`.
+    `dof_of_node[dof_of_node >= 0]` is `arange(ndof)`. The cell geometry
+    and the element rules are built when first read and kept, read-only.
     """
 
     mesh: Mesh
@@ -94,10 +101,24 @@ class FeSpace:
     cell_nodes: np.ndarray  # (nc, local) global node ids per cell
     dof_of_node: np.ndarray  # node id -> interior dof id or -1
     ndof: int
+    _rules: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.mesh.dim
+
+    @functools.cached_property
+    def geometry(self) -> tuple:
+        """The affine maps of the cells (`_geometry`), read-only."""
+        return _read_only(_geometry(self.mesh))
+
+    def element_rule(self, q1d: int) -> tuple:
+        """The `_element_rule` of the space, built once and kept read-only:
+        one per q1d in 1D, and in 2D the one 7-point rule, whatever q1d."""
+        key = q1d if self.dim == 1 else None
+        if key not in self._rules:
+            self._rules[key] = _read_only(_element_rule(self, q1d))
+        return self._rules[key]
 
 
 def make_fe_space(mesh: Mesh, order: int) -> FeSpace:
@@ -211,6 +232,12 @@ def _geometry(mesh: Mesh):
     return x0, jac, np.abs(np.linalg.det(jac)), np.swapaxes(np.linalg.inv(jac), 1, 2)
 
 
+def _read_only(arrays: tuple) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _element_rule(space: FeSpace, q1d: int):
     """Quadrature on every cell: the q1d-point Gauss rule in 1D, the 7-point
     rule in 2D. Returns weights times |det J| (nc, nq), physical points
@@ -221,7 +248,7 @@ def _element_rule(space: FeSpace, q1d: int):
         pts = t[:, None]
     else:
         pts, w = _TRI_PTS, _TRI_WTS
-    x0, jac, det, inv_t = _geometry(space.mesh)
+    x0, jac, det, inv_t = space.geometry
     vals, grads = _shapes(space.dim, space.order, pts)
     nq, d = pts.shape
     xq = x0[:, None, :] + pts @ np.swapaxes(jac, 1, 2)
@@ -230,11 +257,14 @@ def _element_rule(space: FeSpace, q1d: int):
     return np.outer(det, w), xq, vals, grads.reshape(len(det), nq, -1, d)
 
 
-def _sampled(f, xq: np.ndarray, dim: int) -> np.ndarray:
-    """f at every point of xq (nc, nq, d), called one point at a time with a
-    float in 1D and a (2,) array in 2D; the values in point order."""
-    pts = xq[..., 0].ravel().tolist() if dim == 1 else xq.reshape(-1, 2)
-    return np.array([f(x) for x in pts])
+def sampled(f, x: np.ndarray) -> np.ndarray:
+    """The scalar spatial function f at the points x (n_points, dim), from
+    one call f(x): its (n_points,) values, one scalar broadcast. Any other
+    shape raises ValueError naming the expected one."""
+    vals = np.asarray(f(x), dtype=float)
+    if vals.shape not in ((), (len(x),)):
+        raise ValueError(f"spatial function: expected shape ({len(x)},) or (), got {vals.shape}")
+    return np.broadcast_to(vals, (len(x),))
 
 
 def _scatter(space: FeSpace, element_matrices: np.ndarray) -> sp.csr_matrix:
@@ -254,7 +284,7 @@ def _scatter(space: FeSpace, element_matrices: np.ndarray) -> sp.csr_matrix:
 
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     """Mass matrix, exactly integrated, symmetric positive definite."""
-    dw, _, vals, _ = _element_rule(space, space.order + 1)
+    dw, _, vals, _ = space.element_rule(space.order + 1)
     local, nq = vals.shape
     products = (vals[:, None] * vals).reshape(-1, nq)  # row i * local + j: phi_i phi_j
     return _scatter(space, (dw @ products.T).reshape(-1, local, local))
@@ -263,19 +293,23 @@ def assemble_mass(space: FeSpace) -> sp.csr_matrix:
 def _coefficient_samples(coeff, xq: np.ndarray) -> np.ndarray:
     """The coefficient at every point of xq (nc, nq, d) as an (nc * nq, d, d) stack.
 
-    A callable is sampled one point at a time. A 2D sample must be a scalar
-    or a Hermitian 2x2 array; the whole stack is checked at once, and an
-    error names the first offending point.
+    A callable is called once with all the points as one (n_points, d)
+    array; it, or a constant coefficient, gives (n_points,) scalars or one
+    scalar, and in 2D also (n_points, 2, 2) matrices or one 2x2 matrix. Any
+    other shape raises ValueError naming the expected ones. The 2D matrices
+    must be Hermitian; the whole stack is checked at once, and an error
+    names the first offending point.
     """
-    d = xq.shape[-1]
-    if callable(coeff):
-        vals = np.asarray(_sampled(coeff, xq, d), dtype=float)
-    else:
-        vals = np.broadcast_to(np.asarray(coeff, dtype=float), (xq[..., 0].size,) + np.shape(coeff))
-    if d == 1 or vals.ndim == 1:
-        return vals.reshape(-1, 1, 1) * np.eye(d)
-    if vals.shape[1:] != (2, 2):
-        raise ValueError(f"2D coefficient must be scalar or 2x2, got shape {vals.shape[1:]}")
+    n, d = xq[..., 0].size, xq.shape[-1]
+    vals = np.asarray(coeff(xq.reshape(n, d)) if callable(coeff) else coeff, dtype=float)
+    if vals.shape in ((), (n,)):
+        return np.broadcast_to(vals, (n,)).reshape(-1, 1, 1) * np.eye(d)
+    if d == 1 or vals.shape not in ((n, 2, 2), (2, 2)):
+        kinds, shapes = ("scalar", "") if d == 1 else ("scalar or 2x2", f"({n}, 2, 2), (2, 2), ")
+        raise ValueError(
+            f"{d}D coefficient must be {kinds}: expected shape {shapes}({n},) or (), got {vals.shape}"
+        )
+    vals = np.broadcast_to(vals, (n, 2, 2))
     defect = np.abs(vals - vals.transpose(0, 2, 1)).max(axis=(1, 2))
     bad = defect > 1e-12 * np.maximum(1.0, np.abs(vals).max(axis=(1, 2)))
     if bad.any():
@@ -286,7 +320,7 @@ def _coefficient_samples(coeff, xq: np.ndarray) -> np.ndarray:
 
 def assemble_stiffness(space: FeSpace, coeff) -> sp.csr_matrix:
     """Stiffness matrix of the diffusion form for a scalar (1D) or 2x2 (2D) field."""
-    dw, xq, _, grads = _element_rule(space, max(space.order + 1, 3))
+    dw, xq, _, grads = space.element_rule(max(space.order + 1, 3))
     c = _coefficient_samples(coeff, xq).reshape(*dw.shape, space.dim, space.dim)
     # sum over the points q of G_q (w_q C_q) G_q^T, G_q the (local, d) gradients at q
     flux = grads @ (dw[:, :, None, None] * c)
@@ -294,9 +328,9 @@ def assemble_stiffness(space: FeSpace, coeff) -> sp.csr_matrix:
 
 
 def load_vector(space: FeSpace, f) -> np.ndarray:
-    """Right-hand side (f, phi_i) for a sampleable spatial function f."""
-    dw, xq, vals, _ = _element_rule(space, 6)
-    be = (dw * _sampled(f, xq, space.dim).reshape(dw.shape)) @ vals.T
+    """Right-hand side (f, phi_i) for a spatial function f of the points."""
+    dw, xq, vals, _ = space.element_rule(6)
+    be = (dw * sampled(f, xq.reshape(-1, space.dim)).reshape(dw.shape)) @ vals.T
     dofs = space.dof_of_node[space.cell_nodes]
     b = np.zeros(space.ndof)
     np.add.at(b, dofs[dofs >= 0], be[dofs >= 0])
@@ -325,7 +359,7 @@ def _eval_matrix(space: FeSpace, points) -> sp.csr_matrix:
     if d == 2:  # cells come in pairs per square: lower (x-fraction >= y-fraction) first
         frac = pts * m - ij
         cell = 2 * (ij[:, 0] * m + ij[:, 1]) + (frac[:, 0] < frac[:, 1])
-    x0, _, _, inv_t = _geometry(space.mesh)
+    x0, _, _, inv_t = space.geometry
     vals, _ = _shapes(d, space.order, np.einsum("pba,pb->pa", inv_t[cell], pts - x0[cell]))
     dofs = space.dof_of_node[space.cell_nodes[cell]]
     rows = np.broadcast_to(np.arange(len(pts))[:, None], dofs.shape)
@@ -361,7 +395,7 @@ def l2_error(space: FeSpace, u: np.ndarray, exact) -> np.ndarray:
     states u (k, ndof) against `exact`, a function of the points of the
     error rule, (n_points, dim), that returns the k exact values at each,
     (k, n_points). Gives the (k,) distances."""
-    dw, xq, vals, _ = _element_rule(space, _ERROR_Q1D)
+    dw, xq, vals, _ = space.element_rule(_ERROR_Q1D)
     full = np.zeros((len(u), len(space.nodes)))
     full[:, space.dof_of_node >= 0] = u
     values = exact(xq.reshape(-1, space.dim))

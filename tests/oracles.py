@@ -130,13 +130,14 @@ def heat_amplitude(diffusivity: float, mode: int, t: float) -> float:
 
 def analytic_solution(field, u0, z, t: float) -> Callable:
     """The exact solution at the parameter z and time t of the problem with a
-    constant-in-x 1D coefficient f(z) g and a sine-sum datum, as a pointwise
-    callable of x: the oracle of the amplitudes of an `AnalyticReference`."""
-    a = float(field.z_factor(z) * field.spatial_part(0.5))
+    constant-in-x 1D coefficient f(z) g and a sine-sum datum, as a spatial
+    function of the points x (n, 1): the oracle of the amplitudes of an
+    `AnalyticReference`."""
+    a = float(evaluate(field, z, 0.5))
     modes = [(j, c * math.exp(-a * (j * math.pi) ** 2 * t)) for j, c in u0.sine_modes]
 
     def u(x):
-        return sum(c * math.sin(j * math.pi * x) for j, c in modes)
+        return sum(c * np.sin(j * math.pi * x[:, 0]) for j, c in modes)
 
     return u
 
@@ -214,18 +215,36 @@ class CoupledField:
     bound: float | None = None
 
 
+def row_value(value) -> np.ndarray:
+    """The value of a spatial function called on one point, x of shape
+    (1, dim): its one row, or the scalar or constant 2x2 matrix it gave."""
+    value = np.asarray(value, dtype=float)
+    return value if value.shape in ((), (2, 2)) else value[0]
+
+
+def per_row(f: Callable) -> Callable:
+    """The spatial function f called one point at a time, as f(x[i:i + 1])
+    for each row of x, and its values stacked: the loop that the library's
+    one call per grid replaced."""
+    return lambda x: np.stack([row_value(f(x[i : i + 1])) for i in range(len(x))])
+
+
 def evaluate(field, z, x):
-    """The value of a field at the parameter z and the point x: f(z) g(x)
-    for a `CoefficientField`, whose factors the library assembles apart, and
-    the field's own callable for a `CoupledField`."""
+    """The value of a field at one parameter z (N,) and one point x (a float
+    or (dim,)): f(z) g(x) for a `CoefficientField`, whose factors the
+    library assembles apart, each called on that one node and point, and the
+    field's own callable for a `CoupledField`."""
     if isinstance(field, CoupledField):
         return field.evaluate(z, x)
-    return field.z_factor(z) * np.asarray(field.spatial_part(x))
+    z_row = np.reshape(np.asarray(z, dtype=float), (1, -1))
+    x_row = np.reshape(np.asarray(x, dtype=float), (1, field.dim))
+    return field.factor_at(z_row)[0] * row_value(field.spatial_part(x_row))
 
 
 def stiffness_at(space, field, z) -> sp.csr_matrix:
-    """K(z) assembled from the coefficient callable at the parameter node z."""
-    return assemble_stiffness(space, lambda x: evaluate(field, z, x))
+    """K(z) assembled from the field at the parameter node z, evaluated one
+    point at a time."""
+    return assemble_stiffness(space, per_row(lambda x: evaluate(field, z, x[0])))
 
 
 DENSE_EIG_SIZE_LIMIT = 3000
@@ -342,7 +361,7 @@ def pce_coefficient_matrices(dist, n: int, space, field, q: int):
     phi2 = tensor_basis_matrix(dist, mis2, nodes)
     if isinstance(field, CoefficientField):
         k_g = assemble_stiffness(space, field.spatial_part)
-        factors = np.array([field.z_factor(z) for z in nodes])
+        factors = np.array([field.factor_at(z[None])[0] for z in nodes])
         coeffs = phi2.T @ (weights * factors)
         return SeparableStiffness(dict(zip(mis2, coeffs)), k_g)
     mats: dict = {}
@@ -532,7 +551,8 @@ def per_node_stepped_reference(dist, q_ref, ops, n_steps, u0, t_final):
     for i, z in enumerate(nodes):
         start = ops.project(u0.sample(z))
         values[i] = evolve(
-            crank_nicolson(), t_final, n_steps, ops.mass, ops.field.z_factor(z) * ops.k_g, start
+            crank_nicolson(), t_final, n_steps, ops.mass, ops.field.factor_at(z[None])[0] * ops.k_g,
+            start,
         )
     return CollocationReference(nodes, weights, ops, values)
 
@@ -620,15 +640,17 @@ def loop_fe_space(mesh: Mesh, order: int) -> FeSpace:
 
 
 # --- the per-cell spatial kernels that the array assembly replaced ---------
-# Each loops over the cells and builds that cell's affine map on its own, and
-# checks each coefficient sample on its own; the reference shapes and
-# quadrature rules are shared with the library.
+# Each loops over the cells and builds that cell's affine map on its own,
+# calls each spatial function on one point at a time and checks each
+# coefficient sample on its own; the reference shapes and quadrature rules
+# are shared with the library.
 
 
 def _coeff_at(coeff, x, dim: int) -> np.ndarray:
-    """One coefficient sample, shape- and symmetry-checked on its own."""
+    """One coefficient sample, from a call on the one point x, shape- and
+    symmetry-checked on its own."""
     if callable(coeff):
-        val = coeff(x if dim == 2 else float(x))
+        val = row_value(coeff(np.reshape(x, (1, dim))))
     else:
         val = coeff
     if dim == 1:
@@ -730,7 +752,8 @@ def cellwise_load(space, f) -> np.ndarray:
     b = np.zeros(space.ndof)
     vals = _reference_values(space)
     for xq, cell, wq in _cellwise_samples(space):
-        be = np.einsum("q,q,iq->i", wq, np.array([f(x) for x in xq]), vals)
+        fq = np.array([row_value(f(np.reshape(x, (1, -1)))) for x in xq])
+        be = np.einsum("q,q,iq->i", wq, fq, vals)
         dofs = space.dof_of_node[cell]
         np.add.at(b, dofs[dofs >= 0], be[dofs >= 0])
     return b
@@ -741,7 +764,7 @@ def cellwise_l2_error(space, u, exact) -> float:
     vals = _reference_values(space)
     total = 0.0
     for xq, cell, wq in _cellwise_samples(space):
-        diff = full[cell] @ vals - np.array([exact(x) for x in xq])
+        diff = full[cell] @ vals - np.array([row_value(exact(np.reshape(x, (1, -1)))) for x in xq])
         total += float(np.dot(wq, diff**2))
     return math.sqrt(total)
 
@@ -795,8 +818,9 @@ def per_point_solve(cache, n: int, m: int, n_k: int):
 # --- spatial tools that only the tests use ----------------------------------
 
 def l2_project(space: FeSpace, f) -> np.ndarray:
-    """L2-orthogonal projection onto the space: solves M u = (f, phi)."""
-    return checked_solve(assemble_mass(space), load_vector(space, f), 1e-10)
+    """L2-orthogonal projection onto the space: solves M u = (f, phi), with f
+    evaluated one point at a time."""
+    return checked_solve(assemble_mass(space), load_vector(space, per_row(f)), 1e-10)
 
 
 def stationary_solve(space: FeSpace, coeff, rhs) -> np.ndarray:
@@ -812,14 +836,10 @@ def fe_eval(space: FeSpace, u: np.ndarray, points) -> np.ndarray:
 
 
 def sampled_l2_error(space: FeSpace, u: np.ndarray, exact: Callable) -> float:
-    """L2 distance between one state u and a callable `exact`, sampled one
-    point at a time at the points of the error rule (a float in 1D, a (2,)
-    array in 2D) and integrated by the library's stacked `l2_error`."""
-
-    def values(pts):
-        return np.array([[exact(x) for x in (pts[:, 0].tolist() if space.dim == 1 else pts)]])
-
-    return float(l2_error(space, np.asarray(u)[None], values)[0])
+    """L2 distance between one state u and a spatial function `exact`,
+    sampled one point at a time at the points of the error rule
+    (`per_row`) and integrated by the library's stacked `l2_error`."""
+    return float(l2_error(space, np.asarray(u)[None], lambda pts: per_row(exact)(pts)[None])[0])
 
 
 # --- slow paths of the one-pass forms: error rule, projection, 2-norm check ---
@@ -892,7 +912,7 @@ def affine_field(slope: float = 0.5, dim: int = 1) -> CoefficientField:
     and declares no bounds."""
     return CoefficientField(
         dim=dim,
-        z_factor=lambda z: 1.0 + slope * (np.asarray(z, dtype=float)[0] if np.ndim(z) else z),
+        z_factor=lambda z: 1.0 + slope * z[:, 0],
         spatial_part=(lambda x: 1.0) if dim == 1 else (lambda x: np.eye(2)),
         name=f"affine({slope})",
     )

@@ -179,7 +179,7 @@ def test_acceptance_06_time_rates():
     space = make_fe_space(make_mesh(1, 128), 2)
     mass = assemble_mass(space)
     stiff = assemble_stiffness(space, 2.0)
-    u0 = oracles.l2_project(space, lambda x: math.sin(math.pi * x))
+    u0 = oracles.l2_project(space, lambda x: np.sin(math.pi * x[:, 0]))
     t_final = 0.1
     amp = oracles.heat_amplitude(2.0, 1, t_final)
     slopes = {}
@@ -188,7 +188,7 @@ def test_acceptance_06_time_rates():
         for n_k in (8, 16, 32, 64, 128):
             final = evolve(scheme, t_final, n_k, mass, stiff, u0)
             errs.append(
-                oracles.sampled_l2_error(space, final, lambda x: amp * math.sin(math.pi * x))
+                oracles.sampled_l2_error(space, final, lambda x: amp * np.sin(math.pi * x[:, 0]))
             )
             taus.append(t_final / n_k)
         slopes[name] = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
@@ -222,17 +222,17 @@ def test_acceptance_07_space_rates():
         for m in ms:
             space = make_fe_space(make_mesh(1, m), order)
             u_stat = oracles.stationary_solve(
-                space, 1.0, lambda x: math.pi**2 * math.sin(math.pi * x)
+                space, 1.0, lambda x: math.pi**2 * np.sin(math.pi * x[:, 0])
             )
             stat_errs.append(
-                oracles.sampled_l2_error(space, u_stat, lambda x: math.sin(math.pi * x))
+                oracles.sampled_l2_error(space, u_stat, lambda x: np.sin(math.pi * x[:, 0]))
             )
             mass = assemble_mass(space)
             stiff = assemble_stiffness(space, 1.0)
-            u0 = oracles.l2_project(space, lambda x: math.sin(math.pi * x))
+            u0 = oracles.l2_project(space, lambda x: np.sin(math.pi * x[:, 0]))
             final = evolve(crank_nicolson(), t_final, 1024, mass, stiff, u0)
             evol_errs.append(
-                oracles.sampled_l2_error(space, final, lambda x: amp * math.sin(math.pi * x))
+                oracles.sampled_l2_error(space, final, lambda x: amp * np.sin(math.pi * x[:, 0]))
             )
         stat_slope = float(np.polyfit(np.log(hs), np.log(stat_errs), 1)[0])
         evol_slope = float(np.polyfit(np.log(hs), np.log(evol_errs), 1)[0])

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import scipy.linalg
 import oracles
 from sgpde.coeffs import (
     COEFFICIENT_BUILTINS,
+    INITIAL_DATUM_BUILTINS,
     CoefficientField,
     builtin_separable,
     coefficient_by_name,
@@ -14,7 +17,13 @@ from sgpde.coeffs import (
     logistic_factor,
     logistic_factor_derivatives,
 )
+from sgpde.harness import load_config
+from sgpde.pce import tensor_quad
 from sgpde.spatial import assemble_stiffness, make_fe_space, make_mesh
+
+WORKLOADS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json").read_text()
+)["workloads"]
 
 
 def test_constant_unit_field():
@@ -40,7 +49,7 @@ def test_logistic_anisotropic_matches_stated_bounds():
 
 def test_bounds_check_flags_violations():
     overstated = builtin_separable(
-        lambda z: 1.0,
+        np.ones_like,
         lambda x: 0.5,
         dim=1,
         f_bounds=(1.0, 1.0),
@@ -99,7 +108,8 @@ def test_builtin_evaluates_bitwise_as_the_product_of_its_factors(name, params):
     for z in zs:
         for x in xs:
             got = np.asarray(oracles.evaluate(field, z, x))
-            want = np.asarray(field.z_factor(z) * field.spatial_part(x))
+            x_row = np.reshape(x, (1, field.dim))
+            want = np.asarray(field.z_factor(z[None])[0] * field.spatial_part(x_row)[0])
             assert got.shape == want.shape and got.dtype == want.dtype == np.float64
             assert got.tobytes() == want.tobytes(), (z, x)
 
@@ -126,7 +136,7 @@ def test_discrete_coercivity_of_logistic_field_2d():
     space = make_fe_space(make_mesh(2, 3), 2)
     gram = assemble_stiffness(space, 1.0).toarray()
     for z in np.linspace(-6.0, 6.0, 20):
-        k = assemble_stiffness(space, lambda x: oracles.evaluate(f, z, x)).toarray()
+        k = oracles.stiffness_at(space, f, z).toarray()
         lam_min = scipy.linalg.eigh(k, gram, eigvals_only=True)[0]
         assert lam_min >= f.kappa - 1e-8
 
@@ -134,11 +144,12 @@ def test_discrete_coercivity_of_logistic_field_2d():
 def test_initial_data_builtins():
     u = initial_datum_by_name("sine_modes", modes=[(1, 1.0), (3, 0.5)])
     g = u.sample(np.array([0.7]))
-    assert g(0.5) == pytest.approx(math.sin(math.pi / 2) + 0.5 * math.sin(3 * math.pi / 2))
+    want = math.sin(math.pi / 2) + 0.5 * math.sin(3 * math.pi / 2)
+    assert g(np.array([[0.5]]))[0] == pytest.approx(want)
     assert u.sine_modes == ((1, 1.0), (3, 0.5))
     v = initial_datum_by_name("product_sine")
     gv = v.sample(np.array([0.0]))
-    assert gv(np.array([0.5, 0.5])) == pytest.approx(1.0)
+    assert gv(np.array([[0.5, 0.5]]))[0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         initial_datum_by_name("nope")
 
@@ -160,3 +171,49 @@ def test_logistic_factor_and_derivatives_match_scipy_expit():
     # a scalar gives a scalar, as expit does
     assert type(logistic_factor(0.3)) is type(want[0](0.3)) is np.float64
     assert logistic_factor(0.3) == pytest.approx(want[0](0.3), abs=1e-15)
+
+
+BUILTIN_DATA = [
+    ("sine_modes", {"modes": [(1, 1.0), (2, -0.4), (5, 0.15)]}),
+    ("product_sine", {"j": 2, "amplitude": 0.7}),
+]
+
+
+def test_builtin_data_list_covers_every_builtin():
+    assert {name for name, _ in BUILTIN_DATA} == set(INITIAL_DATUM_BUILTINS)
+
+
+def _points(dim: int) -> np.ndarray:
+    """Points of an element rule and random points, (n, dim)."""
+    space = make_fe_space(make_mesh(dim, 3), 2)
+    rng = np.random.default_rng(dim)
+    rule = space.element_rule(6)[1].reshape(-1, dim)
+    return np.concatenate([rule, rng.uniform(0.0, 1.0, size=(50, dim))])
+
+
+@pytest.mark.parametrize(
+    "name,params", BUILTIN_FIELDS, ids=[f"{n}_{p.get('dim', 1)}d" for n, p in BUILTIN_FIELDS]
+)
+def test_builtin_spatial_part_is_bitwise_its_per_row_calls(name, params):
+    field = coefficient_by_name(name, **params)
+    x = _points(field.dim)
+    assert np.array_equal(field.spatial_part(x), oracles.per_row(field.spatial_part)(x))
+
+
+@pytest.mark.parametrize("name,params", BUILTIN_DATA, ids=[n for n, _ in BUILTIN_DATA])
+def test_builtin_datum_is_bitwise_its_per_row_calls(name, params):
+    datum = initial_datum_by_name(name, **params)
+    u0 = datum.sample(np.array([0.3]))
+    x = _points(datum.dim)
+    assert np.array_equal(u0(x), oracles.per_row(u0)(x))
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_z_factor_on_a_workload_grid_is_bitwise_its_per_row_calls(workload):
+    cfg = load_config(WORKLOADS[workload]["config"])
+    fields = [coefficient_by_name(name, **params) for name, params in BUILTIN_FIELDS]
+    for q in (cfg.quad_order, cfg.reference.get("quad_order", cfg.quad_order)):
+        nodes, _ = tensor_quad(cfg.dist, q)
+        for field in fields:
+            rows = np.array([field.z_factor(nodes[i : i + 1])[0] for i in range(len(nodes))])
+            assert np.array_equal(field.z_factor(nodes), rows), (field.name, q)

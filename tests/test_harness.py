@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import oracles
-from sgpde import harness, sgsystem, spatial, timestep
+from sgpde import coeffs, harness, sgsystem, spatial, timestep
 from sgpde.cli import main
 from sgpde.coeffs import (
     COEFFICIENT_BUILTINS,
@@ -86,7 +86,8 @@ def test_analytic_reference_examples():
     assert ref.amplitudes.shape == (5, 1)
     amp = oracles.heat_amplitude(2.0, 1, 0.1)
     assert ref.amplitudes[:, 0] == pytest.approx([amp] * 5, rel=1e-12)
-    assert oracles.analytic_solution(field, u0, nodes[0], 0.0)(0.5) == pytest.approx(1.0, rel=1e-14)
+    u_start = oracles.analytic_solution(field, u0, nodes[0], 0.0)
+    assert u_start(np.array([[0.5]]))[0] == pytest.approx(1.0, rel=1e-14)
     # logistic factor at z = 0, the middle of the 5 Hermite nodes, gives diffusivity 1.5
     ref2 = analytic_reference(H1, 5, coefficient_by_name("logistic_1d"), u0, 0.1)
     assert ref2.nodes[2, 0] == 0.0
@@ -166,9 +167,9 @@ def test_error_norm_matches_monte_carlo():
     samples = rng.standard_normal((10_000, 1))
     recon = tensor_basis_matrix(cfg.dist, state.mis, samples) @ state.coeffs
     mass = assemble_mass(space)
-    b_sin = load_vector(space, lambda x: math.sin(math.pi * x))
+    b_sin = load_vector(space, lambda x: np.sin(math.pi * x[:, 0]))
     sin_norm2 = 0.5
-    amps = np.array([cfg.field.z_factor(z) * cfg.field.spatial_part(0.5) for z in samples])
+    amps = cfg.field.z_factor(samples) * cfg.field.spatial_part(np.array([[0.5]]))
     damp = np.exp(-amps * math.pi**2 * cfg.t_final)
     err2 = (
         np.einsum("qi,ij,qj->q", recon, mass.toarray(), recon)
@@ -182,7 +183,7 @@ def test_error_norm_matches_monte_carlo():
 
 # a constant-in-x diffusivity that reads every input, and a three-mode datum
 TANH_FIELD = CoefficientField(
-    dim=1, z_factor=lambda z: 1.5 + 0.5 * math.tanh(float(np.sum(z))), spatial_part=lambda x: 1.0
+    dim=1, z_factor=lambda z: 1.5 + 0.5 * np.tanh(np.sum(z, axis=1)), spatial_part=lambda x: 1.0
 )
 THREE_SINES = initial_datum_by_name("sine_modes", modes=[(1, 1.0), (2, -0.4), (5, 0.15)])
 
@@ -198,10 +199,9 @@ def _analytic_fixture(order: int, n_inputs: int):
     mis = multi_index_set(n_inputs, 3)
     nodes, weights = tensor_quad(dist, 6)
     x = nodal_coordinates(space)[:, 0]
-    exact = np.array([
-        [oracles.analytic_solution(TANH_FIELD, THREE_SINES, z, 0.05)(xi) for xi in x]
-        for z in nodes
-    ])
+    exact = np.array(
+        [oracles.analytic_solution(TANH_FIELD, THREE_SINES, z, 0.05)(x[:, None]) for z in nodes]
+    )
     phi = tensor_basis_matrix(dist, mis, nodes)
     return dist, ref, space, SgState(0.05, (phi * weights[:, None]).T @ exact, mis)
 
@@ -248,10 +248,9 @@ def test_analytic_values_are_the_pointwise_solution():
     _, ref, _, _ = _analytic_fixture(2, 2)
     x = np.linspace(0.0, 1.0, 11)
     got = ref.amplitudes @ np.sin(np.outer(ref.frequencies, x))
-    want = np.array([
-        [oracles.analytic_solution(TANH_FIELD, THREE_SINES, z, 0.05)(xi) for xi in x]
-        for z in ref.nodes
-    ])
+    want = np.array(
+        [oracles.analytic_solution(TANH_FIELD, THREE_SINES, z, 0.05)(x[:, None]) for z in ref.nodes]
+    )
     assert got.shape == (64, 11)
     assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -563,12 +562,12 @@ def test_slope_without_tol_or_tol_without_slope_is_rejected_at_load(monkeypatch,
 def _ramp_field():
     # 1D and elliptic, but g(x) = 1 + x is not constant
     return builtin_separable(
-        logistic_factor, lambda x: 1.0 + x, f_bounds=(1.0, 2.0), g_bounds=(1.0, 2.0), name="ramp"
+        logistic_factor, lambda x: 1.0 + x[:, 0], f_bounds=(1.0, 2.0), g_bounds=(1.0, 2.0), name="ramp"
     )
 
 
 def _bump_datum():
-    return InitialDatum(dim=1, sample=lambda z: (lambda x: x * (1.0 - x)), name="bump")
+    return InitialDatum(dim=1, sample=lambda z: (lambda x: x[:, 0] * (1.0 - x[:, 0])), name="bump")
 
 
 @pytest.mark.parametrize(
@@ -1043,7 +1042,7 @@ def _rel(a, b) -> float:
 
 # a datum that samples to a new spatial function at every node
 PER_NODE_DATUM = InitialDatum(
-    dim=1, sample=lambda z: (lambda x: math.sin(math.pi * x) * math.cos(z[0]))
+    dim=1, sample=lambda z: (lambda x: np.sin(math.pi * x[:, 0]) * math.cos(z[0]))
 )
 
 
@@ -1312,11 +1311,40 @@ def test_reference_work_counts(work_counts):
     # a datum that samples to a new closure at every node: Q loads, still one K_g
     work_counts.update(stiffness=0, load=0)
     fresh = InitialDatum(
-        dim=1, sample=lambda z: (lambda x: (1.0 + z[0] ** 2) * math.sin(math.pi * x))
+        dim=1, sample=lambda z: (lambda x: (1.0 + z[0] ** 2) * np.sin(math.pi * x[:, 0]))
     )
     ops = spatial_operators(space, coefficient_by_name("logistic_1d"))
     collocation_reference(H1, q, ops, 4, fresh, 0.1)
     assert work_counts == {"stiffness": 1, "load": q}
+
+
+def test_colloc_2d_sweep_builds_one_rule_per_space_and_calls_f_once_per_grid(monkeypatch):
+    counts = {"rule": [], "f": 0, "operator": 0, "reference": 0}
+    real_rule, real_f = spatial._element_rule, coeffs.logistic_factor
+    monkeypatch.setattr(
+        spatial, "_element_rule", lambda *a: counts["rule"].append(a[0]) or real_rule(*a)
+    )
+
+    def f(z):
+        counts["f"] += 1
+        return real_f(z)
+
+    monkeypatch.setattr(coeffs, "logistic_factor", f)  # before the config builds its field
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for key, name in (("operator", "assemble_block_operator"), ("reference", "collocation_reference")):
+        monkeypatch.setattr(harness, name, counted(key, getattr(harness, name)))
+    sweep(load_config(WORKLOADS["colloc_2d"]["config"]))
+    # the spaces m = 4, 8 (the sweep's and the estimate's) and m_ref = 16
+    assert sorted(space.mesh.m for space in counts["rule"]) == [4, 8, 16]
+    assert (counts["operator"], counts["reference"]) == (2, 2)
+    assert counts["f"] == counts["operator"] + counts["reference"]
 
 
 def test_sweep_assembles_each_spatial_matrix_once_per_space(monkeypatch):
@@ -1423,7 +1451,7 @@ def test_failing_reference_node_keeps_its_error_type(monkeypatch):
     def bad_sample(z):
         if z[0] > 0.0:
             raise ValueError("no datum here")
-        return math.sin
+        return lambda x: np.sin(x[:, 0])
 
     u0 = InitialDatum(dim=1, sample=bad_sample)
     failed_node_2 = r"collocation node 2 \(z = .*\) failed: no datum here"
@@ -1439,7 +1467,7 @@ def test_nan_stiffness_at_a_reference_node_raises_a_solver_error(monkeypatch):
         dim=1,
         kappa=logistic.kappa,
         bound=logistic.bound,
-        z_factor=lambda z: math.nan if z[0] == nodes[1, 0] else logistic.z_factor(z),
+        z_factor=lambda z: np.where(z[:, 0] == nodes[1, 0], math.nan, logistic.z_factor(z)),
         spatial_part=logistic.spatial_part,
     )
     factored = []

@@ -144,7 +144,7 @@ def test_initial_coefficients_deterministic():
     ops = spatial_1d(16)
     u0 = initial_datum_by_name("sine_modes", modes=[(1, 1.0)])
     state = initial_coefficients(H1, multi_index_set(1, 2), u0, ops, q=8)
-    proj = oracles.l2_project(ops.space, lambda x: math.sin(math.pi * x))
+    proj = oracles.l2_project(ops.space, lambda x: np.sin(math.pi * x[:, 0]))
     assert np.max(np.abs(state.coeffs[0] - proj)) < 1e-10
     assert np.max(np.abs(state.coeffs[1:])) < 1e-12
 
@@ -152,10 +152,10 @@ def test_initial_coefficients_deterministic():
 def test_initial_coefficients_first_mode():
     ops = spatial_1d(16)
     u0 = InitialDatum(
-        dim=1, sample=lambda z: (lambda x: z[0] * math.sin(math.pi * x)), name="h1_sine"
+        dim=1, sample=lambda z: (lambda x: z[0] * np.sin(math.pi * x[:, 0])), name="h1_sine"
     )
     state = initial_coefficients(H1, multi_index_set(1, 2), u0, ops, q=8)
-    proj = oracles.l2_project(ops.space, lambda x: math.sin(math.pi * x))
+    proj = oracles.l2_project(ops.space, lambda x: np.sin(math.pi * x[:, 0]))
     assert np.max(np.abs(state.coeffs[1] - proj)) < 1e-10
     assert np.max(np.abs(state.coeffs[0])) < 1e-12
     assert np.max(np.abs(state.coeffs[2])) < 1e-12
@@ -164,10 +164,10 @@ def test_initial_coefficients_first_mode():
 def test_initial_coefficients_square_mode():
     ops = spatial_1d(16)
     u0 = InitialDatum(
-        dim=1, sample=lambda z: (lambda x: z[0] ** 2 * math.sin(math.pi * x)), name="h2_sine"
+        dim=1, sample=lambda z: (lambda x: z[0] ** 2 * np.sin(math.pi * x[:, 0])), name="h2_sine"
     )
     state = initial_coefficients(H1, multi_index_set(1, 3), u0, ops, q=10)
-    proj = oracles.l2_project(ops.space, lambda x: math.sin(math.pi * x))
+    proj = oracles.l2_project(ops.space, lambda x: np.sin(math.pi * x[:, 0]))
     assert np.max(np.abs(state.coeffs[0] - proj)) < 1e-10
     assert np.max(np.abs(state.coeffs[2] - math.sqrt(2.0) * proj)) < 1e-10
     assert np.max(np.abs(state.coeffs[1])) < 1e-11
@@ -481,7 +481,7 @@ def test_nan_coefficient_at_one_node_raises():
         dim=1,
         kappa=logistic.kappa,
         bound=logistic.bound,
-        z_factor=lambda z: math.nan if z[0] == bad_z else logistic.z_factor(z),
+        z_factor=lambda z: np.where(z[:, 0] == bad_z, math.nan, logistic.z_factor(z)),
         spatial_part=logistic.spatial_part,
     )
     with pytest.raises(SolverError, match="non-finite"):
@@ -546,10 +546,10 @@ def test_initial_coefficients_builds_one_load_per_distinct_function(monkeypatch)
     mis = multi_index_set(1, 2)
     shared = initial_coefficients(H1, mis, initial_datum_by_name("sine_modes"), ops, q=8)
     assert len(calls) == 1
-    fresh = InitialDatum(dim=1, sample=lambda z: (lambda x: z[0] * math.sin(math.pi * x)))
+    fresh = InitialDatum(dim=1, sample=lambda z: (lambda x: z[0] * np.sin(math.pi * x[:, 0])))
     per_node = initial_coefficients(H1, mis, fresh, ops, q=8)
     assert len(calls) == 1 + 8
-    proj = oracles.l2_project(ops.space, lambda x: math.sin(math.pi * x))
+    proj = oracles.l2_project(ops.space, lambda x: np.sin(math.pi * x[:, 0]))
     assert np.max(np.abs(shared.coeffs[0] - proj)) < 1e-10
     assert np.max(np.abs(per_node.coeffs[1] - proj)) < 1e-10
 
@@ -567,7 +567,7 @@ def test_initial_modes_are_the_per_node_projection_bitwise(monkeypatch):
     ops = spatial_operators(make_fe_space(make_mesh(2, 3), 2), field)
     dist = distribution(hermite(), hermite())
     u0 = InitialDatum(
-        dim=2, sample=lambda z: (lambda x: math.sin(math.pi * x[0]) * math.cos(z[0] * x[1] + z[1]))
+        dim=2, sample=lambda z: (lambda x: np.sin(math.pi * x[:, 0]) * np.cos(z[0] * x[:, 1] + z[1]))
     )
     got = {n: initial_coefficients(dist, multi_index_set(2, n), u0, ops, q=5) for n in (1, 2, 3)}
     assert len(calls) == 25

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import oracles
+from sgpde import spatial
 from sgpde.coeffs import coefficient_by_name
 from sgpde.spatial import (
     SolverError,
@@ -78,8 +80,8 @@ def test_stiffness_rejects_non_hermitian_sample():
 
 
 def test_poisson_2d_p2_manufactured_solution():
-    exact = lambda x: math.sin(math.pi * x[0]) * math.sin(math.pi * x[1]) / (2.0 * math.pi**2)
-    rhs = lambda x: math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
+    exact = lambda x: np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1]) / (2.0 * math.pi**2)
+    rhs = lambda x: np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1])
     errs = []
     for m in (2, 4):
         space = space_2d(m, 2)
@@ -94,7 +96,7 @@ def test_l2_project_reproduces_members_and_zero():
     space = space_1d(7, 1)
     rng = np.random.default_rng(1)
     u = rng.standard_normal(space.ndof)
-    uh = oracles.l2_project(space, lambda x: float(oracles.fe_eval(space, u, [x])[0]))
+    uh = oracles.l2_project(space, lambda x: oracles.fe_eval(space, u, x))
     assert np.max(np.abs(uh - u)) < 1e-10
     z = oracles.l2_project(space, lambda x: 0.0)
     assert np.max(np.abs(z)) < 1e-12
@@ -103,7 +105,7 @@ def test_l2_project_reproduces_members_and_zero():
 def test_l2_project_sine_nodal_accuracy():
     m = 16
     space = space_1d(m, 1)
-    u = oracles.l2_project(space, lambda x: math.sin(math.pi * x))
+    u = oracles.l2_project(space, lambda x: np.sin(math.pi * x[:, 0]))
     xi = nodal_coordinates(space)[:, 0]
     dev = np.max(np.abs(u - np.sin(math.pi * xi)))
     assert dev <= math.pi**2 / m**2
@@ -111,9 +113,9 @@ def test_l2_project_sine_nodal_accuracy():
 
 def test_stationary_solve_1d_examples():
     space = space_1d(32, 1)
-    rhs = lambda x: math.pi**2 * math.sin(math.pi * x)
+    rhs = lambda x: math.pi**2 * np.sin(math.pi * x[:, 0])
     u1 = oracles.stationary_solve(space, 1.0, rhs)
-    err = oracles.sampled_l2_error(space, u1, lambda x: math.sin(math.pi * x))
+    err = oracles.sampled_l2_error(space, u1, lambda x: np.sin(math.pi * x[:, 0]))
     assert err < 2.0 / 32**2
     u0 = oracles.stationary_solve(space, 1.0, lambda x: 0.0)
     assert np.max(np.abs(u0)) < 1e-12
@@ -123,8 +125,8 @@ def test_stationary_solve_1d_examples():
 
 @pytest.mark.parametrize("order,min_slope", [(1, 1.8), (2, 2.8)])
 def test_stationary_rate_1d(order, min_slope):
-    exact = lambda x: math.sin(math.pi * x)
-    rhs = lambda x: math.pi**2 * math.sin(math.pi * x)
+    exact = lambda x: np.sin(math.pi * x[:, 0])
+    rhs = lambda x: math.pi**2 * np.sin(math.pi * x[:, 0])
     ms = [8, 16, 32]
     errs = []
     for m in ms:
@@ -192,8 +194,8 @@ def test_array_kernels_match_cellwise_oracles(dim, order, coeff_kind):
     elif dim == 2:
         coeff = coefficient_by_name("logistic_anisotropic").spatial_part
     else:
-        coeff = lambda x: 1.0 + x * x
-    f = (lambda x: math.sin(3.0 * x)) if dim == 1 else (lambda x: math.sin(3.0 * x[0]) * x[1])
+        coeff = lambda x: 1.0 + x[:, 0] * x[:, 0]
+    f = (lambda x: np.sin(3.0 * x[:, 0])) if dim == 1 else (lambda x: np.sin(3.0 * x[:, 0]) * x[:, 1])
     rng = np.random.default_rng(dim * 10 + order)
     u = rng.standard_normal(space.ndof)
     nodes = nodal_coordinates(space)
@@ -211,17 +213,61 @@ def test_array_kernels_match_cellwise_oracles(dim, order, coeff_kind):
     assert _rel(oracles.fe_eval(space, u, pts), oracles.pointwise_fe_eval(space, u, pts)) <= 1e-13
 
 
-def test_callables_are_sampled_one_point_at_a_time():
-    seen = set()
+@pytest.mark.parametrize("dim", [1, 2])
+def test_each_kernel_calls_its_function_once_with_all_points(dim):
+    space = space_1d(4, 2) if dim == 1 else space_2d(2, 2)
+    seen = []
 
     def probe(x):
-        seen.add(type(x) if isinstance(x, float) else (type(x), np.shape(x)))
-        return 1.0
+        seen.append((type(x), x.shape))
+        return np.ones(len(x))
 
-    for space in (space_1d(4, 2), space_2d(2, 2)):
-        assemble_stiffness(space, probe)
-        load_vector(space, probe)
-    assert seen == {float, (np.ndarray, (2,))}
+    cells = space.mesh.cells.shape[0]
+    assemble_stiffness(space, probe)
+    assert seen == [(np.ndarray, (cells * (3 if dim == 1 else 7), dim))]
+    load_vector(space, probe)
+    assert seen[1:] == [(np.ndarray, (cells * (6 if dim == 1 else 7), dim))]
+
+
+def test_a_wrong_return_shape_names_the_expected_shape():
+    space, space2 = space_1d(4, 1), space_2d(2, 1)  # 24 load points; 12 and 56 stiffness points
+    with pytest.raises(ValueError, match=r"expected shape \(24,\) or \(\), got \(24, 1\)"):
+        load_vector(space, lambda x: x)
+    with pytest.raises(ValueError, match=r"expected shape \(12,\) or \(\), got \(12, 2, 2\)"):
+        assemble_stiffness(space, lambda x: np.broadcast_to(np.eye(2), (len(x), 2, 2)))
+    with pytest.raises(ValueError, match=r"expected shape \(56, 2, 2\), .*got \(56, 2\)"):
+        assemble_stiffness(space2, lambda x: x)
+    field = coefficient_by_name("logistic_1d")
+    with pytest.raises(ValueError, match=r"expected shape \(5,\), got \(\)"):
+        dataclasses.replace(field, z_factor=lambda z: 1.5).factor_at(np.zeros((5, 1)))
+
+
+def test_constant_values_are_broadcast_to_every_point():
+    space = space_2d(2, 2)
+    matrix = assemble_stiffness(space, 1.5 * np.eye(2)).toarray()
+    for coeff in (1.5, lambda x: 1.5, lambda x: 1.5 * np.eye(2), lambda x: np.full(len(x), 1.5)):
+        assert np.array_equal(assemble_stiffness(space, coeff).toarray(), matrix)
+    loads = [load_vector(space, f) for f in (lambda x: 2.0, lambda x: np.full(len(x), 2.0))]
+    assert np.array_equal(*loads)
+
+
+def test_each_space_builds_its_geometry_and_rules_once(monkeypatch):
+    built = []
+    real = spatial._element_rule
+    monkeypatch.setattr(spatial, "_element_rule", lambda *a: built.append(a[1:]) or real(*a))
+    for space, keys in ((space_1d(4, 1), [(2,), (3,), (6,)]), (space_2d(2, 2), [(3,)])):
+        built.clear()
+        assemble_mass(space)
+        assemble_stiffness(space, 1.0)
+        load_vector(space, lambda x: 1.0)
+        oracles.sampled_l2_error(space, np.zeros(space.ndof), lambda x: 1.0)
+        prolong(space, np.zeros(space.ndof), space)
+        assert built == keys  # in 1D one rule per Gauss order, in 2D one rule
+        dw, xq, vals, grads = space.element_rule(6)
+        assert space.element_rule(6)[0] is dw and space.geometry is space.geometry
+        for a in (dw, xq, vals, grads, *space.geometry):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.0
 
 
 @pytest.mark.parametrize("dim,order", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -230,14 +276,14 @@ def test_stacked_l2_error_matches_single_state_calls(dim, order):
     rng = np.random.default_rng(10 * dim + order)
     states = 0.1 * rng.standard_normal((4, space.ndof))
     if dim == 1:
-        exact = [lambda x, k=k: math.sin((k + 1) * math.pi * x) for k in range(4)]
+        exact = [lambda x, k=k: np.sin((k + 1) * math.pi * x[:, 0]) for k in range(4)]
     else:
-        exact = [lambda x, k=k: math.sin((k + 1) * math.pi * x[0]) * x[1] for k in range(4)]
+        exact = [lambda x, k=k: np.sin((k + 1) * math.pi * x[:, 0]) * x[:, 1] for k in range(4)]
     seen = []
 
     def values(pts):
         seen.append(pts.shape)
-        return np.array([[f(x[0] if dim == 1 else x) for x in pts] for f in exact])
+        return np.array([f(pts) for f in exact])
 
     stacked = l2_error(space, states, values)
     # one call with every point of the error rule
@@ -248,20 +294,22 @@ def test_stacked_l2_error_matches_single_state_calls(dim, order):
         assert abs(stacked[k] - single) <= 1e-13 * single
 
 
-def test_non_hermitian_sample_in_one_cell_still_raises():
-    def coeff(x):
-        skew = 0.5 if x[0] > 0.8 and x[1] < 0.2 else 0.0
-        return np.array([[2.0, skew], [-skew, 2.0]])
+def skewed_in_one_corner(x):
+    """2 I at every point, with a skew part only where x > 0.8 and y < 0.2."""
+    skew = np.where((x[:, 0] > 0.8) & (x[:, 1] < 0.2), 0.5, 0.0)
+    vals = np.zeros((len(x), 2, 2))
+    vals[:, 0, 0] = vals[:, 1, 1] = 2.0
+    vals[:, 0, 1], vals[:, 1, 0] = skew, -skew
+    return vals
 
+
+def test_non_hermitian_sample_in_one_cell_still_raises():
     with pytest.raises(ValueError, match="Hermitian"):
-        assemble_stiffness(space_2d(4, 2), coeff)
+        assemble_stiffness(space_2d(4, 2), skewed_in_one_corner)
 
 
 def test_coefficient_check_names_an_offending_point():
-    def coeff(x):
-        skew = 0.5 if x[0] > 0.8 and x[1] < 0.2 else 0.0
-        return np.array([[2.0, skew], [-skew, 2.0]])
-
+    coeff = skewed_in_one_corner
     with pytest.raises(ValueError, match="Hermitian") as err:
         assemble_stiffness(space_2d(4, 2), coeff)
     point = re.search(r"x = \[([^\]]*)\]", str(err.value)).group(1).split()
@@ -325,7 +373,7 @@ def test_stored_pattern_is_the_dof_adjacency_of_the_mesh(dim, order, m):
     # exactly 0 (many P1 and P2 stiffness couplings on right triangles), so
     # the pattern does not depend on rounding; both matrices are exactly symmetric
     space = make_fe_space(make_mesh(dim, m), order)
-    coeff = (lambda x: 1.0 + x) if dim == 1 else coefficient_by_name(
+    coeff = (lambda x: 1.0 + x[:, 0]) if dim == 1 else coefficient_by_name(
         "logistic_anisotropic"
     ).spatial_part
     dofs = space.dof_of_node[space.cell_nodes]

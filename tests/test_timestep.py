@@ -35,7 +35,7 @@ def heat_setup(m=64, order=2, coeff=2.0):
     space = make_fe_space(make_mesh(1, m), order)
     mass = assemble_mass(space)
     stiff = assemble_stiffness(space, coeff)
-    u0 = oracles.l2_project(space, lambda x: math.sin(math.pi * x))
+    u0 = oracles.l2_project(space, lambda x: np.sin(math.pi * x[:, 0]))
     return space, mass, stiff, u0
 
 
@@ -125,7 +125,7 @@ def test_global_convergence_order_on_heat_oracle(name, order, tol):
     errs, taus = [], []
     for n_steps in (8, 16, 32, 64):
         final = evolve(scheme, t_final, n_steps, mass, stiff, u0)
-        errs.append(oracles.sampled_l2_error(space, final, lambda x: amp * math.sin(math.pi * x)))
+        errs.append(oracles.sampled_l2_error(space, final, lambda x: amp * np.sin(math.pi * x[:, 0])))
         taus.append(t_final / n_steps)
     slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
     assert slope == pytest.approx(order, abs=tol)
