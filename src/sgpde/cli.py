@@ -1,4 +1,4 @@
-"""Command-line interface: solve, converge, check."""
+"""Command-line interface: solve, converge."""
 
 from __future__ import annotations
 
@@ -9,13 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coeffs import coefficient_by_name
 from .harness import build_reference, error_norm_H, load_config, sweep, write_outputs, OperatorCache, solve_single
-from .orthopoly import eval_orthonormal, gauss_rule, hermite, jacobi, laguerre, orthonormal_coeffs, apply_Q, sl_eigenvalue
-from .pce import distribution, multi_index_set
-from .sgsystem import assemble_block_operator, spatial_operators
-from .spatial import assemble_stiffness, make_fe_space, make_mesh
-from .timestep import Propagator, a_stability_probe, implicit_euler, crank_nicolson
 
 
 def cmd_solve(args) -> int:
@@ -48,58 +42,6 @@ def cmd_converge(args) -> int:
     return 0 if report.passed else 1
 
 
-def invariant_suite() -> list[tuple[str, bool, str]]:
-    """Library-wide invariant checks, printable as one line per item."""
-    results = []
-
-    def record(name, ok, detail=""):
-        results.append((name, bool(ok), detail))
-
-    for family, label in ((hermite(), "hermite"), (jacobi(1.0, 2.0), "jacobi"), (laguerre(0.5), "laguerre")):
-        rule = gauss_rule(family, 12)
-        h = eval_orthonormal(family, 8, rule.nodes)
-        gram = (h * rule.weights) @ h.T
-        record(f"orthonormality[{label}]", np.max(np.abs(gram - np.eye(9))) < 1e-10)
-        ok = True
-        for k in range(9):
-            hk = orthonormal_coeffs(family, k)
-            rhs = sl_eigenvalue(family, k) * hk
-            scale = max(1.0, float(np.max(np.abs(rhs.coef))))
-            ok = ok and float(np.max(np.abs((apply_Q(family, hk) - rhs).coef))) <= 1e-10 * scale
-        record(f"eigenrelation[{label}]", ok)
-
-    for scheme, label in ((implicit_euler(), "implicit_euler"), (crank_nicolson(), "crank_nicolson")):
-        bmax, imax = a_stability_probe(scheme)
-        record(f"a_stability[{label}]", bmax <= 1.0 + 1e-12 and imax < 1.0, f"boundary {bmax:.3e}")
-
-    dist = distribution(hermite())
-    space = make_fe_space(make_mesh(1, 8), 2)
-    ops = spatial_operators(space, coefficient_by_name("logistic_1d"))
-    op = assemble_block_operator(dist, multi_index_set(1, 2), ops, q=20)
-    record("block_symmetry", op.symmetry_defect() == 0.0)
-    lam = op.min_resolvent_eigenvalue()
-    record("resolvent_contractivity", lam >= -1e-10, f"min eig {lam:.3e}")
-
-    mass = ops.mass
-    stiff = assemble_stiffness(space, 1.0)
-    u = np.linspace(0.0, 1.0, space.ndof)
-    ok = True
-    for tau in (10.0, 1.0, 0.01):
-        v = Propagator(implicit_euler(), mass, stiff, tau).step(u)
-        ok = ok and (v @ (mass @ v)) <= (u @ (mass @ u)) + 1e-10
-    record("energy_decay[implicit_euler]", ok)
-    return results
-
-
-def cmd_check(args) -> int:
-    results = invariant_suite()
-    worst = 0
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
-        worst = max(worst, 0 if ok else 1)
-    return worst
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="sgpde", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sgpde {__version__}")
@@ -113,9 +55,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("converge", help="run the full convergence sweep for a config")
     p.add_argument("config")
     p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("check", help="run the library invariant suite")
-    p.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
     try:

@@ -22,7 +22,6 @@ __all__ = [
     "InitialDatum",
     "builtin_separable",
     "logistic_factor",
-    "logistic_factor_derivatives",
     "coefficient_by_name",
     "initial_datum_by_name",
     "COEFFICIENT_BUILTINS",
@@ -39,10 +38,8 @@ class CoefficientField:
     returns (n_points,) scalars in 1D, and in 2D (n_points, 2, 2) Hermitian
     matrices or (n_points,) scalars; a scalar, or in 2D a constant 2x2
     matrix, stands for the same value at every point.
-    `z_derivatives` are optional exact derivatives of f, declared for the
-    chaos truncation bound (`pce.weighted_sobolev_norm`); no report reads
-    them yet (ROADMAP F4, D9). `kappa` and `bound` are the declared
-    ellipticity bounds, positive for every built-in.
+    `kappa` and `bound` are the declared ellipticity bounds, positive for
+    every built-in.
     """
 
     dim: int
@@ -50,7 +47,6 @@ class CoefficientField:
     spatial_part: Callable
     kappa: float | None = None
     bound: float | None = None
-    z_derivatives: tuple = ()
     name: str = ""
 
     def factor_at(self, nodes: np.ndarray) -> np.ndarray:
@@ -91,18 +87,6 @@ def logistic_factor(z):
     return _logistic(z) + 1.0
 
 
-def logistic_factor_derivatives() -> tuple:
-    """Exact derivative callables of the logistic factor, orders 0..4."""
-    s = _logistic
-    return (
-        logistic_factor,
-        lambda z: s(z) * (1.0 - s(z)),
-        lambda z: s(z) * (1.0 - s(z)) * (1.0 - 2.0 * s(z)),
-        lambda z: s(z) * (1.0 - s(z)) * (1.0 - 6.0 * s(z) + 6.0 * s(z) ** 2),
-        lambda z: s(z) * (1.0 - s(z)) * (1.0 - 2.0 * s(z)) * (1.0 - 12.0 * s(z) + 12.0 * s(z) ** 2),
-    )
-
-
 def builtin_separable(
     f: Callable,
     g: Callable,
@@ -110,7 +94,6 @@ def builtin_separable(
     dim: int = 1,
     f_bounds: tuple[float, float],
     g_bounds: tuple[float, float],
-    f_derivatives: tuple = (),
     name: str = "",
 ) -> CoefficientField:
     """Separable field value = f(z) g(x) with declared bounds (inf, sup) of
@@ -129,7 +112,6 @@ def builtin_separable(
         bound=f_bounds[1] * g_bounds[1],
         z_factor=lambda z: f(np.asarray(z, dtype=float)[:, 0]),
         spatial_part=g,
-        z_derivatives=f_derivatives,
         name=name,
     )
 
@@ -155,7 +137,6 @@ def _logistic_1d() -> CoefficientField:
         dim=1,
         f_bounds=(1.0, 2.0),
         g_bounds=(1.0, 1.0),
-        f_derivatives=logistic_factor_derivatives(),
         name="logistic_1d",
     )
 
@@ -174,7 +155,6 @@ def _logistic_anisotropic() -> CoefficientField:
         dim=2,
         f_bounds=(1.0, 2.0),
         g_bounds=(1.0, 3.0),
-        f_derivatives=logistic_factor_derivatives(),
         name="logistic_anisotropic",
     )
 

@@ -13,21 +13,15 @@ without extra normalization factors. Gauss nodes are the eigenvalues of the
 symmetric tridiagonal recurrence matrix, polished by one Newton step; the
 weights are Christoffel numbers, so small weights at far-out nodes are
 accurate relative to their own size.
-
-The module also provides the second-order differential operator whose
-eigenfunctions are the orthogonal polynomials, applied exactly to a
-``numpy.polynomial.Polynomial`` in the monomial basis, together with its
-eigenvalues and norm-bound constants.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import inf
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
@@ -38,14 +32,7 @@ __all__ = [
     "laguerre",
     "eval_orthonormal",
     "gauss_rule",
-    "orthonormal_coeffs",
-    "apply_Q",
-    "sl_eigenvalue",
-    "sl_norm_bound_constant",
 ]
-
-# the monomial z
-_Z = Polynomial([0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -69,11 +56,6 @@ class PolyFamily:
             if not -1.0 < getattr(self, name) < inf:
                 got = ", ".join(f"{p} = {getattr(self, p)!r}" for p in params)
                 raise ValueError(f"{self.kind} requires {name} > -1 and finite, got {got}")
-
-    @property
-    def weighted(self) -> bool:
-        """True if the Sobolev weight of this family is rho(z) = z."""
-        return self.kind == "laguerre"
 
 
 def hermite() -> PolyFamily:
@@ -210,57 +192,3 @@ def _gauss_nodes_weights(family: PolyFamily, q: int) -> tuple[np.ndarray, np.nda
         _, _, sumsq = _recurrence_at(alphas, bs, nodes)
     weights = np.where(np.isnan(sumsq), 0.0, 1.0 / sumsq)
     return nodes, weights
-
-
-def orthonormal_coeffs(family: PolyFamily, k: int) -> Polynomial:
-    """The orthonormal polynomial h_k in the monomial basis."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    alphas, betas = _monic_recurrence(family, k + 1)
-    bs = np.sqrt(betas)
-    prev, cur = Polynomial([0.0]), Polynomial([1.0])
-    for j in range(k):
-        prev, cur = cur, (_Z * cur - alphas[j] * cur - bs[j] * prev) / bs[j + 1]
-    return cur
-
-
-def apply_Q(family: PolyFamily, p: Polynomial) -> Polynomial:
-    """Apply the family's Sturm--Liouville operator exactly on coefficients.
-
-    hermite:  Q = -d2 + z d1
-    jacobi:   Q = -(1 - z^2) d2 + (alpha - beta + (alpha + beta + 2) z) d1
-    laguerre: Q = -z d2 + (z - alpha - 1) d1
-    """
-    d1, d2 = p.deriv(), p.deriv(2)
-    if family.kind == "hermite":
-        return -d2 + _Z * d1
-    a, b = family.alpha, family.beta
-    if family.kind == "jacobi":
-        return -d2 + _Z * _Z * d2 + (a - b) * d1 + (a + b + 2.0) * (_Z * d1)
-    return -(_Z * d2) + _Z * d1 - (a + 1.0) * d1
-
-
-def sl_eigenvalue(family: PolyFamily, k: int) -> float:
-    """Eigenvalue of the Sturm--Liouville operator on h_k.
-
-    k for hermite and laguerre, k (k + alpha + beta + 1) for jacobi.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if family.kind == "jacobi":
-        return float(k * (k + family.alpha + family.beta + 1.0))
-    return float(k)
-
-
-def sl_norm_bound_constant(family: PolyFamily, ell: int) -> float:
-    """Constant C with ||Q f||_{H^ell_rho} <= C ||f||_{H^(ell+2)_rho}."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    if family.kind == "hermite":
-        return sqrt(21.0 + 3.0 * ell**2)
-    if family.kind == "laguerre":
-        return sqrt(24.0 * family.alpha + 87.0 + 24.0 * ell + 3.0 * ell**2)
-    a, b = family.alpha, family.beta
-    return sqrt(
-        3.0 * (1.0 + 4.0 * (ell + 1.0 + max(a, b)) ** 2 + ell**2 * (ell + a + b + 1.0) ** 2)
-    )

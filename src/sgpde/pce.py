@@ -2,20 +2,17 @@
 
 Builds tensorized orthonormal bases over an independent random vector,
 total-degree multi-index sets in graded lexicographic order, tensor Gauss
-grids and the basis matrix on them, quadrature-based chaos projections,
-weighted Sobolev norms, and the closed-form constant of the chaos
-truncation error bound.
+grids and the basis matrix on them, and quadrature-based chaos
+projections.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
-
 import numpy as np
 
-from .orthopoly import PolyFamily, eval_orthonormal, gauss_rule, sl_norm_bound_constant
+from .orthopoly import PolyFamily, eval_orthonormal, gauss_rule
 
 __all__ = [
     "DistributionSpec",
@@ -25,8 +22,6 @@ __all__ = [
     "tensor_quad",
     "tensor_basis_matrix",
     "pce_project",
-    "weighted_sobolev_norm",
-    "pce_error_constant",
 ]
 
 MAX_INDEX_SET_SIZE = 10**7
@@ -45,15 +40,6 @@ class DistributionSpec:
     @property
     def N(self) -> int:
         return len(self.components)
-
-    def rho_power(self, z: np.ndarray, alpha: Sequence[int]) -> np.ndarray:
-        """prod_j rho_j(z_j)^(alpha_j / 2) at sample points z of shape (Q, N)."""
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        out = np.ones(z.shape[0])
-        for j, (fam, a_j) in enumerate(zip(self.components, alpha)):
-            if a_j and fam.weighted:
-                out = out * z[:, j] ** (a_j / 2.0)
-        return out
 
 
 def distribution(*families: PolyFamily) -> DistributionSpec:
@@ -154,49 +140,3 @@ def pce_project(dist: DistributionSpec, mis: MultiIndexSet, samples, q: int) -> 
     phi = tensor_basis_matrix(dist, mis, nodes)
     modes = (phi * weights[:, None]).T @ samples.reshape(len(weights), -1)
     return modes[:, 0] if samples.ndim == 1 else modes
-
-
-def weighted_sobolev_norm(
-    dist: DistributionSpec,
-    derivatives: Mapping[tuple, Callable] | Sequence[Callable],
-    order: int,
-    q: int,
-) -> float:
-    """Weighted Sobolev norm (sum_{|alpha| <= order} ||rho^(alpha/2) d^alpha f||^2)^(1/2).
-
-    `derivatives` maps each multi-index (as a tuple) with |alpha| <= order to
-    a callable evaluating that partial derivative at one point z. For N = 1 a
-    plain sequence [f, f', f'', ...] is accepted. Integrals use a q-node
-    tensor Gauss grid.
-
-    With `pce_error_constant` it gives the paper's chaos truncation bound,
-    which no command reports yet; both are kept for the report of separate
-    errors (ROADMAP D9).
-    """
-    if isinstance(derivatives, Sequence):
-        if dist.N != 1:
-            raise ValueError("sequence form of derivatives is only valid for N = 1")
-        derivatives = {(k,): d for k, d in enumerate(derivatives)}
-    nodes, weights = tensor_quad(dist, q)
-    total = 0.0
-    for alpha in multi_index_set(dist.N, order):
-        if alpha not in derivatives:
-            raise ValueError(f"missing derivative callback for alpha = {alpha}")
-        vals = np.array([derivatives[alpha](z) for z in nodes], dtype=float)
-        total += float(np.dot(weights, dist.rho_power(nodes, alpha) * vals**2))
-    return math.sqrt(total)
-
-
-def pce_error_constant(dist: DistributionSpec, ell: int) -> float:
-    """Constant C_{ell,N} of the chaos truncation bound.
-
-    C = N^(ell/2) * prod_{r=0}^{ell-1} max_j C_j(2r), an empty product for
-    ell = 0; the truncation error of order n is bounded by
-    C * n^(-ell) * ||f||_{H^(2 ell)_rho}; see `weighted_sobolev_norm`.
-    """
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    prod = 1.0
-    for r in range(ell):
-        prod *= max(sl_norm_bound_constant(fam, 2 * r) for fam in dist.components)
-    return dist.N ** (ell / 2.0) * prod

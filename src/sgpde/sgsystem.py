@@ -50,8 +50,7 @@ coordinate-wise, c_ij -> r(-tau lam_i mu_j) c_ij per step, so a rational
 scheme's final state after n steps is
 W_T = ((W_0 M Y) o r(-tau lam_i mu_j)^n) Y^T without stepping (Thomee,
 Galerkin Finite Element Methods for Parabolic Problems, 2nd ed., 2006,
-ch. 7-9). The same decomposition gives the smallest resolvent eigenvalue
-min lam_i mu_j.
+ch. 7-9).
 """
 
 from __future__ import annotations
@@ -134,19 +133,6 @@ class SgOperator:
         """System-basis coefficients (d_n, ndof) back in the chaos basis: V W."""
         return self.eigvecs @ coeffs
 
-    def symmetry_defect(self) -> float:
-        """Bound on the largest |A - A^T| entry of A = G (x) K_g:
-        max|G - G^T| max|K_g| + max|G| max|K_g - K_g^T|, which is zero
-        exactly when both factors are symmetric."""
-        g, k = self.chaos, self.spatial.k_g
-        return _max_abs(g - g.T) * _max_abs(k) + _max_abs(g) * _max_abs(k - k.T)
-
-    def min_resolvent_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the pencil (G (x) K_g, I (x) M): the
-        smallest product lam_i mu_j with the eigenvalues mu of the space's
-        pencil (K_g, M), which is decomposed densely."""
-        return float(np.outer(self.eigvals, self.spatial.pencil.mu).min())
-
 
 @dataclass(frozen=True)
 class SgState:
@@ -155,11 +141,6 @@ class SgState:
     time: float
     coeffs: np.ndarray  # (d_n, ndof)
     mis: MultiIndexSet
-
-
-def _max_abs(a) -> float:
-    """Largest |entry| of a dense or sparse matrix; 0 when it stores none."""
-    return float(abs(a).max()) if a.size else 0.0
 
 
 @dataclass(frozen=True)

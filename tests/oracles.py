@@ -14,7 +14,11 @@ the non-elliptic `affine_field` assembly probe, and the sampled check of a
 field's declared ellipticity bounds. The forms that one-pass library paths
 replaced stay too: the error points with the two-pass L2 error, the
 per-node chaos projection of a callable, and the eigendecomposition check
-on 2-norms.
+on 2-norms. So do the parts of the paper that no sweep computes: each
+family's Sturm--Liouville operator with its eigenvalues, the chaos
+truncation bound (weighted Sobolev norm, its constant, the exact
+derivatives of the logistic factor), and the symmetry defect and smallest
+resolvent eigenvalue of a block operator, read from its factors.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.polynomial import Polynomial
 from scipy import integrate
 
-from sgpde.coeffs import CoefficientField
-from sgpde.orthopoly import PolyFamily, eval_orthonormal, gauss_rule
+from sgpde.coeffs import CoefficientField, _logistic, logistic_factor
+from sgpde.orthopoly import PolyFamily, _monic_recurrence, eval_orthonormal, gauss_rule
 from sgpde.pce import MultiIndexSet, multi_index_set, tensor_basis_matrix, tensor_quad
 from sgpde.sgsystem import SgState, reconstruct_at_nodes, spatial_operators
 from sgpde.spatial import (
@@ -121,6 +126,127 @@ def integrate_against_density(family, f, limit: int = 200) -> float:
         lo, hi = -1.0, 1.0
     val, _ = integrate.quad(lambda z: f(z) * dens(z), lo, hi, limit=limit)
     return val
+
+
+# --- the Sturm--Liouville operator of each family and the chaos truncation
+# bound C n^(-ell) ||f||_{H^(2 ell)_rho}, which the library does not compute
+
+_Z = Polynomial([0.0, 1.0])  # the monomial z
+
+
+def orthonormal_coeffs(family: PolyFamily, k: int) -> Polynomial:
+    """The orthonormal polynomial h_k in the monomial basis."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    alphas, betas = _monic_recurrence(family, k + 1)
+    bs = np.sqrt(betas)
+    prev, cur = Polynomial([0.0]), Polynomial([1.0])
+    for j in range(k):
+        prev, cur = cur, (_Z * cur - alphas[j] * cur - bs[j] * prev) / bs[j + 1]
+    return cur
+
+
+def apply_Q(family: PolyFamily, p: Polynomial) -> Polynomial:
+    """Apply the family's Sturm--Liouville operator exactly on coefficients.
+
+    hermite:  Q = -d2 + z d1
+    jacobi:   Q = -(1 - z^2) d2 + (alpha - beta + (alpha + beta + 2) z) d1
+    laguerre: Q = -z d2 + (z - alpha - 1) d1
+    """
+    d1, d2 = p.deriv(), p.deriv(2)
+    if family.kind == "hermite":
+        return -d2 + _Z * d1
+    a, b = family.alpha, family.beta
+    if family.kind == "jacobi":
+        return -d2 + _Z * _Z * d2 + (a - b) * d1 + (a + b + 2.0) * (_Z * d1)
+    return -(_Z * d2) + _Z * d1 - (a + 1.0) * d1
+
+
+def sl_eigenvalue(family: PolyFamily, k: int) -> float:
+    """Eigenvalue of the Sturm--Liouville operator on h_k.
+
+    k for hermite and laguerre, k (k + alpha + beta + 1) for jacobi.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if family.kind == "jacobi":
+        return float(k * (k + family.alpha + family.beta + 1.0))
+    return float(k)
+
+
+def sl_norm_bound_constant(family: PolyFamily, ell: int) -> float:
+    """Constant C with ||Q f||_{H^ell_rho} <= C ||f||_{H^(ell+2)_rho}."""
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    if family.kind == "hermite":
+        return math.sqrt(21.0 + 3.0 * ell**2)
+    if family.kind == "laguerre":
+        return math.sqrt(24.0 * family.alpha + 87.0 + 24.0 * ell + 3.0 * ell**2)
+    a, b = family.alpha, family.beta
+    return math.sqrt(
+        3.0 * (1.0 + 4.0 * (ell + 1.0 + max(a, b)) ** 2 + ell**2 * (ell + a + b + 1.0) ** 2)
+    )
+
+
+def sobolev_weight(family: PolyFamily, z: np.ndarray) -> np.ndarray:
+    """The weight rho(z) of the family's Sobolev norm: z for laguerre, 1 otherwise."""
+    return z if family.kind == "laguerre" else np.ones_like(z)
+
+
+def weighted_sobolev_norm(
+    dist,
+    derivatives: Mapping[tuple, Callable] | Sequence[Callable],
+    order: int,
+    q: int,
+) -> float:
+    """Weighted Sobolev norm (sum_{|alpha| <= order} ||rho^(alpha/2) d^alpha f||^2)^(1/2).
+
+    `derivatives` maps each multi-index (as a tuple) with |alpha| <= order to
+    a callable evaluating that partial derivative at one point z. For N = 1 a
+    plain sequence [f, f', f'', ...] is accepted. Integrals use a q-node
+    tensor Gauss grid.
+    """
+    if isinstance(derivatives, Sequence):
+        if dist.N != 1:
+            raise ValueError("sequence form of derivatives is only valid for N = 1")
+        derivatives = {(k,): d for k, d in enumerate(derivatives)}
+    nodes, weights = tensor_quad(dist, q)
+    total = 0.0
+    for alpha in multi_index_set(dist.N, order):
+        if alpha not in derivatives:
+            raise ValueError(f"missing derivative callback for alpha = {alpha}")
+        vals = np.array([derivatives[alpha](z) for z in nodes], dtype=float)
+        rho = math.prod(sobolev_weight(fam, nodes[:, j]) ** (a_j / 2.0)
+                        for j, (fam, a_j) in enumerate(zip(dist.components, alpha)))
+        total += float(np.dot(weights, rho * vals**2))
+    return math.sqrt(total)
+
+
+def pce_error_constant(dist, ell: int) -> float:
+    """Constant C_{ell,N} of the chaos truncation bound.
+
+    C = N^(ell/2) * prod_{r=0}^{ell-1} max_j C_j(2r), an empty product for
+    ell = 0; the truncation error of order n is bounded by
+    C * n^(-ell) * ||f||_{H^(2 ell)_rho}; see `weighted_sobolev_norm`.
+    """
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    prod = 1.0
+    for r in range(ell):
+        prod *= max(sl_norm_bound_constant(fam, 2 * r) for fam in dist.components)
+    return dist.N ** (ell / 2.0) * prod
+
+
+def logistic_factor_derivatives() -> tuple:
+    """Exact derivative callables of the logistic factor, orders 0..4."""
+    s = _logistic
+    return (
+        logistic_factor,
+        lambda z: s(z) * (1.0 - s(z)),
+        lambda z: s(z) * (1.0 - s(z)) * (1.0 - 2.0 * s(z)),
+        lambda z: s(z) * (1.0 - s(z)) * (1.0 - 6.0 * s(z) + 6.0 * s(z) ** 2),
+        lambda z: s(z) * (1.0 - s(z)) * (1.0 - 2.0 * s(z)) * (1.0 - 12.0 * s(z) + 12.0 * s(z) ** 2),
+    )
 
 
 def heat_amplitude(diffusivity: float, mode: int, t: float) -> float:
@@ -255,6 +381,26 @@ def min_generalized_eigenvalue(a: sp.spmatrix, b: sp.spmatrix) -> float:
     if a.shape[0] > DENSE_EIG_SIZE_LIMIT:
         raise ValueError(f"pencil size {a.shape[0]} too large for dense solve")
     return float(scipy.linalg.eigh(a.toarray(), b.toarray(), eigvals_only=True)[0])
+
+
+def _max_abs(a) -> float:
+    """Largest |entry| of a dense or sparse matrix; 0 when it stores none."""
+    return float(abs(a).max()) if a.size else 0.0
+
+
+def symmetry_defect(op) -> float:
+    """Bound on the largest |A - A^T| entry of the operator A = G (x) K_g
+    of an `SgOperator`, from its factors: max|G - G^T| max|K_g| +
+    max|G| max|K_g - K_g^T|, zero exactly when both are symmetric."""
+    g, k = op.chaos, op.spatial.k_g
+    return _max_abs(g - g.T) * _max_abs(k) + _max_abs(g) * _max_abs(k - k.T)
+
+
+def min_resolvent_eigenvalue(op) -> float:
+    """Smallest eigenvalue of the pencil (G (x) K_g, I (x) M) of an
+    `SgOperator`, from its factors: the smallest product lam_i mu_j with the
+    eigenvalues mu of its space's pencil (K_g, M)."""
+    return float(np.outer(op.eigvals, op.spatial.pencil.mu).min())
 
 
 SPARSE_DROP_TOL = 1e-12

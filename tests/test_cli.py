@@ -8,34 +8,19 @@ from pathlib import Path
 import pytest
 
 import sgpde
-from sgpde import cli
-from sgpde.cli import invariant_suite, main
+from sgpde.cli import main
 
 
-def test_check_command(capsys):
-    assert main(["check"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS orthonormality[hermite]" in out
-    assert "FAIL" not in out
-
-
-def test_invariant_suite_entries():
-    results = invariant_suite()
-    names = [name for name, ok, _ in results]
-    assert "block_symmetry" in names
-    assert all(ok for _, ok, _ in results)
-
-
-def test_invariant_suite_reads_the_operator_invariants_without_its_matrix(monkeypatch):
-    built = []
-    real = cli.assemble_block_operator
-    monkeypatch.setattr(
-        cli, "assemble_block_operator", lambda *a, **kw: built.append(real(*a, **kw)) or built[-1]
-    )
-    results = {name: ok for name, ok, _ in invariant_suite()}
-    assert results["block_symmetry"] and results["resolvent_contractivity"]
-    assert len(built) == 1
-    assert "matrix" not in vars(built[0])  # the chaos-basis G (x) K_g was never built
+def test_the_commands_are_solve_and_converge(capsys):
+    with pytest.raises(SystemExit) as refused:
+        main(["check"])
+    assert refused.value.code == 2
+    assert "invalid choice: 'check'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as helped:
+        main(["--help"])
+    assert helped.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # as printed at any width
+    assert out.startswith("usage: sgpde [-h] [--version] {solve,converge} ...")
 
 
 def config_file(tmp_path, **overrides):

@@ -15,7 +15,6 @@ from sgpde.coeffs import (
     coefficient_by_name,
     initial_datum_by_name,
     logistic_factor,
-    logistic_factor_derivatives,
 )
 from sgpde.harness import load_config
 from sgpde.pce import tensor_quad
@@ -115,7 +114,7 @@ def test_builtin_evaluates_bitwise_as_the_product_of_its_factors(name, params):
 
 
 def test_logistic_derivatives_match_finite_differences():
-    derivs = logistic_factor_derivatives()
+    derivs = oracles.logistic_factor_derivatives()
     zs = np.linspace(-10.0, 10.0, 41)
     h = 1e-5
     for i in range(1, 5):
@@ -165,9 +164,9 @@ def test_logistic_factor_and_derivatives_match_scipy_expit():
         lambda z: s(z) * (1.0 - s(z)) * (1.0 - 2.0 * s(z)) * (1.0 - 12.0 * s(z) + 12.0 * s(z) ** 2),
     )
     zs = np.concatenate([np.linspace(-40.0, 40.0, 8001), [-800.0, -1e-300, 0.0, 1e-300, 800.0]])
-    for got, exact in zip(logistic_factor_derivatives(), want):
+    for got, exact in zip(oracles.logistic_factor_derivatives(), want):
         assert np.max(np.abs(got(zs) - exact(zs))) <= 1e-15
-    assert logistic_factor is logistic_factor_derivatives()[0]
+    assert logistic_factor is oracles.logistic_factor_derivatives()[0]
     # a scalar gives a scalar, as expit does
     assert type(logistic_factor(0.3)) is type(want[0](0.3)) is np.float64
     assert logistic_factor(0.3) == pytest.approx(want[0](0.3), abs=1e-15)

@@ -8,18 +8,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 import oracles
+from oracles import apply_Q, orthonormal_coeffs, sl_eigenvalue, sl_norm_bound_constant
 from sgpde import orthopoly
-from sgpde.orthopoly import (
-    apply_Q,
-    eval_orthonormal,
-    gauss_rule,
-    hermite,
-    jacobi,
-    laguerre,
-    orthonormal_coeffs,
-    sl_eigenvalue,
-    sl_norm_bound_constant,
-)
+from sgpde.orthopoly import eval_orthonormal, gauss_rule, hermite, jacobi, laguerre
 
 FAMILIES = [
     hermite(),
@@ -34,7 +25,7 @@ FAMILIES = [
 def sobolev_norm_1d(family, p: Polynomial, ell: int, q: int = 40) -> float:
     """H^ell_rho norm of a polynomial, derivatives exact, integrals by Gauss."""
     rule = gauss_rule(family, q)
-    rho = rule.nodes if family.weighted else np.ones_like(rule.nodes)
+    rho = oracles.sobolev_weight(family, rule.nodes)
     total = 0.0
     for k in range(ell + 1):
         vals = p.deriv(k)(rule.nodes)

@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 import oracles
-from sgpde.orthopoly import apply_Q, hermite, jacobi, laguerre, sl_eigenvalue
+from oracles import apply_Q, pce_error_constant, sl_eigenvalue, weighted_sobolev_norm
+from sgpde.orthopoly import hermite, jacobi, laguerre
 from sgpde.pce import (
     DistributionSpec,
     distribution,
     multi_index_set,
-    pce_error_constant,
     pce_project,
     tensor_basis_matrix,
     tensor_quad,
-    weighted_sobolev_norm,
 )
 
 H1 = distribution(hermite())

@@ -122,15 +122,6 @@ def test_names_imported_from_a_sibling_are_in_its_all():
     assert outside == []
 
 
-# Public names that no command reaches, kept on purpose, each with its reason.
-# Both are counted as reached, and so is what they call.
-UNREACHED_ALLOWED = {
-    "weighted_sobolev_norm": "the norm of the paper's chaos truncation bound (acceptance 3); "
-                             "the report of separate errors is to read it (ROADMAP D9)",
-    "pce_error_constant": "the constant of the same bound, read with weighted_sobolev_norm",
-}
-
-
 def _named(node) -> set[str]:
     """Every identifier that an ast.Name or ast.Attribute under `node` names."""
     return {
@@ -140,21 +131,20 @@ def _named(node) -> set[str]:
     }
 
 
-def unreached(sources: dict, allowed=()) -> list[str]:
+def unreached(sources: dict) -> list[str]:
     """The public module-level functions and classes of `sources` (module
     name -> source text) that nothing reaches, as `module.name`.
 
     A definition is reached when an ast.Name or ast.Attribute names it
     outside its own definition, in module-level code (a dispatch table, the
     `__main__` call of `cli.main`) or in a reached definition, or when
-    `__init__` re-exports it; the names in `allowed` count as reached.
-    Reached names are collected until none is added, so a name that only
-    unreached definitions name stays unreached. Names are matched by
-    identifier across modules, so an attribute that shares a definition's
-    name reaches it too: the check may miss a dead name but never flags a
-    live one.
+    `__init__` re-exports it. Reached names are collected until none is
+    added, so a name that only unreached definitions name stays unreached.
+    Names are matched by identifier across modules, so an attribute that
+    shares a definition's name reaches it too: the check may miss a dead
+    name but never flags a live one.
     """
-    definitions, reached = [], set(allowed)
+    definitions, reached = [], set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -177,25 +167,24 @@ def unreached(sources: dict, allowed=()) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "sources,allowed,flagged",
+    "sources,flagged",
     [
-        ({"m": "def used():\n    pass\n\ndef dead():\n    used()\n\nused()\n"}, (), ["m.dead"]),
-        ({"m": "def helper():\n    pass\n\ndef dead():\n    return helper()\n"}, (),
+        ({"m": "def used():\n    pass\n\ndef dead():\n    used()\n\nused()\n"}, ["m.dead"]),
+        ({"m": "def helper():\n    pass\n\ndef dead():\n    return helper()\n"},
          ["m.dead", "m.helper"]),
-        ({"m": "def _hidden():\n    return inner()\n\ndef inner():\n    pass\n"}, (), ["m.inner"]),
-        ({"m": "def loop(k):\n    return loop(k - 1)\n"}, (), ["m.loop"]),
-        ({"m": "from .n import inner\n", "n": "def inner():\n    pass\n"}, (), ["n.inner"]),
-        ({"m": "def a():\n    pass\n\nTABLE = {'a': a}\n"}, (), []),
-        ({"__init__": "from .m import f\n", "m": "def f():\n    pass\n"}, (), []),
+        ({"m": "def _hidden():\n    return inner()\n\ndef inner():\n    pass\n"}, ["m.inner"]),
+        ({"m": "def loop(k):\n    return loop(k - 1)\n"}, ["m.loop"]),
+        ({"m": "from .n import inner\n", "n": "def inner():\n    pass\n"}, ["n.inner"]),
+        ({"m": "def a():\n    pass\n\nTABLE = {'a': a}\n"}, []),
+        ({"__init__": "from .m import f\n", "m": "def f():\n    pass\n"}, []),
         ({"m": "class C:\n    def run(self):\n        return go()\n\ndef go():\n    pass\n\n"
-               "if __name__ == '__main__':\n    C().run()\n"}, (), []),
-        ({"m": "def helper():\n    pass\n\ndef kept():\n    return helper()\n"}, ("kept",), []),
+               "if __name__ == '__main__':\n    C().run()\n"}, []),
     ],
     ids=["dead", "dead_via_dead", "via_private_dead", "self_only", "imported_only",
-         "table", "reexport", "method_body", "allowed"],
+         "table", "reexport", "method_body"],
 )
-def test_reach_check_flags_names_that_nothing_reaches(sources, allowed, flagged):
-    assert unreached(sources, allowed) == flagged
+def test_reach_check_flags_names_that_nothing_reaches(sources, flagged):
+    assert unreached(sources) == flagged
 
 
 def library_sources() -> dict:
@@ -205,13 +194,7 @@ def library_sources() -> dict:
 
 
 def test_every_public_name_is_reached_by_a_command():
-    assert unreached(library_sources(), UNREACHED_ALLOWED) == []
-
-
-def test_the_allowed_names_are_unreached_without_their_allowance():
-    # an allowance for a name that a command reaches is stale
-    found = {qualified.rpartition(".")[2] for qualified in unreached(library_sources())}
-    assert set(UNREACHED_ALLOWED) <= found
+    assert unreached(library_sources()) == []
 
 
 # Public methods and properties that no library file reads, kept on purpose.
