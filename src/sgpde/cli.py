@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .harness import build_reference, error_norm_H, load_config, sweep, write_outputs, OperatorCache, solve_single
@@ -19,11 +16,6 @@ def cmd_solve(args) -> int:
     state, space = solve_single(cache, n, m, n_k)
     err = error_norm_H(cfg.dist, state, space, build_reference(cache, estimate_error=False))
     print(f"n = {n}, m = {m}, n_k = {n_k}: error = {err:.6e}")
-    if args.state_out:
-        Path(args.state_out).parent.mkdir(parents=True, exist_ok=True)
-        np.savez(args.state_out, coeffs=state.coeffs, time=state.time,
-                 indices=np.array(state.mis.indices))
-        print(f"wrote final state to {args.state_out}")
     return 0
 
 
@@ -49,7 +41,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("solve", help="run a single configuration at the finest sweep point")
     p.add_argument("config")
-    p.add_argument("--state-out", default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("converge", help="run the full convergence sweep for a config")

@@ -6,12 +6,18 @@ value = f(z) * g(x): `CoefficientField` holds the two factors, its value is
 their product, and the library assembles the spatial matrix of g once per
 space. Both factors are functions over arrays, called once per grid: f of
 all the nodes of a z-grid, g of all the points of an element rule (see
-`spatial`). Ellipticity bounds are declared, not proven; the test suite
-checks them by sampling.
+`spatial`). The library declares no ellipticity bounds: the tests hold
+the bounds of each built-in and check them by sampling.
+
+A config's numbers are checked when its field or datum is built: a
+constant's value must be finite and > 0, a sine mode index an integer
+>= 1, and an amplitude finite.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,15 +44,11 @@ class CoefficientField:
     returns (n_points,) scalars in 1D, and in 2D (n_points, 2, 2) Hermitian
     matrices or (n_points,) scalars; a scalar, or in 2D a constant 2x2
     matrix, stands for the same value at every point.
-    `kappa` and `bound` are the declared ellipticity bounds, positive for
-    every built-in.
     """
 
     dim: int
     z_factor: Callable
     spatial_part: Callable
-    kappa: float | None = None
-    bound: float | None = None
     name: str = ""
 
     def factor_at(self, nodes: np.ndarray) -> np.ndarray:
@@ -87,29 +89,14 @@ def logistic_factor(z):
     return _logistic(z) + 1.0
 
 
-def builtin_separable(
-    f: Callable,
-    g: Callable,
-    *,
-    dim: int = 1,
-    f_bounds: tuple[float, float],
-    g_bounds: tuple[float, float],
-    name: str = "",
-) -> CoefficientField:
-    """Separable field value = f(z) g(x) with declared bounds (inf, sup) of
-    f and of g, so kappa = inf f inf g and bound = sup f sup g. A
-    nonpositive lower bound of either factor is rejected.
+def builtin_separable(f: Callable, g: Callable, *, dim: int = 1, name: str = "") -> CoefficientField:
+    """Separable field value = f(z) g(x).
 
     f reads the first input only: it maps an array of z_1 values to the
     array of its values, of the same shape. g is the `spatial_part`.
     """
-    for factor, (low, _) in (("f", f_bounds), ("g", g_bounds)):
-        if low <= 0.0:
-            raise ValueError(f"inf {factor} = {low} must be positive for an elliptic field")
     return CoefficientField(
         dim=dim,
-        kappa=f_bounds[0] * g_bounds[0],
-        bound=f_bounds[1] * g_bounds[1],
         z_factor=lambda z: f(np.asarray(z, dtype=float)[:, 0]),
         spatial_part=g,
         name=name,
@@ -118,14 +105,29 @@ def builtin_separable(
 
 # --- named built-ins -----------------------------------------------------
 
+def _number(key: str, value, lowest: float = -math.inf) -> float:
+    """A config number: a real, not a bool, finite and > `lowest`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and lowest < value < math.inf):  # a NaN fails both comparisons
+        above = "" if lowest == -math.inf else f" > {lowest:g}"
+        raise ValueError(f"{key} value {value!r} must be a finite number{above}")
+    return float(value)
+
+
+def _index(key: str, value) -> int:
+    """A config sine mode index: an integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{key} value {value!r} must be an integer >= 1")
+    return int(value)
+
+
 def _constant_field(value: float = 1.0, dim: int = 1) -> CoefficientField:
+    value = _number("constant", value, 0.0)
     return builtin_separable(
         np.ones_like,
         (lambda x: np.full(len(x), value)) if dim == 1
         else (lambda x: value * np.broadcast_to(np.eye(2), (len(x), 2, 2))),
         dim=dim,
-        f_bounds=(1.0, 1.0),
-        g_bounds=(value, value),
         name=f"constant({value})",
     )
 
@@ -135,8 +137,6 @@ def _logistic_1d() -> CoefficientField:
         logistic_factor,
         lambda x: np.ones(len(x)),
         dim=1,
-        f_bounds=(1.0, 2.0),
-        g_bounds=(1.0, 1.0),
         name="logistic_1d",
     )
 
@@ -153,8 +153,6 @@ def _logistic_anisotropic() -> CoefficientField:
         logistic_factor,
         g,
         dim=2,
-        f_bounds=(1.0, 2.0),
-        g_bounds=(1.0, 3.0),
         name="logistic_anisotropic",
     )
 
@@ -173,7 +171,8 @@ def coefficient_by_name(name: str, **params) -> CoefficientField:
 
 
 def _sine_modes_datum(modes: Sequence = ((1, 1.0),)) -> InitialDatum:
-    modes = tuple((int(j), float(c)) for j, c in modes)
+    modes = tuple((_index("sine_modes mode", j), _number("sine_modes amplitude", c))
+                  for j, c in modes)
 
     def u0(x):
         return sum(c * np.sin(j * np.pi * x[:, 0]) for j, c in modes)
@@ -187,6 +186,8 @@ def _sine_modes_datum(modes: Sequence = ((1, 1.0),)) -> InitialDatum:
 
 
 def _product_sine_datum(j: int = 1, amplitude: float = 1.0) -> InitialDatum:
+    j, amplitude = _index("product_sine j", j), _number("product_sine amplitude", amplitude)
+
     def u0(x):
         return amplitude * np.sin(j * np.pi * x[:, 0]) * np.sin(j * np.pi * x[:, 1])
 

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from . import __version__
 from .coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
-from .orthopoly import hermite, jacobi, laguerre
+from .orthopoly import FAMILY_PARAMS, PolyFamily
 from .pce import DistributionSpec, multi_index_set, tensor_quad
 from .sgsystem import (
     SgOperator,
@@ -281,12 +281,6 @@ def half_split_slopes(hs, errors) -> tuple[float, float] | None:
 
 # --- configuration --------------------------------------------------------
 
-# each distribution kind: its factory and the parameters it reads (default 0)
-_FAMILIES = {
-    "hermite": (hermite, ()),
-    "jacobi": (jacobi, ("alpha", "beta")),
-    "laguerre": (laguerre, ("alpha",)),
-}
 # the coarsest mesh m with an interior dof, per FE order: P1 on one cell has none
 _LOWEST_M = {1: 2, 2: 1}
 # bounds, in float64 entries (10^7 = 80 MB), on the largest dense arrays a
@@ -438,11 +432,11 @@ class ExperimentConfig:
 def _family(spec: dict):
     """The polynomial family of one distribution component."""
     kind = spec.get("kind")
-    if kind not in _FAMILIES:
+    if kind not in FAMILY_PARAMS:
         raise ValueError(f"unknown distribution component {kind!r}")
-    factory, params = _FAMILIES[kind]
+    params = FAMILY_PARAMS[kind]
     _check_keys(kind, spec, {"kind", *params})
-    return factory(*(spec.get(p, 0.0) for p in params))
+    return PolyFamily(kind, *(spec.get(p, 0.0) for p in params))
 
 
 def _named(by_name: Callable, spec: dict):
@@ -718,7 +712,7 @@ def solve_points(cache: OperatorCache, points) -> dict[tuple, tuple[SgState, flo
         record = "solve batch: n_k=%d points=%s unknowns=%d wall_s=%.6f"
         log.debug(record, n_k, batch, sum(sizes), wall)
         for point, (_, state0), final, size in zip(batch, built, finals, sizes):
-            solved[point] = SgState(cache.cfg.t_final, final, state0.mis), wall * size / sum(sizes)
+            solved[point] = SgState(final, state0.mis), wall * size / sum(sizes)
     return solved
 
 

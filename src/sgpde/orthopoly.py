@@ -18,6 +18,7 @@ accurate relative to their own size.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from math import inf
 
@@ -25,6 +26,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
+    "FAMILY_PARAMS",
     "PolyFamily",
     "QuadratureRule",
     "hermite",
@@ -35,12 +37,18 @@ __all__ = [
 ]
 
 
+# the parameters that each family kind reads; a parameter not given is 0
+FAMILY_PARAMS = {"hermite": (), "jacobi": ("alpha", "beta"), "laguerre": ("alpha",)}
+
+
 @dataclass(frozen=True)
 class PolyFamily:
     """An orthonormal polynomial family, identified by its probability law.
 
     Use the factory functions :func:`hermite`, :func:`jacobi`, and
-    :func:`laguerre` instead of constructing instances directly.
+    :func:`laguerre` instead of constructing instances directly. Each
+    parameter of `FAMILY_PARAMS[kind]` must be a real number, not a bool,
+    and is stored as a float.
     """
 
     kind: str
@@ -48,9 +56,14 @@ class PolyFamily:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("hermite", "jacobi", "laguerre"):
+        if self.kind not in FAMILY_PARAMS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        params = {"jacobi": ("alpha", "beta"), "laguerre": ("alpha",)}.get(self.kind, ())
+        params = FAMILY_PARAMS[self.kind]
+        for name in params:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{self.kind} {name} value {value!r} must be a number")
+            object.__setattr__(self, name, float(value))
         for name in params:
             # a NaN fails both comparisons, so it is rejected with inf
             if not -1.0 < getattr(self, name) < inf:
@@ -65,12 +78,12 @@ def hermite() -> PolyFamily:
 
 def jacobi(alpha: float, beta: float) -> PolyFamily:
     """Family for a Beta input on (-1, 1); alpha = beta = 0 is uniform."""
-    return PolyFamily("jacobi", float(alpha), float(beta))
+    return PolyFamily("jacobi", alpha, beta)
 
 
 def laguerre(alpha: float) -> PolyFamily:
     """Family for a Gamma input with shape alpha + 1 and rate 1."""
-    return PolyFamily("laguerre", float(alpha))
+    return PolyFamily("laguerre", alpha)
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,6 @@ class SgOperator:
 class SgState:
     """Mode coefficients of the chaos-Galerkin solution at one time."""
 
-    time: float
     coeffs: np.ndarray  # (d_n, ndof)
     mis: MultiIndexSet
 
@@ -288,7 +287,7 @@ def initial_coefficients(
     """Chaos modes of the initial datum on the space of `ops`: the q-node
     Gauss sum Phi^T W [P u0(z_i)]_i of its checked L2 projections P, which
     `ops.project_datum` computes once per grid."""
-    return SgState(0.0, pce_project(dist, mis, ops.project_datum(dist, u0, q), q), mis)
+    return SgState(pce_project(dist, mis, ops.project_datum(dist, u0, q), q), mis)
 
 
 def reconstruct_at_nodes(

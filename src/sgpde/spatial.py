@@ -64,7 +64,6 @@ class Mesh:
     m: int
     vertices: np.ndarray  # (nv, dim)
     cells: np.ndarray  # (nc, dim + 1) vertex indices, CCW in 2D
-    h: float  # element diameter bound
 
 
 def make_mesh(dim: int, m: int) -> Mesh:
@@ -75,7 +74,7 @@ def make_mesh(dim: int, m: int) -> Mesh:
     if dim == 1:
         verts = (np.arange(m + 1, dtype=float) / m)[:, None]
         cells = np.column_stack([np.arange(m), np.arange(1, m + 1)])
-        return Mesh(1, m, verts, cells, 1.0 / m)
+        return Mesh(1, m, verts, cells)
     # vertex (i, j) at (i / m, j / m) has id i (m + 1) + j; each square
     # (i, j), in that order, gives its lower then its upper triangle
     i, j = np.divmod(np.arange((m + 1) ** 2), m + 1)
@@ -83,7 +82,7 @@ def make_mesh(dim: int, m: int) -> Mesh:
     v00 = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).ravel()
     v10, v01, v11 = v00 + m + 1, v00 + 1, v00 + m + 2
     cells = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
-    return Mesh(2, m, verts, cells, math.sqrt(2.0) / m)
+    return Mesh(2, m, verts, cells)
 
 
 @dataclass(frozen=True)

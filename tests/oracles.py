@@ -10,11 +10,11 @@ pencil eigenvalues, the coupled chaos operator of a field that is not a
 product f(z) g(x), which the library does not take, the L2 projection,
 stationary solve, point evaluation and sampled single-state L2 error of the
 spatial space, the value f(z) g(x) of a field, the triple-product tensor,
-the non-elliptic `affine_field` assembly probe, and the sampled check of a
-field's declared ellipticity bounds. The forms that one-pass library paths
-replaced stay too: the error points with the two-pass L2 error, the
-per-node chaos projection of a callable, and the eigendecomposition check
-on 2-norms. So do the parts of the paper that no sweep computes: each
+the non-elliptic `affine_field` assembly probe, and the ellipticity bounds
+of each built-in field with their sampled check. The forms that one-pass
+library paths replaced stay too: the error points with the two-pass L2
+error, the per-node chaos projection of a callable, and the
+eigendecomposition check on 2-norms. So do the parts of the paper that no sweep computes: each
 family's Sturm--Liouville operator with its eigenvalues, the chaos
 truncation bound (weighted Sobolev norm, its constant, the exact
 derivatives of the logistic factor), and the symmetry defect and smallest
@@ -337,8 +337,6 @@ class CoupledField:
 
     dim: int
     evaluate: Callable
-    kappa: float | None = None
-    bound: float | None = None
 
 
 def row_value(value) -> np.ndarray:
@@ -711,7 +709,7 @@ def loop_mesh(dim: int, m: int) -> Mesh:
     if dim == 1:
         verts = (np.arange(m + 1, dtype=float) / m)[:, None]
         cells = np.column_stack([np.arange(m), np.arange(1, m + 1)])
-        return Mesh(1, m, verts, cells, 1.0 / m)
+        return Mesh(1, m, verts, cells)
     idx = lambda i, j: i * (m + 1) + j
     verts = np.array(
         [[i / m, j / m] for i in range(m + 1) for j in range(m + 1)], dtype=float
@@ -723,7 +721,7 @@ def loop_mesh(dim: int, m: int) -> Mesh:
             v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
             cells.append((v00, v10, v11))
             cells.append((v00, v11, v01))
-    return Mesh(2, m, verts, np.array(cells), math.sqrt(2.0) / m)
+    return Mesh(2, m, verts, np.array(cells))
 
 
 def loop_fe_space(mesh: Mesh, order: int) -> FeSpace:
@@ -958,7 +956,7 @@ def per_point_solve(cache, n: int, m: int, n_k: int):
     w0 = op.to_system(state0.coeffs)
     scheme = scheme_by_name(cache.cfg.scheme)
     w = evolve(scheme, cache.cfg.t_final, n_k, *system_matrices(op), w0.reshape(-1))
-    return SgState(cache.cfg.t_final, op.to_chaos(w.reshape(w0.shape)), state0.mis)
+    return SgState(op.to_chaos(w.reshape(w0.shape)), state0.mis)
 
 
 # --- spatial tools that only the tests use ----------------------------------
@@ -1050,7 +1048,7 @@ def norm2_check_passes(a: np.ndarray, b, mu: np.ndarray, y: np.ndarray, tol: flo
     return orth <= tol and res <= tol * norm2(a) * norm2(y)
 
 
-# --- a field that no config can name, and the sampled bounds check ---------
+# --- a field that no config can name, and the ellipticity bounds ----------
 
 def affine_field(slope: float = 0.5, dim: int = 1) -> CoefficientField:
     """The field (1 + slope z_1) g, with g = 1 in 1D and the identity in 2D:
@@ -1064,10 +1062,26 @@ def affine_field(slope: float = 0.5, dim: int = 1) -> CoefficientField:
     )
 
 
+# The ellipticity bounds (kappa, K) of each built-in coefficient of
+# `coeffs.COEFFICIENT_BUILTINS`: at every z and x each eigenvalue of
+# f(z) g(x) lies in [kappa, K], with kappa = inf f inf g and K = sup f sup g.
+# A `constant` field has its value for both.
+BUILTIN_BOUNDS = {
+    "logistic_1d": (1.0, 2.0),  # f in (1, 2), g = 1
+    "logistic_anisotropic": (1.0, 6.0),  # f in (1, 2), g's eigenvalues in [1, 3]
+}
+
+
+def declared_bounds(name: str, **params) -> tuple[float, float]:
+    """(kappa, K) of the field that `coefficient_by_name(name, **params)` builds."""
+    if name == "constant":
+        value = float(params.get("value", 1.0))
+        return value, value
+    return BUILTIN_BOUNDS[name]
+
+
 @dataclass(frozen=True)
 class BoundsReport:
-    kappa: float | None
-    bound: float | None
     checked: int
     violations: list = field(default_factory=list)
 
@@ -1077,9 +1091,12 @@ class BoundsReport:
 
 
 def eval_bounds_check(
-    field_: CoefficientField, z_samples: Sequence, x_samples: Sequence, tol: float = 1e-10
+    field_: CoefficientField, bounds: tuple[float, float], z_samples: Sequence,
+    x_samples: Sequence, tol: float = 1e-10,
 ) -> BoundsReport:
-    """Verify declared ellipticity bounds on a sample grid; report-only."""
+    """Check the ellipticity bounds (kappa, K) of a field on a sample grid;
+    report-only."""
+    kappa, bound = bounds
     violations = []
     checked = 0
     for z in z_samples:
@@ -1092,8 +1109,8 @@ def eval_bounds_check(
             )
             checked += 1
             lo, hi = float(eigs.min()), float(eigs.max())
-            if field_.kappa is not None and lo < field_.kappa - tol:
+            if lo < kappa - tol:
                 violations.append((np.asarray(z).tolist(), np.asarray(x).tolist(), lo, "below kappa"))
-            if field_.bound is not None and hi > field_.bound + tol:
+            if hi > bound + tol:
                 violations.append((np.asarray(z).tolist(), np.asarray(x).tolist(), hi, "above bound"))
-    return BoundsReport(field_.kappa, field_.bound, checked, violations)
+    return BoundsReport(checked, violations)

@@ -153,7 +153,8 @@ def test_acceptance_05_structural_invariants():
     assert (abs(op.matrix - op.matrix.T)).max() == 0.0
     gram = oracles.block_gram(op, assemble_stiffness(space, 1.0))
     lam_coercive = oracles.min_generalized_eigenvalue(op.matrix, gram)
-    assert lam_coercive >= field.kappa - 1e-6
+    kappa, _ = oracles.declared_bounds("logistic_anisotropic")
+    assert lam_coercive >= kappa - 1e-6
     block_mass = oracles.block_gram(op, op.spatial.mass)
     lam_resolvent = oracles.min_generalized_eigenvalue(op.matrix, block_mass)
     assert lam_resolvent >= -1e-10

@@ -63,14 +63,22 @@ def test_converge_failing_tolerance(tmp_path, capsys):
 
 def test_solve_command(tmp_path, capsys):
     path = config_file(tmp_path)
-    state_path = tmp_path / "state.npz"
-    assert main(["solve", str(path), "--state-out", str(state_path)]) == 0
+    assert main(["solve", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "error =" in out
-    import numpy as np
+    head, error = out.split(": error = ")
+    assert head == "n = 3, m = 16, n_k = 16"
+    assert float(error) > 0.0
 
-    data = np.load(state_path)
-    assert data["coeffs"].shape[0] == 4  # d_3 modes in 1D
+
+def test_solve_takes_no_state_out(tmp_path, capsys):
+    state_path = tmp_path / "state.npz"
+    with pytest.raises(SystemExit) as refused:
+        main(["solve", str(config_file(tmp_path)), "--state-out", str(state_path)])
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sgpde [-h] [--version] {solve,converge} ...")
+    assert err.splitlines()[-1] == f"sgpde: error: unrecognized arguments: --state-out {state_path}"
+    assert not state_path.exists()
 
 
 @pytest.mark.parametrize(
@@ -87,8 +95,35 @@ def test_solve_command(tmp_path, capsys):
          "distribution: jacobi requires beta > -1 and finite, got alpha = 0.0, beta = inf"),
         ({"distribution": [{"kind": "laguerre", "alpha": math.inf}]},
          "distribution: laguerre requires alpha > -1 and finite, got alpha = inf"),
+        ({"distribution": [{"kind": "jacobi", "alpha": "0.5", "beta": True}]},
+         "distribution: jacobi alpha value '0.5' must be a number"),
+        ({"distribution": [{"kind": "jacobi", "beta": True}]},
+         "distribution: jacobi beta value True must be a number"),
+        # a constant field's value must be finite and > 0
+        *[({"coefficient": {"name": "constant", "params": {"value": value}}},
+           f"coefficient: constant value {value!r} must be a finite number > 0")
+          for value in (math.nan, math.inf, 0)],
+        # the numbers that a datum nests
+        *[({"initial_datum": {"name": "sine_modes", "params": {"modes": [modes]}}},
+           f"initial_datum: sine_modes {named}")
+          for modes, named in (
+              ([1.5, 1.0], "mode value 1.5 must be an integer >= 1"),
+              ([True, 1.0], "mode value True must be an integer >= 1"),
+              ([1, math.nan], "amplitude value nan must be a finite number"),
+              ([0, 1.0], "mode value 0 must be an integer >= 1"),
+              ([1, "1"], "amplitude value '1' must be a finite number"),
+          )],
+        ({"initial_datum": {"name": "product_sine", "params": {"j": 1.5}}},
+         "initial_datum: product_sine j value 1.5 must be an integer >= 1"),
+        ({"initial_datum": {"name": "product_sine", "params": {"amplitude": math.nan}}},
+         "initial_datum: product_sine amplitude value nan must be a finite number"),
+        ({"initial_datum": {"name": "product_sine", "params": {"amplitude": -math.inf}}},
+         "initial_datum: product_sine amplitude value -inf must be a finite number"),
     ],
-    ids=["config_key", "jacobi_alpha", "jacobi_alpha_nan", "jacobi_beta_inf", "laguerre_alpha_inf"],
+    ids=["config_key", "jacobi_alpha", "jacobi_alpha_nan", "jacobi_beta_inf", "laguerre_alpha_inf",
+         "jacobi_alpha_string", "jacobi_beta_bool", "constant_nan", "constant_inf", "constant_zero",
+         "mode_fraction", "mode_bool", "mode_amplitude_nan", "mode_zero", "mode_amplitude_string",
+         "product_j_fraction", "product_amplitude_nan", "product_amplitude_inf"],
 )
 def test_a_bad_value_exits_2_with_a_one_line_error(tmp_path, capsys, overrides, named):
     code = main(["solve", str(config_file(tmp_path, **overrides))])

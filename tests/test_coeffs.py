@@ -27,53 +27,55 @@ WORKLOADS = json.loads(
 
 def test_constant_unit_field():
     f = coefficient_by_name("constant", value=1.0, dim=1)
-    assert f.kappa == f.bound == 1.0
+    kappa, bound = oracles.declared_bounds("constant", value=1.0, dim=1)
+    assert kappa == bound == 1.0
     assert oracles.evaluate(f, 0.3, 0.5) == 1.0
-    report = oracles.eval_bounds_check(f, np.linspace(-3, 3, 5), np.linspace(0.1, 0.9, 5))
+    report = oracles.eval_bounds_check(
+        f, (kappa, bound), np.linspace(-3, 3, 5), np.linspace(0.1, 0.9, 5)
+    )
     assert report.ok and report.checked == 25
 
 
 def test_logistic_anisotropic_matches_stated_bounds():
     f = coefficient_by_name("logistic_anisotropic")
-    assert f.kappa == 1.0 and f.bound == 6.0
+    kappa, bound = oracles.declared_bounds("logistic_anisotropic")
+    assert kappa == 1.0 and bound == 6.0
     assert logistic_factor(0.0) == pytest.approx(1.5)
     val = oracles.evaluate(f, 0.0, np.array([0.5, 0.5]))
     assert np.allclose(val, val.T)
     assert np.allclose(val, 1.5 * np.diag([1.5, 2.5]))
     zs = np.linspace(-8.0, 8.0, 10)
     xs = [np.array([a, b]) for a in np.linspace(0.01, 0.99, 10) for b in np.linspace(0.01, 0.99, 10)]
-    report = oracles.eval_bounds_check(f, zs, xs)
+    report = oracles.eval_bounds_check(f, (kappa, bound), zs, xs)
     assert report.ok and report.checked == 1000
 
 
 def test_bounds_check_flags_violations():
-    overstated = builtin_separable(
-        np.ones_like,
-        lambda x: 0.5,
-        dim=1,
-        f_bounds=(1.0, 1.0),
-        g_bounds=(0.9, 1.0),  # claims kappa = 0.9 but the field is 0.5
-    )
-    report = oracles.eval_bounds_check(overstated, [0.0], [0.25, 0.75])
+    field = builtin_separable(np.ones_like, lambda x: 0.5, dim=1)
+    # claims kappa = 0.9 but the field is 0.5
+    report = oracles.eval_bounds_check(field, (0.9, 1.0), [0.0], [0.25, 0.75])
     assert not report.ok
     assert len(report.violations) == 2
     assert report.violations[0][3] == "below kappa"
 
 
-def test_nonpositive_f_bound_rejected():
-    with pytest.raises(ValueError, match=r"^inf f = -1\.0 must be positive"):
-        builtin_separable(lambda z: z, lambda x: 1.0, f_bounds=(-1.0, 1.0), g_bounds=(1.0, 1.0))
-    # g may vanish as well, and both bounds are required
-    with pytest.raises(ValueError, match=r"^inf g = 0\.0 must be positive"):
-        builtin_separable(lambda z: 1.0, lambda x: x, f_bounds=(1.0, 1.0), g_bounds=(0.0, 1.0))
-    with pytest.raises(TypeError, match="g_bounds"):
-        builtin_separable(lambda z: 1.0, lambda x: 1.0, f_bounds=(1.0, 1.0))
+def test_a_constant_value_must_be_finite_and_positive():
+    # a value of 0 or below is not elliptic, and a NaN fails every comparison
+    for value in (0.0, -1.0, math.nan, math.inf, True, "1.0"):
+        with pytest.raises(ValueError, match=r"^constant value .* must be a finite number > 0$"):
+            coefficient_by_name("constant", value=value)
+
+
+def test_a_datum_takes_numpy_numbers():
+    u = initial_datum_by_name("sine_modes", modes=[(np.int64(2), np.float64(0.5))])
+    assert u.sine_modes == ((2, 0.5),)
+    assert all(type(v) in (int, float) for v in u.sine_modes[0])
 
 
 def test_field_without_both_factors_is_rejected():
     # a field that is not f(z) g(x) has no place in the library
     with pytest.raises(TypeError, match="z_factor.*spatial_part"):
-        CoefficientField(dim=1, kappa=1.0, bound=3.0)
+        CoefficientField(dim=1)
     with pytest.raises(TypeError, match="missing .*spatial_part"):
         CoefficientField(dim=1, z_factor=lambda z: 1.0)
     with pytest.raises(TypeError, match="missing .*z_factor"):
@@ -93,6 +95,19 @@ BUILTIN_FIELDS = [
 
 def test_builtin_field_list_covers_every_builtin():
     assert {name for name, _ in BUILTIN_FIELDS} == set(COEFFICIENT_BUILTINS)
+
+
+@pytest.mark.parametrize(
+    "name,params", BUILTIN_FIELDS, ids=[f"{n}_{p.get('dim', 1)}d" for n, p in BUILTIN_FIELDS]
+)
+def test_builtin_lies_within_its_declared_bounds(name, params):
+    field = coefficient_by_name(name, **params)
+    kappa, bound = oracles.declared_bounds(name, **params)
+    assert 0.0 < kappa <= bound
+    grid = np.linspace(0.01, 0.99, 7)
+    xs = list(grid) if field.dim == 1 else [np.array([a, b]) for a in grid for b in grid]
+    report = oracles.eval_bounds_check(field, (kappa, bound), np.linspace(-8.0, 8.0, 9), xs)
+    assert report.ok and report.checked == 9 * len(xs)
 
 
 @pytest.mark.parametrize(
@@ -132,12 +147,13 @@ def test_logistic_derivatives_match_finite_differences():
 def test_discrete_coercivity_of_logistic_field_2d():
     # smallest eigenvalue of (K(z), H1-Gram) stays above kappa = 1
     f = coefficient_by_name("logistic_anisotropic")
+    kappa, _ = oracles.declared_bounds("logistic_anisotropic")
     space = make_fe_space(make_mesh(2, 3), 2)
     gram = assemble_stiffness(space, 1.0).toarray()
     for z in np.linspace(-6.0, 6.0, 20):
         k = oracles.stiffness_at(space, f, z).toarray()
         lam_min = scipy.linalg.eigh(k, gram, eigvals_only=True)[0]
-        assert lam_min >= f.kappa - 1e-8
+        assert lam_min >= kappa - 1e-8
 
 
 def test_initial_data_builtins():

@@ -131,7 +131,7 @@ def test_error_norm_zero_for_identical_states():
     basis = tensor_basis_matrix(H1, mis, ref.nodes)
     # least-squares chaos representation of the reference samples
     coeffs = np.linalg.lstsq(basis, ref.values, rcond=None)[0]
-    state = SgState(0.05, coeffs, mis)
+    state = SgState(coeffs, mis)
     err = error_norm_H(H1, state, space, ref)
     assert err < 1e-12
 
@@ -150,7 +150,7 @@ def test_error_norm_single_node_perturbation():
     bump = np.zeros((4, space.ndof))
     bump[2] = c
     coeffs_pert = coeffs + np.linalg.solve(basis, bump)
-    err = error_norm_H(H1, SgState(0.05, coeffs_pert, mis), space, ref)
+    err = error_norm_H(H1, SgState(coeffs_pert, mis), space, ref)
     ones = np.ones(space.ndof)
     mass = assemble_mass(space)
     want = c * math.sqrt(ref.weights[2]) * math.sqrt(ones @ (mass @ ones))
@@ -203,7 +203,7 @@ def _analytic_fixture(order: int, n_inputs: int):
         [oracles.analytic_solution(TANH_FIELD, THREE_SINES, z, 0.05)(x[:, None]) for z in nodes]
     )
     phi = tensor_basis_matrix(dist, mis, nodes)
-    return dist, ref, space, SgState(0.05, (phi * weights[:, None]).T @ exact, mis)
+    return dist, ref, space, SgState((phi * weights[:, None]).T @ exact, mis)
 
 
 @pytest.mark.parametrize("n_inputs", [1, 2])
@@ -224,7 +224,7 @@ def test_analytic_error_matches_per_node_oracle(monkeypatch, order, n_inputs):
     assert abs(got - want) <= 1e-13 * want
     # a rough state: the error is of the size of the solution itself
     noise = np.random.default_rng(order).standard_normal(state.coeffs.shape)
-    rough = SgState(0.05, noise, state.mis)
+    rough = SgState(noise, state.mis)
     got = error_norm_H(dist, rough, space, ref)
     assert abs(got - oracle(rough)) <= 1e-13 * got
 
@@ -561,9 +561,7 @@ def test_slope_without_tol_or_tol_without_slope_is_rejected_at_load(monkeypatch,
 
 def _ramp_field():
     # 1D and elliptic, but g(x) = 1 + x is not constant
-    return builtin_separable(
-        logistic_factor, lambda x: 1.0 + x[:, 0], f_bounds=(1.0, 2.0), g_bounds=(1.0, 2.0), name="ramp"
-    )
+    return builtin_separable(logistic_factor, lambda x: 1.0 + x[:, 0], name="ramp")
 
 
 def _bump_datum():
@@ -1152,7 +1150,7 @@ def test_solve_points_matches_per_point_oracle(monkeypatch, setup, scheme):
     for point in distinct:
         state, _ = solved[point]
         want = oracles.per_point_solve(cache, *point)
-        assert state.time == want.time and state.mis is want.mis
+        assert state.mis is want.mis
         assert _rel(state.coeffs, want.coeffs) <= 1e-13
 
 
@@ -1465,8 +1463,6 @@ def test_nan_stiffness_at_a_reference_node_raises_a_solver_error(monkeypatch):
     nodes, _ = tensor_quad(H1, 3)
     field = CoefficientField(
         dim=1,
-        kappa=logistic.kappa,
-        bound=logistic.bound,
         z_factor=lambda z: np.where(z[:, 0] == nodes[1, 0], math.nan, logistic.z_factor(z)),
         spatial_part=logistic.spatial_part,
     )

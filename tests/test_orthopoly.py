@@ -58,6 +58,18 @@ def test_invalid_parameters_rejected():
         laguerre(-1.0)
 
 
+@pytest.mark.parametrize("value", [True, "0.5", None])
+def test_a_parameter_that_is_no_number_is_rejected(value):
+    # float() would read True as 1.0 and "0.5" as 0.5
+    with pytest.raises(ValueError, match=rf"^jacobi beta value {value!r} must be a number$"):
+        jacobi(0.0, value)
+    with pytest.raises(ValueError, match=rf"^laguerre alpha value {value!r} must be a number$"):
+        laguerre(value)
+    family = jacobi(1, np.float32(2.0))
+    assert type(family.alpha) is float and type(family.beta) is float
+    assert family == jacobi(1.0, 2.0)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "make,name",

@@ -1,7 +1,7 @@
 """The modules of the library use one another's public names only, and no
 object's private attributes but their own; `__all__` lists what a module
 offers, every public function and class is reached by a command, and every
-public method and property is read by the library."""
+public method, property and field is read by the library."""
 
 import ast
 import importlib
@@ -259,6 +259,48 @@ def test_every_public_method_is_read_by_the_library():
 
 def test_the_allowed_methods_are_unread_without_their_allowance():
     assert set(UNREAD_METHODS_ALLOWED) <= set(unread_methods(library_sources()))
+
+
+def unread_fields(sources: dict) -> list[str]:
+    """The public fields of the classes of `sources` (module name -> source
+    text), the names that a class body annotates, that no source loads as an
+    attribute, as `Class.name`. A field only given to the constructor or
+    only assigned is unread. Like `unread_methods`, it matches by
+    identifier, so a load of any attribute of that name counts as a read."""
+    trees = [ast.parse(source) for source in sources.values()]
+    reads = {
+        node.attr for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{cls.name}.{item.target.id}"
+        for tree in trees
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and not is_private(item.target.id) and item.target.id not in reads
+    )
+
+
+@pytest.mark.parametrize(
+    "sources,flagged",
+    [
+        ({"m": "class C:\n    x: int\n    y: float = 0.0\n"}, ["C.x", "C.y"]),
+        ({"m": "class C:\n    x: int\n", "n": "def f(c):\n    return c.x\n"}, []),
+        ({"m": "class C:\n    x: int\n\n    def size(self):\n        return self.x\n"}, []),
+        ({"m": "class C:\n    x: int\n\nc = C(x=1)\n"}, ["C.x"]),
+        ({"m": "class C:\n    x: int\n\ndef f(c):\n    c.x = 1\n"}, ["C.x"]),
+        ({"m": "class C:\n    _cache: dict\n    __slots__ = ()\n\nLIMIT: int = 3\n"}, []),
+    ],
+    ids=["dead", "read_by_a_sibling", "read_by_a_method", "constructed_only", "assigned_only",
+         "private_and_module_level"],
+)
+def test_field_check_flags_fields_that_no_source_reads(sources, flagged):
+    assert unread_fields(sources) == flagged
+
+
+def test_every_public_field_is_read_by_the_library():
+    assert unread_fields(library_sources()) == []
 
 
 def call_sites(source: str, name: str, filename: str = "<source>") -> list[str]:

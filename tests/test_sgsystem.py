@@ -218,16 +218,17 @@ def test_block_coercivity_logistic():
     op = build_operator(H1, 2, space, field, q=30)
     gram = oracles.block_gram(op, assemble_stiffness(space, 1.0))
     rng = np.random.default_rng(4)
+    kappa, _ = oracles.declared_bounds("logistic_1d")
     for _ in range(100):
         x = rng.standard_normal(op.size)
-        assert x @ (op.matrix @ x) >= field.kappa * (x @ (gram @ x)) - 1e-10
+        assert x @ (op.matrix @ x) >= kappa * (x @ (gram @ x)) - 1e-10
 
 
 def test_parseval_consistency():
     space = space_1d(12, 2)
     mis = multi_index_set(1, 3)
     rng = np.random.default_rng(8)
-    state = SgState(0.0, rng.standard_normal((len(mis), space.ndof)), mis)
+    state = SgState(rng.standard_normal((len(mis), space.ndof)), mis)
     mass = assemble_mass(space)
     block_norm2 = sum(state.coeffs[b] @ (mass @ state.coeffs[b]) for b in range(len(mis)))
     nodes, weights = tensor_quad(H1, 8)
@@ -289,12 +290,13 @@ def _rotated_system_stiffness(op) -> np.ndarray:
 
 
 def _non_separable(dim):
-    """A field that is not a product f(z) g(x) and reads the last input too."""
+    """A field that is not a product f(z) g(x) and reads the last input too;
+    its values lie in [1.2, 2.8]."""
     if dim == 1:
         evaluate = lambda z, x: 2.0 + 0.5 * np.tanh(z[0]) * x + 0.3 * np.tanh(z[-1])
     else:
         evaluate = lambda z, x: 2.0 + 0.5 * np.tanh(z[0]) * x[0] + 0.3 * np.tanh(z[-1]) * x[1]
-    return oracles.CoupledField(dim=dim, evaluate=evaluate, kappa=1.2, bound=2.8)
+    return oracles.CoupledField(dim=dim, evaluate=evaluate)
 
 
 @pytest.mark.parametrize(
@@ -479,8 +481,6 @@ def test_nan_coefficient_at_one_node_raises():
     bad_z = nodes[2, 0]
     field = CoefficientField(
         dim=1,
-        kappa=logistic.kappa,
-        bound=logistic.bound,
         z_factor=lambda z: np.where(z[:, 0] == bad_z, math.nan, logistic.z_factor(z)),
         spatial_part=logistic.spatial_part,
     )
