@@ -123,6 +123,8 @@ def _index(key: str, value) -> int:
 
 def _constant_field(value: float = 1.0, dim: int = 1) -> CoefficientField:
     value = _number("constant", value, 0.0)
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim not in (1, 2):
+        raise ValueError(f"constant dim value {dim!r} must be the integer 1 or 2")
     return builtin_separable(
         np.ones_like,
         (lambda x: np.full(len(x), value)) if dim == 1
@@ -173,6 +175,8 @@ def coefficient_by_name(name: str, **params) -> CoefficientField:
 def _sine_modes_datum(modes: Sequence = ((1, 1.0),)) -> InitialDatum:
     modes = tuple((_index("sine_modes mode", j), _number("sine_modes amplitude", c))
                   for j, c in modes)
+    if not modes:
+        raise ValueError("sine_modes modes must hold at least one [j, amplitude] pair")
 
     def u0(x):
         return sum(c * np.sin(j * np.pi * x[:, 0]) for j, c in modes)

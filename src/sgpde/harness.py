@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
 from .coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
@@ -40,7 +39,7 @@ from .sgsystem import (
     spatial_operators,
 )
 from .spatial import FeSpace, SolverError, l2_error, make_fe_space, make_mesh, prolong, sampled
-from .timestep import StepResidualError, crank_nicolson, evolve, scheme_by_name
+from .timestep import Propagator, SparsePair, StepError, crank_nicolson, evolve, scheme_by_name
 
 __all__ = [
     "AnalyticReference",
@@ -69,11 +68,13 @@ MACHINE_ERROR_FLOOR = 100.0 * np.finfo(float).eps
 REFERENCE_FLOOR_FACTOR = 10.0
 SWEEP_FLOOR_FACTOR = 3.0
 # Sweep points and collocation nodes on spaces of at most this many dofs are
-# propagated through the spatial pencil instead of stepped. The crossover was
-# measured on one BLAS thread: at 225 dofs (2D P2, m = 8) the dense eigh and its check cost
-# 10-25 ms, more than the 16 Crank--Nicolson steps they replace (+11% on the
-# whole solve), while at 121 dofs (2D P2, m = 6) and on every 1D acceptance
-# space the pencil wins clearly.
+# propagated through the spatial pencil instead of stepped. Measured on one
+# BLAS thread against banded stepping, one colloc_2d point (d_n = 2 or 3,
+# 16 Crank--Nicolson steps) took 1.0-1.1 ms stepped and 3.0-4.0 ms on a new
+# pencil at 121 dofs (2D P2, m = 6), and 1.4-2.3 ms against 9.7-12.5 ms at
+# 225 dofs (m = 8). The pencil is decomposed once per space and serves every
+# point and step count on it, so a sweep's crossover depends on how many
+# reuse it; choosing per space by counted work is ROADMAP D7.
 SPECTRAL_NDOF_LIMIT = 200
 # relative 2-norm gap allowed between a stepped first step and the spectral
 # one-step map of the same block
@@ -577,50 +578,41 @@ class OperatorCache:
         return self._ops[key]
 
 
-def _block_diagonal(blocks) -> sp.csr_matrix:
-    """The block-diagonal CSR matrix of square CSR blocks, joined from their
-    arrays: each block keeps its stored entries in their order."""
-    rows = np.cumsum([0] + [b.shape[0] for b in blocks])
-    stored = np.cumsum([0] + [b.nnz for b in blocks])
-    data = np.concatenate([b.data for b in blocks])
-    indices = np.concatenate([b.indices + r for b, r in zip(blocks, rows)])
-    indptr = np.concatenate([[0]] + [b.indptr[1:] + z for b, z in zip(blocks, stored)])
-    return sp.csr_matrix((data, indices, indptr), shape=(rows[-1], rows[-1]))
-
-
-def _system_matrices(items) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The block-diagonal mass and stiffness of propagation items (see
-    `_propagate`): row i of an item is one block, which stores the entries
-    of its M, and lam_i times the entries of its K_g."""
-    spatial = [ops for ops, lam, _, _ in items for _ in lam]
-    stiffness = _block_diagonal([s.k_g for s in spatial])
-    stiffness.data *= np.concatenate([np.repeat(lam, ops.k_g.nnz) for ops, lam, _, _ in items])
-    return _block_diagonal([s.mass for s in spatial]), stiffness
-
-
-def _stepped(scheme, t_final: float, n_steps: int, items) -> list[np.ndarray]:
-    """Step the items as one block-diagonal system (`_system_matrices`)
-    through the library's one `evolve`, with one residual block per item;
-    returns each item's final rows. A failure names its item."""
-    mass, stiffness = _system_matrices(items)
-    sizes = [w0.size for _, _, w0, _ in items]
-    start = np.concatenate([w0.reshape(-1) for _, _, w0, _ in items])
-    try:
-        w = evolve(scheme, t_final, n_steps, mass, stiffness, start, blocks=sizes)
-    except StepResidualError as exc:
-        raise SolverError(f"{items[exc.block][3]} failed: {exc}") from exc
-    except SolverError as exc:
-        raise SolverError(f"{', '.join(item[3] for item in items)} failed: {exc}") from exc
-    parts = np.split(w, np.cumsum(sizes)[:-1])
-    return [part.reshape(item[2].shape) for item, part in zip(items, parts)]
+def _stepped(scheme, t_final: float, n_steps: int, items, superlu: bool = False):
+    """Step the items through the library's one `evolve`, one call per
+    space: the rows of every item on that space are one stack of rows, each
+    with its own lam, on the space's `band`, or with `superlu` on its
+    `SparsePair`. Returns each item's final rows and the propagators. A
+    failing row names its item."""
+    by_space: dict[SpatialOperators, list[int]] = {}
+    for k, (ops, _, _, _) in enumerate(items):
+        by_space.setdefault(ops, []).append(k)
+    finals, props = [None] * len(items), []
+    for ops, chosen in by_space.items():
+        group = [items[k] for k in chosen]
+        ends = np.cumsum([len(lam) for _, lam, _, _ in group])
+        try:
+            pair = SparsePair(ops.mass, ops.k_g) if superlu else ops.band
+            prop = Propagator(scheme, pair, t_final / n_steps, np.concatenate([it[1] for it in group]))
+            w = evolve(prop, n_steps, np.concatenate([it[2] for it in group]))
+        except StepError as exc:
+            name = group[int(np.searchsorted(ends, exc.row, side="right"))][3]
+            raise SolverError(f"{name} failed: {exc}") from exc
+        except SolverError as exc:
+            raise SolverError(f"{', '.join(it[3] for it in group)} failed: {exc}") from exc
+        for k, part in zip(chosen, np.split(w, ends[:-1])):
+            finals[k] = part
+        props.append(prop)
+    return finals, props
 
 
 def _spectral(scheme, t_final: float, n_steps: int, items) -> tuple[list[np.ndarray], tuple]:
     """Propagate the items through their spaces' pencils (`Pencil.propagate`),
-    and step the stiffest row (largest lam) of each once through `_stepped`
-    as a check against the pencil's one-step map. Returns the final rows and
-    the largest pencil defects and relative first-step gap; a failed pencil
-    or a gap above FIRST_STEP_TOL raises SolverError naming its item."""
+    and step the stiffest row (largest lam) of each once through `_stepped`,
+    factored by SuperLU, as a check against the pencil's one-step map.
+    Returns the final rows and the largest pencil defects and relative
+    first-step gap; a failed pencil or a gap above FIRST_STEP_TOL raises
+    SolverError naming its item."""
     tau = t_final / n_steps
     finals, stiffest = [], []
     for ops, lam, w0, name in items:
@@ -631,7 +623,7 @@ def _spectral(scheme, t_final: float, n_steps: int, items) -> tuple[list[np.ndar
         k = int(np.argmax(lam))
         stiffest.append((ops, lam[k : k + 1], w0[k : k + 1], name))
     worst = 0.0
-    for (ops, lam, w0, name), got in zip(stiffest, _stepped(scheme, tau, 1, stiffest)):
+    for (ops, lam, w0, name), got in zip(stiffest, _stepped(scheme, tau, 1, stiffest, True)[0]):
         want = ops.pencil.propagate(scheme.r, tau, 1, lam, w0)
         diff, scale = float(np.linalg.norm(got - want)), float(np.linalg.norm(got))
         if not diff <= FIRST_STEP_TOL * scale:  # "not <=" so that NaN fails too
@@ -652,12 +644,16 @@ def _propagate(scheme, t_final: float, n_steps: int, items) -> list[np.ndarray]:
     of the `SpatialOperators` ops, each evolving under M w' = -lam_i K_g w,
     and the name that its failure carries. Items on spaces of at most
     SPECTRAL_NDOF_LIMIT dofs go through their pencils (`_spectral`), the
-    others are stepped together (`_stepped`); each path logs one DEBUG
-    record. A non-finite lam fails, naming its item, before any work.
+    others are stepped, one `evolve` per space (`_stepped`). Each path logs
+    one DEBUG record; the stepped one adds the largest half-bandwidth and
+    the largest step residual relative to its bound. A non-finite or
+    negative lam fails, naming its item, before any work.
     """
     for _, lam, _, name in items:
         if not np.isfinite(lam).all():
             raise SolverError(f"{name} failed: non-finite diffusivity factor in {lam}")
+        if (lam < 0.0).any():
+            raise SolverError(f"{name} failed: negative diffusivity factor in {lam}")
     finals = [None] * len(items)
     on_pencil = [_on_pencil(it[0]) for it in items]
     for spectral in (True, False):
@@ -671,7 +667,9 @@ def _propagate(scheme, t_final: float, n_steps: int, items) -> list[np.ndarray]:
             done, extra = _spectral(scheme, t_final, n_steps, batch)
             record += " pencil_orth=%.3e pencil_rel_res=%.3e first_step_rel_diff=%.3e"
         else:
-            done, extra = _stepped(scheme, t_final, n_steps, batch), ()
+            done, props = _stepped(scheme, t_final, n_steps, batch)
+            extra = max(p.pair.kd for p in props), max(p.worst for p in props)
+            record += " kd_max=%d step_rel_res_max=%.3e"
         for i, final in zip(chosen, done):
             finals[i] = final
         log.debug(

@@ -20,10 +20,12 @@ w = (V^T (x) I) u evolve under the block-diagonal diag(lam) (x) K_g.
 
 Everything these builders need of one spatial space lives in one
 `SpatialOperators`, built by `spatial_operators(space, field)`: the mass
-matrix M, the stiffness K_g of the field's spatial part, the checked L2
-projection of spatial functions, each projected once, the projections of an
-initial datum at the nodes of a Gauss grid, stacked once per grid, and the
-checked dense decomposition of the pencil (K_g, M), made when first read.
+matrix M, the stiffness K_g of the field's spatial part, their banded form
+with the Cholesky factor of M (`timestep.BandedPair`, the dofs in
+coordinate order), the checked L2 projection of spatial functions, each
+projected once, the projections of an initial datum at the nodes of a
+Gauss grid, stacked once per grid, and the checked dense decomposition of
+the pencil (K_g, M), made when first read.
 The block operator, the initial chaos modes and the collocation reference
 of the harness all take it, so a space shared by several of them is
 assembled and projected once. A rotated chaos mode and a collocation node
@@ -33,8 +35,9 @@ function.
 
 An `SgOperator` holds the factors of A and nothing else: G, lam and V, and
 the `SpatialOperators` of M and K_g. It stores no block matrix. `matrix`
-builds G (x) K_g when first read, and the system-basis I (x) M and
-diag(lam) (x) K_g are joined only where the harness steps a batch.
+builds G (x) K_g when first read. The system-basis I (x) M and
+diag(lam) (x) K_g are never joined: the harness steps the rotated modes as
+rows on the banded (M, K_g), row i with its own lam_i.
 
 Every eigendecomposition, of G and of the pencil, is checked in O(n^2)
 past the products it forms: the orthogonality defect ||Y^T B Y - I||_F and
@@ -72,9 +75,10 @@ from .spatial import (
     SolverError,
     assemble_mass,
     assemble_stiffness,
-    checked_solve,
     load_vector,
+    nodal_coordinates,
 )
+from .timestep import BandedPair, banded_pair
 
 __all__ = [
     "Pencil",
@@ -170,8 +174,9 @@ class Pencil:
 class SpatialOperators:
     """One spatial Galerkin space of a coefficient field f(z) g(x) and what
     every builder on it shares: the mass matrix M, the stiffness K_g of g,
-    the checked L2 projections of spatial functions and the stacked
-    projections of an initial datum on a Gauss grid, each computed once."""
+    their banded form, the checked L2 projections of spatial functions and
+    the stacked projections of an initial datum on a Gauss grid, each
+    computed once."""
 
     space: FeSpace
     field: CoefficientField
@@ -187,12 +192,26 @@ class SpatialOperators:
         raises SolverError."""
         return _checked_eigh(self.k_g.toarray(), self.mass.toarray(), "spatial pencil (K_g, M)")
 
+    @functools.cached_property
+    def band(self) -> BandedPair:
+        """(M, K_g) with the dofs in coordinate order (sorted by their last
+        coordinate, then the first), as one CSR [M; K_g], as LAPACK lower
+        bands and with the Cholesky factor of M; built when first read. From m = 3 on, the
+        half-bandwidth is 1 (1D P1), 2 (1D P2), m (2D P1) or 4m (2D P2)."""
+        return banded_pair(self.mass, self.k_g, np.lexsort(nodal_coordinates(self.space).T))
+
     def project(self, f) -> np.ndarray:
         """L2 projection of the spatial function f: solves M u = (f, phi) with
-        a 1e-10 relative residual check (SolverError, also on NaN). Memoized
-        per callable, so each distinct function is projected once."""
+        the Cholesky factor of M and a 1e-10 relative residual check
+        (SolverError, also on NaN). Memoized per callable, so each distinct
+        function is projected once."""
         if f not in self._projections:
-            self._projections[f] = checked_solve(self.mass, load_vector(self.space, f), 1e-10)
+            b = load_vector(self.space, f)
+            u = self.band.solve_mass(b)
+            res, scale = float(np.linalg.norm(self.mass @ u - b)), float(np.linalg.norm(b))
+            if not res <= 1e-10 * max(scale, 1e-300):  # a NaN residual fails too
+                raise SolverError(f"solve residual {res:.3e} exceeds 1.0e-10 * {scale:.3e}")
+            self._projections[f] = u
         return self._projections[f]
 
     def project_datum(self, dist: DistributionSpec, u0: InitialDatum, q: int) -> np.ndarray:

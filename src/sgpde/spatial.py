@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "Mesh",
@@ -46,7 +45,6 @@ __all__ = [
     "assemble_stiffness",
     "load_vector",
     "sampled",
-    "checked_solve",
     "nodal_coordinates",
     "prolong",
     "l2_error",
@@ -334,17 +332,6 @@ def load_vector(space: FeSpace, f) -> np.ndarray:
     b = np.zeros(space.ndof)
     np.add.at(b, dofs[dofs >= 0], be[dofs >= 0])
     return b
-
-
-def checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
-    """x with a x = b, by a sparse direct solve; raises SolverError when the
-    residual |a x - b| exceeds rel_tol |b|, also when it is NaN."""
-    x = spla.spsolve(a.tocsc(), b)
-    scale = float(np.linalg.norm(b))
-    res = float(np.linalg.norm(a @ x - b))
-    if not res <= rel_tol * max(scale, 1e-300):  # a NaN residual fails too
-        raise SolverError(f"solve residual {res:.3e} exceeds {rel_tol:.1e} * {scale:.3e}")
-    return x
 
 
 # --- point evaluation, prolongation, errors ------------------------------

@@ -1,13 +1,22 @@
 """A-stable rational time stepping for the semi-discrete parabolic system.
 
 A scheme is a rational function r = num/den applied to the scaled negative
-generator; with a mass matrix M and a stiffness matrix K one step of size
-tau solves
+generator. A `Propagator` steps the rows w_i of W (k, n) on one pair (M, K),
+row i under M w' = -lam_i K w; one step of size tau solves, per row,
 
-    (d0 M - d1 tau K) u_next = (n0 M - n1 tau K) u,
+    (d0 M - d1 tau lam_i K) w_next = n0 (M w) - n1 tau lam_i (K w),
 
-its right-hand side formed as n0 (M u) - n1 tau (K u), without the K
-product when n1 = 0 (implicit Euler).
+its right-hand side formed without the K term when n1 = 0 (implicit
+Euler). For lam_i >= 0 each row's step matrix is symmetric positive
+definite (Thomee, Galerkin Finite Element Methods for Parabolic Problems,
+2nd ed., 2006), so it takes a banded Cholesky factor (George & Liu,
+Computer Solution of Large Sparse Positive Definite Systems, 1981): a
+`BandedPair` holds M and K with their unknowns in a band-reducing order,
+as CSR for the products and as LAPACK lower bands for the factors. A
+`SparsePair` holds M and K as given and factors each step matrix with
+SuperLU; the harness checks each spectral propagation's first step on it,
+so that the check shares neither the pencil's eigendecomposition nor the
+banded Cholesky of the stepped path.
 
 Implicit Euler (r(z) = 1/(1-z)) and Crank--Nicolson
 (r(z) = (1+z/2)/(1-z/2)) are the provided instances; each is built and
@@ -15,15 +24,12 @@ passed through the A-acceptability probe once per process. With M = I
 the formulas reduce to the resolvent form of the schemes on the
 continuous state space.
 
-Every grid is uniform: `evolve(scheme, t_final, n_steps, ...)` takes
-n_steps steps of tau = t_final / n_steps, and a `Propagator` is the one-step
-map of one step size, factored once. A `Propagator` (and `evolve`) may step
-several independent systems at once: given the sizes of the diagonal blocks
-of block-diagonal (M, K), one LU and one solve per step serve every block.
-The per-step residual check stays per block: block k's residual is
-measured against block k's own right-hand side, so a large block cannot
-mask a failure in a small one, and a failing block raises
-`StepResidualError` carrying its index.
+Every grid is uniform: `evolve(prop, n_steps, w0)` takes n_steps steps of
+the propagator's tau. A `Propagator` factors each row's step matrix once,
+at its first step. Every step checks each row's residual against that
+row's own right-hand side, so a large row cannot mask a failure in a small
+one; a row whose step matrix cannot be factored, or whose residual fails,
+raises a `StepError` carrying its index.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .spatial import SolverError
 
@@ -43,7 +50,11 @@ __all__ = [
     "crank_nicolson",
     "scheme_by_name",
     "a_stability_probe",
+    "BandedPair",
+    "banded_pair",
+    "SparsePair",
     "Propagator",
+    "StepError",
     "StepResidualError",
     "evolve",
 ]
@@ -104,79 +115,228 @@ def scheme_by_name(name: str) -> RationalScheme:
         raise ValueError(f"unknown scheme {name!r}") from None
 
 
-class StepResidualError(SolverError):
-    """A time step failed its residual check in diagonal block `block`."""
+def _cholesky(band: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of the symmetric matrix with LAPACK lower band
+    `band`; SolverError when it holds a non-finite entry or is not positive
+    definite."""
+    if not np.isfinite(band).all():
+        raise SolverError("it holds non-finite entries")
+    c, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise SolverError(f"it is not positive definite (leading minor {info})")
+    return c
 
-    def __init__(self, message: str, block: int):
+
+@dataclass(frozen=True, eq=False)
+class BandedPair:
+    """A symmetric positive definite M and a symmetric K with their unknowns
+    in the order `order`: unknown i of the pair is unknown order[i] of the
+    matrices it was built from. Both are held in that order as one CSR
+    [M; K], so that one product gives M w and K w, and as LAPACK lower
+    bands (kd + 1, n), from which `factor` takes the banded Cholesky factor
+    of d0 M + s K. M's own factor is taken once, when the pair is built
+    (`banded_pair`)."""
+
+    order: np.ndarray
+    stacked: sp.csr_matrix  # [M; K], (2n, n)
+    bands: tuple[np.ndarray, np.ndarray]  # (kd + 1, n) lower bands of M and K, Fortran order
+    mass_factor: np.ndarray
+
+    @property
+    def kd(self) -> int:
+        """The half-bandwidth of M and K in the pair's order."""
+        return self.bands[0].shape[0] - 1
+
+    def products(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """M w_i and K w_i of every row w_i of w (k, n), as rows."""
+        both = (self.stacked @ w.T).T
+        n = both.shape[1] // 2
+        return both[:, :n], both[:, n:]
+
+    def factor(self, d0: float, s: float) -> np.ndarray:
+        """The banded Cholesky factor of d0 M + s K (SolverError as `_cholesky`)."""
+        return _cholesky(d0 * self.bands[0] + s * self.bands[1])
+
+    def solve(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x with A x = b in the pair's order, c the `factor` of A."""
+        return dpbtrs(c, b, lower=1)[0]
+
+    def solve_mass(self, b: np.ndarray) -> np.ndarray:
+        """x with M x = b, both in the order of the matrices the pair was built from."""
+        x = np.empty_like(b)
+        x[self.order] = self.solve(self.mass_factor, b[self.order])
+        return x
+
+
+def banded_pair(mass, stiff, order=None) -> BandedPair:
+    """The `BandedPair` of sparse symmetric (M, K) with the unknowns in
+    `order` (default: as given). Each matrix is renumbered once from its CSR
+    arrays, row order[i] becoming row i, and its lower band filled from the
+    renumbered entries. SolverError when M has no Cholesky factor."""
+    mass, stiff = mass.tocsr(), stiff.tocsr()
+    n = mass.shape[0]
+    order = np.arange(n) if order is None else np.asarray(order)
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.arange(n)
+    renumbered, lower = [], []
+    for a in (mass, stiff):
+        lengths = np.diff(a.indptr)[order]
+        src = np.repeat(a.indptr[order] - (np.cumsum(lengths) - lengths), lengths)
+        src += np.arange(len(src))
+        i, j, v = np.repeat(np.arange(n), lengths), rank[a.indices[src]], a.data[src]
+        renumbered.append((lengths, j, v))
+        low = i >= j
+        lower.append((i[low] - j[low], j[low], v[low]))
+    lengths, cols, vals = (np.concatenate(x) for x in zip(*renumbered))
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    stacked = sp.csr_matrix((vals, cols, indptr), shape=(2 * n, n))
+    kd = max(int(np.max(d, initial=0)) for d, _, _ in lower)
+    bands = np.zeros((kd + 1, n), order="F"), np.zeros((kd + 1, n), order="F")
+    for band, (d, j, v) in zip(bands, lower):
+        band[d, j] = v
+    try:
+        mass_factor = _cholesky(bands[0].copy())
+    except SolverError as exc:
+        raise SolverError(f"mass matrix cannot be factored: {exc}") from exc
+    return BandedPair(order, stacked, bands, mass_factor)
+
+
+@dataclass(frozen=True, eq=False)
+class SparsePair:
+    """Symmetric M and K as given, in their own order, stored as CSR on one
+    sparsity pattern, each step matrix factored by SuperLU."""
+
+    mass: sp.csr_matrix
+    stiff: sp.csr_matrix
+
+    def __post_init__(self):
+        a, b = self.mass, self.stiff
+        if not (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)):
+            raise ValueError("M and K must be stored on one sparsity pattern")
+
+    @property
+    def order(self) -> np.ndarray:
+        return np.arange(self.mass.shape[0])
+
+    def factor(self, d0: float, s: float):
+        """The SuperLU factor of d0 M + s K, read as CSC from the shared
+        pattern, since it is symmetric; SolverError when it holds a
+        non-finite entry or SuperLU finds it singular."""
+        data = d0 * self.mass.data + s * self.stiff.data
+        if not np.isfinite(data).all():
+            raise SolverError("it holds non-finite entries")
+        a = sp.csc_matrix((data, self.mass.indices, self.mass.indptr), shape=self.mass.shape)
+        try:
+            return spla.splu(a)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SolverError(str(exc)) from exc
+
+    def products(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """M w_i and K w_i of every row w_i of w (k, n), as rows."""
+        return (self.mass @ w.T).T, (self.stiff @ w.T).T
+
+    def solve(self, lu, b: np.ndarray) -> np.ndarray:
+        return lu.solve(b)
+
+
+class StepError(SolverError):
+    """A time step failed in row `row` of its propagator."""
+
+    def __init__(self, message: str, row: int):
         super().__init__(message)
-        self.block = block
+        self.row = row
+
+
+class StepResidualError(StepError):
+    """A time step failed its residual check in row `row`."""
 
 
 class Propagator:
-    """One-step map of a scheme for fixed (M, K) and one step size tau.
+    """One-step map of a scheme, for one step size tau, of the rows w_i of
+    W (k, n) on a pair (M, K), `BandedPair` or `SparsePair`, row i under
+    M w' = -lam_i K w (default: one row, lam = 1). Rows are in the pair's
+    order; a 1-D w is one row.
 
-    The step matrix d0 M - d1 tau K is factored at the first step, so that
-    the LU is built inside `step`, and reused by every later step; every
-    step still checks its residual against that matrix.
-    `blocks` gives the sizes of the diagonal blocks of a block-diagonal
-    (M, K), in order (default: one block). Each block's residual is checked
-    against that block's own right-hand side; the first block that fails
-    raises a `StepResidualError` naming it.
+    Each row's step matrix d0 M - d1 tau lam_i K is factored at the first
+    step, so that the factors are built inside `step`, and reused by every
+    later step. Every step checks each row's residual against that row's
+    own right-hand side; the first row that fails raises a
+    `StepResidualError` naming it, and `worst` is the largest residual of
+    any passed step relative to its bound. The residual needs M x and K x
+    of the step's output x, which are also the next step's right-hand side:
+    stepping its own last output, a step forms M x and K x once, for all its
+    rows. That output is read-only, so the products stay its own.
     """
 
-    def __init__(self, scheme: RationalScheme, mass, stiff, tau: float, blocks=None):
+    def __init__(self, scheme: RationalScheme, pair, tau: float, lam=(1.0,)):
         if not tau > 0.0:  # "not >" so that NaN fails too
             raise ValueError("tau must be positive")
         self.scheme = scheme
+        self.pair = pair
         self.tau = tau
-        self.mass = sp.csr_matrix(mass)
-        self.stiff = sp.csr_matrix(stiff)
-        size = self.mass.shape[0]
-        blocks = (size,) if blocks is None else tuple(blocks)
-        if min(blocks) < 1 or sum(blocks) != size:
-            raise ValueError(f"block sizes {blocks} do not partition {size} unknowns")
-        self._starts = np.cumsum((0,) + blocks[:-1])
-        self._lu = None  # (step matrix, its LU), made at the first step
+        self.lam = np.asarray(lam, dtype=float).reshape(-1)
+        self.worst = 0.0
+        self._factors = None  # one per row, made at the first step
+        self._last = None  # (the last output, its M x and K x)
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        tau = self.tau
-        if self._lu is None:
-            d0, d1 = self.scheme.den
-            lhs = d0 * self.mass - d1 * tau * self.stiff
-            try:
-                self._lu = lhs, spla.splu(lhs.tocsc())
-            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-                raise SolverError(f"step matrix for tau = {tau} cannot be factored: {exc}") from exc
-        lhs, lu = self._lu
+    def _where(self, i: int) -> str:
+        return f" in row {i} of {len(self.lam)}" if len(self.lam) > 1 else ""
+
+    def step(self, w: np.ndarray) -> np.ndarray:
+        tau, lam = self.tau, self.lam
         n0, n1 = self.scheme.num
-        b = n0 * (self.mass @ u)
+        d0, d1 = self.scheme.den
+        rows = np.atleast_2d(w)
+        if len(rows) != len(lam):
+            raise ValueError(f"{len(rows)} rows to step with {len(lam)} diffusivity factors")
+        if self._factors is None:
+            factors = []
+            for i, s in enumerate(-d1 * tau * lam):
+                try:
+                    factors.append(self.pair.factor(d0, s))
+                except SolverError as exc:
+                    raise StepError(
+                        f"step matrix for tau = {tau}{self._where(i)} cannot be factored: {exc}", i
+                    ) from exc
+            self._factors = factors
+        if self._last is not None and w is self._last[0]:
+            mw, kw = self._last[1:]
+        else:
+            mw, kw = self.pair.products(rows)
+        b = n0 * mw
         if n1 != 0.0:
-            b = b - n1 * tau * (self.stiff @ u)
-        out = lu.solve(b)
-        r = lhs @ out - b
-        res = np.sqrt(np.add.reduceat(r * r, self._starts))
-        scale = np.sqrt(np.add.reduceat(b * b, self._starts))
-        # written as "not <=" so that a NaN residual fails too
-        ok = res <= STEP_RESIDUAL_TOL * np.maximum(scale, 1e-300)
+            b = b - (n1 * tau * lam)[:, None] * kw
+        out = np.empty(b.shape)
+        for i, c in enumerate(self._factors):
+            out[i] = self.pair.solve(c, b[i])
+        mx, kx = self.pair.products(out)
+        r = d0 * mx - (d1 * tau * lam)[:, None] * kx - b
+        res = np.sqrt(np.einsum("ij,ij->i", r, r))
+        scale = np.sqrt(np.einsum("ij,ij->i", b, b))
+        ratio = res / (STEP_RESIDUAL_TOL * np.maximum(scale, 1e-300))
+        ok = ratio <= 1.0  # a NaN residual fails too
         if not ok.all():
-            k = int(np.argmin(ok))  # the first failing block
-            where = f" in block {k} of {len(self._starts)}" if len(self._starts) > 1 else ""
+            i = int(np.argmin(ok))  # the first failing row
             raise StepResidualError(
-                f"time step residual {res[k]:.3e} too large for tau = {tau}{where}", k
+                f"time step residual {res[i]:.3e} too large for tau = {tau}{self._where(i)}", i
             )
+        self.worst = max(self.worst, float(ratio.max()))
+        out = out.reshape(np.shape(w))
+        out.flags.writeable = False
+        self._last = out, mx, kx
         return out
 
 
-def evolve(
-    scheme: RationalScheme, t_final: float, n_steps: int, mass, stiff, u0: np.ndarray, blocks=None
-) -> np.ndarray:
-    """March n_steps steps of tau = t_final / n_steps; returns the state at
-    t_final. `blocks` are the diagonal block sizes of a block-diagonal
-    system (see `Propagator`)."""
+def evolve(prop: Propagator, n_steps: int, w0: np.ndarray) -> np.ndarray:
+    """March n_steps steps of `prop` from the rows w0, given in the order of
+    the matrices its pair was built from; returns the rows at the end, in
+    that order. The rows are put in the pair's order once, at the start."""
     if n_steps < 1:
         raise ValueError("need at least one step")
-    prop = Propagator(scheme, mass, stiff, t_final / n_steps, blocks)
-    u = np.array(u0, dtype=float)
+    order = prop.pair.order
+    w = np.asarray(w0, dtype=float)[..., order]
     for _ in range(n_steps):
-        u = prop.step(u)
-    return u
+        w = prop.step(w)
+    out = np.empty(w.shape)
+    out[..., order] = w
+    return out

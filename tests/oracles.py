@@ -44,6 +44,7 @@ from sgpde.sgsystem import SgState, reconstruct_at_nodes, spatial_operators
 from sgpde.spatial import (
     FeSpace,
     Mesh,
+    SolverError,
     _ERROR_Q1D,
     _TRI_PTS,
     _TRI_WTS,
@@ -54,11 +55,10 @@ from sgpde.spatial import (
     _shapes_tri,
     assemble_mass,
     assemble_stiffness,
-    checked_solve,
     l2_error,
     load_vector,
 )
-from sgpde.timestep import Propagator, crank_nicolson, evolve, scheme_by_name
+from sgpde.timestep import Propagator, banded_pair, crank_nicolson, evolve, scheme_by_name
 
 
 def hermite_moment(j: int) -> float:
@@ -269,14 +269,38 @@ def analytic_solution(field, u0, z, t: float) -> Callable:
 
 
 def rebuilt_step(scheme, mass, stiff, u, tau: float) -> np.ndarray:
-    """One rational step with nothing cached: build and factor d0 M - d1 tau K
-    afresh and solve against n0 M u - n1 tau K u."""
+    """One rational step with nothing cached, by the sparse LU that the
+    banded Cholesky replaced: build d0 M - d1 tau K afresh, factor it with
+    SuperLU and solve against n0 M u - n1 tau K u."""
     mass, stiff = sp.csr_matrix(mass), sp.csr_matrix(stiff)
     n0, n1 = scheme.num
     d0, d1 = scheme.den
     lhs = d0 * mass - d1 * tau * stiff
     b = n0 * (mass @ u) - n1 * tau * (stiff @ u)
     return spla.splu(lhs.tocsc()).solve(b)
+
+
+def banded_step(scheme, mass, stiff, u, tau: float) -> np.ndarray:
+    """One rational step with nothing cached, factored as `Propagator`
+    factors: the lower band of d0 M - d1 tau K, read off the dense matrix
+    to the half-bandwidth of the stored entries of M and K, is factored by
+    `scipy.linalg.cholesky_banded` and solved against n0 M u - n1 tau K u."""
+    mass, stiff = sp.csr_matrix(mass), sp.csr_matrix(stiff)
+    n0, n1 = scheme.num
+    d0, d1 = scheme.den
+    lhs = (d0 * mass - d1 * tau * stiff).toarray()
+    kd = max(int(np.max(a.tocoo().row - a.tocoo().col, initial=0)) for a in (mass, stiff))
+    band = np.zeros((kd + 1, len(lhs)))
+    for d in range(kd + 1):
+        band[d, : len(lhs) - d] = np.diagonal(lhs, -d)
+    b = n0 * (mass @ u) - n1 * tau * (stiff @ u)
+    return scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(band, lower=True), True), b)
+
+
+def march(scheme, t_final: float, n_steps: int, mass, stiff, u0: np.ndarray) -> np.ndarray:
+    """n_steps steps of t_final / n_steps of the one row u0 under
+    M u' = -K u, by `evolve` on the `banded_pair` of (M, K) as given."""
+    return evolve(Propagator(scheme, banded_pair(mass, stiff), t_final / n_steps), n_steps, u0)
 
 
 def _exact_flow(mass, stiff, u0: np.ndarray, taus) -> list[np.ndarray]:
@@ -313,10 +337,10 @@ def consistency_probe(scheme, mass, stiff, u0, tau_list, substeps: int = 1000) -
     else:
         refs = []
         for tau in taus:
-            refs.append(evolve(crank_nicolson(), tau, substeps, mass, stiff, u0))
+            refs.append(march(crank_nicolson(), tau, substeps, mass, stiff, u0))
     errors = []
     for tau, ref in zip(taus, refs):
-        diff = Propagator(scheme, mass, stiff, tau).step(u0) - ref
+        diff = Propagator(scheme, banded_pair(mass, stiff), tau).step(u0) - ref
         errors.append(float(np.sqrt(diff @ (mass @ diff))))
     scale = float(np.sqrt(u0 @ (mass @ u0)))
     if max(errors) <= 1e-13 * max(scale, 1e-300):
@@ -677,7 +701,7 @@ def per_node_collocation_reference(dist, q_ref, space, n_steps, field, u0, t_fin
         try:
             stiff = stiffness_at(space, field, z)
             u_start = l2_project(space, u0.sample(z))
-            values[i] = evolve(scheme, t_final, n_steps, ops.mass, stiff, u_start)
+            values[i] = march(scheme, t_final, n_steps, ops.mass, stiff, u_start)
         except Exception as exc:
             raise RuntimeError(f"collocation node {i} (z = {z}) failed: {exc}") from exc
     return CollocationReference(nodes, weights, ops, values)
@@ -686,18 +710,18 @@ def per_node_collocation_reference(dist, q_ref, space, n_steps, field, u0, t_fin
 def per_node_stepped_reference(dist, q_ref, ops, n_steps, u0, t_final):
     """The collocation reference stepped one node at a time, the loop that
     the batched `harness._propagate` replaced: node z_i runs its own
-    Crank--Nicolson `evolve` of (M, f(z_i) K_g) from `ops.project(u0(z_i))`,
-    on the shared operators of the space."""
+    Crank--Nicolson `evolve` of one row with lam = f(z_i) on the space's
+    `band`, from `ops.project(u0(z_i))`."""
     from sgpde.harness import CollocationReference
 
     nodes, weights = tensor_quad(dist, q_ref)
     values = np.empty((len(nodes), ops.space.ndof))
     for i, z in enumerate(nodes):
         start = ops.project(u0.sample(z))
-        values[i] = evolve(
-            crank_nicolson(), t_final, n_steps, ops.mass, ops.field.factor_at(z[None])[0] * ops.k_g,
-            start,
+        prop = Propagator(
+            crank_nicolson(), ops.band, t_final / n_steps, ops.field.factor_at(z[None])
         )
+        values[i] = evolve(prop, n_steps, start)
     return CollocationReference(nodes, weights, ops, values)
 
 
@@ -955,11 +979,22 @@ def per_point_solve(cache, n: int, m: int, n_k: int):
     op, state0 = cache.operator(n, m)
     w0 = op.to_system(state0.coeffs)
     scheme = scheme_by_name(cache.cfg.scheme)
-    w = evolve(scheme, cache.cfg.t_final, n_k, *system_matrices(op), w0.reshape(-1))
+    w = march(scheme, cache.cfg.t_final, n_k, *system_matrices(op), w0.reshape(-1))
     return SgState(op.to_chaos(w.reshape(w0.shape)), state0.mis)
 
 
 # --- spatial tools that only the tests use ----------------------------------
+
+def checked_solve(a: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
+    """x with a x = b, by a sparse direct solve; raises SolverError when the
+    residual |a x - b| exceeds rel_tol |b|, also when it is NaN."""
+    x = spla.spsolve(a.tocsc(), b)
+    scale = float(np.linalg.norm(b))
+    res = float(np.linalg.norm(a @ x - b))
+    if not res <= rel_tol * max(scale, 1e-300):  # a NaN residual fails too
+        raise SolverError(f"solve residual {res:.3e} exceeds {rel_tol:.1e} * {scale:.3e}")
+    return x
+
 
 def l2_project(space: FeSpace, f) -> np.ndarray:
     """L2-orthogonal projection onto the space: solves M u = (f, phi), with f

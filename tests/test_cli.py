@@ -113,6 +113,12 @@ def test_solve_takes_no_state_out(tmp_path, capsys):
               ([0, 1.0], "mode value 0 must be an integer >= 1"),
               ([1, "1"], "amplitude value '1' must be a finite number"),
           )],
+        ({"initial_datum": {"name": "sine_modes", "params": {"modes": []}}},
+         "initial_datum: sine_modes modes must hold at least one [j, amplitude] pair"),
+        # a constant field's dim is the integer 1 or 2, not a bool or a float
+        *[({"coefficient": {"name": "constant", "params": {"dim": dim}}},
+           f"coefficient: constant dim value {dim!r} must be the integer 1 or 2")
+          for dim in (True, 1.0, 3)],
         ({"initial_datum": {"name": "product_sine", "params": {"j": 1.5}}},
          "initial_datum: product_sine j value 1.5 must be an integer >= 1"),
         ({"initial_datum": {"name": "product_sine", "params": {"amplitude": math.nan}}},
@@ -123,6 +129,7 @@ def test_solve_takes_no_state_out(tmp_path, capsys):
     ids=["config_key", "jacobi_alpha", "jacobi_alpha_nan", "jacobi_beta_inf", "laguerre_alpha_inf",
          "jacobi_alpha_string", "jacobi_beta_bool", "constant_nan", "constant_inf", "constant_zero",
          "mode_fraction", "mode_bool", "mode_amplitude_nan", "mode_zero", "mode_amplitude_string",
+         "modes_empty", "constant_dim_bool", "constant_dim_float", "constant_dim_three",
          "product_j_fraction", "product_amplitude_nan", "product_amplitude_inf"],
 )
 def test_a_bad_value_exits_2_with_a_one_line_error(tmp_path, capsys, overrides, named):

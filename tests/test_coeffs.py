@@ -66,6 +66,19 @@ def test_a_constant_value_must_be_finite_and_positive():
             coefficient_by_name("constant", value=value)
 
 
+def test_a_constant_dim_must_be_the_integer_1_or_2():
+    # True == 1 and 1.0 == 1, so either would pass a dimension check and solve as 1D
+    for dim in (True, False, 1.0, 2.0, 0, 3, "1", None):
+        with pytest.raises(ValueError, match=r"^constant dim value .* must be the integer 1 or 2"):
+            coefficient_by_name("constant", dim=dim)
+    assert [coefficient_by_name("constant", dim=d).dim for d in (1, np.int64(2))] == [1, 2]
+
+
+def test_sine_modes_must_not_be_empty():
+    with pytest.raises(ValueError, match=r"^sine_modes modes must hold at least one"):
+        initial_datum_by_name("sine_modes", modes=[])
+
+
 def test_a_datum_takes_numpy_numbers():
     u = initial_datum_by_name("sine_modes", modes=[(np.int64(2), np.float64(0.5))])
     assert u.sine_modes == ((2, 0.5),)

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 import oracles
 from sgpde import coeffs, harness, sgsystem, spatial, timestep
@@ -53,7 +52,7 @@ from sgpde.spatial import (
     make_mesh,
     nodal_coordinates,
 )
-from sgpde.timestep import evolve, scheme_by_name
+from sgpde.timestep import scheme_by_name
 
 H1 = distribution(hermite())
 ROOT = Path(__file__).resolve().parents[1]
@@ -1008,7 +1007,7 @@ def test_solve_single_steps_decoupled_modes_without_the_coupled_matrix(scheme):
     op, state0 = cache.operator(3, 8)
     assert "matrix" not in vars(op)  # the chaos-basis matrix was never built
     block_mass = oracles.block_gram(op, op.spatial.mass)
-    coupled = evolve(
+    coupled = oracles.march(
         scheme_by_name(scheme), cfg.t_final, 16, block_mass, op.matrix, state0.coeffs.reshape(-1)
     )
     assert np.max(np.abs(state.coeffs.reshape(-1) - coupled)) <= 1e-11 * np.max(np.abs(coupled))
@@ -1134,19 +1133,22 @@ def test_solve_points_matches_per_point_oracle(monkeypatch, setup, scheme):
     batches = []
     real_evolve = harness.evolve
 
-    def counted_evolve(*args, blocks):
-        batches.append(blocks)
-        return real_evolve(*args, blocks=blocks)
+    def counted_evolve(prop, n_steps, w0):
+        batches.append((prop.pair, len(prop.lam), n_steps))
+        return real_evolve(prop, n_steps, w0)
 
     monkeypatch.setattr(harness, "evolve", counted_evolve)
     solved = harness.solve_points(cache, BATCH_POINTS)
     distinct = list(dict.fromkeys(BATCH_POINTS))
     assert sorted(solved) == sorted(distinct)
-    # one block-diagonal evolve per n_k, one block per distinct point
-    assert batches == [
-        [cache.operator(n, m)[0].size for n, m, n_k in distinct if n_k == steps]
-        for steps in (8, 4)
-    ]
+    # one evolve per n_k and space, one row per chaos mode of its points
+    want = []
+    for steps in (8, 4):
+        on = [(n, m) for n, m, n_k in distinct if n_k == steps]
+        for space in dict.fromkeys(m for _, m in on):
+            rows = sum(cache.operator(n, m)[0].block_dim for n, m in on if m == space)
+            want.append((cache.spatial(space).band, rows, steps))
+    assert batches == want
     for point in distinct:
         state, _ = solved[point]
         want = oracles.per_point_solve(cache, *point)
@@ -1154,29 +1156,49 @@ def test_solve_points_matches_per_point_oracle(monkeypatch, setup, scheme):
         assert _rel(state.coeffs, want.coeffs) <= 1e-13
 
 
-def _corrupt_second_block(monkeypatch, sizes):
-    """Factor every step matrix of sum(sizes) unknowns, a batch of blocks of
-    these sizes, with its second block perturbed."""
-    real_splu = timestep.spla.splu
+def _corrupt_row(monkeypatch, row, pair=None):
+    """Factor the step matrix d0 M + s K of row `row` of a propagator, its
+    row-th factor call (counted on `pair` only, when given), as
+    (d0 + 0.5) M + s K, on a banded pair or on one that factors by SuperLU."""
+    calls = []
 
-    def wrong_lu(a, *args, **kwargs):
-        if a.shape[0] == sum(sizes):
-            shift = np.zeros(a.shape[0])
-            shift[sizes[0] : sizes[0] + sizes[1]] = 0.5
-            a = a + sp.diags(shift, format="csc")
-        return real_splu(a, *args, **kwargs)
+    def corrupting(real_factor):
+        def factor(self, d0, s):
+            if pair is None or self is pair:
+                calls.append(self)
+                if len(calls) == row + 1:
+                    d0 += 0.5
+            return real_factor(self, d0, s)
 
-    monkeypatch.setattr(timestep.spla, "splu", wrong_lu)
+        return factor
+
+    for cls in (timestep.BandedPair, timestep.SparsePair):
+        monkeypatch.setattr(cls, "factor", corrupting(cls.factor))
 
 
 def test_a_failing_block_names_its_sweep_point(monkeypatch):
     monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", 0)  # every point on the step loop
     cache = OperatorCache(load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [8]})))
     points = [(1, 4, 8), (2, 8, 8), (1, 8, 8)]
-    _corrupt_second_block(monkeypatch, [cache.operator(n, m)[0].size for n, m, _ in points])
-    failed = r"sweep point \(n, m, n_k\) = \(2, 8, 8\) failed: time step residual .* in block 1 of 3"
-    with pytest.raises(SolverError, match=failed):
-        harness.solve_points(cache, points)
+    # the m = 8 space steps 5 rows: 3 chaos modes of (2, 8, 8), then 2 of (1, 8, 8)
+    for row, point in ((2, "2, 8, 8"), (3, "1, 8, 8")):
+        _corrupt_row(monkeypatch, row, cache.spatial(8).band)
+        failed = rf"point \(n, m, n_k\) = \({point}\) failed: .* residual .* in row {row} of 5"
+        with pytest.raises(SolverError, match=failed):
+            harness.solve_points(cache, points)
+
+
+def test_a_row_with_negative_lam_names_its_item(monkeypatch):
+    # lam < 0 is the backward heat equation, whose step matrix need not be
+    # positive definite: refused up front on either path
+    cfg = load_config(mini_config(sweep={"n": [1], "m": [8], "n_k": [4]}))
+    ops = OperatorCache(cfg).spatial(8)
+    w0 = np.ones((2, ops.space.ndof))
+    items = [(ops, np.array([1.0, 2.0]), w0, "item a"), (ops, np.array([-3.0, -2.0]), w0, "b")]
+    for limit in (0, harness.SPECTRAL_NDOF_LIMIT):
+        monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", limit)
+        with pytest.raises(SolverError, match=r"^b failed: negative diffusivity factor"):
+            harness._propagate(scheme_by_name("implicit_euler"), 0.1, 4, items)
 
 
 # --- spectral propagation against the batched step loop ---------------------
@@ -1243,13 +1265,14 @@ def test_a_first_step_disagreement_names_its_sweep_point(monkeypatch):
     points = [(1, 4, 8), (2, 8, 8), (1, 8, 8)]
     real_evolve = harness.evolve
 
-    def off_in_second_block(*args, blocks):
-        # the stiffest block of the second point comes back 1e-9 off
-        w = real_evolve(*args, blocks=blocks)
-        w[blocks[0] : blocks[0] + blocks[1]] *= 1.0 + 1e-9
+    def off_in_second_point(prop, n_steps, w0):
+        # the stiffest row of the second point, row 0 on its space, comes back 1e-9 off
+        w = real_evolve(prop, n_steps, w0)
+        if prop.pair.mass is cache.spatial(8).mass:
+            w[0] *= 1.0 + 1e-9
         return w
 
-    monkeypatch.setattr(harness, "evolve", off_in_second_block)
+    monkeypatch.setattr(harness, "evolve", off_in_second_point)
     failed = r"sweep point \(n, m, n_k\) = \(2, 8, 8\) failed: its first step differs"
     with pytest.raises(SolverError, match=failed):
         harness.solve_points(cache, points)
@@ -1269,7 +1292,27 @@ def test_batches_split_at_the_spectral_ndof_limit(monkeypatch, caplog):
         ("stepped", 4, [named[1]]),
         ("stepped", 8, [named[3]]),
     ]
-    assert [len(args) for args in records] == [8, 5, 5]
+    assert [len(args) for args in records] == [8, 7, 7]
+
+
+def test_the_stepped_record_reports_the_half_bandwidth_and_the_worst_residual(
+    monkeypatch, caplog
+):
+    # in coordinate order 2D P2 has half-bandwidth 4 on m = 2 and 16 on m = 4
+    monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", 0)
+    caplog.set_level(logging.DEBUG, logger="sgpde.harness")
+    props = []
+    real_evolve = harness.evolve
+    monkeypatch.setattr(
+        harness, "evolve", lambda prop, *a: props.append(prop) or real_evolve(prop, *a)
+    )
+    cache = OperatorCache(load_config(BATCH_SETUPS["2d_p2_N2"]))
+    harness.solve_points(cache, [(1, 2, 4), (2, 4, 4)])
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("propagation:")]
+    assert [p.pair.kd for p in props] == [4, 16]
+    assert "kd_max=16 step_rel_res_max=" in record.getMessage()
+    worst = record.args[-1]
+    assert worst == max(p.worst for p in props) and 0.0 < worst <= 1.0
 
 
 @pytest.fixture
@@ -1435,13 +1478,13 @@ def test_failing_reference_node_keeps_its_error_type(monkeypatch):
     field = coefficient_by_name("logistic_1d")
     space = make_fe_space(make_mesh(1, 8), 1)
     u0 = initial_datum_by_name("sine_modes")
-    # node 1's block of the batched factorization is corrupted: on the
-    # stepped path in the reference's steps, on the spectral path in the
-    # first-step check; either way its residual check names node 1
-    failed_node_1 = r"collocation node 1 \(z = .*\) failed: time step residual .* in block 1 of 3"
+    # node 1's row factor is corrupted: on the stepped path in the
+    # reference's steps, on the spectral path in the first-step check;
+    # either way its residual check names node 1
+    failed_node_1 = r"collocation node 1 \(z = .*\) failed: time step residual .* in row 1 of 3"
     for limit in (0, harness.SPECTRAL_NDOF_LIMIT):
         monkeypatch.setattr(harness, "SPECTRAL_NDOF_LIMIT", limit)
-        _corrupt_second_block(monkeypatch, [space.ndof] * 3)
+        _corrupt_row(monkeypatch, 1)
         with pytest.raises(SolverError, match=failed_node_1):
             collocation_reference(H1, 3, spatial_operators(space, field), 4, u0, 0.1)
         monkeypatch.undo()
@@ -1467,7 +1510,7 @@ def test_nan_stiffness_at_a_reference_node_raises_a_solver_error(monkeypatch):
         spatial_part=logistic.spatial_part,
     )
     factored = []
-    monkeypatch.setattr(timestep.spla, "splu", lambda *args: factored.append(args))
+    monkeypatch.setattr(timestep.BandedPair, "factor", lambda *args: factored.append(args))
     # f(z_1) is NaN: on either path the node is named before anything is
     # factored or decomposed
     failed_node_1 = r"collocation node 1 \(z = .*\) failed: non-finite diffusivity factor"

@@ -8,10 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 import oracles
-from sgpde import harness, sgsystem
+from sgpde import sgsystem
 from sgpde.coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
 from sgpde.pce import distribution, multi_index_set, tensor_quad
 from sgpde.orthopoly import hermite, jacobi, laguerre
@@ -579,27 +578,32 @@ def test_initial_modes_are_the_per_node_projection_bitwise(monkeypatch):
         assert state.coeffs.tobytes() == want.tobytes(), n
 
 
-@pytest.mark.parametrize("dim,order,n_inputs", [(1, 1, 1), (2, 2, 2)])
-def test_separable_block_arrays_equal_the_kron_form(dim, order, n_inputs):
-    # the system-basis mass and stiffness that the harness joins for a batch
-    # of two operators, each I (x) M and diag(lam) (x) K_g from the arrays of
-    # M and K_g, store the very arrays of the block-diagonal sp.kron forms
-    dist = distribution(*[hermite()] * n_inputs)
-    field = coefficient_by_name("logistic_1d" if dim == 1 else "logistic_anisotropic")
-    batch = [
-        assemble_block_operator(
-            dist,
-            multi_index_set(n_inputs, n),
-            spatial_operators(make_fe_space(make_mesh(dim, m), order), field),
-            7,
-        )
-        for n, m in (((3, 5), (2, 4)) if dim == 1 else ((2, 3), (1, 2)))
-    ]
-    oracle = [oracles.system_matrices(op) for op in batch]
-    for got, want in zip(
-        harness._system_matrices([(op.spatial, op.eigvals, None, None) for op in batch]),
-        (sp.block_diag([o[k] for o in oracle], format="csr") for k in (0, 1)),
-    ):
-        assert got.shape == want.shape
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+def _field(dim):
+    return coefficient_by_name("logistic_1d" if dim == 1 else "logistic_anisotropic")
+
+
+@pytest.mark.parametrize("dim,order", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_coordinate_order_gives_the_half_bandwidth_of_the_mesh(dim, order):
+    # dofs sorted by their last coordinate, then the first: 1D P1 and P2
+    # couple 1 and 2 neighbours, 2D P1 the next row of m - 1 dofs and one
+    # more, 2D P2 two rows of 2m - 1 dofs and two more
+    for m in (3, 4, 8, 16):
+        band = spatial_operators(make_fe_space(make_mesh(dim, m), order), _field(dim)).band
+        assert band.kd == {(1, 1): 1, (1, 2): 2, (2, 1): m, (2, 2): 4 * m}[dim, order]
+
+
+@pytest.mark.parametrize("dim,order", [(1, 2), (2, 1), (2, 2)])
+def test_band_holds_the_renumbered_matrices_and_solves_with_m(dim, order):
+    ops = spatial_operators(make_fe_space(make_mesh(dim, 4), order), _field(dim))
+    band = ops.band
+    assert sorted(band.order) == list(range(ops.space.ndof))
+    stacked = band.stacked.toarray()
+    for got, a, lower in zip(np.split(stacked, 2), (ops.mass, ops.k_g), band.bands):
+        want = a.toarray()[np.ix_(band.order, band.order)]
+        assert np.array_equal(got, want)
+        assert not np.tril(want, -band.kd - 1).any()
+        for d in range(band.kd + 1):
+            assert np.array_equal(lower[d, : len(want) - d], np.diagonal(want, -d))
+    b = np.random.default_rng(dim + order).standard_normal(ops.space.ndof)
+    want = oracles.checked_solve(ops.mass, b, 1e-10)
+    assert np.linalg.norm(band.solve_mass(b) - want) <= 1e-13 * np.linalg.norm(want)

@@ -9,11 +9,11 @@ import scipy.sparse as sp
 import oracles
 from sgpde import spatial
 from sgpde.coeffs import coefficient_by_name
+from sgpde.sgsystem import spatial_operators
 from sgpde.spatial import (
     SolverError,
     assemble_mass,
     assemble_stiffness,
-    checked_solve,
     l2_error,
     load_vector,
     make_fe_space,
@@ -162,8 +162,13 @@ def test_prolong_rejects_non_nested():
 
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_checked_solve_rejects_a_nan_result():
+    # the oracles' sparse solve and the library's banded projection both
+    # check their residual, which a NaN fails
     with pytest.raises(SolverError, match="residual"):
-        checked_solve(np.nan * sp.identity(3, format="csr"), np.ones(3), 1e-10)
+        oracles.checked_solve(np.nan * sp.identity(3, format="csr"), np.ones(3), 1e-10)
+    ops = spatial_operators(space_1d(4), coefficient_by_name("logistic_1d"))
+    with pytest.raises(SolverError, match="solve residual"):
+        ops.project(lambda x: np.full(len(x), np.nan))
 
 
 def test_export_coo_format():

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import oracles
+from sgpde import timestep
 from sgpde.coeffs import coefficient_by_name, initial_datum_by_name
 from sgpde.orthopoly import hermite
 from sgpde.pce import distribution, multi_index_set
@@ -19,8 +20,11 @@ from sgpde.spatial import (
 )
 from sgpde.timestep import (
     Propagator,
+    SparsePair,
+    StepError,
     StepResidualError,
     a_stability_probe,
+    banded_pair,
     crank_nicolson,
     evolve,
     implicit_euler,
@@ -29,6 +33,7 @@ from sgpde.timestep import (
 
 M1 = sp.csr_matrix(np.array([[1.0]]))
 K2 = sp.csr_matrix(np.array([[2.0]]))
+P12 = banded_pair(M1, K2)
 
 
 def heat_setup(m=64, order=2, coeff=2.0):
@@ -40,41 +45,43 @@ def heat_setup(m=64, order=2, coeff=2.0):
 
 
 def test_scalar_steps():
-    assert Propagator(implicit_euler(), M1, K2, 0.5).step(np.array([1.0]))[0] == pytest.approx(0.5)
-    cn = Propagator(crank_nicolson(), M1, K2, 1.0).step(np.array([1.0]))
+    assert Propagator(implicit_euler(), P12, 0.5).step(np.array([1.0]))[0] == pytest.approx(0.5)
+    cn = Propagator(crank_nicolson(), P12, 1.0).step(np.array([1.0]))
     assert cn[0] == pytest.approx(0.0, abs=1e-15)
-    out = Propagator(crank_nicolson(), M1, K2, 1e-14).step(np.array([1.0]))
+    out = Propagator(crank_nicolson(), P12, 1e-14).step(np.array([1.0]))
     assert abs(out[0] - 1.0) <= 1e-10
 
 
 def test_grid_construction():
-    # a grid is (t_final, n_steps): n_steps steps of t_final / n_steps
-    final = evolve(implicit_euler(), 1.0, 4, M1, K2, np.array([1.0]))
+    # a grid is (tau, n_steps): n_steps steps of the propagator's tau
+    final = evolve(Propagator(implicit_euler(), P12, 0.25), 4, np.array([1.0]))
     assert final[0] == pytest.approx((1.0 + 0.25 * 2.0) ** -4, rel=1e-15)
-    assert evolve(implicit_euler(), 1.0, 1, M1, K2, np.array([1.0]))[0] == pytest.approx(1.0 / 3.0)
+    assert oracles.march(implicit_euler(), 1.0, 1, M1, K2, np.array([1.0]))[0] == pytest.approx(
+        1.0 / 3.0
+    )
     with pytest.raises(ValueError, match="need at least one step"):
-        evolve(implicit_euler(), 1.0, 0, M1, K2, np.array([1.0]))
-    for t_final in (0.0, -1.0, math.nan):
+        evolve(Propagator(implicit_euler(), P12, 1.0), 0, np.array([1.0]))
+    for tau in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="tau must be positive"):
-            evolve(implicit_euler(), t_final, 2, M1, K2, np.array([1.0]))
+            Propagator(implicit_euler(), P12, tau)
 
 
 def test_evolve_constant_when_stiffness_vanishes():
     zero = sp.csr_matrix((1, 1))
     u0 = np.array([3.0])
-    final = evolve(implicit_euler(), 2.0, 5, M1, zero, u0)
+    final = oracles.march(implicit_euler(), 2.0, 5, M1, zero, u0)
     assert final.shape == (1,) and final[0] == pytest.approx(3.0)
 
 
 def test_evolve_scalar_product_formula():
     n, tau, a = 7, 0.3, 2.0
-    final = evolve(implicit_euler(), n * tau, n, M1, K2, np.array([1.0]))
+    final = oracles.march(implicit_euler(), n * tau, n, M1, K2, np.array([1.0]))
     assert final[0] == pytest.approx((1.0 + tau * a) ** (-n), rel=1e-12)
 
 
 def test_heat_amplitude_matches_separation_of_variables():
     space, mass, stiff, u0 = heat_setup()
-    final = evolve(crank_nicolson(), 0.1, 512, mass, stiff, u0)
+    final = oracles.march(crank_nicolson(), 0.1, 512, mass, stiff, u0)
     amp = oracles.heat_amplitude(2.0, 1, 0.1)
     assert amp == pytest.approx(0.13887, abs=5e-5)
     mid = oracles.fe_eval(space, final, [0.5])[0]
@@ -93,7 +100,7 @@ def test_a_stability_probe():
 def test_unconditional_energy_decay_implicit_euler():
     _, mass, stiff, u0 = heat_setup(m=16, order=1)
     for tau in (10.0, 1.0, 0.01):
-        prop = Propagator(implicit_euler(), mass, stiff, tau)
+        prop = Propagator(implicit_euler(), banded_pair(mass, stiff), tau)
         u = u0
         e_prev = u @ (mass @ u)
         for _ in range(4):
@@ -124,7 +131,7 @@ def test_global_convergence_order_on_heat_oracle(name, order, tol):
     amp = oracles.heat_amplitude(2.0, 1, t_final)
     errs, taus = [], []
     for n_steps in (8, 16, 32, 64):
-        final = evolve(scheme, t_final, n_steps, mass, stiff, u0)
+        final = oracles.march(scheme, t_final, n_steps, mass, stiff, u0)
         errs.append(oracles.sampled_l2_error(space, final, lambda x: amp * np.sin(math.pi * x[:, 0])))
         taus.append(t_final / n_steps)
     slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
@@ -135,15 +142,18 @@ def test_factorizations_cached_per_step_size(monkeypatch):
     # a Propagator has one step size: it factors at its first step, not
     # before, and reuses that factor at every later step
     _, mass, stiff, u0 = heat_setup(m=16, order=1)
+    pair = banded_pair(mass, stiff)
     factored = []
-    real_splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda a: factored.append(a.shape) or real_splu(a))
-    prop = Propagator(crank_nicolson(), mass, stiff, 0.01)
+    real_factor = timestep.BandedPair.factor
+    monkeypatch.setattr(
+        timestep.BandedPair, "factor", lambda *a: factored.append(a[1:]) or real_factor(*a)
+    )
+    prop = Propagator(crank_nicolson(), pair, 0.01)
     assert factored == []
     for _ in range(5):
         u0 = prop.step(u0)
     assert len(factored) == 1
-    Propagator(crank_nicolson(), mass, stiff, 0.02).step(u0)
+    Propagator(crank_nicolson(), pair, 0.02).step(u0)
     assert len(factored) == 2
 
 
@@ -172,11 +182,12 @@ def test_cached_step_matches_rebuilt_step_bitwise(name, setup):
     else:
         mass, stiff, u = sg_block_setup()
     scheme = scheme_by_name(name)
-    props = {tau: Propagator(scheme, mass, stiff, tau) for tau in (0.1, 0.05, 0.2)}
+    pair = banded_pair(mass, stiff)
+    props = {tau: Propagator(scheme, pair, tau) for tau in (0.1, 0.05, 0.2)}
     want = u
     for tau in (0.1, 0.05, 0.1, 0.05, 0.2):
         u = props[tau].step(u)
-        want = oracles.rebuilt_step(scheme, mass, stiff, want, tau)
+        want = oracles.banded_step(scheme, mass, stiff, want, tau)
         assert np.array_equal(u, want)
 
 
@@ -184,43 +195,49 @@ def test_non_positive_step_is_rejected_and_never_cached():
     _, mass, stiff, u = heat_setup(m=8, order=1)
     for tau in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError, match="tau must be positive"):
-            Propagator(implicit_euler(), mass, stiff, tau)
+            Propagator(implicit_euler(), banded_pair(mass, stiff), tau)
 
 
 def test_residual_check_runs_on_cached_steps():
     _, mass, stiff, u0 = heat_setup(m=16, order=1)
-    prop = Propagator(implicit_euler(), mass, stiff, 0.01)
+    pair = banded_pair(mass, stiff)
+    prop = Propagator(implicit_euler(), pair, 0.01)
     u = prop.step(u0)
-    lhs, _ = prop._lu
-    wrong = (mass + 0.02 * stiff).tocsc()
-    prop._lu = (lhs, spla.splu(wrong))
+    prop._factors = [pair.factor(1.0, 0.02)]
     with pytest.raises(SolverError, match="residual"):
         prop.step(u)
 
 
-def test_residual_check_runs_per_block():
-    # block 1's right-hand side is 1e-13 of block 0's, so a wrong factor of
-    # block 1 alone leaves a residual far below 1e-11 of the whole vector
+def test_residual_check_runs_per_row():
+    # row 1's right-hand side is 1e-13 of row 0's, so a wrong factor of row 1
+    # alone leaves a residual far below 1e-11 of the two rows together
     _, mass, stiff, u = heat_setup(m=16, order=1)
-    n = mass.shape[0]
-    mass2 = sp.block_diag([mass, mass], format="csr")
-    stiff2 = sp.block_diag([stiff, stiff], format="csr")
-    u2 = np.concatenate([u, 1e-13 * u])
-    shift = sp.block_diag([sp.csr_matrix((n, n)), 0.5 * sp.identity(n)])
-    wrong = spla.splu((mass2 + 0.01 * stiff2 + shift).tocsc())
-    whole, blocked = Propagator(implicit_euler(), mass2, stiff2, 0.01), Propagator(
-        implicit_euler(), mass2, stiff2, 0.01, blocks=(n, n)
-    )
-    for prop in (whole, blocked):
-        good = prop.step(u2)  # the right factor passes either way
-        prop._lu = (prop._lu[0], wrong)
-    whole.step(good)  # masked by block 0
-    with pytest.raises(StepResidualError, match="in block 1 of 2") as info:
-        blocked.step(good)
-    assert info.value.block == 1 and isinstance(info.value, SolverError)
-    for blocks in ((n,), (n, n - 1), (0, 2 * n)):
-        with pytest.raises(ValueError, match="do not partition"):
-            Propagator(implicit_euler(), mass2, stiff2, 0.01, blocks=blocks)
+    pair = banded_pair(mass, stiff)
+    prop = Propagator(implicit_euler(), pair, 0.01, lam=(1.0, 1.0))
+    good = prop.step(np.stack([u, 1e-13 * u]))  # the right factors pass
+    shifted = pair.bands[0] + 0.01 * pair.bands[1]
+    shifted[0] += 0.5
+    prop._factors[1] = timestep._cholesky(shifted)
+    b = (mass @ good.T).T
+    x = np.stack([scipy.linalg.cho_solve_banded((c, True), r) for c, r in zip(prop._factors, b)])
+    r = (mass @ x.T).T + 0.01 * (stiff @ x.T).T - b
+    assert np.linalg.norm(r) <= 1e-11 * np.linalg.norm(b)  # masked by row 0
+    with pytest.raises(StepResidualError, match="in row 1 of 2") as info:
+        prop.step(good)
+    assert info.value.row == 1 and isinstance(info.value, SolverError)
+    with pytest.raises(ValueError, match="3 rows to step with 2 diffusivity factors"):
+        Propagator(implicit_euler(), pair, 0.01, lam=(1.0, 1.0)).step(np.stack([u, u, u]))
+
+
+def test_a_row_whose_step_matrix_is_indefinite_cannot_be_factored():
+    # lam < 0 makes M + tau lam K indefinite once tau |lam| exceeds
+    # 1 / mu_max of the pencil (K, M), about 1 / 250 on 1D P1, m = 8
+    _, mass, stiff, u = heat_setup(m=8, order=1)
+    prop = Propagator(implicit_euler(), banded_pair(mass, stiff), 0.01, lam=(1.0, -1.0))
+    failed = r"tau = 0\.01 in row 1 of 2 cannot be factored: it is not positive definite"
+    with pytest.raises(StepError, match=failed) as info:
+        prop.step(np.stack([u, u]))
+    assert info.value.row == 1 and isinstance(info.value, SolverError)
 
 
 @pytest.mark.parametrize("name", ["implicit_euler", "crank_nicolson"])
@@ -230,12 +247,12 @@ def test_nan_fails_the_first_step(name):
     nan_stiff = stiff.copy()
     nan_stiff.data[3] = np.nan
     with pytest.raises(SolverError, match=r"tau = 0\.01 cannot be factored"):
-        Propagator(scheme, mass, nan_stiff, 0.01).step(u0)  # SuperLU finds it singular
+        Propagator(scheme, banded_pair(mass, nan_stiff), 0.01).step(u0)  # a NaN in the band
     # a NaN state passes the factorization; its NaN residual must fail the check
     u_nan = u0.copy()
     u_nan[2] = np.nan
     with pytest.raises(SolverError, match="residual"):
-        Propagator(scheme, mass, stiff, 0.01).step(u_nan)
+        Propagator(scheme, banded_pair(mass, stiff), 0.01).step(u_nan)
 
 
 def test_schemes_built_and_validated_once():
@@ -252,13 +269,15 @@ def test_scheme_by_name_errors():
 @pytest.mark.parametrize("grid", [(0.1, 16)], ids=["uniform"])
 @pytest.mark.parametrize("name", ["implicit_euler", "crank_nicolson"])
 def test_decoupled_evolve_matches_coupled_evolve(name, grid):
+    # the rotated modes, stepped as rows on the banded (M, K_g) with their
+    # own lam, against the chaos-basis system G (x) K_g stepped whole
     op, state0 = sg_operator(n=3, m=8, order=2)
     scheme = scheme_by_name(name)
-    mass, stiffness = oracles.system_matrices(op)
-    coupled = evolve(scheme, *grid, mass, op.matrix, state0.coeffs.reshape(-1))
-    w0 = op.to_system(state0.coeffs)
-    w = evolve(scheme, *grid, mass, stiffness, w0.reshape(-1))
-    decoupled = op.to_chaos(w.reshape(w0.shape)).reshape(-1)
+    mass, _ = oracles.system_matrices(op)
+    coupled = oracles.march(scheme, *grid, mass, op.matrix, state0.coeffs.reshape(-1))
+    t_final, n_steps = grid
+    prop = Propagator(scheme, op.spatial.band, t_final / n_steps, op.eigvals)
+    decoupled = op.to_chaos(evolve(prop, n_steps, op.to_system(state0.coeffs))).reshape(-1)
     assert np.max(np.abs(decoupled - coupled)) <= 1e-11 * np.max(np.abs(coupled))
 
 
@@ -273,5 +292,31 @@ def test_right_hand_side_is_bitwise_the_two_product_form(name, dim, order):
     scheme = scheme_by_name(name)
     u = np.random.default_rng(dim).standard_normal(space.ndof)
     for tau in (0.1, 0.013):
-        got = Propagator(scheme, mass, stiff, tau).step(u)
-        assert np.array_equal(got, oracles.rebuilt_step(scheme, mass, stiff, u, tau))
+        got = Propagator(scheme, banded_pair(mass, stiff), tau).step(u)
+        assert np.array_equal(got, oracles.banded_step(scheme, mass, stiff, u, tau))
+
+
+@pytest.mark.parametrize("dim,order", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("name", ["implicit_euler", "crank_nicolson"])
+def test_banded_step_matches_the_superlu_step(name, dim, order):
+    # a space's banded step, in coordinate order, and the step that the
+    # spectral path's check takes on the pair as assembled, against SuperLU
+    # on the step matrix built afresh
+    space = make_fe_space(make_mesh(dim, 8 if dim == 1 else 4), order)
+    ops = spatial_operators(
+        space, coefficient_by_name("logistic_1d" if dim == 1 else "logistic_anisotropic")
+    )
+    scheme = scheme_by_name(name)
+    u = np.random.default_rng(dim + order).standard_normal(space.ndof)
+    for lam, tau in ((1.0, 0.1), (0.7, 0.013), (2.5, 1e-4)):
+        want = oracles.rebuilt_step(scheme, ops.mass, lam * ops.k_g, u, tau)
+        for pair in (ops.band, SparsePair(ops.mass, ops.k_g)):
+            got = evolve(Propagator(scheme, pair, tau, (lam,)), 1, u)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_a_sparse_pair_needs_one_stored_pattern():
+    # its step matrix is read as CSC straight from the shared CSR arrays
+    _, mass, stiff, _ = heat_setup(m=8, order=1)
+    with pytest.raises(ValueError, match="one sparsity pattern"):
+        SparsePair(mass, sp.identity(mass.shape[0], format="csr"))
