@@ -578,44 +578,32 @@ class OperatorCache:
         return self._ops[key]
 
 
-def _stepped(scheme, t_final: float, n_steps: int, items, superlu: bool = False):
-    """Step the items through the library's one `evolve`, one call per
-    space: the rows of every item on that space are one stack of rows, each
-    with its own lam, on the space's `band`, or with `superlu` on its
-    `SparsePair`. Returns each item's final rows and the propagators. A
-    failing row names its item."""
-    by_space: dict[SpatialOperators, list[int]] = {}
-    for k, (ops, _, _, _) in enumerate(items):
-        by_space.setdefault(ops, []).append(k)
-    finals, props = [None] * len(items), []
-    for ops, chosen in by_space.items():
-        group = [items[k] for k in chosen]
-        ends = np.cumsum([len(lam) for _, lam, _, _ in group])
-        try:
-            pair = SparsePair(ops.mass, ops.k_g) if superlu else ops.band
-            prop = Propagator(scheme, pair, t_final / n_steps, np.concatenate([it[1] for it in group]))
-            w = evolve(prop, n_steps, np.concatenate([it[2] for it in group]))
-        except StepError as exc:
-            name = group[int(np.searchsorted(ends, exc.row, side="right"))][3]
-            raise SolverError(f"{name} failed: {exc}") from exc
-        except SolverError as exc:
-            raise SolverError(f"{', '.join(it[3] for it in group)} failed: {exc}") from exc
-        for k, part in zip(chosen, np.split(w, ends[:-1])):
-            finals[k] = part
-        props.append(prop)
-    return finals, props
+def _stepped(scheme, tau: float, n_steps: int, pair, group):
+    """Step the rows of every item of `group`, all on the space of `pair`,
+    through the library's one `evolve`: one stack of rows, each with its own
+    lam. Returns each item's final rows and the propagator. A failing row
+    names its item."""
+    ends = np.cumsum([len(lam) for _, lam, _, _ in group])
+    try:
+        prop = Propagator(scheme, pair, tau, np.concatenate([it[1] for it in group]))
+        w = evolve(prop, n_steps, np.concatenate([it[2] for it in group]))
+    except StepError as exc:
+        name = group[int(np.searchsorted(ends, exc.row, side="right"))][3]
+        raise SolverError(f"{name} failed: {exc}") from exc
+    except SolverError as exc:
+        raise SolverError(f"{', '.join(it[3] for it in group)} failed: {exc}") from exc
+    return np.split(w, ends[:-1]), prop
 
 
-def _spectral(scheme, t_final: float, n_steps: int, items) -> tuple[list[np.ndarray], tuple]:
-    """Propagate the items through their spaces' pencils (`Pencil.propagate`),
-    and step the stiffest row (largest lam) of each once through `_stepped`,
-    factored by SuperLU, as a check against the pencil's one-step map.
-    Returns the final rows and the largest pencil defects and relative
-    first-step gap; a failed pencil or a gap above FIRST_STEP_TOL raises
-    SolverError naming its item."""
-    tau = t_final / n_steps
+def _spectral(scheme, tau: float, n_steps: int, ops: SpatialOperators, group):
+    """Propagate the items of `group`, all on the space of `ops`, through its
+    pencil (`Pencil.propagate`), and step the stiffest row (largest lam) of
+    each once through `_stepped`, factored by SuperLU, as a check against
+    the pencil's one-step map. Returns the final rows and the pencil's
+    defects and the largest relative first-step gap; a failed pencil or a
+    gap above FIRST_STEP_TOL raises SolverError naming its item."""
     finals, stiffest = [], []
-    for ops, lam, w0, name in items:
+    for _, lam, w0, name in group:
         try:
             finals.append(ops.pencil.propagate(scheme.r, tau, n_steps, lam, w0))
         except SolverError as exc:
@@ -623,7 +611,8 @@ def _spectral(scheme, t_final: float, n_steps: int, items) -> tuple[list[np.ndar
         k = int(np.argmax(lam))
         stiffest.append((ops, lam[k : k + 1], w0[k : k + 1], name))
     worst = 0.0
-    for (ops, lam, w0, name), got in zip(stiffest, _stepped(scheme, tau, 1, stiffest, True)[0]):
+    firsts, _ = _stepped(scheme, tau, 1, SparsePair(ops.mass, ops.k_g), stiffest)
+    for (_, lam, w0, name), got in zip(stiffest, firsts):
         want = ops.pencil.propagate(scheme.r, tau, 1, lam, w0)
         diff, scale = float(np.linalg.norm(got - want)), float(np.linalg.norm(got))
         if not diff <= FIRST_STEP_TOL * scale:  # "not <=" so that NaN fails too
@@ -632,8 +621,7 @@ def _spectral(scheme, t_final: float, n_steps: int, items) -> tuple[list[np.ndar
                 f"by {diff:.3e} (stepped norm {scale:.3e})"
             )
         worst = max(worst, diff / scale if scale else 0.0)
-    pencils = [ops.pencil for ops, _, _, _ in items]
-    return finals, (max(p.orth for p in pencils), max(p.res for p in pencils), worst)
+    return finals, (ops.pencil.orth, ops.pencil.res, worst)
 
 
 def _propagate(scheme, t_final: float, n_steps: int, items) -> list[np.ndarray]:
@@ -642,39 +630,41 @@ def _propagate(scheme, t_final: float, n_steps: int, items) -> list[np.ndarray]:
 
     An item (ops, lam, w0, name) holds rows w_i of w0 (k, ndof) on the space
     of the `SpatialOperators` ops, each evolving under M w' = -lam_i K_g w,
-    and the name that its failure carries. Items on spaces of at most
-    SPECTRAL_NDOF_LIMIT dofs go through their pencils (`_spectral`), the
-    others are stepped, one `evolve` per space (`_stepped`). Each path logs
-    one DEBUG record; the stepped one adds the largest half-bandwidth and
-    the largest step residual relative to its bound. A non-finite or
-    negative lam fails, naming its item, before any work.
+    and the name that its failure carries. The items are grouped by space.
+    A space of at most SPECTRAL_NDOF_LIMIT dofs propagates its items through
+    its pencil (`_spectral`); a larger one steps them as one stack on its
+    `band` (`_stepped`). Each space logs one DEBUG record: the pencil's
+    defects and first-step gap, or the band's half-bandwidth and the largest
+    step residual relative to its bound. A non-finite or negative lam
+    fails, naming its item, before any work.
     """
-    for _, lam, _, name in items:
+    by_space: dict[SpatialOperators, list[int]] = {}
+    for k, (ops, lam, _, name) in enumerate(items):
         if not np.isfinite(lam).all():
             raise SolverError(f"{name} failed: non-finite diffusivity factor in {lam}")
         if (lam < 0.0).any():
             raise SolverError(f"{name} failed: negative diffusivity factor in {lam}")
+        by_space.setdefault(ops, []).append(k)
+    tau = t_final / n_steps
     finals = [None] * len(items)
-    on_pencil = [_on_pencil(it[0]) for it in items]
-    for spectral in (True, False):
-        chosen = [i for i, p in enumerate(on_pencil) if p == spectral]
-        if not chosen:
-            continue
+    for ops, chosen in by_space.items():
         t0 = time.perf_counter()
-        batch = [items[i] for i in chosen]
+        group = [items[k] for k in chosen]
         record = "propagation: path=%s steps=%d items=%s unknowns=%d wall_s=%.6f"
-        if spectral:
-            done, extra = _spectral(scheme, t_final, n_steps, batch)
+        if _on_pencil(ops):
+            path = "spectral"
+            done, extra = _spectral(scheme, tau, n_steps, ops, group)
             record += " pencil_orth=%.3e pencil_rel_res=%.3e first_step_rel_diff=%.3e"
         else:
-            done, props = _stepped(scheme, t_final, n_steps, batch)
-            extra = max(p.pair.kd for p in props), max(p.worst for p in props)
-            record += " kd_max=%d step_rel_res_max=%.3e"
-        for i, final in zip(chosen, done):
-            finals[i] = final
+            path = "stepped"
+            done, prop = _stepped(scheme, tau, n_steps, ops.band, group)
+            extra = prop.pair.kd, prop.worst
+            record += " kd=%d step_rel_res=%.3e"
+        for k, final in zip(chosen, done):
+            finals[k] = final
         log.debug(
-            record, "spectral" if spectral else "stepped", n_steps, [it[3] for it in batch],
-            sum(it[2].size for it in batch), time.perf_counter() - t0, *extra,
+            record, path, n_steps, [it[3] for it in group],
+            sum(it[2].size for it in group), time.perf_counter() - t0, *extra,
         )
     return finals
 

@@ -21,11 +21,12 @@ w = (V^T (x) I) u evolve under the block-diagonal diag(lam) (x) K_g.
 Everything these builders need of one spatial space lives in one
 `SpatialOperators`, built by `spatial_operators(space, field)`: the mass
 matrix M, the stiffness K_g of the field's spatial part, their banded form
-with the Cholesky factor of M (`timestep.BandedPair`, the dofs in
-coordinate order), the checked L2 projection of spatial functions, each
-projected once, the projections of an initial datum at the nodes of a
-Gauss grid, stacked once per grid, and the checked dense decomposition of
-the pencil (K_g, M), made when first read.
+with the Cholesky factor of M (`timestep.BandedPair`; the space numbers its
+dofs in coordinate order, so M and K_g are banded as assembled), the
+checked L2 projection of spatial functions, each projected once, the
+projections of an initial datum at the nodes of a Gauss grid, stacked once
+per grid, and the checked dense decomposition of the pencil (K_g, M), made
+when first read.
 The block operator, the initial chaos modes and the collocation reference
 of the harness all take it, so a space shared by several of them is
 assembled and projected once. A rotated chaos mode and a collocation node
@@ -70,14 +71,7 @@ import scipy.sparse as sp
 
 from .coeffs import CoefficientField, InitialDatum
 from .pce import DistributionSpec, MultiIndexSet, pce_project, tensor_basis_matrix, tensor_quad
-from .spatial import (
-    FeSpace,
-    SolverError,
-    assemble_mass,
-    assemble_stiffness,
-    load_vector,
-    nodal_coordinates,
-)
+from .spatial import FeSpace, SolverError, assemble_mass, assemble_stiffness, load_vector
 from .timestep import BandedPair, banded_pair
 
 __all__ = [
@@ -194,11 +188,11 @@ class SpatialOperators:
 
     @functools.cached_property
     def band(self) -> BandedPair:
-        """(M, K_g) with the dofs in coordinate order (sorted by their last
-        coordinate, then the first), as one CSR [M; K_g], as LAPACK lower
-        bands and with the Cholesky factor of M; built when first read. From m = 3 on, the
+        """(M, K_g) as assembled, as one CSR [M; K_g], as LAPACK lower bands
+        and with the Cholesky factor of M; built when first read. The space
+        numbers its dofs in coordinate order, so from m = 3 on the
         half-bandwidth is 1 (1D P1), 2 (1D P2), m (2D P1) or 4m (2D P2)."""
-        return banded_pair(self.mass, self.k_g, np.lexsort(nodal_coordinates(self.space).T))
+        return banded_pair(self.mass, self.k_g)
 
     def project(self, f) -> np.ndarray:
         """L2 projection of the spatial function f: solves M u = (f, phi) with

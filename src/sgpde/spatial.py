@@ -9,10 +9,12 @@ is 0.0 or 1.0, and every other node is a dof.
 Every kernel works on all cells at once, in a fixed number of whole-array
 operations: one table of affine cell maps (`_geometry`) gives the quadrature
 points and physical gradients, matmuls on fixed shapes form the element
-contributions and one scatter sums them. Meshes and spaces are numbered the
-same way; a P2 edge midpoint is numbered in the order in which its edge first
-appears in the cells. Prolongation evaluates the coarse space at the fine
-nodes through one sparse evaluation matrix.
+contributions and one scatter sums them. A space numbers its nodes, and so
+its dofs, in coordinate order: sorted by y, then by x. That order keeps the
+matrices banded, with half-bandwidth 1 (1D P1), 2 (1D P2), m (2D P1) or 4m
+(2D P2) from m = 3 on, so the time stepper factors them as assembled.
+Prolongation evaluates the coarse space at the fine nodes through one sparse
+evaluation matrix.
 
 Spatial functions (coefficients, loads and initial functions) are called
 once per kernel with all the points of its element rule as one array x of
@@ -87,7 +89,8 @@ def make_mesh(dim: int, m: int) -> Mesh:
 class FeSpace:
     """P1 or P2 Lagrange space with homogeneous Dirichlet elimination.
 
-    The interior nodes are the dofs, numbered in node order:
+    The nodes are numbered in coordinate order, sorted by y and then x, and
+    the interior nodes are the dofs, numbered in node order:
     `dof_of_node[dof_of_node >= 0]` is `arange(ndof)`. The cell geometry
     and the element rules are built when first read and kept, read-only.
     """
@@ -128,19 +131,21 @@ def make_fe_space(mesh: Mesh, order: int) -> FeSpace:
         nodes = (np.arange(2 * m + 1, dtype=float) / (2 * m))[:, None]
         cell_nodes = np.column_stack([2 * np.arange(m), 2 * np.arange(m) + 1, 2 * np.arange(m) + 2])
     else:
-        # the edges ab, bc, ca of each cell in turn; an edge's midpoint
-        # node is numbered in order of the edge's first appearance
+        # the edges ab, bc, ca of each cell in turn, each with a midpoint node
         a = mesh.cells.ravel()
         b = mesh.cells[:, [1, 2, 0]].ravel()
         nv = len(mesh.vertices)
         _, first, edge = np.unique(
             np.minimum(a, b) * nv + np.maximum(a, b), return_index=True, return_inverse=True
         )
-        rank = np.empty(len(first), dtype=int)
-        rank[np.argsort(first)] = np.arange(len(first))
-        ends = np.sort(first)
-        nodes = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[a[ends]] + mesh.vertices[b[ends]])])
-        cell_nodes = np.hstack([mesh.cells, nv + rank[edge].reshape(-1, 3)])
+        mids = 0.5 * (mesh.vertices[a[first]] + mesh.vertices[b[first]])
+        nodes = np.vstack([mesh.vertices, mids])
+        cell_nodes = np.hstack([mesh.cells, nv + edge.reshape(-1, 3)])
+    # number the nodes in coordinate order, by y and then x
+    by_coords = np.lexsort(nodes.T)
+    rank = np.empty(len(nodes), dtype=int)
+    rank[by_coords] = np.arange(len(nodes))
+    nodes, cell_nodes = nodes[by_coords], rank[cell_nodes]
     # 0 / m and m / m are exactly 0.0 and 1.0, and so is the midpoint of two
     # such coordinates; every other coordinate is at least 1 / (2 m) away
     interior = ~((nodes == 0.0) | (nodes == 1.0)).any(axis=1)

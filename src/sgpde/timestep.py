@@ -10,10 +10,11 @@ its right-hand side formed without the K term when n1 = 0 (implicit
 Euler). For lam_i >= 0 each row's step matrix is symmetric positive
 definite (Thomee, Galerkin Finite Element Methods for Parabolic Problems,
 2nd ed., 2006), so it takes a banded Cholesky factor (George & Liu,
-Computer Solution of Large Sparse Positive Definite Systems, 1981): a
-`BandedPair` holds M and K with their unknowns in a band-reducing order,
-as CSR for the products and as LAPACK lower bands for the factors. A
-`SparsePair` holds M and K as given and factors each step matrix with
+Computer Solution of Large Sparse Positive Definite Systems, 1981). The
+spaces number their dofs in coordinate order (`spatial.make_fe_space`),
+which keeps M and K banded, so a `BandedPair` holds them as assembled, as
+CSR for the products and as LAPACK lower bands for the factors. A
+`SparsePair` holds M and K on one pattern and factors each step matrix with
 SuperLU; the harness checks each spectral propagation's first step on it,
 so that the check shares neither the pencil's eigendecomposition nor the
 banded Cholesky of the stepped path.
@@ -129,22 +130,19 @@ def _cholesky(band: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BandedPair:
-    """A symmetric positive definite M and a symmetric K with their unknowns
-    in the order `order`: unknown i of the pair is unknown order[i] of the
-    matrices it was built from. Both are held in that order as one CSR
+    """A symmetric positive definite M and a symmetric K, held as one CSR
     [M; K], so that one product gives M w and K w, and as LAPACK lower
     bands (kd + 1, n), from which `factor` takes the banded Cholesky factor
     of d0 M + s K. M's own factor is taken once, when the pair is built
     (`banded_pair`)."""
 
-    order: np.ndarray
     stacked: sp.csr_matrix  # [M; K], (2n, n)
     bands: tuple[np.ndarray, np.ndarray]  # (kd + 1, n) lower bands of M and K, Fortran order
     mass_factor: np.ndarray
 
     @property
     def kd(self) -> int:
-        """The half-bandwidth of M and K in the pair's order."""
+        """The half-bandwidth of M and K."""
         return self.bands[0].shape[0] - 1
 
     def products(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,53 +156,42 @@ class BandedPair:
         return _cholesky(d0 * self.bands[0] + s * self.bands[1])
 
     def solve(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """x with A x = b in the pair's order, c the `factor` of A."""
+        """x with A x = b, c the `factor` of A."""
         return dpbtrs(c, b, lower=1)[0]
 
     def solve_mass(self, b: np.ndarray) -> np.ndarray:
-        """x with M x = b, both in the order of the matrices the pair was built from."""
-        x = np.empty_like(b)
-        x[self.order] = self.solve(self.mass_factor, b[self.order])
-        return x
+        """x with M x = b."""
+        return self.solve(self.mass_factor, b)
 
 
-def banded_pair(mass, stiff, order=None) -> BandedPair:
-    """The `BandedPair` of sparse symmetric (M, K) with the unknowns in
-    `order` (default: as given). Each matrix is renumbered once from its CSR
-    arrays, row order[i] becoming row i, and its lower band filled from the
-    renumbered entries. SolverError when M has no Cholesky factor."""
+def banded_pair(mass, stiff) -> BandedPair:
+    """The `BandedPair` of sparse symmetric (M, K), in their own order: the
+    band is as wide as the numbering of their unknowns makes it.
+    SolverError when M has no Cholesky factor."""
     mass, stiff = mass.tocsr(), stiff.tocsr()
     n = mass.shape[0]
-    order = np.arange(n) if order is None else np.asarray(order)
-    rank = np.empty(n, dtype=int)
-    rank[order] = np.arange(n)
-    renumbered, lower = [], []
-    for a in (mass, stiff):
-        lengths = np.diff(a.indptr)[order]
-        src = np.repeat(a.indptr[order] - (np.cumsum(lengths) - lengths), lengths)
-        src += np.arange(len(src))
-        i, j, v = np.repeat(np.arange(n), lengths), rank[a.indices[src]], a.data[src]
-        renumbered.append((lengths, j, v))
-        low = i >= j
-        lower.append((i[low] - j[low], j[low], v[low]))
-    lengths, cols, vals = (np.concatenate(x) for x in zip(*renumbered))
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    indptr = np.concatenate([mass.indptr, mass.indptr[-1] + stiff.indptr[1:]])
+    cols = np.concatenate([mass.indices, stiff.indices])
+    vals = np.concatenate([mass.data, stiff.data])
     stacked = sp.csr_matrix((vals, cols, indptr), shape=(2 * n, n))
-    kd = max(int(np.max(d, initial=0)) for d, _, _ in lower)
-    bands = np.zeros((kd + 1, n), order="F"), np.zeros((kd + 1, n), order="F")
-    for band, (d, j, v) in zip(bands, lower):
-        band[d, j] = v
+    rows = np.repeat(np.arange(2 * n), np.diff(indptr))  # row i of K is row n + i
+    d = rows % n - cols
+    low = d >= 0
+    # lower[k].T is the (kd + 1, n) lower band of M (k = 0) or K (k = 1), in Fortran order
+    lower = np.zeros((2, n, int(d.max(initial=0)) + 1))
+    lower[rows[low] // n, cols[low], d[low]] = vals[low]
+    bands = lower[0].T, lower[1].T
     try:
-        mass_factor = _cholesky(bands[0].copy())
+        mass_factor = _cholesky(bands[0].copy(order="F"))
     except SolverError as exc:
         raise SolverError(f"mass matrix cannot be factored: {exc}") from exc
-    return BandedPair(order, stacked, bands, mass_factor)
+    return BandedPair(stacked, bands, mass_factor)
 
 
 @dataclass(frozen=True, eq=False)
 class SparsePair:
-    """Symmetric M and K as given, in their own order, stored as CSR on one
-    sparsity pattern, each step matrix factored by SuperLU."""
+    """Symmetric M and K stored as CSR on one sparsity pattern, each step
+    matrix factored by SuperLU."""
 
     mass: sp.csr_matrix
     stiff: sp.csr_matrix
@@ -213,10 +200,6 @@ class SparsePair:
         a, b = self.mass, self.stiff
         if not (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)):
             raise ValueError("M and K must be stored on one sparsity pattern")
-
-    @property
-    def order(self) -> np.ndarray:
-        return np.arange(self.mass.shape[0])
 
     def factor(self, d0: float, s: float):
         """The SuperLU factor of d0 M + s K, read as CSC from the shared
@@ -254,8 +237,7 @@ class StepResidualError(StepError):
 class Propagator:
     """One-step map of a scheme, for one step size tau, of the rows w_i of
     W (k, n) on a pair (M, K), `BandedPair` or `SparsePair`, row i under
-    M w' = -lam_i K w (default: one row, lam = 1). Rows are in the pair's
-    order; a 1-D w is one row.
+    M w' = -lam_i K w (default: one row, lam = 1). A 1-D w is one row.
 
     Each row's step matrix d0 M - d1 tau lam_i K is factored at the first
     step, so that the factors are built inside `step`, and reused by every
@@ -328,15 +310,11 @@ class Propagator:
 
 
 def evolve(prop: Propagator, n_steps: int, w0: np.ndarray) -> np.ndarray:
-    """March n_steps steps of `prop` from the rows w0, given in the order of
-    the matrices its pair was built from; returns the rows at the end, in
-    that order. The rows are put in the pair's order once, at the start."""
+    """March n_steps steps of `prop` from the rows w0; returns a writable
+    copy of the rows at the end."""
     if n_steps < 1:
         raise ValueError("need at least one step")
-    order = prop.pair.order
-    w = np.asarray(w0, dtype=float)[..., order]
+    w = np.asarray(w0, dtype=float)
     for _ in range(n_steps):
         w = prop.step(w)
-    out = np.empty(w.shape)
-    out[..., order] = w
-    return out
+    return w.copy()

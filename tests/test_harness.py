@@ -869,34 +869,49 @@ def test_sweep_logs_one_debug_record_per_batch(caplog):
     cfg = load_config(mini_config(sweep={"n": [1, 2], "m": [4, 8], "n_k": [4, 8]}))
     report = sweep(cfg)
     points = _sweep_points(cfg, report)
-    paths = [r for r in caplog.records if r.getMessage().startswith("propagation:")]
-    batches = [r for r in caplog.records if r.getMessage().startswith("solve batch:")]
+    # each batch logs one propagation record per space, in order of its
+    # first point, before its own record
+    per_batch, paths = [], []
+    for r in caplog.records:
+        if r.getMessage().startswith("propagation:"):
+            paths.append(r)
+        elif r.getMessage().startswith("solve batch:"):
+            per_batch.append((r, paths))
+            paths = []
+    batches = [batch for batch, _ in per_batch]
     # the distinct points in measurement order, grouped by n_k; every space
-    # is below SPECTRAL_NDOF_LIMIT, so every batch is propagated spectrally
+    # is below SPECTRAL_NDOF_LIMIT, so every space is propagated spectrally
     assert [r.args[:2] for r in batches] == [
         (4, [(1, 4, 4), (2, 8, 4)]),
         (8, [(2, 8, 8), (1, 8, 8), (2, 4, 8)]),
     ]
-    assert [r.args[:3] for r in paths] == [
-        ("spectral", n_k, [f"sweep point (n, m, n_k) = {p}" for p in batch])
-        for n_k, batch, *_ in (r.args for r in batches)
+    named = [f"sweep point (n, m, n_k) = {p}" for r in batches for p in r.args[1]]
+    assert [[r.args[:3] for r in paths] for _, paths in per_batch] == [
+        [("spectral", 4, [named[0]]), ("spectral", 4, [named[1]])],
+        [("spectral", 8, [named[2], named[3]]), ("spectral", 8, [named[4]])],
     ]
     assert sum(not hit for *_, hit, _ in points) == 5
     cache = OperatorCache(cfg)
-    for path, batch in zip(paths, batches):
-        _, steps, _, unknowns, wall, orth, res, first_step = path.args
+    for batch, paths in per_batch:
         n_k, points_of_batch, batch_unknowns, batch_wall = batch.args
-        for record in (path, batch):
+        spaces = list(dict.fromkeys(m for _, m, _ in points_of_batch))
+        for record in (batch, *paths):
             assert record.name == "sgpde.harness" and record.levelno == logging.DEBUG
-        assert unknowns == batch_unknowns == sum(
+        for path, m in zip(paths, spaces, strict=True):
+            _, steps, _, unknowns, wall, orth, res, first_step = path.args
+            assert unknowns == sum(
+                cache.operator(n, space)[0].size for n, space, _ in points_of_batch if space == m
+            )
+            assert steps == n_k and 0.0 < wall
+            # the space's checked pencil defects and its worst first-step gap
+            assert 0.0 <= orth <= sgsystem.EIGH_TOL and 0.0 <= res <= sgsystem.EIGH_TOL
+            assert 0.0 <= first_step <= harness.FIRST_STEP_TOL
+            assert orth == cache.spatial(m).pencil.orth
+            assert res == cache.spatial(m).pencil.res
+        assert sum(p.args[3] for p in paths) == batch_unknowns == sum(
             cache.operator(n, m)[0].size for n, m, _ in points_of_batch
         )
-        assert steps == n_k and 0.0 < wall <= batch_wall
-        # the worst checked pencil defects and first-step gap of the batch
-        assert 0.0 <= orth <= sgsystem.EIGH_TOL and 0.0 <= res <= sgsystem.EIGH_TOL
-        assert 0.0 <= first_step <= harness.FIRST_STEP_TOL
-        assert orth == max(cache.spatial(m).pencil.orth for _, m, _ in points_of_batch)
-        assert res == max(cache.spatial(m).pencil.res for _, m, _ in points_of_batch)
+        assert sum(p.args[4] for p in paths) <= batch_wall
     # solve_points splits each batch's wall time in proportion to unknowns
     caplog.clear()
     solved = harness.solve_points(cache, [p[:3] for p in points])
@@ -1308,11 +1323,12 @@ def test_the_stepped_record_reports_the_half_bandwidth_and_the_worst_residual(
     )
     cache = OperatorCache(load_config(BATCH_SETUPS["2d_p2_N2"]))
     harness.solve_points(cache, [(1, 2, 4), (2, 4, 4)])
-    (record,) = [r for r in caplog.records if r.getMessage().startswith("propagation:")]
+    records = [r for r in caplog.records if r.getMessage().startswith("propagation:")]
     assert [p.pair.kd for p in props] == [4, 16]
-    assert "kd_max=16 step_rel_res_max=" in record.getMessage()
-    worst = record.args[-1]
-    assert worst == max(p.worst for p in props) and 0.0 < worst <= 1.0
+    for record, prop in zip(records, props, strict=True):
+        assert f"kd={prop.pair.kd} step_rel_res=" in record.getMessage()
+        worst = record.args[-1]
+        assert worst == prop.worst and 0.0 < worst <= 1.0
 
 
 @pytest.fixture

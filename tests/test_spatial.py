@@ -348,15 +348,33 @@ def test_gauss_rule_on_unit_interval_is_cached_and_read_only():
 def test_space_numbering_matches_loop_oracle(dim, order, m):
     space = make_fe_space(make_mesh(dim, m), order)
     oracle = oracles.loop_fe_space(oracles.loop_mesh(dim, m), order)
+    # the oracle's nodes sorted by (y, x) in a Python sort, its cells and
+    # dofs renumbered to match
+    by_coords = sorted(range(len(oracle.nodes)), key=lambda i: tuple(oracle.nodes[i][::-1]))
+    rank = np.empty(len(by_coords), dtype=oracle.cell_nodes.dtype)
+    rank[by_coords] = np.arange(len(by_coords))
+    interior = oracle.dof_of_node[by_coords] >= 0
+    dof_of_node = np.full(len(by_coords), -1, dtype=oracle.dof_of_node.dtype)
+    dof_of_node[interior] = np.arange(int(interior.sum()))
     for got, want in (
         (space.mesh.vertices, oracle.mesh.vertices),
         (space.mesh.cells, oracle.mesh.cells),
-        (space.nodes, oracle.nodes),
-        (space.cell_nodes, oracle.cell_nodes),
-        (space.dof_of_node, oracle.dof_of_node),
+        (space.nodes, oracle.nodes[by_coords]),
+        (space.cell_nodes, rank[oracle.cell_nodes]),
+        (space.dof_of_node, dof_of_node),
     ):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert space.ndof == oracle.ndof
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nodes_are_numbered_in_coordinate_order(dim, order, m):
+    # sorted by y, then x: each node's (y, x) key is strictly above the last
+    nodes = make_fe_space(make_mesh(dim, m), order).nodes
+    keys = [tuple(node[::-1]) for node in nodes]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 16])
