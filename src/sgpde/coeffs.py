@@ -9,9 +9,10 @@ all the nodes of a z-grid, g of all the points of an element rule (see
 `spatial`). The library declares no ellipticity bounds: the tests hold
 the bounds of each built-in and check them by sampling.
 
-A config's numbers are checked when its field or datum is built: a
-constant's value must be finite and > 0, a sine mode index an integer
->= 1, and an amplitude finite.
+A config's numbers are read by `config_number` and `config_integer`,
+shared with the harness and `orthopoly`, when its field or datum is
+built: a constant's value must be finite and > 0, its dim 1 or 2, a sine
+mode index an integer >= 1, and an amplitude finite.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "config_number",
+    "config_integer",
     "CoefficientField",
     "InitialDatum",
     "builtin_separable",
@@ -103,28 +106,31 @@ def builtin_separable(f: Callable, g: Callable, *, dim: int = 1, name: str = "")
     )
 
 
-# --- named built-ins -----------------------------------------------------
+# --- config values -------------------------------------------------------
 
-def _number(key: str, value, lowest: float = -math.inf) -> float:
-    """A config number: a real, not a bool, finite and > `lowest`."""
+def config_number(key: str, value, above: float = -math.inf) -> float:
+    """A config number: a real, not a bool, finite and > `above`."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and lowest < value < math.inf):  # a NaN fails both comparisons
-        above = "" if lowest == -math.inf else f" > {lowest:g}"
-        raise ValueError(f"{key} value {value!r} must be a finite number{above}")
+    if not (real and above < value < math.inf):  # a NaN fails both comparisons
+        shown = "" if above == -math.inf else f" > {above:g}"
+        raise ValueError(f"{key} value {value!r} must be a finite number{shown}")
     return float(value)
 
 
-def _index(key: str, value) -> int:
-    """A config sine mode index: an integer >= 1, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{key} value {value!r} must be an integer >= 1")
+def config_integer(key: str, value, lowest: int = 1, highest: float = math.inf) -> int:
+    """A config integer: integral, not a bool, and `lowest` <= value <= `highest`."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and lowest <= value <= highest):
+        shown = "" if highest == math.inf else f" and <= {highest}"
+        raise ValueError(f"{key} value {value!r} must be an integer >= {lowest}{shown}")
     return int(value)
 
 
+# --- named built-ins -----------------------------------------------------
+
 def _constant_field(value: float = 1.0, dim: int = 1) -> CoefficientField:
-    value = _number("constant", value, 0.0)
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim not in (1, 2):
-        raise ValueError(f"constant dim value {dim!r} must be the integer 1 or 2")
+    value = config_number("constant", value, 0.0)
+    dim = config_integer("constant dim", dim, 1, 2)
     return builtin_separable(
         np.ones_like,
         (lambda x: np.full(len(x), value)) if dim == 1
@@ -173,7 +179,7 @@ def coefficient_by_name(name: str, **params) -> CoefficientField:
 
 
 def _sine_modes_datum(modes: Sequence = ((1, 1.0),)) -> InitialDatum:
-    modes = tuple((_index("sine_modes mode", j), _number("sine_modes amplitude", c))
+    modes = tuple((config_integer("sine_modes mode", j), config_number("sine_modes amplitude", c))
                   for j, c in modes)
     if not modes:
         raise ValueError("sine_modes modes must hold at least one [j, amplitude] pair")
@@ -190,7 +196,8 @@ def _sine_modes_datum(modes: Sequence = ((1, 1.0),)) -> InitialDatum:
 
 
 def _product_sine_datum(j: int = 1, amplitude: float = 1.0) -> InitialDatum:
-    j, amplitude = _index("product_sine j", j), _number("product_sine amplitude", amplitude)
+    j = config_integer("product_sine j", j)
+    amplitude = config_number("product_sine amplitude", amplitude)
 
     def u0(x):
         return amplitude * np.sin(j * np.pi * x[:, 0]) * np.sin(j * np.pi * x[:, 1])

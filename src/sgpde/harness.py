@@ -26,7 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .coeffs import CoefficientField, InitialDatum, coefficient_by_name, initial_datum_by_name
+from .coeffs import (CoefficientField, InitialDatum, coefficient_by_name, config_integer,
+                     config_number, initial_datum_by_name)
 from .orthopoly import FAMILY_PARAMS, PolyFamily
 from .pce import DistributionSpec, multi_index_set, tensor_quad
 from .sgsystem import (
@@ -309,9 +310,10 @@ _CONFIG_DICT_KEYS = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The config keys of one experiment, checked when it is made: each value
-    is read as its field's type and copied read-only (`_converted`), and a
-    bad value raises a ValueError naming its key. What the checks build is
-    kept in attributes that are not fields: `dist`, `field`, `u0` and
+    is read as its field's type and copied read-only (`_converted`), each
+    nested number by `coeffs.config_number` or `config_integer`, and a bad
+    value raises a ValueError naming its key. What the checks build is kept
+    in attributes that are not fields: `dist`, `field`, `u0` and
     `analytic` (the `AnalyticReference` of an analytic config, else None)."""
 
     distribution: tuple
@@ -330,42 +332,39 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             object.__setattr__(self, f.name, _converted(f.name, f.type, getattr(self, f.name)))
-        if not (math.isfinite(self.t_final) and self.t_final > 0.0):
-            raise ValueError(f"t_final value {self.t_final!r} must be finite and positive")
+        config_number("t_final", self.t_final, 0.0)
         scheme_by_name(self.scheme)
         for key, known in _CONFIG_DICT_KEYS.items():
             _check_keys(key, getattr(self, key), known)
+        for key, value in self.output.items():
+            if not isinstance(value, str):
+                raise ValueError(f"output.{key} value {value!r} must be of type str")
         for axis, tol in self.tolerances.items():
             _check_keys(f"tolerances.{axis}", tol, _TOLERANCE_KEYS[axis])
             for key, value in tol.items():
+                named = f"tolerances.{axis}.{key}"
                 if key in ("decreasing", "superalgebraic"):
-                    ok, shown = isinstance(value, bool), "of type bool"
-                else:
-                    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-                    ok, shown = number and math.isfinite(value), "a finite number"
-                    # below these bounds no sweep can meet the check
-                    if ok and key in ("tol", "max_final_error"):
-                        ok, shown = value >= 0.0, ">= 0"
-                    elif ok and key == "allowed_increase":
-                        ok, shown = value > -1.0, "> -1"
-                if not ok:
-                    raise ValueError(f"tolerances.{axis}.{key} value {value!r} must be {shown}")
+                    if not isinstance(value, bool):
+                        raise ValueError(f"{named} value {value!r} must be of type bool")
+                    continue
+                # below these bounds no sweep can meet the check
+                number = config_number(named, value, -1.0 if key == "allowed_increase" else -math.inf)
+                if key in ("tol", "max_final_error") and number < 0.0:
+                    raise ValueError(f"{named} value {value!r} must be >= 0")
             if ("slope" in tol) != ("tol" in tol):
                 raise ValueError(f"tolerances.{axis} must give slope and tol together")
         for i, spec in enumerate(self.distribution):
             if not isinstance(spec, dict):
                 raise ValueError(f"distribution[{i}] value {spec!r} must be of type dict")
-        if self.geometry.get("dim") not in (1, 2):
-            raise ValueError("geometry.dim must be 1 or 2")
-        if self.geometry.get("fe_order") not in (1, 2):
-            raise ValueError("geometry.fe_order must be 1 or 2")
-        lowest_m = _LOWEST_M[self.geometry["fe_order"]]
+        dim, fe_order = (config_integer(f"geometry.{key}", self.geometry.get(key), 1, 2)
+                         for key in ("dim", "fe_order"))
+        lowest_m = _LOWEST_M[fe_order]
         for axis, lowest in zip(AXES, (0, lowest_m, 1)):
             values = self.sweep.get(axis, [])
             if not (isinstance(values, tuple) and values):
                 raise ValueError(f"sweep.{axis} must be a non-empty list")
             for v in values:
-                _check_int(f"sweep.{axis}", v, lowest)
+                config_integer(f"sweep.{axis}", v, lowest)
             if any(a >= b for a, b in zip(values, values[1:])):
                 raise ValueError(f"sweep.{axis} must be strictly increasing")
         max_n = max(self.sweep["n"])
@@ -385,12 +384,10 @@ class ExperimentConfig:
             raise ValueError("reference.kind must be 'analytic' or 'collocation'")
         _check_keys("reference", self.reference, _REFERENCE_KEYS[kind])
         if kind == "collocation":
-            for key, lowest in (("m_ref", lowest_m), ("n_k_ref", 1)):
-                _check_int(f"reference.{key}", self.reference.get(key), lowest)
+            m_ref = config_integer("reference.m_ref", self.reference.get("m_ref"), lowest_m)
+            nk_ref = config_integer("reference.n_k_ref", self.reference.get("n_k_ref"))
             if "quad_order" in self.reference:
-                _check_int("reference.quad_order", self.reference["quad_order"], 1)
-            m_ref = self.reference["m_ref"]
-            nk_ref = self.reference["n_k_ref"]
+                config_integer("reference.quad_order", self.reference["quad_order"])
             max_m, max_nk = max(self.sweep["m"]), max(self.sweep["n_k"])
             factor = 4 if self.strict_reference else 1
             if m_ref < factor * max_m or any(m_ref % m for m in self.sweep["m"]):
@@ -401,7 +398,7 @@ class ExperimentConfig:
             if nk_ref < factor * max_nk:
                 raise ValueError(f"reference n_k_ref = {nk_ref} must be >= {factor} * max n_k")
             q_ref = self.reference.get("quad_order", self.quad_order)
-            ndof = (self.geometry["fe_order"] * m_ref - 1) ** self.geometry["dim"]
+            ndof = (fe_order * m_ref - 1) ** dim
             values = q_ref**inputs * ndof
             if values > MAX_REFERENCE_ENTRIES:
                 raise ValueError(
@@ -411,7 +408,6 @@ class ExperimentConfig:
         dist = _built(
             "distribution", lambda: DistributionSpec(tuple(map(_family, self.distribution)))
         )
-        dim = self.geometry["dim"]
         field_ = _built("coefficient", lambda: _named(coefficient_by_name, self.coefficient))
         datum = _built("initial_datum", lambda: _named(initial_datum_by_name, self.initial_datum))
         for key, built in (("coefficient", field_), ("initial_datum", datum)):
@@ -462,11 +458,6 @@ def _check_keys(key: str, given: dict, known) -> None:
         raise ValueError(f"unknown {key} keys: {unknown}")
 
 
-def _check_int(key: str, value, lowest: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
-        raise ValueError(f"{key} value {value!r} must be an integer >= {lowest}")
-
-
 def _converted(key: str, kind: str, value):
     """A top-level config value read as its field's annotated type `kind`.
 
@@ -503,7 +494,9 @@ class _ReadOnlyDict(dict):
 
 def _frozen(value):
     """A read-only copy of a config value: each nested dict becomes a
-    `_ReadOnlyDict` and each list a tuple."""
+    `_ReadOnlyDict`, each list a tuple and each NumPy scalar its Python value."""
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, dict):
         return _ReadOnlyDict({k: _frozen(v) for k, v in value.items()})
     if isinstance(value, (list, tuple)):
@@ -590,8 +583,6 @@ def _stepped(scheme, tau: float, n_steps: int, pair, group):
     except StepError as exc:
         name = group[int(np.searchsorted(ends, exc.row, side="right"))][3]
         raise SolverError(f"{name} failed: {exc}") from exc
-    except SolverError as exc:
-        raise SolverError(f"{', '.join(it[3] for it in group)} failed: {exc}") from exc
     return np.split(w, ends[:-1]), prop
 
 

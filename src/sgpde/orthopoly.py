@@ -18,12 +18,12 @@ accurate relative to their own size.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
-from math import inf
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+
+from .coeffs import config_number
 
 __all__ = [
     "FAMILY_PARAMS",
@@ -47,8 +47,9 @@ class PolyFamily:
 
     Use the factory functions :func:`hermite`, :func:`jacobi`, and
     :func:`laguerre` instead of constructing instances directly. Each
-    parameter of `FAMILY_PARAMS[kind]` must be a real number, not a bool,
-    and is stored as a float.
+    parameter of `FAMILY_PARAMS[kind]` is read by `coeffs.config_number`:
+    it must be a finite real number > -1, not a bool, and is stored as a
+    float.
     """
 
     kind: str
@@ -58,17 +59,9 @@ class PolyFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_PARAMS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        params = FAMILY_PARAMS[self.kind]
-        for name in params:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{self.kind} {name} value {value!r} must be a number")
-            object.__setattr__(self, name, float(value))
-        for name in params:
-            # a NaN fails both comparisons, so it is rejected with inf
-            if not -1.0 < getattr(self, name) < inf:
-                got = ", ".join(f"{p} = {getattr(self, p)!r}" for p in params)
-                raise ValueError(f"{self.kind} requires {name} > -1 and finite, got {got}")
+        for name in FAMILY_PARAMS[self.kind]:
+            value = config_number(f"{self.kind} {name}", getattr(self, name), -1.0)
+            object.__setattr__(self, name, value)
 
 
 def hermite() -> PolyFamily:

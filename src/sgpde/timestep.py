@@ -56,7 +56,6 @@ __all__ = [
     "SparsePair",
     "Propagator",
     "StepError",
-    "StepResidualError",
     "evolve",
 ]
 
@@ -230,10 +229,6 @@ class StepError(SolverError):
         self.row = row
 
 
-class StepResidualError(StepError):
-    """A time step failed its residual check in row `row`."""
-
-
 class Propagator:
     """One-step map of a scheme, for one step size tau, of the rows w_i of
     W (k, n) on a pair (M, K), `BandedPair` or `SparsePair`, row i under
@@ -242,9 +237,9 @@ class Propagator:
     Each row's step matrix d0 M - d1 tau lam_i K is factored at the first
     step, so that the factors are built inside `step`, and reused by every
     later step. Every step checks each row's residual against that row's
-    own right-hand side; the first row that fails raises a
-    `StepResidualError` naming it, and `worst` is the largest residual of
-    any passed step relative to its bound. The residual needs M x and K x
+    own right-hand side; the first row that fails raises a `StepError`
+    naming it, and `worst` is the largest residual of any passed step
+    relative to its bound. The residual needs M x and K x
     of the step's output x, which are also the next step's right-hand side:
     stepping its own last output, a step forms M x and K x once, for all its
     rows. That output is read-only, so the products stay its own.
@@ -299,7 +294,7 @@ class Propagator:
         ok = ratio <= 1.0  # a NaN residual fails too
         if not ok.all():
             i = int(np.argmin(ok))  # the first failing row
-            raise StepResidualError(
+            raise StepError(
                 f"time step residual {res[i]:.3e} too large for tau = {tau}{self._where(i)}", i
             )
         self.worst = max(self.worst, float(ratio.max()))

@@ -88,17 +88,17 @@ def test_solve_takes_no_state_out(tmp_path, capsys):
         # a family parameter reaches the command only through a config;
         # JSON writes a non-finite float as NaN or Infinity
         ({"distribution": [{"kind": "jacobi", "alpha": -2}]},
-         "distribution: jacobi requires alpha > -1 and finite, got alpha = -2.0, beta = 0.0"),
+         "distribution: jacobi alpha value -2 must be a finite number > -1"),
         ({"distribution": [{"kind": "jacobi", "alpha": math.nan}]},
-         "distribution: jacobi requires alpha > -1 and finite, got alpha = nan, beta = 0.0"),
+         "distribution: jacobi alpha value nan must be a finite number > -1"),
         ({"distribution": [{"kind": "jacobi", "beta": math.inf}]},
-         "distribution: jacobi requires beta > -1 and finite, got alpha = 0.0, beta = inf"),
+         "distribution: jacobi beta value inf must be a finite number > -1"),
         ({"distribution": [{"kind": "laguerre", "alpha": math.inf}]},
-         "distribution: laguerre requires alpha > -1 and finite, got alpha = inf"),
+         "distribution: laguerre alpha value inf must be a finite number > -1"),
         ({"distribution": [{"kind": "jacobi", "alpha": "0.5", "beta": True}]},
-         "distribution: jacobi alpha value '0.5' must be a number"),
+         "distribution: jacobi alpha value '0.5' must be a finite number > -1"),
         ({"distribution": [{"kind": "jacobi", "beta": True}]},
-         "distribution: jacobi beta value True must be a number"),
+         "distribution: jacobi beta value True must be a finite number > -1"),
         # a constant field's value must be finite and > 0
         *[({"coefficient": {"name": "constant", "params": {"value": value}}},
            f"coefficient: constant value {value!r} must be a finite number > 0")
@@ -117,7 +117,7 @@ def test_solve_takes_no_state_out(tmp_path, capsys):
          "initial_datum: sine_modes modes must hold at least one [j, amplitude] pair"),
         # a constant field's dim is the integer 1 or 2, not a bool or a float
         *[({"coefficient": {"name": "constant", "params": {"dim": dim}}},
-           f"coefficient: constant dim value {dim!r} must be the integer 1 or 2")
+           f"coefficient: constant dim value {dim!r} must be an integer >= 1 and <= 2")
           for dim in (True, 1.0, 3)],
         ({"initial_datum": {"name": "product_sine", "params": {"j": 1.5}}},
          "initial_datum: product_sine j value 1.5 must be an integer >= 1"),
@@ -125,12 +125,21 @@ def test_solve_takes_no_state_out(tmp_path, capsys):
          "initial_datum: product_sine amplitude value nan must be a finite number"),
         ({"initial_datum": {"name": "product_sine", "params": {"amplitude": -math.inf}}},
          "initial_datum: product_sine amplitude value -inf must be a finite number"),
+        # geometry values are the integers 1 or 2, not a bool or a float
+        *[({"geometry": {"dim": 1, "fe_order": 2, key: value}},
+           f"geometry.{key} value {value!r} must be an integer >= 1 and <= 2")
+          for key, value in (("dim", True), ("dim", 1.0), ("fe_order", 2.0), ("fe_order", 3))],
+        # output values are paths, read as strings
+        ({"output": {"csv_dir": 5}}, "output.csv_dir value 5 must be of type str"),
+        ({"output": {"report": True}}, "output.report value True must be of type str"),
     ],
     ids=["config_key", "jacobi_alpha", "jacobi_alpha_nan", "jacobi_beta_inf", "laguerre_alpha_inf",
          "jacobi_alpha_string", "jacobi_beta_bool", "constant_nan", "constant_inf", "constant_zero",
          "mode_fraction", "mode_bool", "mode_amplitude_nan", "mode_zero", "mode_amplitude_string",
          "modes_empty", "constant_dim_bool", "constant_dim_float", "constant_dim_three",
-         "product_j_fraction", "product_amplitude_nan", "product_amplitude_inf"],
+         "product_j_fraction", "product_amplitude_nan", "product_amplitude_inf",
+         "geometry_dim_bool", "geometry_dim_float", "geometry_fe_order_float",
+         "geometry_fe_order_three", "output_csv_dir_int", "output_report_bool"],
 )
 def test_a_bad_value_exits_2_with_a_one_line_error(tmp_path, capsys, overrides, named):
     code = main(["solve", str(config_file(tmp_path, **overrides))])

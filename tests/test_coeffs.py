@@ -69,7 +69,8 @@ def test_a_constant_value_must_be_finite_and_positive():
 def test_a_constant_dim_must_be_the_integer_1_or_2():
     # True == 1 and 1.0 == 1, so either would pass a dimension check and solve as 1D
     for dim in (True, False, 1.0, 2.0, 0, 3, "1", None):
-        with pytest.raises(ValueError, match=r"^constant dim value .* must be the integer 1 or 2"):
+        shown = r"^constant dim value .* must be an integer >= 1 and <= 2$"
+        with pytest.raises(ValueError, match=shown):
             coefficient_by_name("constant", dim=dim)
     assert [coefficient_by_name("constant", dim=d).dim for d in (1, np.int64(2))] == [1, 2]
 

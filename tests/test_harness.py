@@ -352,7 +352,7 @@ COLLOC_2D = WORKLOADS["colloc_2d"]["config"]
         (mini_config(distribution=[{"kind": "beta"}]),
          "distribution: unknown distribution component 'beta'"),
         (mini_config(distribution=[{"kind": "jacobi", "alpha": -1.0}]),
-         "distribution: jacobi requires alpha > -1"),
+         "distribution: jacobi alpha value -1.0 must be a finite number > -1"),
         (mini_config(coefficient={"name": "logistic_1d", "params": {"slope": 2.0}}),
          "coefficient: .*unexpected keyword argument 'slope'"),
         (mini_config(coefficient={"name": "logistic"}),
@@ -526,7 +526,7 @@ def test_bad_tolerance_values_are_rejected_at_load(monkeypatch, tolerances, key,
     [
         ("n_k", "tol", 0.0, -0.1, ">= 0"),
         ("m", "max_final_error", 0.0, -1e-5, ">= 0"),
-        ("joint", "allowed_increase", -0.5, -1.0, "> -1"),
+        ("joint", "allowed_increase", -0.5, -1.0, "a finite number > -1"),
     ],
     ids=["tol", "max_final_error", "allowed_increase"],
 )
@@ -595,7 +595,7 @@ def test_non_finite_or_non_positive_t_final_is_rejected_at_load(monkeypatch, tmp
     monkeypatch.setattr(harness, "evolve", lambda *args, **kwargs: solved.append(args))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(mini_config(t_final=value)))
-    with pytest.raises(ValueError, match=rf"^t_final value {value!r} must be finite and positive"):
+    with pytest.raises(ValueError, match=rf"^t_final value {value!r} must be a finite number > 0$"):
         load_config(path)
     assert solved == []
 
@@ -651,7 +651,7 @@ def test_a_checked_config_cannot_be_changed_after_its_checks():
     raw["distribution"][0]["kind"] = "laguerre"
     assert config_hash(cfg) == WORKLOAD_CONFIG_HASHES["joint_1d"]
     # dataclasses.replace makes a new config, and checks it
-    with pytest.raises(ValueError, match=r"^t_final value -1\.0 must be finite and positive"):
+    with pytest.raises(ValueError, match=r"^t_final value -1\.0 must be a finite number > 0$"):
         dataclasses.replace(cfg, t_final=-1.0)
     assert config_hash(dataclasses.replace(cfg, t_final=cfg.t_final)) == config_hash(cfg)
     assert config_hash(copy.deepcopy(cfg)) == config_hash(cfg)
@@ -956,6 +956,23 @@ def test_config_hash_changes_with_config():
     assert spelled.t_final == 1.0 and type(spelled.t_final) is float
     assert type(spelled.quad_order) is int and type(spelled.distribution) is tuple
     assert config_hash(spelled) == config_hash(load_config(mini_config(t_final=1.0)))
+
+
+def test_numpy_scalars_in_a_dict_config_are_held_as_python_values():
+    # a dict config may be built with NumPy: it hashes as the same config
+    # written with Python numbers, and holds its integers as Python ints
+    modes = {"name": "sine_modes", "params": {"modes": [[np.int64(1), 1.0]]}}
+    made = load_config(mini_config(initial_datum=modes))
+    assert config_hash(made) == config_hash(load_config(mini_config()))
+    assert type(made.initial_datum["params"]["modes"][0][0]) is int
+    raw = json.loads(json.dumps(COLLOC_2D))
+    raw["sweep"] = {axis: [np.int64(v) for v in values] for axis, values in raw["sweep"].items()}
+    for key in ("m_ref", "n_k_ref", "quad_order"):
+        raw["reference"][key] = np.int64(raw["reference"][key])
+    cfg = load_config(raw)
+    assert config_hash(cfg) == WORKLOAD_CONFIG_HASHES["colloc_2d"]
+    held = [*cfg.sweep["n"], *cfg.sweep["m"], *cfg.sweep["n_k"], cfg.reference["m_ref"]]
+    assert all(type(v) is int for v in held)
 
 
 # the hashes of the benchmark's workload configs when every config key was

@@ -61,9 +61,10 @@ def test_invalid_parameters_rejected():
 @pytest.mark.parametrize("value", [True, "0.5", None])
 def test_a_parameter_that_is_no_number_is_rejected(value):
     # float() would read True as 1.0 and "0.5" as 0.5
-    with pytest.raises(ValueError, match=rf"^jacobi beta value {value!r} must be a number$"):
+    shown = rf"value {value!r} must be a finite number > -1$"
+    with pytest.raises(ValueError, match=rf"^jacobi beta {shown}"):
         jacobi(0.0, value)
-    with pytest.raises(ValueError, match=rf"^laguerre alpha value {value!r} must be a number$"):
+    with pytest.raises(ValueError, match=rf"^laguerre alpha {shown}"):
         laguerre(value)
     family = jacobi(1, np.float32(2.0))
     assert type(family.alpha) is float and type(family.beta) is float
@@ -79,7 +80,8 @@ def test_a_parameter_that_is_no_number_is_rejected(value):
 )
 def test_non_finite_parameters_are_rejected_by_name(make, name, value):
     # a NaN passes a "<= -1" test; each parameter must be finite and > -1
-    with pytest.raises(ValueError, match=rf"requires {name} > -1 and finite, got .*{name} = "):
+    shown = rf"^(jacobi|laguerre) {name} value {value!r} must be a finite number > -1$"
+    with pytest.raises(ValueError, match=shown):
         make(value)
 
 
